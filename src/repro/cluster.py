@@ -414,9 +414,7 @@ class Cluster:
     def _durable_acceptor_image(self, store: MultiVersionStore) -> dict[str, tuple]:
         """Decode every ``_paxos/`` row into a comparable snapshot tuple."""
         image: dict[str, tuple] = {}
-        for key in store.keys():
-            if not key.startswith("_paxos/"):
-                continue
+        for key in store.keys("_paxos/"):
             state = AcceptorState.from_version(store.read(key))
             image[key] = (
                 state.next_bal, state.ballot, state.chosen,
@@ -428,9 +426,7 @@ class Cluster:
     def _meta_image(self, store: MultiVersionStore) -> dict[str, dict]:
         """Latest attributes of every durable ``_meta/`` intent row."""
         image: dict[str, dict] = {}
-        for key in store.keys():
-            if not key.startswith("_meta/"):
-                continue
+        for key in store.keys("_meta/"):
             version = store.read(key)
             if version is not None:
                 image[key] = dict(version.attributes)
@@ -645,9 +641,8 @@ class Cluster:
         positions: set[int] = set()
         prefix = paxos_group_prefix(group)
         for replica in replicas:
-            for key in replica.store.keys():
-                if key.startswith(prefix):
-                    positions.add(int(key[len(prefix):]))
+            for key in replica.store.keys(prefix):
+                positions.add(int(key[len(prefix):]))
         lane = self.shard_map.lane_of(group)
         for position in sorted(positions):
             entry = self._decided_value(paxos_row_key(group, position), lane)
@@ -733,9 +728,8 @@ class Cluster:
         decisions: dict[str, bool] = {}
         gtids: set[str] = set()
         for store in self.stores.values():
-            for key in store.keys():
-                if key.startswith(prefix):
-                    gtids.add(key[len(prefix):].rsplit("/", 1)[0])
+            for key in store.keys(prefix):
+                gtids.add(key[len(prefix):].rsplit("/", 1)[0])
         for gtid in sorted(gtids):
             entry = self._decided_value(paxos_row_key(decision_group(gtid), 1))
             if entry is not None:

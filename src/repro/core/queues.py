@@ -42,11 +42,13 @@ from typing import TYPE_CHECKING, Any, Generator, Mapping
 from repro.config import ProtocolConfig
 from repro.core.commit_basic import find_winning_val
 from repro.core.retry import backoff_delay_ms
+from repro.kvstore.txnstatus import TxnStatusTable
 from repro.model import Item, QueueSend, Transaction
 from repro.net.node import Node
 from repro.paxos.ballot import Ballot
 from repro.paxos.proposer import SynodProposer
 from repro.wal.entry import LogEntry
+from repro.wal.invariants import InvariantViolation, effective_transactions
 from repro.wal.log import LogReplica
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,8 +140,6 @@ def enumerate_sends(
     Sends of a 2PC prepare entry count iff its decision is COMMIT (branches
     cannot enqueue today, so this is defensive, not load-bearing).
     """
-    from repro.wal.invariants import effective_transactions
-
     streams: dict[str, list[StreamSend]] = {}
     counters: dict[str, int] = {}
     for position in sorted(log):
@@ -227,8 +227,7 @@ class DeliveryTable:
         prefix = f"{RECV_PREFIX}{receiver}/"
         return {
             key[len(prefix):]: self.applied_seqnos(receiver, key[len(prefix):])
-            for key in self.store.keys()
-            if key.startswith(prefix)
+            for key in self.store.keys(prefix)
         }
 
     # -- pump progress ---------------------------------------------------
@@ -343,6 +342,14 @@ class QueueDeliveryPump:
         self.node = Node(env, network, name, datacenter, lane=lane)
         self.store = store
         self.table = DeliveryTable(store)
+        self.status = TxnStatusTable(store)
+        #: One log view per group this pump reads (its sender group and each
+        #: receiver it appends to), kept for the incarnation's lifetime so a
+        #: poll advances the known head instead of re-walking the log — see
+        #: the reuse contract on :class:`LogReplica` for why no fault ever
+        #: invalidates it.  Only the chosen-entry index is used, never
+        #: ``applied_through``.
+        self._replicas: dict[str, LogReplica] = {}
         self.services = list(service_names)
         self.shard_map = shard_map
         self.datacenters = list(datacenters or [])
@@ -381,6 +388,28 @@ class QueueDeliveryPump:
             tuple(ch for ch in channels if ch[0] == lane),
         )
 
+    def _replica(self, group: str) -> LogReplica:
+        """This pump's view of *group*'s log in its home store."""
+        replica = self._replicas.get(group)
+        if replica is None:
+            replica = self._replicas[group] = LogReplica(self.store, group)
+        return replica
+
+    def _acknowledged_entry(self, replica: LogReplica, position: int) -> LogEntry:
+        """The entry at a *position* at or below ``replica.read_position()``.
+
+        Such a position is chosen locally by definition, chosen rows are
+        durable, and the log is never truncated — a miss is a broken store
+        invariant, not a race to ride out.
+        """
+        entry = replica.chosen_entry(position)
+        if entry is None:
+            raise InvariantViolation([
+                f"{self.store.name}: {replica.group} position {position} is "
+                f"below the acknowledged head but has no chosen entry"
+            ])
+        return entry
+
     # ------------------------------------------------------------------
     # The pump loop
     # ------------------------------------------------------------------
@@ -414,7 +443,7 @@ class QueueDeliveryPump:
         leaves progress untouched, so the next scan redelivers the whole
         position (dedup at the receivers makes that harmless).
         """
-        replica = LogReplica(self.store, self.sender_group)
+        replica = self._replica(self.sender_group)
         acknowledged = replica.read_position()
         position, counters = self.table.pump_progress(self.sender_group)
         counters = dict(counters)
@@ -423,9 +452,7 @@ class QueueDeliveryPump:
         delivered = 0
         while position < acknowledged:
             position += 1
-            entry = replica.chosen_entry(position)
-            if entry is None:  # lost the race with a concurrent truncation
-                return delivered
+            entry = self._acknowledged_entry(replica, position)
             disposition = self._send_disposition(entry)
             if disposition == "stall":
                 # An in-doubt prepare carrying sends: cannot know yet
@@ -472,9 +499,7 @@ class QueueDeliveryPump:
         if entry.kind == "data":
             return "deliver"
         if entry.kind == "prepare" and entry.queue_sends:
-            from repro.kvstore.txnstatus import TxnStatusTable
-
-            record = TxnStatusTable(self.store).get(entry.gtid or "")
+            record = self.status.get(entry.gtid or "")
             if record is None:
                 return "stall"
             return "deliver" if record.committed else "skip"
@@ -497,9 +522,7 @@ class QueueDeliveryPump:
         now = self.env.now
         running = dict(counters)
         for position in range(from_position + 1, acknowledged + 1):
-            entry = replica.chosen_entry(position)
-            if entry is None:
-                break
+            entry = self._acknowledged_entry(replica, position)
             disposition = self._send_disposition(entry)
             if disposition == "stall":
                 break
@@ -544,7 +567,7 @@ class QueueDeliveryPump:
             self.sender_group, receiver, seqno, send,
             origin=f"pump:{self.sender_group}", origin_dc=self.node.datacenter,
         )
-        position = LogReplica(self.store, receiver).read_position() + 1
+        position = self._replica(receiver).read_position() + 1
         if self.shard_map is not None and not self.shard_map.single_lane:
             position = max(position, self._receiver_heads.get(receiver, 0) + 1)
         services = self._services_for(receiver)

@@ -411,9 +411,8 @@ class TransactionService:
         instances excluded (their projection recovers lazily through
         :meth:`_resolve_decision` from the durable decision rows)."""
         groups: set[str] = set()
-        for key in self.store.keys():
-            if key.startswith("_paxos/"):
-                groups.add(key[len("_paxos/"):].rsplit("/", 1)[0])
+        for key in self.store.keys("_paxos/"):
+            groups.add(key[len("_paxos/"):].rsplit("/", 1)[0])
         return sorted(g for g in groups if not is_decision_group(g))
 
     def spawn_recovery(self) -> "dict[str, Any]":

@@ -184,9 +184,9 @@ class MultiVersionStore:
         versions = self._rows.get(key)
         return versions[-1].timestamp if versions else None
 
-    def keys(self) -> list[str]:
-        """All row keys present in the store."""
-        return sorted(self._rows)
+    def keys(self, prefix: str = "") -> list[str]:
+        """Row keys starting with *prefix* (default: every key), sorted."""
+        return sorted(key for key in self._rows if key.startswith(prefix))
 
     def __contains__(self, key: str) -> bool:
         return key in self._rows and bool(self._rows[key])

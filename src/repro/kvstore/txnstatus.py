@@ -87,8 +87,7 @@ class TxnStatusTable:
 
     def __iter__(self) -> Iterator[TransactionStatusRecord]:
         """Every resolved transaction known locally."""
-        for key in self.store.keys():
-            if key.startswith(_STATUS_PREFIX):
-                record = self.get(key[len(_STATUS_PREFIX):])
-                if record is not None:
-                    yield record
+        for key in self.store.keys(_STATUS_PREFIX):
+            record = self.get(key[len(_STATUS_PREFIX):])
+            if record is not None:
+                yield record

@@ -42,7 +42,20 @@ def data_row_key(group: str, row: str) -> str:
 
 
 class LogReplica:
-    """One datacenter's replica of one transaction group's log."""
+    """One datacenter's replica of one transaction group's log.
+
+    Reuse contract: construct **once per (store, group) and keep it**.  The
+    instance remembers the contiguous chosen head and the entries below it,
+    so :meth:`read_position` costs O(entries chosen since the last call); a
+    fresh instance re-walks from position 0, one store read per position.
+    That memory is sound for the object's whole lifetime, faults included:
+    it holds only chosen entries, which are durable (``_paxos/`` rows
+    survive :meth:`MultiVersionStore.erase_volatile`) and immutable (R1).
+    The one volatile field is the ``applied_through`` watermark — an owner
+    whose data rows can be erased under it must drop the instance on crash
+    (:meth:`TransactionService.crash_reset` does); callers that only query
+    chosen entries (the queue pumps) never need to.
+    """
 
     def __init__(self, store: MultiVersionStore, group: str) -> None:
         self.store = store
@@ -107,9 +120,7 @@ class LogReplica:
         """All chosen entries known to this replica, keyed by position."""
         found: dict[int, LogEntry] = {}
         prefix = paxos_group_prefix(self.group)
-        for key in self.store.keys():
-            if not key.startswith(prefix):
-                continue
+        for key in self.store.keys(prefix):
             position = int(key[len(prefix):])
             entry = self.chosen_entry(position)
             if entry is not None:

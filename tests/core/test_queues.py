@@ -8,16 +8,23 @@ from repro.cluster import Cluster
 from repro.config import ClusterConfig, PlacementConfig, StoreConfig
 from repro.core.queues import (
     DeliveryTable,
+    QueueDeliveryPump,
     build_queue_apply,
     enumerate_sends,
     first_applies,
     queue_apply_tid,
 )
+from repro.core.service import ordered_service_names
 from repro.errors import TransactionStateError
 from repro.model import QueueSend, Transaction
 from repro.serializability.checker import check_queue_delivery
 from repro.wal.entry import LogEntry
-from repro.wal.invariants import effective_log, queue_shadow_positions
+from repro.wal.invariants import (
+    InvariantViolation,
+    effective_log,
+    queue_shadow_positions,
+)
+from repro.wal.log import LogReplica, paxos_row_key
 
 
 def sharded_cluster(n_groups: int = 2, seed: int = 0) -> Cluster:
@@ -303,6 +310,86 @@ class TestPump:
         assert after.stalled == 1  # drain completions are stalls by definition
         # The drained apply is readable through the ordinary service path.
         assert read_remote(cluster, "row1", "a0") == "lonely"
+
+
+def plain_entry(group: str, position: int) -> LogEntry:
+    """A committed single-group write with no sends."""
+    return LogEntry.single(Transaction(
+        tid=f"{group}:t{position}", group=group, read_set=frozenset(),
+        writes=((("local", "a"), position),), read_position=position - 1,
+    ))
+
+
+def pump_over_logs(lengths: dict[str, int]) -> tuple[Cluster, QueueDeliveryPump]:
+    """A ``group-0`` pump in V1 over pre-chosen logs of the given lengths
+    (the same entries recorded at every replica, as APPLY would)."""
+    cluster = sharded_cluster(2)
+    for group, length in lengths.items():
+        for store in cluster.stores.values():
+            log = LogReplica(store, group)
+            for position in range(1, length + 1):
+                log.record_chosen(position, plain_entry(group, position))
+    pump = QueueDeliveryPump(
+        cluster.env, cluster.network, "V1", "pump:test", "group-0",
+        cluster.stores["V1"],
+        ordered_service_names(list(cluster.topology.names), "V1"),
+        cluster.config.protocol,
+    )
+    return cluster, pump
+
+
+def reads_during(cluster: Cluster, generator) -> int:
+    """Home-store reads performed while *generator* runs to completion."""
+    counts = cluster.stores["V1"].op_counts
+    before = counts["read"]
+    run(cluster, generator)
+    return counts["read"] - before
+
+
+class TestPumpLogHeads:
+    """A poll costs O(entries chosen since the last one), never O(log)."""
+
+    def test_idle_scan_reads_are_constant_in_sender_log_length(self):
+        reads = {}
+        for length in (50, 500):
+            cluster, pump = pump_over_logs({"group-0": length})
+            run(cluster, pump.deliver_pending())  # first scan walks the log
+            reads[length] = reads_during(cluster, pump.deliver_pending())
+        assert reads[50] == reads[500] <= 8
+
+    def test_scan_after_new_entries_reads_only_the_new_ones(self):
+        cluster, pump = pump_over_logs({"group-0": 500})
+        run(cluster, pump.deliver_pending())
+        idle = reads_during(cluster, pump.deliver_pending())
+        log = LogReplica(cluster.stores["V1"], "group-0")
+        for position in (501, 502, 503):
+            log.record_chosen(position, plain_entry("group-0", position))
+        # One probe per new entry on top of the idle scan's reads.
+        assert reads_during(cluster, pump.deliver_pending()) == idle + 3 <= 11
+        assert pump.table.pump_progress("group-0")[0] == 503
+
+    def test_receiver_head_lookup_is_constant_after_the_first_append(self):
+        send = QueueSend("group-1", ((("remote", "a"), "v"),))
+        reads = {}
+        for length in (50, 500):
+            cluster, pump = pump_over_logs({"group-1": length})
+            assert run(cluster, pump._append_apply("group-1", 1, send))
+            reads[length] = reads_during(
+                cluster, pump._append_apply("group-1", 2, send)
+            )
+            log = cluster.finalize("group-1")
+            assert [log[length + k].queue_key for k in (1, 2)] == [
+                ("group-0", 1), ("group-0", 2),
+            ]
+        # The head probe plus the V1 acceptor's own reads for one Synod walk.
+        assert reads[50] == reads[500] <= 8
+
+    def test_missing_entry_below_the_head_is_an_invariant_error(self):
+        cluster, pump = pump_over_logs({"group-0": 3})
+        del cluster.stores["V1"]._rows[paxos_row_key("group-0", 2)]
+        replica = LogReplica(cluster.stores["V1"], "group-0")
+        with pytest.raises(InvariantViolation, match="position 2"):
+            pump._acknowledged_entry(replica, 2)
 
 
 def read_remote(cluster: Cluster, row: str, attribute: str):

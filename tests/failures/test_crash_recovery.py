@@ -23,17 +23,23 @@ from repro.config import (
     CrashWindow,
     FaultProfile,
     FaultScheduleConfig,
+    PumpCrash,
     WorkloadConfig,
 )
+from repro.core.queues import QueueDeliveryPump
 from repro.errors import FaultScheduleError
 from repro.failures import FailureInjector
 from repro.failures.schedule import fault_span, install_fault_schedule, materialize
+from repro.harness.experiment import finish_run, prepare_run
+from repro.harness.parallel import metrics_digest
 from repro.kvstore.service import StoreAccessor
 from repro.kvstore.store import MultiVersionStore
 from repro.sim.env import Environment
 from repro.wal.invariants import InvariantViolation
+from repro.wal.log import LogReplica
 from repro.workload.driver import WorkloadDriver
 from tests.conftest import make_cluster, run_txn
+from tests.helpers import xgroup_mix_spec
 
 GROUP = "g"
 
@@ -282,3 +288,76 @@ class TestRecoveryIdempotence:
             for position in range(1, survivor.applied_through + 1):
                 assert rebuilt.chosen_entry(position) == \
                     survivor.chosen_entry(position)
+
+
+class TestPumpLogHeadsUnderFaults:
+    """The queue pumps keep one :class:`LogReplica` per group for their
+    whole incarnation, so its chosen-entry cache outlives replica crashes
+    in the pump's home datacenter.  That is safe only because the cache
+    holds durable, immutable facts — so a run with warm caches must be
+    indistinguishable (every metric, not just the invariants) from the
+    same schedule with pumps that re-walk the log from position 0 on every
+    lookup, which is what the code did before the caches existed.
+    """
+
+    #: schedule -> (commits, sends, applied online, drained offline,
+    #: messages sent), pinned on the re-walking code (commit cf3b10e) at
+    #: seed 0.  Integers only: the full digest folds in float means whose
+    #: last bit depends on the interpreter's ``sum``.
+    SCHEDULES = {
+        "home-replica-crash-under-live-pumps": (
+            FaultScheduleConfig(crashes=(CrashWindow("V1", 2000.0, 800.0),)),
+            (173, 54, 42, 12, 14938),
+        ),
+        "pump-crash-restart": (
+            FaultScheduleConfig(pump_crashes=(
+                PumpCrash("group-0", kill_ms=1500.0, restart_ms=2200.0),
+                PumpCrash("group-3", kill_ms=2500.0, restart_ms=2600.0),
+            )),
+            (214, 66, 66, 0, 12890),
+        ),
+    }
+
+    @staticmethod
+    def run_schedule(faults):
+        spec = xgroup_mix_spec(300, faults)
+        cluster, drivers = prepare_run(spec, seed=0)
+        cluster.run()
+        # Raises on any invariant violation: the per-group suites, queue
+        # exactly-once delivery (after the offline drain) and crash amnesia.
+        return cluster, finish_run(spec, cluster, drivers)
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_warm_heads_change_nothing_but_the_read_count(self, name, monkeypatch):
+        faults, pinned = self.SCHEDULES[name]
+        warm_cluster, warm = self.run_schedule(faults)
+        monkeypatch.setattr(
+            QueueDeliveryPump, "_replica",
+            lambda pump, group: LogReplica(pump.store, group),
+        )
+        cold_cluster, cold = self.run_schedule(faults)
+
+        assert metrics_digest([warm]) == metrics_digest([cold])
+        queue = warm.metrics.queue
+        assert (
+            warm.metrics.commits, queue.sends, queue.applied_online,
+            queue.drained_offline, warm_cluster.network.stats.sent,
+        ) == pinned
+        # Every committed send took effect exactly once.
+        assert queue.undelivered == 0
+        assert queue.sends == queue.applied_online + queue.drained_offline
+        assert warm_cluster.check_crash_amnesia() == []
+        for counter in ("write", "check_and_write"):
+            assert (
+                warm_cluster.stores["V1"].op_counts[counter]
+                == cold_cluster.stores["V1"].op_counts[counter]
+            )
+        assert (
+            warm_cluster.stores["V1"].op_counts["read"]
+            < cold_cluster.stores["V1"].op_counts["read"] / 3
+        )
+        # The schedule really happened: volatile rows died under the warm
+        # caches / every killed pump was replaced by a fresh incarnation.
+        assert len(warm_cluster.crash_records) == len(faults.crashes)
+        assert all(r.erased_versions > 0 for r in warm_cluster.crash_records)
+        assert len(warm_cluster._pumps) == 8 + len(faults.pump_crashes)

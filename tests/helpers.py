@@ -57,3 +57,31 @@ def aborted(transaction: Transaction, reason) -> TransactionOutcome:
         status=TransactionStatus.ABORTED,
         abort_reason=reason,
     )
+
+
+def xgroup_mix_spec(n_transactions: int, faults=None):
+    """The ledger's ``xgroup_mix`` shape at *n_transactions*: 8 groups, 20 %
+    2PC, 30 % queue sends, pumps polling every 50 ms, Paxos-CP."""
+    from repro.config import (
+        ClusterConfig,
+        FaultScheduleConfig,
+        PlacementConfig,
+        ProtocolConfig,
+        WorkloadConfig,
+    )
+    from repro.harness.experiment import ExperimentSpec
+
+    return ExperimentSpec(
+        "xgroup_mix_shape",
+        ClusterConfig(
+            "VVV", placement=PlacementConfig.ranged(8, 8),
+            protocol=ProtocolConfig(queue_poll_ms=50.0),
+            faults=faults or FaultScheduleConfig(),
+        ),
+        WorkloadConfig(
+            n_transactions=n_transactions, n_rows=8, n_threads=8,
+            target_rate_per_thread=8.0,
+            cross_group_fraction=0.2, cross_group_span=2, queue_fraction=0.3,
+        ),
+        "paxos-cp",
+    )

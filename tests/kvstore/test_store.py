@@ -125,6 +125,12 @@ class TestIntrospection:
         store.write("a", {"x": 1})
         assert store.keys() == ["a", "b"]
 
+    def test_keys_filters_by_prefix_before_sorting(self, store):
+        for key in ("_paxos/g/2", "data/g/r", "_paxos/g/1", "_paxos/h/1"):
+            store.write(key, {"x": 1})
+        assert store.keys("_paxos/g/") == ["_paxos/g/1", "_paxos/g/2"]
+        assert store.keys("_meta/") == []
+
     def test_op_counts(self, store):
         store.write("k", {"a": 1})
         store.read("k")
