@@ -93,25 +93,35 @@ class TestCombination:
         benchmark(lambda: greedy_combination(self.own, many))
 
 
-class TestSerializabilityOracle:
-    def setup_method(self):
-        items = [("row0", a) for a in "abcdefgh"]
-        rng = random.Random(2)
-        self.history = MVHistory()
-        last = {item: None for item in items}
-        for index in range(60):
-            tid = f"t{index}"
-            reads = tuple(
-                (item, last[item]) for item in rng.sample(items, 2)
-            )
-            writes = frozenset(rng.sample(items, 2))
-            self.history.add(HistoryTxn(tid, reads=reads, writes=writes))
-            for item in writes:
-                self.history.version_order.setdefault(item, []).append(tid)
-                last[item] = tid
+def fresh_read_history(n_transactions: int, n_attributes: int, ops: int) -> MVHistory:
+    """A serial history over one row: every transaction reads the latest
+    version of *ops* attributes and overwrites *ops* others."""
+    items = [("row0", f"a{index}") for index in range(n_attributes)]
+    rng = random.Random(2)
+    history = MVHistory()
+    last = {item: None for item in items}
+    for index in range(n_transactions):
+        tid = f"t{index}"
+        reads = tuple((item, last[item]) for item in rng.sample(items, ops))
+        writes = frozenset(rng.sample(items, ops))
+        history.add(HistoryTxn(tid, reads=reads, writes=writes))
+        for item in writes:
+            history.version_order.setdefault(item, []).append(tid)
+            last[item] = tid
+    return history
 
+
+class TestSerializabilityOracle:
     def test_mvsg_check_60_txns(self, benchmark):
-        ok, _ = benchmark(lambda: is_one_copy_serializable(self.history))
+        history = fresh_read_history(60, n_attributes=8, ops=2)
+        ok, _ = benchmark(lambda: is_one_copy_serializable(history))
+        assert ok
+
+    def test_mvsg_check_hot_row_2000_txns(self, benchmark):
+        """The Figure 7 shape: ~100 versions per attribute, where the
+        textbook graph's reads × versions edges dominated a run."""
+        history = fresh_read_history(2000, n_attributes=100, ops=5)
+        ok, _ = benchmark(lambda: is_one_copy_serializable(history))
         assert ok
 
 

@@ -12,11 +12,21 @@ This package provides:
   item), with a constructor that derives the history of a finished run from
   the replicated write-ahead log;
 * :mod:`repro.serializability.graph` — the multi-version serialization
-  graph (MVSG) of Bernstein/Hadzilacos/Goodman, built with ``networkx``;
+  graph (MVSG) of Bernstein/Hadzilacos/Goodman, twice: the *chained* graph
+  (:class:`ChainedMVSG`, O(reads + versions) edges, same reachability,
+  plain integer adjacency) that every pass/fail check runs on, and the
+  explicit labelled graph (:func:`build_mvsg`, ``networkx``, one edge per
+  read × other version) that the anomaly classifier and the tests'
+  reference comparisons need;
 * :mod:`repro.serializability.checker` — the polynomial MVSG acyclicity
   test for a *given* version order (the log order supplies one), an exact
   brute-force decision procedure for small histories (used to validate the
-  graph test property-based), and an equivalent-serial-order extractor.
+  graph test property-based), an equivalent-serial-order extractor, and
+  the anomaly classifier of the snapshot-isolation axis.
+
+``networkx`` is imported only where the explicit graph is built, so
+importing this package — and running any one-copy-serializable cell —
+never loads it.
 
 The integration tests cross-check the log-replay invariant
 (:func:`repro.wal.invariants.check_l3_prefix_serializable`) against the MVSG
@@ -28,10 +38,11 @@ from repro.serializability.checker import (
     equivalent_serial_order,
     is_one_copy_serializable,
 )
-from repro.serializability.graph import build_mvsg, find_cycle
+from repro.serializability.graph import ChainedMVSG, build_mvsg, find_cycle
 from repro.serializability.history import HistoryTxn, MVHistory
 
 __all__ = [
+    "ChainedMVSG",
     "HistoryTxn",
     "MVHistory",
     "brute_force_one_copy_serializable",

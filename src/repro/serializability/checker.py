@@ -5,7 +5,9 @@ Three procedures:
 * :func:`is_one_copy_serializable` — the polynomial MVSG acyclicity test for
   the history's given version order.  Sound (acyclic ⇒ 1SR).  For version
   orders induced by our write-ahead log it is the test Theorems 2 and 3
-  appeal to.
+  appeal to.  Runs on the linear-size chained graph
+  (:class:`~repro.serializability.graph.ChainedMVSG`), as does
+  :func:`equivalent_serial_order`.
 * :func:`merge_group_histories` — fuses per-entity-group histories into one
   *global* history: items are namespaced by group and the per-group branches
   of each cross-group (2PC) transaction collapse into a single node.  The
@@ -36,34 +38,33 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.queues import StreamSend, enumerate_sends
 from repro.serializability.graph import (
+    ChainedMVSG,
     EdgeLabels,
     build_mvsg,
     find_cycle,
-    serial_order_from_graph,
 )
 from repro.serializability.history import INITIAL, HistoryTxn, MVHistory, serial_reads_from
 from repro.wal.entry import LogEntry
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def is_one_copy_serializable(history: MVHistory) -> tuple[bool, list[str] | None]:
     """MVSG test for the history's version order.
 
     Returns ``(True, None)`` when the MVSG is acyclic, otherwise ``(False,
-    cycle)`` with one offending cycle (transaction ids; ``"⊥"`` denotes the
-    initial transaction).
+    cycle)`` with one offending cycle (transaction ids, every consecutive
+    pair — and last → first — an MVSG edge; the initial transaction has no
+    in-edges, so it is never a member).
     """
     history.validate()
-    graph = build_mvsg(history)
-    cycle = find_cycle(graph)
-    if cycle is None:
-        return True, None
-    return False, cycle
+    cycle, _order = ChainedMVSG(history).cycle_or_order()
+    return cycle is None, cycle
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,8 @@ def _shortest_cycle_through(graph: nx.DiGraph, node: str) -> tuple[str, ...]:
     *graph*.  Successors are scanned in sorted order and ties break on the
     path tuple itself, so the result is deterministic for a given history.
     """
+    import networkx as nx
+
     best: tuple[tuple[int, tuple[str, ...]], tuple[str, ...]] | None = None
     for successor in sorted(graph.successors(node)):
         try:
@@ -122,10 +125,12 @@ def _shortest_cycle_through(graph: nx.DiGraph, node: str) -> tuple[str, ...]:
 def classify_anomalies(history: MVHistory) -> AnomalyReport:
     """Name every non-serializable phenomenon in *history*.
 
-    Builds the labelled MVSG once and walks its non-trivial strongly
-    connected components (every cycle lives in exactly one, and the initial
-    transaction ``⊥`` never does — it has no in-edges).  Per component,
-    in deterministic order:
+    Asks the cheap question first: a history that passes the chained MVSG
+    test has nothing to classify and never builds the explicit graph (nor
+    loads ``networkx``).  Otherwise builds the labelled explicit MVSG once
+    and walks its non-trivial strongly connected components (every cycle
+    lives in exactly one, and the initial transaction ``⊥`` never does — it
+    has no in-edges).  Per component, in deterministic order:
 
     * every mutual anti-dependency pair — both edges justified by ``rw``
       labels — is a **write skew**: each transaction overwrote an item the
@@ -141,7 +146,11 @@ def classify_anomalies(history: MVHistory) -> AnomalyReport:
     ``classify_anomalies(h).serializable`` agrees with
     :func:`is_one_copy_serializable` by construction.
     """
-    history.validate()
+    ok, _cycle = is_one_copy_serializable(history)
+    if ok:
+        return AnomalyReport(anomalies=())
+    import networkx as nx
+
     labels: EdgeLabels = {}
     graph = build_mvsg(history, labels=labels)
     anomalies: list[Anomaly] = []
@@ -210,11 +219,10 @@ def equivalent_serial_order(history: MVHistory) -> list[str]:
     Raises ``ValueError`` if the history fails the MVSG test.
     """
     history.validate()
-    graph = build_mvsg(history)
-    cycle = find_cycle(graph)
+    cycle, order = ChainedMVSG(history).cycle_or_order()
     if cycle is not None:
         raise ValueError(f"history is not one-copy serializable; MVSG cycle: {cycle}")
-    return serial_order_from_graph(graph)
+    return order
 
 
 def merge_group_histories(

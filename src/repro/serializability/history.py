@@ -191,10 +191,9 @@ class MVHistory:
                     reads=reads,
                     writes=txn.write_set,
                 ))
-                for item in [item for item, _value in txn.writes]:
-                    history.version_order.setdefault(item, [])
-                    if txn.tid not in history.version_order[item]:
-                        history.version_order[item].append(txn.tid)
+                # One version per written item, even if written twice.
+                for item in dict.fromkeys(item for item, _value in txn.writes):
+                    history.version_order.setdefault(item, []).append(txn.tid)
         return history
 
     def tids(self) -> list[str]:

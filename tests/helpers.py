@@ -85,3 +85,20 @@ def xgroup_mix_spec(n_transactions: int, faults=None):
         ),
         "paxos-cp",
     )
+
+
+def fig7_spec(n_transactions: int, protocol: str = "paxos-cp"):
+    """The paper's contended Figure 7 cell (the ledger's ``fig7_*`` shape) at
+    *n_transactions*: one row of 100 attributes, 4 threads x 4 txn/s."""
+    from repro.config import ClusterConfig, WorkloadConfig
+    from repro.harness.experiment import ExperimentSpec
+
+    return ExperimentSpec(
+        "fig7_shape",
+        ClusterConfig("VVV"),
+        WorkloadConfig(
+            n_transactions=n_transactions, n_rows=1, n_attributes=100,
+            n_threads=4, target_rate_per_thread=4.0,
+        ),
+        protocol,
+    )

@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 
 from repro.serializability.checker import (
     brute_force_one_copy_serializable,
+    classify_anomalies,
+    equivalent_serial_order,
     is_one_copy_serializable,
 )
-from repro.serializability.history import HistoryTxn, MVHistory
+from repro.serializability.graph import INITIAL_NODE, build_mvsg, find_cycle
+from repro.serializability.history import HistoryTxn, MVHistory, serial_reads_from
 
 ITEMS = [("row0", "a"), ("row0", "b"), ("row0", "c")]
 
@@ -98,3 +101,94 @@ def test_fresh_reads_always_serializable(history):
             last_writer[item] = tid
     ok, cycle = is_one_copy_serializable(fresh)
     assert ok, f"fresh-read history must be serializable, got cycle {cycle}"
+
+
+# ----------------------------------------------------------------------
+# The chained MVSG against the explicit graph
+# ----------------------------------------------------------------------
+
+#: How a read picks its version relative to the reader's own version of the
+#: item (falls back to "any" when the reader did not write the item).
+READ_SHAPES = ("any", "own", "before_own", "after_own")
+
+
+@st.composite
+def arbitrary_histories(draw):
+    """Valid histories with *no* execution order behind them.
+
+    Unlike :func:`execution_histories`, version orders may be shuffled (a
+    reader then precedes or follows its own version arbitrarily) and reads
+    are steered into the shapes the chained graph special-cases: a
+    transaction reading its own write, a read-modify-write (reads the
+    version just before its own), a reader that wrote an *earlier* version
+    than the one it reads, and blind writes (written, never read).
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    items = ITEMS[: draw(st.integers(min_value=1, max_value=len(ITEMS)))]
+    tids = [f"t{index}" for index in range(1, n + 1)]
+    writes = {
+        tid: frozenset(draw(st.sets(st.sampled_from(items), max_size=len(items))))
+        for tid in tids
+    }
+    history = MVHistory()
+    for item in items:
+        writers = [tid for tid in tids if item in writes[tid]]
+        if writers:
+            if draw(st.booleans()):
+                writers = list(draw(st.permutations(writers)))
+            history.version_order[item] = writers
+    for tid in tids:
+        reads = []
+        for item in sorted(draw(st.sets(st.sampled_from(items), max_size=len(items)))):
+            versions = [None, *history.version_order.get(item, [])]
+            shape = draw(st.sampled_from(READ_SHAPES))
+            own = versions.index(tid) if tid in versions else None
+            if shape == "own" and own is not None:
+                choices = [own]
+            elif shape == "before_own" and own is not None:
+                choices = [own - 1]
+            elif shape == "after_own" and own is not None and own + 1 < len(versions):
+                choices = list(range(own + 1, len(versions)))
+            else:
+                choices = list(range(len(versions)))
+            reads.append((item, versions[draw(st.sampled_from(choices))]))
+        history.add(HistoryTxn(tid, reads=tuple(reads), writes=writes[tid]))
+    history.validate()
+    return history
+
+
+@given(arbitrary_histories())
+@settings(max_examples=600, deadline=None)
+def test_chained_graph_agrees_with_explicit_graph(history):
+    """Same verdict as ``find_cycle(build_mvsg(h))`` on every history, and
+    both witnesses — the cycle and the serial order — hold in the explicit
+    graph."""
+    explicit = build_mvsg(history)
+    ok, cycle = is_one_copy_serializable(history)
+    assert ok == (find_cycle(explicit) is None)
+    if not ok:
+        assert len(set(cycle)) == len(cycle) >= 2
+        for hop in zip(cycle, cycle[1:] + cycle[:1]):
+            assert explicit.has_edge(*hop), f"{hop} of {cycle} is no MVSG edge"
+        return
+    order = equivalent_serial_order(history)
+    assert sorted(order) == sorted(history.transactions)
+    slot = {tid: index for index, tid in enumerate(order)}
+    for earlier, later in explicit.edges:
+        if earlier != INITIAL_NODE:
+            assert slot[earlier] < slot[later]
+    # A serial single-version execution reads before it writes, so it can
+    # replay every reads-from pair except a transaction's read of itself.
+    if all(writer != txn.tid for txn in history.transactions.values()
+           for _item, writer in txn.reads):
+        replayed = serial_reads_from(history.transactions[tid] for tid in order)
+        assert replayed == {
+            tid: txn.reads_map() for tid, txn in history.transactions.items()
+        }
+
+
+@given(arbitrary_histories())
+@settings(max_examples=200, deadline=None)
+def test_classifier_reports_nothing_iff_chained_graph_is_acyclic(history):
+    ok, _cycle = is_one_copy_serializable(history)
+    assert classify_anomalies(history).serializable == ok

@@ -1,5 +1,7 @@
 """Tests for history construction and validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import HistoryError
@@ -112,3 +114,16 @@ class TestFromLog:
             initial_image={A: "init"},
         )
         assert history.transactions["t1"].reads == ((A, "t2"),)
+
+    def test_item_written_twice_in_one_transaction_is_one_version(self):
+        t1 = replace(
+            txn("t1", writes={"b": 1}),
+            writes=((A, "v1"), (B, 1), (A, "v2")),
+        )
+        t2 = txn("t2", reads={"a": "v2"}, writes={"a": "v3"}, read_position=1)
+        history = MVHistory.from_log(
+            {1: entry(t1), 2: entry(t2)},
+            initial_image={A: "init"},
+        )
+        assert history.version_order == {A: ["t1", "t2"], B: ["t1"]}
+        history.validate()

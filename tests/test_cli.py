@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -154,6 +158,26 @@ class TestCheckCommand:
             "--loss", "0.1", "--duplicate", "0.2",
         ])
         assert code == 0
+
+    def test_one_copy_check_never_imports_networkx(self):
+        """Only the anomaly classifier needs the explicit ``networkx`` graph;
+        a 1SR run and its MVSG check must not pay its import, which costs
+        about as much as the rest of ``import repro.cluster``."""
+        script = (
+            "import sys\n"
+            "import repro.cluster\n"
+            "from repro.cli import main\n"
+            "code = main(['check', '--protocol', 'paxos-cp', '--transactions', '50'])\n"
+            "assert code == 0, code\n"
+            "assert 'networkx' not in sys.modules\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            cwd=Path(__file__).resolve().parents[1] / "src",
+        )
+        assert child.returncode == 0, child.stderr
+        assert "MVSG 1SR: OK" in child.stdout
 
 
 class TestFigureCommand:
