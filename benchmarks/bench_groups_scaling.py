@@ -50,28 +50,6 @@ PROTOCOLS = ("paxos", "paxos-cp")
 N_THREADS = 8
 RATE_PER_THREAD = 8.0
 
-#: The sharded-simulation showcase: a 64-group Figure-7 cell (one pinned
-#: workload thread per group — the paper's single-row entity group times 64)
-#: run once on the single-heap kernel and once on the sharded
-#: multiprocessing kernel at 8 shards.  Digest equality between the two is
-#: asserted every run; the wall-clocks land in benchmarks/baselines/kernel.json.
-SHARDED_GROUPS = 64
-SHARDED_SHARDS = 8
-SHARDED_TRANSACTIONS = 6400
-SHARDED_SMOKE_TRANSACTIONS = 960
-
-#: The chatty cell: a 16-lane cross-group + queue mix — the workload shape
-#: that used to collapse the sharded kernel's windows to the global latency
-#: floor.  With the per-lane-pair lookahead matrix and promise-carrying
-#: null messages the windows stretch to the actors' advertised floors, so
-#: the sharded engines stop regressing to serial on exactly this mix.
-CHATTY_GROUPS = 16
-CHATTY_KEY_UNIVERSE = 160
-CHATTY_CROSS_FRACTION = 0.10
-CHATTY_QUEUE_FRACTION = 0.15
-CHATTY_TRANSACTIONS = 640
-CHATTY_SMOKE_TRANSACTIONS = 96
-
 
 def groups_spec(
     protocol: str, n_groups: int, n_transactions: int = N_TRANSACTIONS
@@ -90,185 +68,6 @@ def groups_spec(
         ),
         protocol=protocol,
     )
-
-
-def sharded_spec(engine: str, n_transactions: int,
-                 shards: int = SHARDED_SHARDS) -> ExperimentSpec:
-    """The 64-group cell: per-group pinned threads, fixed per-group load."""
-    return ExperimentSpec(
-        # One name for every engine: metrics_digest hashes the cell name
-        # too, and the whole point is comparing digests across engines.
-        name=f"{SHARDED_GROUPS} groups sharded",
-        cluster=ClusterConfig(
-            placement=PlacementConfig.ranged(SHARDED_GROUPS),
-            shards=shards,
-            engine=engine,  # type: ignore[arg-type]
-        ),
-        workload=WorkloadConfig(
-            n_transactions=n_transactions,
-            n_rows=SHARDED_GROUPS,
-            n_threads=SHARDED_GROUPS,
-            target_rate_per_thread=RATE_PER_THREAD,
-            group_distribution="pinned",
-        ),
-        protocol="paxos-cp",
-    )
-
-
-def run_sharded_showcase(n_transactions: int) -> dict:
-    """The 64-group cell on both kernels; returns the baseline record.
-
-    Per-cell wall-clock is measured around ``run_once`` (one seed, no trial
-    averaging — this measures a *single run*, the thing the sweeps cannot
-    parallelize).  Digest equality between the kernels is asserted: the
-    sharded speedup must cost nothing in fidelity.
-    """
-    import os
-    import time
-
-    from repro.harness.experiment import run_once
-
-    cells = {}
-    results = {}
-    for engine in ("global", "sharded-mp"):
-        started = time.perf_counter()
-        results[engine] = run_once(sharded_spec(engine, n_transactions), seed=0)
-        cells[engine] = time.perf_counter() - started
-    digest_equal = (
-        metrics_digest([results["global"]])
-        == metrics_digest([results["sharded-mp"]])
-    )
-    assert digest_equal, (
-        "sharded-mp kernel diverged from the global kernel on the "
-        f"{SHARDED_GROUPS}-group cell"
-    )
-    from repro.harness.shardrun import resolve_workers
-
-    record = {
-        "groups": SHARDED_GROUPS,
-        "shards": SHARDED_SHARDS,
-        "transactions": n_transactions,
-        "serial_s": round(cells["global"], 3),
-        "sharded_mp_s": round(cells["sharded-mp"], 3),
-        "speedup": round(cells["global"] / cells["sharded-mp"], 3),
-        "workers": resolve_workers(SHARDED_SHARDS + 1, None),
-        "cpus": os.cpu_count() or 1,
-        "commits": results["global"].metrics.commits,
-        "digest_equal": digest_equal,
-    }
-    print(
-        f"{SHARDED_GROUPS}-group cell ({n_transactions} txns): "
-        f"global {cells['global']:.2f}s, sharded-mp "
-        f"{cells['sharded-mp']:.2f}s ({record['speedup']:.2f}x on "
-        f"{record['workers']} worker(s)/{record['cpus']} CPU(s)), "
-        f"digests equal"
-    )
-    profile = results["sharded-mp"].lane_profile
-    if profile is not None:
-        from repro.harness.profiling import format_lane_profile
-
-        print(format_lane_profile(profile))
-    return record
-
-
-def chatty_spec(engine: str, n_transactions: int) -> ExperimentSpec:
-    """The 16-lane chatty cell: pinned threads plus 2PC and queue slices.
-
-    Every thread stays pinned to its group, but 10% of transactions span a
-    second group (2PC over lane 0) and 15% enqueue a cross-group send that
-    a pump delivers later — so every lane pair the shard map admits carries
-    traffic, the regime where lookahead quality decides the window count.
-    """
-    return ExperimentSpec(
-        # One name across engines: the digests must compare equal.
-        name=f"{CHATTY_GROUPS} groups chatty",
-        cluster=ClusterConfig(
-            placement=PlacementConfig.ranged(
-                CHATTY_GROUPS, key_universe=CHATTY_KEY_UNIVERSE),
-            shards=CHATTY_GROUPS,
-            engine=engine,  # type: ignore[arg-type]
-        ),
-        workload=WorkloadConfig(
-            n_transactions=n_transactions,
-            n_rows=CHATTY_KEY_UNIVERSE,
-            n_threads=CHATTY_GROUPS,
-            cross_group_fraction=CHATTY_CROSS_FRACTION,
-            queue_fraction=CHATTY_QUEUE_FRACTION,
-            group_distribution="pinned",
-        ),
-        protocol="paxos",
-    )
-
-
-def run_chatty(n_transactions: int) -> dict:
-    """The chatty cell on both kernels; digest equality is asserted.
-
-    Prints per-engine wall-clock plus the sharded run's lookahead profile
-    (window-span histogram, promise-stretch ratio, stalls avoided) — the
-    direct evidence for whether promises are carrying the cell.
-    """
-    import os
-    import time
-
-    from repro.harness.experiment import run_once
-
-    cells = {}
-    results = {}
-    for engine in ("global", "sharded-mp"):
-        started = time.perf_counter()
-        results[engine] = run_once(chatty_spec(engine, n_transactions), seed=0)
-        cells[engine] = time.perf_counter() - started
-    digest_equal = (
-        metrics_digest([results["global"]])
-        == metrics_digest([results["sharded-mp"]])
-    )
-    assert digest_equal, (
-        "sharded-mp kernel diverged from the global kernel on the "
-        f"{CHATTY_GROUPS}-lane chatty cell"
-    )
-    from repro.harness.shardrun import resolve_workers
-
-    record = {
-        "groups": CHATTY_GROUPS,
-        "cross_fraction": CHATTY_CROSS_FRACTION,
-        "queue_fraction": CHATTY_QUEUE_FRACTION,
-        "transactions": n_transactions,
-        "serial_s": round(cells["global"], 3),
-        "sharded_mp_s": round(cells["sharded-mp"], 3),
-        "speedup": round(cells["global"] / cells["sharded-mp"], 3),
-        "workers": resolve_workers(CHATTY_GROUPS + 1, None),
-        "cpus": os.cpu_count() or 1,
-        "commits": results["global"].metrics.commits,
-        "digest_equal": digest_equal,
-    }
-    print(
-        f"{CHATTY_GROUPS}-lane chatty cell ({n_transactions} txns, "
-        f"{CHATTY_CROSS_FRACTION:.0%} cross, {CHATTY_QUEUE_FRACTION:.0%} "
-        f"queue): global {cells['global']:.2f}s, sharded-mp "
-        f"{cells['sharded-mp']:.2f}s ({record['speedup']:.2f}x on "
-        f"{record['workers']} worker(s)/{record['cpus']} CPU(s)), "
-        f"digests equal"
-    )
-    profile = results["sharded-mp"].lane_profile
-    if profile is not None:
-        from repro.harness.profiling import format_lane_profile
-
-        print(format_lane_profile(profile))
-    return record
-
-
-def record_sharded_baseline(record: dict) -> None:
-    """Write the showcase record into the committed kernel baseline JSON."""
-    import json
-
-    from benchmarks.common import BASELINES_DIR
-
-    path = BASELINES_DIR / "kernel.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["groups_scaling_64"] = record
-    BASELINES_DIR.mkdir(exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"sharded baseline recorded: {path}")
 
 
 def committed_throughput(result: ExperimentResult) -> float:
@@ -369,53 +168,10 @@ def main(argv: list[str] | None = None) -> int:
              "sized so --jobs amortizes pool start-up (the speedup/"
              "determinism check), with only sanity assertions",
     )
-    parser.add_argument(
-        "--sharded64", action="store_true",
-        help=f"run the {SHARDED_GROUPS}-group sharded-simulation cell "
-             f"(global vs sharded-mp at {SHARDED_SHARDS} shards) instead of "
-             "the classic sweep; prints per-cell wall-clock and asserts "
-             "digest equality",
-    )
-    parser.add_argument(
-        "--chatty", action="store_true",
-        help=f"run the {CHATTY_GROUPS}-lane chatty cell "
-             f"({CHATTY_CROSS_FRACTION:.0%} cross-group 2PC + "
-             f"{CHATTY_QUEUE_FRACTION:.0%} queue sends, global vs "
-             "sharded-mp); prints wall-clock + the lookahead profile and "
-             "asserts digest equality",
-    )
-    parser.add_argument(
-        "--record-baseline", action="store_true",
-        help="with --sharded64: write the cell wall-clocks into "
-             "benchmarks/baselines/kernel.json (groups_scaling_64)",
-    )
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
 
     def run(jobs: int) -> None:
-        if args.chatty:
-            n = CHATTY_SMOKE_TRANSACTIONS if args.smoke else CHATTY_TRANSACTIONS
-            record = run_chatty(n)
-            if record["cpus"] >= 8 and not args.smoke:
-                # The acceptance claim: on real cores the chatty mix must
-                # not regress to serial — sharded-mp at least matches the
-                # global engine.  A 1-CPU container (or the tiny smoke
-                # cell, which cannot amortize 17 worker world-rebuilds)
-                # can only prove digest equality.
-                assert record["speedup"] >= 1.0, record
-            return
-        if args.sharded64:
-            n = SHARDED_SMOKE_TRANSACTIONS if args.smoke else SHARDED_TRANSACTIONS
-            record = run_sharded_showcase(n)
-            if args.record_baseline:
-                record_sharded_baseline(record)
-            if record["cpus"] >= SHARDED_SHARDS and not args.smoke:
-                # The parallel-speedup acceptance only binds where cores
-                # exist, and only at full scale (the smoke cell is too
-                # small to amortize 9 worker world-rebuilds); a 1-CPU
-                # container can only prove digest equality.
-                assert record["speedup"] >= 2.0, record
-            return
         if args.smoke:
             results = run_sweep(n_transactions=300, trials=3, jobs=jobs)
             publish(results, GROUP_COUNTS)

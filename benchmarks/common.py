@@ -25,9 +25,6 @@ from repro.harness.parallel import default_jobs  # noqa: F401  (re-exported)
 from repro.harness.profiling import run_profiled
 
 RESULTS_DIR = Path(__file__).parent / "results"
-#: Committed perf baselines (unlike ``results/``, this directory is tracked:
-#: it is the regression fence future PRs measure against).
-BASELINES_DIR = Path(__file__).parent / "baselines"
 
 FULL_SCALE = os.environ.get("REPRO_FULL", "") == "1"
 N_TRANSACTIONS = 500 if FULL_SCALE else 120

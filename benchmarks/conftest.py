@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.common import (  # noqa: F401  (re-exported for the benches)
-    BASELINES_DIR,
     FULL_SCALE,
     N_TRANSACTIONS,
     RESULTS_DIR,

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import get_args
 
 from repro.config import (
     ClusterConfig,
     CrashWindow,
+    EngineName,
     FaultProfile,
     FaultScheduleConfig,
     LossWindow,
@@ -95,24 +97,20 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=["uniform", "zipfian", "pinned"],
                         help="how multi-group transactions pick their group "
                              "(pinned: each client thread owns one group "
-                             "round-robin — the shape the sharded engines "
-                             "decompose best)")
+                             "round-robin — the shape --engine sharded "
+                             "drains lane by lane)")
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the deployment into N event-lane "
                              "shards (each owns a block of entity groups; "
                              "needs --groups >= N).  Default 1: the classic "
                              "unsharded deployment")
     parser.add_argument("--engine", default="global",
-                        choices=["global", "sharded", "sharded-mp"],
-                        help="simulation kernel for the shard lanes: global "
-                             "(single heap, reference), sharded "
-                             "(conservative-lookahead lanes, one process), "
-                             "sharded-mp (lanes fanned over worker "
-                             "processes).  All engines produce identical "
-                             "metrics at the same --shards")
-    parser.add_argument("--shard-workers", type=int, default=None,
-                        help="worker processes for --engine sharded-mp "
-                             "(default: one per lane, capped by CPUs)")
+                        choices=get_args(EngineName),
+                        help="how the shard lanes drain: global (one heap, "
+                             "the reference) or sharded (one lane after "
+                             "another whenever no traffic can cross lanes, "
+                             "else the same heap).  Identical metrics at "
+                             "the same --shards; parallelism is --jobs")
     parser.add_argument("--cross-group-fraction", type=float, default=0.0,
                         help="fraction of transactions spanning several "
                              "groups, committed via 2PC (needs --groups > 1)")
@@ -381,7 +379,6 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             placement=placement,
             shards=args.shards,
             engine=args.engine,
-            shard_workers=args.shard_workers,
             isolation=args.isolation,
             faults=faults,
         ),

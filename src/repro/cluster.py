@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.config import ClusterConfig, ProtocolName
 from repro.core.client import TransactionClient
@@ -56,8 +56,7 @@ from repro.net.latency import RttMatrixLatency
 from repro.paxos.acceptor import AcceptorState
 from repro.net.network import Network
 from repro.net.topology import Topology, cluster_preset
-from repro.sim.core import LaneStats, ShardedSimulator
-from repro.sim.shard import SHARED_LANE, ShardMap
+from repro.sim.shard import ShardMap
 from repro.sim.shard import store_name as shard_store_name
 from repro.serializability.checker import (
     check_queue_delivery,
@@ -95,8 +94,6 @@ class CrashRecord:
     amnesia detector compares it against the store at restart (nothing may
     change while the replica is down) and again at end of run (promises and
     decisions may only move forward across a crash, never regress).
-    Picklable: the sharded-mp workers ship their records home with the
-    store state.
     """
 
     datacenter: str
@@ -121,17 +118,10 @@ class Cluster:
         self.placement = Placement(self.config.placement)
         self.shard_map = ShardMap(self.placement.groups, self.config.shards)
         latency = RttMatrixLatency(self.topology, jitter=self.config.jitter)
-        self.latency = latency
-        # "sharded-mp" builds an in-process sharded kernel here; the
-        # multiprocessing orchestration (repro.harness.shardrun) runs one
-        # such kernel per worker, each owning a subset of the lanes.
-        engine = "sharded" if self.config.engine == "sharded-mp" \
-            else self.config.engine
         self.env = Environment(
             seed=self.config.seed,
             lanes=self.shard_map.n_lanes,
-            engine=engine,
-            min_cross_delay=latency.min_delay(),
+            engine=self.config.engine,
         )
         self.network = Network(
             self.env,
@@ -154,9 +144,6 @@ class Cluster:
         self._pumps: list[tuple[str, QueueDeliveryPump]] = []
         self._pump_counter = 0
         self._queue_drained = 0
-        #: The cross-lane channel graph installed by the harness (empty until
-        #: :meth:`restrict_lane_channels`); promise coverage derives from it.
-        self._lane_channels: set[tuple[int, int]] = set()
         #: Classified MVSG anomalies of the last :meth:`check_invariants_all`
         #: pass (snapshot-isolation runs only; empty otherwise).  Sorted
         #: deterministically so metrics digests agree serial vs parallel.
@@ -305,107 +292,17 @@ class Cluster:
     ) -> None:
         """Install the run's cross-lane communication graph.
 
-        Only meaningful on the sharded kernel: lanes outside the graph get
-        unbounded lookahead horizons (an empty graph decomposes the run into
-        fully independent lanes), and a message crossing an undeclared pair
-        raises instead of silently miscomputing.  The graph must therefore
-        be a *superset* of the traffic the run can generate — the workload
-        driver and the queue pumps know theirs (see
+        A message crossing an undeclared lane pair raises instead of
+        silently miscomputing, so the graph must be a *superset* of the
+        traffic the run can generate — the workload driver and the queue
+        pumps know theirs (see
         :meth:`repro.sim.shard.ShardMap.channels_for_client` /
-        ``channels_for_pump``); the default, installed by the kernel itself,
-        is the always-sound complete graph.
-
-        Installing the graph also derives the per-channel lookahead matrix:
-        each channel's window is the smallest
-        :meth:`~repro.net.latency.LatencyModel.min_delay_between` over the
-        (sender datacenter, receiver datacenter) pairs its lanes actually
-        host.  On full-replication deployments every lane has nodes in
-        every datacenter, so the matrix honestly collapses to the global
-        floor and the kernel keeps its fast path; heterogeneous placements
-        get genuinely wider per-pair windows.
+        ``channels_for_pump``); until one is installed the kernel assumes
+        the always-sound complete graph.  An empty graph declares the lanes
+        fully independent, which lets ``engine="sharded"`` drain them one
+        after another.
         """
-        sim = self.env.sim
-        if not isinstance(sim, ShardedSimulator):
-            return
-        self._lane_channels = set(channels)
-        lane_dcs: list[set[str]] = [set() for _ in range(sim.n_lanes)]
-        for node in self.network._nodes.values():
-            lane_dcs[node.lane].add(node.datacenter)
-        matrix: dict[tuple[int, int], float] = {}
-        for src, dst in self._lane_channels:
-            if not lane_dcs[src] or not lane_dcs[dst]:
-                continue
-            window = min(
-                self.latency.min_delay_between(s, d)
-                for s in lane_dcs[src]
-                for d in lane_dcs[dst]
-            )
-            # Only entries that beat the scalar floor are worth carrying;
-            # an empty matrix keeps the kernel's single-floor fast path.
-            if window > sim.min_cross_delay:
-                matrix[(src, dst)] = window
-        sim.lookahead = matrix or None
-        sim.restrict_channels(set(channels))
-
-    def enable_promises(self, drivers: "Iterable[Any]" = ()) -> bool:
-        """Arm adaptive-lookahead promises on the sharded kernel.
-
-        Call after the workload drivers have started, the pumps are up and
-        :meth:`restrict_lane_channels` installed the channel graph — the
-        coverability analysis needs the final node population.  A channel
-        ``(a, b)`` is *coverable* when every sender in lane *a* that can
-        self-initiate traffic toward *b* is accounted for: driver thread
-        clients and delivery pumps promise their own send floors (out
-        slots), and services only ever *reply* across such a channel, which
-        the pending-request tracking licenses.  Two classes of channel are
-        excluded:
-
-        * ``(a, 0)`` for ``a ≥ 1`` — services self-initiate learner /
-          decision traffic toward the shared lane;
-        * every channel out of a lane hosting a node we cannot classify
-          (not a service, not a pump, not a thread client of *drivers*) —
-          an unknown actor could send anything at any time.
-
-        Returns True when the book was armed.  Promises stay off for
-        single-lane runs, when :attr:`ClusterConfig.promises` is False, and
-        under message duplication (a duplicated request yields two replies
-        for one pending entry, breaking the causal license).
-        """
-        sim = self.env.sim
-        if not isinstance(sim, ShardedSimulator) or sim.n_lanes == 1:
-            return False
-        if not self.config.promises or self.config.duplicate_probability > 0:
-            return False
-        if not self._lane_channels:
-            return False
-        accounted = {
-            service.node.name for service in self.lane_services.values()
-        }
-        accounted.update(pump.node.name for _group, pump in self._pumps)
-        drivers = list(drivers)
-        for driver in drivers:
-            accounted.update(driver.thread_client_names())
-        coverable = {
-            (src, dst)
-            for src, dst in self._lane_channels
-            if not (dst == SHARED_LANE and src != SHARED_LANE)
-        }
-        for node in self.network._nodes.values():
-            if node.name not in accounted:
-                coverable = {ch for ch in coverable if ch[0] != node.lane}
-        if not coverable:
-            return False
-        book = sim.promises
-        book.enable(coverable)
-        for node in self.network._nodes.values():
-            node.arm_promises(book)
-        for driver in drivers:
-            driver.arm_promises(book)
-        for group, pump in self._pumps:
-            pump.arm_out_promises(
-                book, self.shard_map.channels_for_pump(group)
-            )
-        return True
+        self.env.sim.restrict_channels(channels)
 
     # ------------------------------------------------------------------
     # Service crash-restart (the durable/volatile split, enforced)
@@ -585,10 +482,17 @@ class Cluster:
                 )
         return violations
 
-    def lane_profile(self) -> "LaneStats | None":
-        """Per-lane kernel statistics (sharded kernel only)."""
-        sim = self.env.sim
-        return sim.stats if isinstance(sim, ShardedSimulator) else None
+    def lane_profile(self) -> "dict[str, list] | None":
+        """Per-lane processed events and their share of the total, when the
+        kernel drained lane by lane; ``None`` for a single-heap run."""
+        events = self.env.sim.lane_events
+        if events is None:
+            return None
+        total = sum(events)
+        return {
+            "events": list(events),
+            "utilization": [count / total if total else 0.0 for count in events],
+        }
 
     @property
     def initial_image(self) -> dict[Item, Any]:
@@ -812,14 +716,6 @@ class Cluster:
             datacenters=list(self.topology.names),
         )
         self._pumps.append((group, pump))
-        sim = self.env.sim
-        if isinstance(sim, ShardedSimulator) and sim.promises.enabled:
-            # A pump started after enable_promises (an injector restart)
-            # registers its out slot here, before its process can run, so
-            # there is no window in which its sends are unaccounted for.
-            pump.arm_out_promises(
-                sim.promises, self.shard_map.channels_for_pump(group)
-            )
         return self.env.process(
             pump.run(poll_ms=poll_ms, idle_stop_after=idle_stop_after),
             name=pump.node.name,
@@ -1111,33 +1007,10 @@ class Cluster:
         ``decisions`` resolves 2PC prepare entries; when ``None`` it is
         derived by direct inspection (cheap when the run had none).
         """
-        if not finalized:
-            self.finalize(group)
-        violations = self.group_violations(
-            group, outcomes, strict_timeouts, decisions
-        )
-        if violations:
-            raise InvariantViolation(violations)
-
-    def group_violations(
-        self,
-        group: str,
-        outcomes: list[TransactionOutcome],
-        strict_timeouts: bool = False,
-        decisions: dict[str, bool] | None = None,
-    ) -> list[str]:
-        """One group's §3 violations, as strings; empty when it is clean.
-
-        The non-raising core of :meth:`check_invariants`, shared verbatim by
-        the serial path and the worker-side parallel checker — both report
-        exactly these strings, so the two paths are equivalent by
-        construction.  The group's replicas must already be finalized; the
-        per-group checks are pure functions of replica state, the group's
-        outcomes, and the decision map, which is what makes them safe to
-        evaluate in whichever process holds the group's lane.
-        """
         from repro.model import AbortReason, TransactionStatus
 
+        if not finalized:
+            self.finalize(group)
         if decisions is None:
             decisions = self.cross_group_decisions()
         replicas = self.replicas(group)
@@ -1156,33 +1029,30 @@ class Cluster:
                 )
             ]
         image = self._initial_images.get(group, {})
-        try:
-            run_all_checks(
-                replicas, considered, image, decisions,
-                isolation=self.config.isolation,
-            )
-        except InvariantViolation as exc:
-            return list(exc.violations)
+        run_all_checks(
+            replicas, considered, image, decisions,
+            isolation=self.config.isolation,
+        )
         if self.config.isolation == "si":
             # An acyclic MVSG is not owed under snapshot isolation — the
-            # coordinator classifies the cycles instead of failing the run
-            # (see check_invariants_all).
-            return []
+            # cycles are classified instead of failing the run (see
+            # check_invariants_all).
+            return
         # Independent oracle: the MVSG test over the observed history.
         history = MVHistory.from_log(
             effective_log(global_log(replicas), decisions), image
         )
         ok, cycle = is_one_copy_serializable(history)
         if not ok:
-            return [f"MVSG test failed: cycle {cycle} in the observed history"]
-        return []
+            raise InvariantViolation(
+                [f"MVSG test failed: cycle {cycle} in the observed history"]
+            )
 
     def check_invariants_all(
         self,
         outcomes: list[TransactionOutcome],
         strict_timeouts: bool = False,
         logs: dict[str, dict[int, LogEntry]] | None = None,
-        group_checker=None,
     ) -> dict[str, bool]:
         """Run :meth:`check_invariants` over every group.
 
@@ -1211,38 +1081,58 @@ class Cluster:
         Returns the resolved 2PC decision map so callers (e.g.
         :meth:`queue_stats`) can reuse it instead of re-deriving it by
         store inspection.
-
-        ``group_checker`` replaces the serial per-group loop with an
-        external executor — ``(by_group, logs, decisions, strict_timeouts)``
-        — that must evaluate :meth:`group_violations` for every group and
-        raise the first failing (sorted) group's violations.  The sharded
-        multiprocessing harness uses it to run the per-group suites inside
-        the shard workers that already hold the lanes' state.
         """
-        by_group, cross_outcomes = self.split_outcomes(outcomes)
+        by_group: dict[str, list[TransactionOutcome]] = {
+            group: [] for group in self.groups
+        }
+        cross_outcomes: list[TransactionOutcome] = []
+        for outcome in outcomes:
+            if outcome.transaction.is_cross_group:
+                cross_outcomes.append(outcome)
+            else:
+                by_group.setdefault(outcome.transaction.group, []).append(outcome)
         logs = dict(logs or {})
         for group in sorted(by_group):
             if group not in logs:
                 logs[group] = self.finalize(group)
-        decisions, queue_active = self.resolve_run(logs)
-        if group_checker is not None:
-            # Parallel mode: the caller fans the per-group verdicts out to
-            # whichever processes hold the lanes, then raises the first
-            # failing (sorted) group's violations itself — identical
-            # semantics, different executor.
-            group_checker(by_group, logs, decisions, strict_timeouts)
-        else:
-            for group, group_outcomes in sorted(by_group.items()):
-                violations = self.group_violations(
-                    group, group_outcomes, strict_timeouts, decisions
-                )
-                if violations:
-                    raise InvariantViolation(violations)
+        decisions = self.recover_cross_group(logs)
+        queue_active = any(
+            entry.kind == "queue_apply" or entry.queue_sends
+            for log in logs.values() for entry in log.values()
+        )
+        if queue_active:
+            self.drain_queues(logs, decisions)
+        seen_tids: dict[str, str] = {}
+        cross_group: list[str] = []
+        for group, log in logs.items():
+            for position, entry in log.items():
+                for txn in entry.transactions:
+                    # Intra-group duplicates are (L2)'s job, with positions.
+                    if seen_tids.setdefault(txn.tid, group) != group:
+                        cross_group.append(
+                            f"(groups) {txn.tid} is logged in both "
+                            f"{seen_tids[txn.tid]} and {group}"
+                        )
+        if cross_group:
+            raise InvariantViolation(cross_group)
+        for group, group_outcomes in sorted(by_group.items()):
+            self.check_invariants(
+                group, group_outcomes, strict_timeouts,
+                finalized=True, decisions=decisions,
+            )
         amnesia = self.check_crash_amnesia()
         if amnesia:
             raise InvariantViolation(amnesia)
         self._anomalies = self._classify_anomalies(by_group, logs, decisions)
-        self.finish_global_checks(cross_outcomes, logs, decisions, queue_active)
+        if cross_outcomes or any(
+            entry.kind != "data" for log in logs.values() for entry in log.values()
+        ):
+            self.check_cross_group_invariants(cross_outcomes, logs, decisions)
+        if queue_active:
+            violations = check_queue_delivery(logs, decisions)
+            violations += self._check_delivery_records(logs, decisions)
+            if violations:
+                raise InvariantViolation(violations)
         return decisions
 
     def _classify_anomalies(
@@ -1253,11 +1143,9 @@ class Cluster:
     ) -> "list[Anomaly]":
         """Name the MVSG cycles an ``si`` run admitted, per group.
 
-        Runs on the coordinator in both the serial and parallel checking
-        paths — the finalized ``logs`` are always in hand here, so the
-        classification cannot drift between ``--jobs`` modes.  Non-SI runs
-        return no anomalies: their group checks already *failed* on any
-        MVSG cycle, so reaching this point means the history is clean.
+        Non-SI runs return no anomalies: their group checks already
+        *failed* on any MVSG cycle, so reaching this point means the
+        history is clean.
         """
         if self.config.isolation != "si":
             return []
@@ -1282,76 +1170,3 @@ class Cluster:
         kind — the shape :class:`repro.harness.metrics.RunMetrics` carries."""
         counts = Counter(anomaly.kind for anomaly in self._anomalies)
         return dict(sorted(counts.items()))
-
-    def split_outcomes(
-        self, outcomes: list[TransactionOutcome]
-    ) -> tuple[dict[str, list[TransactionOutcome]], list[TransactionOutcome]]:
-        """Outcomes routed per group, with cross-group (2PC) ones apart."""
-        by_group: dict[str, list[TransactionOutcome]] = {
-            group: [] for group in self.groups
-        }
-        cross_outcomes: list[TransactionOutcome] = []
-        for outcome in outcomes:
-            if outcome.transaction.is_cross_group:
-                cross_outcomes.append(outcome)
-            else:
-                by_group.setdefault(outcome.transaction.group, []).append(outcome)
-        return by_group, cross_outcomes
-
-    def resolve_run(
-        self, logs: dict[str, dict[int, LogEntry]]
-    ) -> tuple[dict[str, bool], bool]:
-        """The global pre-check phase over finalized logs.
-
-        Resolves in-doubt 2PC transactions, drains undelivered queue sends
-        (mutating *logs* with the drained applies), and verifies that no
-        transaction is logged in more than one group.  Returns the decision
-        map and whether the run carried queue traffic.  Everything after
-        this point is either per-group (parallelizable) or a pure function
-        of ``(logs, decisions)``.
-        """
-        decisions = self.recover_cross_group(logs)
-        queue_active = any(
-            entry.kind == "queue_apply" or entry.queue_sends
-            for log in logs.values() for entry in log.values()
-        )
-        if queue_active:
-            self.drain_queues(logs, decisions)
-        seen_tids: dict[str, str] = {}
-        cross_group: list[str] = []
-        for group, log in logs.items():
-            for position, entry in log.items():
-                for txn in entry.transactions:
-                    # Intra-group duplicates are (L2)'s job, with positions.
-                    if seen_tids.setdefault(txn.tid, group) != group:
-                        cross_group.append(
-                            f"(groups) {txn.tid} is logged in both "
-                            f"{seen_tids[txn.tid]} and {group}"
-                        )
-        if cross_group:
-            raise InvariantViolation(cross_group)
-        return decisions, queue_active
-
-    def finish_global_checks(
-        self,
-        cross_outcomes: list[TransactionOutcome],
-        logs: dict[str, dict[int, LogEntry]],
-        decisions: dict[str, bool],
-        queue_active: bool,
-    ) -> None:
-        """The global post-check phase: merged-history 1SR and queue merge.
-
-        These are the only obligations that need every group's log at once
-        — the 2PC atomicity/marker/global-MVSG checks and the cross-group
-        queue delivery merge — so they stay on the coordinator in parallel
-        mode.
-        """
-        if cross_outcomes or any(
-            entry.kind != "data" for log in logs.values() for entry in log.values()
-        ):
-            self.check_cross_group_invariants(cross_outcomes, logs, decisions)
-        if queue_active:
-            violations = check_queue_delivery(logs, decisions)
-            violations += self._check_delivery_records(logs, decisions)
-            if violations:
-                raise InvariantViolation(violations)

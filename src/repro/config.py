@@ -9,7 +9,7 @@ a key-value store latency calibrated to HBase-on-EBS (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Literal, Mapping
+from typing import Literal, Mapping, get_args
 
 #: Which commit protocol a client runs.
 ProtocolName = Literal["paxos", "paxos-cp", "leased-leader"]
@@ -142,8 +142,7 @@ class ProtocolConfig:
     queue_poll_ms:
         Poll interval of the asynchronous-queue delivery pumps.  The paper
         only requires *eventual* delivery; a longer interval trades delivery
-        lag for fewer pump wake-ups (and, on the sharded kernel, wider
-        promise-stretched windows between polls).
+        lag for fewer pump wake-ups.
     retry_attempts:
         Extra client-side failover sweeps after the first: a ``begin`` or
         ``read`` whose full sweep over the datacenters came back empty backs
@@ -370,9 +369,7 @@ class FaultScheduleConfig:
 
     Part of :class:`ClusterConfig`, so it rides the experiment spec into
     :func:`repro.harness.experiment.prepare_run` — which installs it through
-    the :class:`~repro.failures.injector.FailureInjector` — and, because
-    ``prepare_run`` is a pure function of (spec, seed), the identical
-    schedule materializes in every sharded-mp worker process.  Fixed windows
+    the :class:`~repro.failures.injector.FailureInjector`.  Fixed windows
     and a random :class:`FaultProfile` compose; datacenter and group names
     are validated against the actual deployment at install time (the config
     layer has no topology to check against).
@@ -412,13 +409,27 @@ class FaultScheduleConfig:
         return f"/faults-{parts}"
 
 
-#: Which simulation kernel a deployment runs on.  ``"global"`` is the
-#: single-heap reference; ``"sharded"`` partitions the event queue into
-#: per-shard lanes drained under conservative lookahead (field-identical
-#: results, one process); ``"sharded-mp"`` additionally fans the lanes out
-#: over worker processes (the harness orchestrates; a cluster built with it
-#: directly falls back to the in-process sharded kernel).
-EngineName = Literal["global", "sharded", "sharded-mp"]
+#: How a lane-partitioned deployment's kernel drains its lanes.  ``"global"``
+#: always merges them through one heap in canonical ``(time, lane, seq)``
+#: order — the reference; ``"sharded"`` drains them one after another
+#: whenever the run's declared channel graph has no cross-lane edge, and is
+#: the single heap otherwise.  Results are field-identical either way, and a
+#: single-lane deployment runs the plain kernel under both.
+EngineName = Literal["global", "sharded"]
+
+
+def validate_engine(engine: str) -> None:
+    """Raise :class:`ValueError` unless *engine* is an :data:`EngineName`."""
+    if engine == "sharded-mp":
+        raise ValueError(
+            "engine 'sharded-mp' was removed: worker processes lost to the "
+            "single heap even on fully independent lanes; parallelism is "
+            "across cells and seeds (--jobs / run_cells(jobs=...))"
+        )
+    if engine not in get_args(EngineName):
+        raise ValueError(
+            f"engine must be one of {get_args(EngineName)}, got {engine!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -431,9 +442,9 @@ class ClusterConfig:
     ``shards`` partitions the deployment into event lanes: each lane owns a
     contiguous block of the placement's entity groups — its per-datacenter
     service endpoints and store partitions — while clients, coordinators,
-    and 2PC decision instances share lane 0.  ``engine`` picks the kernel
-    that drains those lanes; every engine produces field-identical metrics
-    for the same ``shards`` value (that is the sharded kernel's contract),
+    and 2PC decision instances share lane 0.  ``engine`` picks the order in
+    which the kernel drains those lanes (see :data:`EngineName`); both
+    values produce field-identical metrics for the same ``shards`` value,
     while different ``shards`` values are distinct deployments (different
     node names and RNG streams) and are *not* comparable bit-for-bit.
     """
@@ -446,25 +457,11 @@ class ClusterConfig:
     store: StoreConfig = field(default_factory=StoreConfig)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     placement: PlacementConfig = field(default_factory=PlacementConfig)
-    #: Declarative fault schedule, installed by the harness at run start
-    #: (identically on every engine).  Empty by default: no faults.
+    #: Declarative fault schedule, installed by the harness at run start.
+    #: Empty by default: no faults.
     faults: FaultScheduleConfig = field(default_factory=FaultScheduleConfig)
     shards: int = 1
     engine: EngineName = "global"
-    #: Worker processes for ``engine="sharded-mp"`` (None: one per group
-    #: lane, capped by the CPU count).
-    shard_workers: int | None = None
-    #: Adaptive lookahead promises on the sharded kernels: workload threads
-    #: and queue pumps advertise when they will next send cross-lane, which
-    #: stretches conservative windows far past the raw latency floor.  The
-    #: harness arms them (:meth:`repro.cluster.Cluster.enable_promises`)
-    #: whenever this is True and the run's senders are all promise-aware;
-    #: results are bit-identical either way — this is purely a speed dial.
-    promises: bool = True
-    #: Run the per-group invariant checks inside the sharded-mp workers
-    #: (parallel with each other) instead of serially on the coordinator.
-    #: Verdicts are field-identical to the serial checker's.
-    parallel_check: bool = True
     #: Isolation level every client commits under.  ``"si"`` relaxes commit
     #: validation to first-committer-wins (write-write only), so runs may
     #: admit write skew — the checker then *classifies* the anomalies
@@ -478,6 +475,7 @@ class ClusterConfig:
                 f"isolation must be one of '1sr', 'si', 'ssi', "
                 f"got {self.isolation!r}"
             )
+        validate_engine(self.engine)
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.shards > 1 and self.shards > self.placement.n_groups:
@@ -520,8 +518,8 @@ class WorkloadConfig:
     #: round-robin — thread *i* only ever touches group ``i % n_groups`` —
     #: the paper's single-group workload times N.  Pinned threads draw from
     #: per-thread RNG streams and, on a sharded deployment, run in their
-    #: group's event lane, which is what lets the multiprocessing kernel
-    #: decompose the run outright.
+    #: group's event lane, which is what lets the kernel drain the lanes
+    #: one after another.
     group_distribution: Literal["uniform", "zipfian", "pinned"] = "uniform"
     group_zipfian_theta: float = 0.99
     #: Fraction of transactions that span several entity groups and commit

@@ -172,27 +172,11 @@ class TwoPhaseCommit:
 
         # --- Phase 3: append decision markers in the background ----------
         marker = LogEntry.marker(outcome.committed, gtid, participants)
-        book = self.client.node._promise_book
-        nodes = self.client.node.network._nodes
         for group, position in outcome.prepare_positions.items():
-            process = env.process(
+            env.process(
                 self._append_marker(group, position + 1, marker),
                 name=f"2pc:{gtid}:marker:{group}",
             )
-            if book is None:
-                continue
-            # The marker append outlives this commit — it keeps sending
-            # from the client's node while the workload thread sleeps on a
-            # promised floor.  It gets its own no-claim out slot for the
-            # one channel it uses, registered before it can first run (no
-            # coverage gap) and closed out when it completes.
-            own_lane = self.client.node.lane
-            target = nodes.get(self.client.service_names(group)[0])
-            if target is None or target.lane == own_lane:
-                continue
-            slot = ("2pc-marker", gtid, group)
-            book.register(slot, own_lane, ((own_lane, target.lane),))
-            process.add_callback(lambda _e, _s=slot: book.release(_s))
         return outcome
 
     # ------------------------------------------------------------------

@@ -212,8 +212,8 @@ class FaultScheduleError(ReproError):
     Raised by :func:`repro.failures.schedule.install_fault_schedule` for
     schedules naming unknown datacenters or groups, pump crashes without a
     running pump, and by :meth:`repro.failures.injector.FailureInjector.kill_process_at`
-    for cross-lane kills requested *mid-run* on the sharded kernel (the
-    cross-lane coupling conservative lookahead forbids) — a typed error at
+    for cross-lane kills requested *mid-run* on a lane-partitioned kernel
+    (the cross-lane coupling lane independence forbids) — a typed error at
     the declaration site instead of a lane-kernel crash deep in the run.
     """
 

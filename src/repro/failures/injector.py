@@ -2,12 +2,12 @@
 
 All methods schedule effects at absolute simulated times (ms) and return
 immediately; the effects fire as the simulation advances.  Every method can
-be called before a run or between ``run()`` segments.  On the single-heap
-kernels faults may also be scheduled from *inside* a running process; the
-sharded kernel rejects that (a process in one lane scheduling into another
-lane's timeline is exactly the cross-lane coupling conservative lookahead
-forbids), so under ``engine="sharded"`` declare faults while the simulation
-is paused.
+be called before a run or between ``run()`` segments.  On a single-lane
+cluster faults may also be scheduled from *inside* a running process; on a
+lane-partitioned one declare them while the simulation is paused (a process
+in one lane scheduling into another lane's timeline is exactly the
+cross-lane coupling the declared channel graph forbids, and the kernel
+raises on it).
 
 **Sharded deployments.**  On a lane-partitioned cluster each fault is
 *replicated*: the same effect is scheduled once per event lane, each firing
@@ -15,7 +15,7 @@ from that lane's own timeline against that lane's view of the network state
 (outage sets, severed links, loss rates are all per-lane).  A lane therefore
 observes the fault at exactly the declared simulated time relative to its
 own traffic, without any cross-lane state write — which is what keeps the
-conservative-lookahead kernel's lanes independent.  Process kills are not
+lanes independent enough to drain one after another.  Process kills are not
 replicated; they fire once, in the victim's lane.  On single-lane clusters
 all of this collapses to the original direct mutation.
 """
@@ -58,7 +58,7 @@ class FailureInjector:
         self.log: list[tuple[float, str]] = []
         #: Open outage windows per (datacenter, lane) — the overlap
         #: refcount.  Mutated only by the scheduled callbacks, i.e. in the
-        #: key's own lane, so the sharded kernels never race on it.
+        #: key's own lane, so lanes never share a counter.
         self._outage_depth: dict[tuple[str, int], int] = {}
 
     def _at(self, when_ms: float, action: Callable[[], None],
@@ -252,9 +252,9 @@ class FailureInjector:
         On a lane-partitioned kernel this must be declared while the
         simulation is paused (or from the victim's own lane): scheduling
         into *another* lane's timeline mid-run is exactly the cross-lane
-        coupling conservative lookahead forbids, and raises a typed
-        :class:`~repro.errors.FaultScheduleError` here instead of corrupting
-        the lane kernel's event order.
+        coupling lane independence forbids, and raises a typed
+        :class:`~repro.errors.FaultScheduleError` here instead of tripping
+        the kernel's isolation check.
         """
         if self.env.lane_count > 1:
             executing = self.env.sim.executing_lane
@@ -264,7 +264,7 @@ class FailureInjector:
                     f"lane {executing} against lane {process.lane} on a "
                     f"sharded kernel; declare process kills before the run "
                     f"(or between run() segments) — cross-lane scheduling "
-                    f"breaks conservative lookahead"
+                    f"breaks lane independence"
                 )
         self._at(when_ms, lambda: process.kill(reason),
                  f"kill {process.name}", lane=process.lane)

@@ -3,11 +3,9 @@
 The bridge between :class:`repro.config.FaultScheduleConfig` (pure data on
 the experiment spec) and the :class:`~repro.failures.injector.FailureInjector`
 (imperative effects on a running cluster).  ``prepare_run`` calls
-:func:`install_fault_schedule` right after the queue pumps start; because
-``prepare_run`` is a pure function of (spec, seed), every sharded-mp worker
-installs the identical schedule into its own lanes, and the single-heap,
-sharded, and sharded-mp engines all observe the same faults at the same
-simulated times.
+:func:`install_fault_schedule` right after the queue pumps start, before the
+run, so every lane observes the same faults at the same simulated times
+whichever order the kernel drains the lanes in.
 
 Random schedules (:class:`repro.config.FaultProfile`) expand through
 :func:`materialize` from the cluster's own RNG registry (named stream
@@ -150,8 +148,8 @@ def install_fault_schedule(
 
     Validates datacenter and group names against the live deployment
     (typed :class:`~repro.errors.FaultScheduleError`), schedules every
-    window through a :class:`FailureInjector` (replicated per lane on the
-    sharded kernels), arms pump restarts in the victim pump's own lane,
+    window through a :class:`FailureInjector` (replicated per lane on a
+    sharded deployment), arms pump restarts in the victim pump's own lane,
     and records the network-fault windows on ``cluster.fault_windows`` so
     :func:`repro.harness.experiment.finish_run` can align the availability
     timeline with them.
@@ -207,10 +205,8 @@ def _install_pump_crash(
     """One pump crash-restart pair through the generic crash machinery.
 
     Both effects fire in the victim pump's own lane (a pump is lane-local;
-    mid-run cross-lane scheduling is the coupling conservative lookahead
-    forbids).  ``start_queue_pump`` re-arms the new pump's promise-book
-    slot itself when the sharded kernel runs with promises, so a restart
-    mid-run stays lookahead-safe.
+    mid-run cross-lane scheduling is the coupling lane independence
+    forbids).
     """
     if cluster.env.lane_count > 1:
         executing = cluster.env.sim.executing_lane

@@ -102,18 +102,17 @@ class ExperimentResult:
     metrics: RunMetrics
     per_instance: dict[str, RunMetrics] = field(default_factory=dict)
     outcomes: list[TransactionOutcome] = field(default_factory=list)
-    #: Sharded-kernel execution statistics (windows, per-lane utilization,
-    #: barrier stalls); ``None`` on the single-heap kernels.  Excluded from
-    #: ``metrics_digest`` — it describes the execution, not the result.
+    #: Per-lane processed events and utilization of a lane-by-lane run
+    #: (:meth:`repro.cluster.Cluster.lane_profile`); ``None`` when the run
+    #: went through the single heap.  Excluded from ``metrics_digest`` — it
+    #: describes the execution, not the result.
     lane_profile: dict | None = None
 
 
 def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[WorkloadDriver]]:
     """Build one cell's world: cluster, preloaded data, started drivers.
 
-    A pure function of ``(spec, seed)`` — the sharded multiprocessing mode
-    rebuilds the identical world in every worker process from these two
-    values, so everything here must derive from them alone.
+    A pure function of ``(spec, seed)``.
 
     Option conflicts (retention × invariants, open-loop × shards) are the
     spec's own ``__post_init__`` business — any spec that reaches this
@@ -160,16 +159,13 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
     if spec.workload.queue_fraction > 0:
         pumps = cluster.start_queue_pumps()
     if not spec.cluster.faults.is_empty():
-        # Installed from the spec inside prepare_run, so the sharded-mp
-        # workers and the coordinator arm the identical schedule — faults
-        # behave the same on every engine.
         from repro.failures.schedule import install_fault_schedule
 
         install_fault_schedule(cluster, spec.cluster.faults, pumps=pumps)
     if not cluster.shard_map.single_lane:
-        # Conservative-lookahead input: the union of every actor's possible
-        # cross-lane traffic.  Group-pinned threads without 2PC contribute
-        # nothing, which is what lets big scaling runs decompose.
+        # The union of every actor's possible cross-lane traffic.  Group-
+        # pinned threads without 2PC contribute nothing, which is what lets
+        # ``engine="sharded"`` drain big scaling runs lane by lane.
         channels: set[tuple[int, int]] = set()
         for driver in drivers:
             channels |= driver.lane_channels()
@@ -177,30 +173,17 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
             for group in cluster.placement.groups:
                 channels |= cluster.shard_map.channels_for_pump(group)
         cluster.restrict_lane_channels(channels)
-        # Adaptive lookahead: the drivers, pumps and nodes all exist now,
-        # so the coverability analysis sees the final population.  Being
-        # part of prepare_run, every mp worker arms the identical book.
-        cluster.enable_promises(drivers)
     return cluster, drivers
 
 
 def finish_run(
     spec: ExperimentSpec, cluster: Cluster, drivers: "list[WorkloadDriver]",
-    group_logs: dict | None = None, group_checker=None,
 ) -> ExperimentResult:
-    """Offline phase of one cell: finalize, verify invariants, aggregate.
-
-    ``group_logs`` lets the sharded multiprocessing path hand over logs the
-    workers already finalized in parallel (each worker finalizes its owned
-    lanes' groups); ``group_checker`` likewise fans the per-group invariant
-    suites out to the workers (see
-    :meth:`repro.cluster.Cluster.check_invariants_all`).
-    """
+    """Offline phase of one cell: finalize, verify invariants, aggregate."""
     # Merge every group's log for the aggregate statistics; group logs are
     # independent position sequences, so the merged view keys by
     # (group, position).
-    if group_logs is None:
-        group_logs = cluster.finalize_all()
+    group_logs = cluster.finalize_all()
     # Bind each driver's result once: on pinned drivers ``result`` is a
     # property that merges the per-thread outcome lists on every access.
     results = [driver.result for driver in drivers]
@@ -210,9 +193,7 @@ def finish_run(
         # Also drains undelivered queue sends and verifies exactly-once
         # delivery, mutating group_logs with the drained applies; returns
         # the resolved 2PC decision map for reuse below.
-        decisions = cluster.check_invariants_all(
-            outcomes, logs=group_logs, group_checker=group_checker,
-        )
+        decisions = cluster.check_invariants_all(outcomes, logs=group_logs)
     queue = None
     if spec.workload.queue_fraction > 0:
         queue = cluster.queue_stats(
@@ -258,13 +239,11 @@ def finish_run(
             )
             for result in results
         }
-    # Under snapshot isolation the coordinator classified the MVSG cycles
-    # during check_invariants_all; surface the per-kind counts on the run's
-    # metrics (empty dict under 1sr/ssi, and when invariants are off).
+    # Under snapshot isolation check_invariants_all classified the MVSG
+    # cycles; surface the per-kind counts on the run's metrics (empty dict
+    # under 1sr/ssi, and when invariants are off).
     metrics.anomalies = cluster.anomaly_counts()
-    # Network drop counters by cause: complete for every engine at this
-    # point (the sharded-mp workers ship their stats home before this
-    # runs), so the column — and the digest — agree serial vs parallel.
+    # Network drop counters by cause.
     net = cluster.network.stats
     metrics.dropped_messages = {
         "loss": net.dropped_loss,
@@ -286,31 +265,14 @@ def finish_run(
             metrics.crash_downtime_ms = fmean(
                 record.restart_ms - record.crash_ms for record in restarted
             )
-    stats = cluster.lane_profile()
-    lane_profile = None
-    if stats is not None:
-        lane_profile = {
-            "windows": stats.windows,
-            "events": list(stats.events),
-            "barrier_stalls": list(stats.barrier_stalls),
-            "cross_messages": stats.cross_messages,
-            "utilization": stats.utilization(),
-            "window_span_hist": dict(stats.window_span_hist),
-            "promise_windows": stats.promise_windows,
-            "stalls_avoided": stats.stalls_avoided,
-        }
     return ExperimentResult(
         spec=spec, metrics=metrics, per_instance=per_instance,
-        outcomes=outcomes, lane_profile=lane_profile,
+        outcomes=outcomes, lane_profile=cluster.lane_profile(),
     )
 
 
 def run_once(spec: ExperimentSpec, seed: int = 0) -> ExperimentResult:
     """Execute one cell once with one seed."""
-    if spec.cluster.engine == "sharded-mp":
-        from repro.harness.shardrun import run_once_sharded_mp
-
-        return run_once_sharded_mp(spec, seed)
     cluster, drivers = prepare_run(spec, seed)
     cluster.run()
     return finish_run(spec, cluster, drivers)

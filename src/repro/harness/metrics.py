@@ -182,8 +182,7 @@ class AvailabilityTimeline:
     counts by reason, and a commit-latency histogram.  State is O(windows
     × abort reasons) — a few ints per half-second of simulated time —
     so open-loop million-transaction runs carry a full availability
-    timeline at no meaningful cost, and sharded-mp workers ship timelines
-    home inside their :class:`OutcomeAggregate`.
+    timeline at no meaningful cost.
 
     :meth:`absorb` adds per-window counts, so merging per-thread timelines
     in thread order reproduces the serial fold exactly — the property that
@@ -428,8 +427,7 @@ class OutcomeAggregate:
 
     ``retain_outcomes=False`` runs fold every outcome into one of these —
     O(histogram buckets) state — instead of appending to per-thread
-    outcome lists, and sharded worker processes ship these home instead
-    of the lists.  Counts and sums merge exactly; merging per-thread
+    outcome lists.  Counts and sums merge exactly; merging per-thread
     aggregates in thread order reproduces the serial fold bit for bit,
     which is what keeps ``--jobs`` digests identical.
     """

@@ -54,33 +54,12 @@ def trial_seed(base_seed: int, trial: int) -> int:
     return base_seed + trial
 
 
-def resolve_jobs(jobs: int | None, procs_per_job: int = 1) -> int:
-    """Normalize a ``--jobs`` value: ``None``/``0`` means one per CPU.
-
-    ``procs_per_job`` is how many worker processes each job itself spawns
-    (the sharded multiprocessing engine runs one per shard lane).  When
-    ``jobs × procs_per_job`` oversubscribes the machine the job count is
-    clamped — processes beyond the CPU count just thrash the scheduler —
-    with a warning naming both knobs, so ``--jobs``/``--shards`` users see
-    why the pool shrank instead of silently losing throughput.
-    """
-    cpus = os.cpu_count() or 1
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``--jobs`` value: ``None``/``0`` means one per CPU."""
     if jobs is None or jobs == 0:
-        jobs = max(1, cpus // max(1, procs_per_job))
+        return os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1 (or 0/None for auto), got {jobs}")
-    if procs_per_job > 1 and jobs * procs_per_job > cpus:
-        clamped = max(1, cpus // procs_per_job)
-        if clamped < jobs:
-            import warnings
-
-            warnings.warn(
-                f"--jobs {jobs} x {procs_per_job} shard worker(s) "
-                f"oversubscribes {cpus} CPU(s); clamping to --jobs {clamped}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            jobs = clamped
     return jobs
 
 
@@ -93,20 +72,6 @@ def default_jobs() -> int:
     keeps single-core CI and profiling runs predictable.
     """
     return int(os.environ.get("REPRO_JOBS", "1"))
-
-
-def shard_procs_per_run(spec: ExperimentSpec) -> int:
-    """Worker processes one ``run_once`` of *spec* will spawn itself.
-
-    1 for the single-process engines; the sharded multiprocessing engine
-    spawns one worker per lane (capped by CPUs / ``shard_workers``), and
-    ``resolve_jobs`` budgets the pool against that.
-    """
-    if spec.cluster.engine != "sharded-mp" or spec.cluster.shards <= 1:
-        return 1
-    from repro.harness.shardrun import resolve_workers
-
-    return resolve_workers(spec.cluster.shards + 1, spec.cluster.shard_workers)
 
 
 def _run_task(task: _Task) -> tuple[int, int, ExperimentResult]:
@@ -134,9 +99,7 @@ def run_cells(
         raise ValueError("need at least one trial")
     if not specs:
         return []
-    jobs = resolve_jobs(jobs, procs_per_job=max(
-        shard_procs_per_run(spec) for spec in specs
-    ))
+    jobs = resolve_jobs(jobs)
     tasks: list[_Task] = [
         (cell, trial, spec, trial_seed(base_seed, trial))
         for cell, spec in enumerate(specs)
@@ -148,20 +111,6 @@ def run_cells(
     if jobs == 1 or len(tasks) == 1:
         for cell, trial, spec, seed in tasks:
             runs[cell][trial] = run_once(spec, seed=seed)
-    elif any(shard_procs_per_run(spec) > 1 for spec in specs):
-        # A sharded-mp run spawns its own worker processes, which
-        # multiprocessing.Pool forbids (its workers are daemonic).  The
-        # futures executor's workers are ordinary processes, so each job
-        # may fan its shard lanes out beneath it.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        ctx = get_context(mp_context)
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)), mp_context=ctx
-        ) as pool:
-            for cell, trial, result in pool.map(_run_task, tasks):
-                runs[cell][trial] = result
     else:
         from multiprocessing import get_context
 

@@ -39,58 +39,20 @@ def run_profiled(
         stats.sort_stats("cumulative").print_stats(top)
 
 
-def span_bucket_label(bucket: int) -> str:
-    """Human label of one ``window_span_hist`` bucket (log2 of ms)."""
-    from repro.sim.core import SPAN_UNBOUNDED
-
-    if bucket == SPAN_UNBOUNDED:
-        return "unbounded"
-    return f"[{2.0 ** bucket:g}, {2.0 ** (bucket + 1):g})"
-
-
 def format_lane_profile(profile: dict) -> str:
-    """Render a sharded run's per-lane kernel statistics.
+    """Render a lane-by-lane run's per-lane event counts.
 
-    ``profile`` is :attr:`repro.harness.experiment.ExperimentResult.lane_profile`:
-    drain windows, per-lane processed events and barrier stalls, and the
-    cross-lane message count.  Utilization spread and stall counts are the
-    two dials lookahead tuning watches — an idle lane means a skewed shard
-    assignment, a stall-heavy lane means its horizon (the cross-lane latency
-    floor) keeps cutting its window short.
-
-    When the run carried the adaptive-lookahead counters, three more rows
-    follow: the window-span histogram (how far past the frontier each drain
-    window's horizon reached, log2-bucketed milliseconds), the
-    promise-stretch ratio (share of windows in which an active promise
-    widened at least one horizon past its head-only value), and the count
-    of lane-windows that processed events the head-only horizons would have
-    stalled.
+    ``profile`` is :attr:`repro.harness.experiment.ExperimentResult.lane_profile`.
+    The utilization spread is the dial to watch: an idle lane means a
+    skewed shard assignment.
     """
-    events = profile["events"]
-    stalls = profile["barrier_stalls"]
-    utilization = profile["utilization"]
     lines = [
-        f"sharded kernel: {profile['windows']} window(s), "
-        f"{profile['cross_messages']} cross-lane message(s)",
-        f"{'lane':>6} {'events':>10} {'util':>6} {'stalls':>7}",
+        "lanes drained one after another",
+        f"{'lane':>6} {'events':>10} {'util':>6}",
     ]
-    for lane, (count, util, stall) in enumerate(
-        zip(events, utilization, stalls)
+    for lane, (count, util) in enumerate(
+        zip(profile["events"], profile["utilization"])
     ):
         label = "shared" if lane == 0 else f"{lane}"
-        lines.append(f"{label:>6} {count:>10} {util:>6.1%} {stall:>7}")
-    span_hist = profile.get("window_span_hist")
-    if span_hist:
-        windows = max(1, profile["windows"])
-        promised = profile.get("promise_windows", 0)
-        lines.append(
-            f"lookahead: {promised}/{profile['windows']} promise-stretched "
-            f"window(s) ({promised / windows:.1%}), "
-            f"{profile.get('stalls_avoided', 0)} barrier stall(s) avoided"
-        )
-        lines.append(f"{'window span (ms)':>18} {'windows':>8}")
-        for bucket in sorted(span_hist):
-            lines.append(
-                f"{span_bucket_label(bucket):>18} {span_hist[bucket]:>8}"
-            )
+        lines.append(f"{label:>6} {count:>10} {util:>6.1%}")
     return "\n".join(lines)

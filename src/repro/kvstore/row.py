@@ -41,12 +41,6 @@ class RowVersion:
         # Freeze the attribute map so callers cannot mutate a stored version.
         object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
 
-    def __reduce__(self):
-        # The frozen MappingProxyType is not picklable; rebuild through the
-        # constructor (which re-freezes) so versions can cross the sharded
-        # multiprocessing mode's worker boundary.
-        return (RowVersion, (self.timestamp, dict(self.attributes)))
-
     def get(self, attribute: str, default: Any = None) -> Any:
         """Value of *attribute* in this version, or *default*."""
         return self.attributes.get(attribute, default)

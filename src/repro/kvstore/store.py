@@ -166,19 +166,6 @@ class MultiVersionStore:
                 del self._rows[key]
         return erased
 
-    # ------------------------------------------------------------------
-    # State shipping (sharded multiprocessing mode)
-    # ------------------------------------------------------------------
-
-    def dump_state(self) -> dict:
-        """Everything a worker process ships home for this partition."""
-        return {"rows": self._rows, "op_counts": dict(self.op_counts)}
-
-    def load_state(self, state: dict) -> None:
-        """Replace this store's contents with a worker's shipped state."""
-        self._rows = state["rows"]
-        self.op_counts = dict(state["op_counts"])
-
     def latest_timestamp(self, key: str) -> float | None:
         """Timestamp of the newest version of *key*, or ``None``."""
         versions = self._rows.get(key)

@@ -12,14 +12,14 @@ network itself only consults it.
 **Lane affinity.**  On a lane-partitioned deployment every node carries a
 lane (its entity-group shard, or the shared lane), and the network is the
 *only* cross-lane channel: a delivery whose destination sits in another lane
-is scheduled through the kernel's cross-lane path, carrying the message
-itself as transport so a multiprocessing worker can ship it to the lane's
-owner.  Everything lane-scoped — the jitter/loss RNG stream, the outage and
-partition views, the loss-probability overrides — is kept per lane, so a
-lane's behaviour is a function of its own history only; that independence is
-what lets the sharded kernel drain lanes concurrently and still match the
-single-heap kernel bit for bit.  Single-lane deployments collapse to the
-pre-lane behaviour exactly (same stream names, same state objects).
+is scheduled through the kernel's cross-lane path, which checks it against
+the declared channel graph.  Everything lane-scoped — the jitter/loss RNG
+stream, the outage and partition views, the loss-probability overrides — is
+kept per lane, so a lane's behaviour is a function of its own history only;
+that independence is what lets the kernel drain independent lanes one after
+another and still match the single heap bit for bit.  Single-lane
+deployments collapse to the pre-lane behaviour exactly (same stream names,
+same state objects).
 """
 
 from __future__ import annotations
@@ -74,17 +74,6 @@ class NetworkStats:
     def record_send(self, msg_type: str) -> None:
         self.sent += 1
         self.by_type[msg_type] = self.by_type.get(msg_type, 0) + 1
-
-    def absorb(self, other: "NetworkStats") -> None:
-        """Fold a worker process's counters into this one."""
-        self.sent += other.sent
-        self.delivered += other.delivered
-        self.dropped_loss += other.dropped_loss
-        self.dropped_outage += other.dropped_outage
-        self.dropped_partition += other.dropped_partition
-        self.duplicated += other.duplicated
-        for msg_type, count in other.by_type.items():
-            self.by_type[msg_type] = self.by_type.get(msg_type, 0) + count
 
     @property
     def dropped(self) -> int:
@@ -154,11 +143,6 @@ class Network:
                 f"environment has {self.env.lane_count} lane(s)"
             )
         self._nodes[node.name] = node
-        # A node joining an armed deployment (e.g. a restarted queue pump)
-        # must track its reply expectations from its first request on.
-        book = getattr(self.env.sim, "promises", None)
-        if book is not None and book.enabled:
-            node.arm_promises(book)
 
     def node(self, name: str) -> "Node":
         try:
@@ -286,23 +270,12 @@ class Network:
                 delay = one_way_delay(src_dc, dst_dc, rng)
                 sim_schedule(_Delivery(env, self, msg, dst), delay)
             return
-        # Cross-lane: the kernel routes (or ships) the delivery; the
-        # transport pair lets a worker boundary rebuild the event.
+        # Cross-lane: the kernel checks the channel and routes the delivery.
         for _copy in range(copies):
             delay = one_way_delay(src_dc, dst_dc, rng)
             env.sim.schedule_in_lane(
-                _Delivery(env, self, msg, dst), delay, dst_lane,
-                transport=(msg, dst.name),
+                _Delivery(env, self, msg, dst), delay, dst_lane
             )
-
-    def inject_delivery(self, lane: int, when: float, key_lane: int,
-                        key_seq: int, msg: Message, dst_name: str) -> None:
-        """Rebuild a worker-shipped cross-lane delivery (coordinator path)."""
-        dst = self.node(dst_name)
-        self.env.sim.push_external(
-            lane, when, key_lane, key_seq,
-            _Delivery(self.env, self, msg, dst),
-        )
 
     def _deliver(self, msg: Message, dst: "Node") -> None:
         # Re-check outage state at delivery time: a datacenter that went down

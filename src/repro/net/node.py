@@ -116,7 +116,7 @@ class Node:
     deployment (an entity group's shard, or the shared lane 0); every event
     a node's handlers schedule stays in its lane, and only network messages
     cross lanes.  All per-node counters (request ids, learner identities)
-    are therefore lane-local, which the sharded kernel's determinism
+    are therefore lane-local, which the laned kernel's determinism
     argument relies on.
     """
 
@@ -132,10 +132,6 @@ class Node:
         self._pending: dict[int, Gather] = {}
         self._request_ids = count(1)
         self._learner_ids = count(1)
-        #: Reply-expectation promise state (see :meth:`arm_promises`):
-        #: ``None`` keeps the request/response hot paths promise-free.
-        self._promise_book = None
-        self._expecting: "dict[tuple[int, str], int] | None" = None
         #: Live handler processes, tracked only when :meth:`track_processes`
         #: armed it (crash-fault targets); ``None`` keeps delivery tracking-
         #: free.  An insertion-ordered dict, not a set: kill order must be
@@ -169,50 +165,6 @@ class Node:
                 self._procs.pop(p, None) if self._procs is not None else None
             )
         )
-
-    def arm_promises(self, book) -> None:
-        """Maintain reply-expectation state in the kernel's promise book.
-
-        A promise on lane channel ``(a, b)`` must bound *every* sender in
-        lane *a* toward lane *b* — including a service answering a request.
-        Replies are not self-initiated: lane *a* can only reply to this node
-        after this node requested into it.  So every node records each
-        outstanding cross-lane request in the book's *pending* map, keyed by
-        the request channel ``(self.lane, dst lane)``; the horizon fixed
-        point turns "nothing pending on ``(b, a)``" into a causal floor on
-        reply traffic ``(a, b)`` (see ``conservative_horizons``).
-
-        A request whose reply never comes (lost, or the responder is down)
-        stays pending forever — lost messages degrade the window stretch,
-        never soundness.  Duplicated *requests* would break the accounting
-        (two replies, one tracked), which is why the cluster refuses to
-        enable promises when ``duplicate_probability > 0``.
-        """
-        if not book.enabled:
-            return
-        self._promise_book = book
-        self._expecting = {}
-
-    def _track_requests(self, request_id: int, dsts: "list[str]") -> None:
-        nodes = self.network._nodes
-        now = self.env.now
-        for dst in dsts:
-            dst_node = nodes.get(dst)
-            if dst_node is None or dst_node.lane == self.lane:
-                continue
-            lane = dst_node.lane
-            self._expecting[(request_id, dst)] = lane
-            self._promise_book.track(
-                (self.lane, lane), (self.name, request_id, dst), now
-            )
-
-    def _untrack_request(self, response: Message) -> None:
-        lane = self._expecting.pop((response.request_id, response.src), None)
-        if lane is not None:
-            self._promise_book.untrack(
-                (self.lane, lane),
-                (self.name, response.request_id, response.src),
-            )
 
     def next_learner_id(self) -> int:
         """Monotone per-node id for catch-up proposer identities.
@@ -266,8 +218,6 @@ class Node:
                         timeout_ms=timeout_ms, grace_ms=grace_ms)
         request_id = next(self._request_ids)
         self._pending[request_id] = gather
-        if self._expecting is not None:
-            self._track_requests(request_id, dsts)
         gather.add_callback(lambda _e: self._pending.pop(request_id, None))
         for dst in dsts:
             body = payload if payload_for is None else payload_for(dst)
@@ -290,11 +240,6 @@ class Node:
     def deliver(self, msg: Message) -> None:
         """Entry point called by the network.  Not for direct use."""
         if msg.is_response:
-            if self._expecting is not None:
-                # Every response settles its expectation — even one arriving
-                # after its gather finished (straggler past the quorum) or
-                # timed out.  Only an arrival proves the reply was sent.
-                self._untrack_request(msg)
             gather = self._pending.get(msg.request_id)
             if gather is not None:
                 gather.add(msg)

@@ -20,8 +20,7 @@ without going through :meth:`step`.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import log2
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationFinished
 
@@ -37,11 +36,9 @@ class Simulator:
     semantics live in the events and processes scheduled onto it.
 
     This class is the single-lane kernel.  Multi-lane deployments (see
-    :class:`repro.sim.shard.ShardMap`) run on :class:`LanedSimulator` (one
-    heap, canonical ``(time, lane, lane_seq)`` ordering — the reference) or
-    :class:`ShardedSimulator` (per-lane heaps drained in conservative
-    lookahead windows — the parallel-DES kernel); both share this class's
-    public surface so protocol code never knows which kernel it runs on.
+    :class:`repro.sim.shard.ShardMap`) run on :class:`LanedSimulator`, which
+    shares this class's public surface so protocol code never knows which
+    kernel it runs on.
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_processed_events")
@@ -49,6 +46,7 @@ class Simulator:
     #: Lane API shared by every kernel.  The single-lane kernel is pinned to
     #: lane 0 so lane-aware callers (network, cluster) need no branches.
     n_lanes = 1
+    lane_events = None
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -61,8 +59,7 @@ class Simulator:
         """Lane of the event being processed (always 0 on this kernel)."""
         return 0
 
-    def schedule_in_lane(self, event: "Event", delay: float, lane: int,
-                         transport: object = None) -> None:
+    def schedule_in_lane(self, event: "Event", delay: float, lane: int) -> None:
         """Lane-aware scheduling; the single-lane kernel accepts only lane 0."""
         if lane != 0:
             raise ValueError(f"single-lane simulator has no lane {lane}")
@@ -154,24 +151,32 @@ class Simulator:
 
 
 class LanedSimulator(Simulator):
-    """The reference kernel for lane-partitioned deployments.
+    """The kernel for lane-partitioned deployments.
 
-    One global heap, but entries are ordered by the **canonical merge key**
+    One heap whose entries are ordered by the **canonical merge key**
     ``(time, scheduling lane, lane-local seq)`` instead of a global sequence
     number.  The lane-local seq is assigned by the lane whose event performed
     the scheduling action, so the key of every event is a pure function of
     that lane's (deterministic) local history — never of how lanes happen to
-    interleave.  :class:`ShardedSimulator` assigns identical keys from its
-    per-lane heaps, which is what makes the two kernels produce field-
-    identical executions (``metrics_digest`` equality) by construction.
+    interleave.
 
-    Events at equal times in *different* lanes may only interact through the
-    network, whose cross-lane delay is floored at ``min_cross_delay``; their
-    relative order is therefore semantically irrelevant, and the canonical
-    key just fixes one order so both kernels agree on bookkeeping.
+    Lanes may only interact through :meth:`schedule_in_lane` (the network's
+    cross-lane deliveries), and only over the channel graph the harness
+    declared with :meth:`restrict_channels`; a send over an undeclared
+    channel raises.  When that graph has no edge at all, no lane can ever
+    observe another, so the order in which *different* lanes' events run is
+    semantically irrelevant — each entity group has its own log, and groups
+    that share no transaction never interact.  With :attr:`lane_by_lane`
+    set, :meth:`run` exploits exactly that case: it splits the heap by
+    target lane and drains each lane to completion in lane order.  Every
+    event keeps its canonical key and every lane fires its events in the
+    same order as on the single heap, so the execution is identical by
+    construction; the small per-lane heaps are simply cheaper to drain than
+    one big one.
     """
 
-    __slots__ = ("_seqs", "_lane", "n_lanes")
+    __slots__ = ("_seqs", "_lane", "n_lanes", "_channels", "lane_by_lane",
+                 "lane_events")
 
     def __init__(self, n_lanes: int) -> None:
         super().__init__()
@@ -182,6 +187,15 @@ class LanedSimulator(Simulator):
         #: Lane of the event being processed; ``None`` outside the run loop
         #: (setup code then schedules into the *target* lane's sequence).
         self._lane: int | None = None
+        #: Declared ``(src, dst)`` lane pairs messages may cross; ``None``
+        #: until :meth:`restrict_channels` is the always-sound complete graph.
+        self._channels: set[tuple[int, int]] | None = None
+        #: Drain lane by lane whenever the declared graph is empty
+        #: (``engine="sharded"``); ``False`` keeps the single heap always.
+        self.lane_by_lane = False
+        #: Events processed per lane by the lane-by-lane drain; ``None``
+        #: while every run so far went through the single heap.
+        self.lane_events: list[int] | None = None
 
     @property
     def current_lane(self) -> int:
@@ -197,14 +211,20 @@ class LanedSimulator(Simulator):
         """
         return self._lane
 
-    def _key_lane(self, target: int) -> int:
-        """Lane whose counter stamps a scheduling action.
+    def restrict_channels(self, channels: "set[tuple[int, int]]") -> None:
+        """Declare the only (src, dst) lane pairs messages may cross.
 
-        During processing that is the executing lane; at setup time (between
-        runs) it is the target lane, so pre-run spawns into lane L are
-        stamped by L in both kernels.
+        Must describe a superset of the traffic the run will generate; a
+        send outside it raises.  An empty graph makes every lane fully
+        independent, which is what licenses the lane-by-lane drain.
         """
-        return target if self._lane is None else self._lane
+        declared = set()
+        for src, dst in channels:
+            if not (0 <= src < self.n_lanes and 0 <= dst < self.n_lanes):
+                raise ValueError(f"channel ({src}, {dst}) names unknown lanes")
+            if src != dst:
+                declared.add((src, dst))
+        self._channels = declared
 
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0:
@@ -213,27 +233,27 @@ class LanedSimulator(Simulator):
         self._seqs[lane] = seq = self._seqs[lane] + 1
         heappush(self._queue, (self._now + delay, lane, seq, lane, event))
 
-    def schedule_in_lane(self, event: Event, delay: float, lane: int,
-                         transport: object = None) -> None:
+    def schedule_in_lane(self, event: Event, delay: float, lane: int) -> None:
         """Schedule *event* to execute in *lane* (cross-lane deliveries).
 
-        The canonical key is stamped by the scheduling lane; the event runs
-        with ``current_lane == lane``.  ``transport`` is unused here — this
-        kernel shares one heap — but accepted for signature parity with the
-        sharded kernel.
+        The canonical key is stamped by the scheduling lane — at setup time
+        (between runs) by the target lane, so pre-run spawns into lane L
+        are part of L's own history; the event runs with ``current_lane ==
+        lane``.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule event in the past (delay={delay})")
         if not 0 <= lane < self.n_lanes:
             raise ValueError(f"no lane {lane} (have {self.n_lanes})")
-        klane = self._key_lane(lane)
+        klane = lane if self._lane is None else self._lane
+        if klane != lane and self._channels is not None \
+                and (klane, lane) not in self._channels:
+            raise RuntimeError(
+                f"lane isolation violated: lane {klane} sent into lane "
+                f"{lane} but the channel is not declared"
+            )
         self._seqs[klane] = seq = self._seqs[klane] + 1
         heappush(self._queue, (self._now + delay, klane, seq, lane, event))
-
-    def peek(self) -> float:
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
 
     def step(self) -> None:
         if not self._queue:
@@ -250,6 +270,9 @@ class LanedSimulator(Simulator):
     def run(self, until: float | None = None) -> None:
         if until is not None and until < self._now:
             raise ValueError(f"cannot run backwards: until={until} < now={self._now}")
+        if self.lane_by_lane and self._channels == set():
+            self._run_lane_by_lane(until)
+            return
         queue = self._queue
         processed = 0
         try:
@@ -265,869 +288,47 @@ class LanedSimulator(Simulator):
         if until is not None:
             self._now = until
 
+    def _run_lane_by_lane(self, until: float | None) -> None:
+        """Drain each lane to completion (or to *until*), in lane order.
 
-def conservative_horizons(
-    heads: "list[float]",
-    preds: "list[set[int]]",
-    min_delay: float,
-    lookahead: "dict[tuple[int, int], float] | None" = None,
-    promises: "tuple | None" = None,
-) -> "list[float]":
-    """Safe drain horizon per lane, from a snapshot of earliest events.
-
-    ``heads[g]`` must lower-bound lane *g*'s earliest possible future event
-    — its heap head, further lowered by any in-flight message already bound
-    for it (the mp coordinator folds its routed-but-not-yet-injected
-    messages in; the in-process kernel has none, its heaps are the whole
-    truth).  A lane's bound is not just that head: an empty (purely
-    reactive) lane wakes when a predecessor messages it, so the bounds are
-    relaxed transitively over the channel graph — ``bound[g] =
-    min(head[g], min over preds p of send_floor(p, g) + W(p, g))`` — the
-    classic null-message fixed point.  With every W > 0 each relaxation
-    pass shortens the remaining slack, so the loop converges in at most the
-    graph's longest simple path (one pass for the complete graph).  The
-    horizon of lane *g* is then the earliest instant any predecessor could
-    cause a new event in it; draining strictly below it is safe.
-
-    ``lookahead`` optionally refines the single ``min_delay`` floor into a
-    per-``(src, dst)`` matrix (missing pairs fall back to ``min_delay``).
-
-    ``promises`` optionally carries the adaptive-lookahead state, a
-    ``(covered, out_floors, pending)`` triple (see :class:`PromiseBook`).
-    A *covered* channel ``(a, b)`` gets a dynamic send floor::
-
-        floor(a, b) = min(out_floors.get((a, b), inf), reply_floor(a, b))
-        reply_floor(a, b) = pending[(b, a)] + W(b, a)       if outstanding
-                          = send_floor(b, a) + W(b, a)      otherwise
-
-    The out part bounds self-initiated traffic (workload threads promise
-    their rate-cap slot, pumps their next poll; a covered channel with no
-    out entry has **no** self-initiating senders at all — that is what the
-    cluster's coverability analysis certifies).  The reply part bounds
-    request/response traffic causally: a reply cannot be *sent* on
-    ``(a, b)`` before the request that causes it was sent on ``(b, a)`` and
-    flew for at least ``W(b, a)`` — so when nothing is outstanding the
-    reply floor chains through the reverse channel's own send floor, and
-    the whole system is iterated to its greatest fixed point together with
-    the bounds (every chain step adds a positive ``W``, so the descent
-    terminates by the usual shortest-path argument).  The channel's send
-    floor is then ``max(bound[a], floor(a, b))`` — promises can only widen
-    horizons, never narrow them, and floors in the past are no-ops.
-    Soundness is the promisers' contract; the kernel additionally rejects
-    any non-response send that would break an active out floor.
-
-    Shared by :class:`ShardedSimulator` (per window) and the
-    multiprocessing coordinator in :mod:`repro.harness.shardrun` (per
-    round) — one copy of the lookahead math, one place to fix it.
-    """
-    n_lanes = len(preds)
-    bounds = list(heads)
-    if lookahead is None and promises is None:
-        # Hot single-floor path: identical to the pre-matrix kernel.
-        changed = True
-        while changed:
-            changed = False
-            for lane in range(n_lanes):
-                for pred in preds[lane]:
-                    relaxed = bounds[pred] + min_delay
-                    if relaxed < bounds[lane]:
-                        bounds[lane] = relaxed
-                        changed = True
-        horizons = []
-        for lane in range(n_lanes):
-            horizon = float("inf")
-            for pred in preds[lane]:
-                bound = bounds[pred] + min_delay
-                if bound < horizon:
-                    horizon = bound
-            horizons.append(horizon)
-        return horizons
-    la = lookahead or {}
-    inf = float("inf")
-    if promises is None:
-        out: "dict[tuple[int, int], float]" = {}
-        pending: "dict[tuple[int, int], float]" = {}
-        cfloor: "dict[tuple[int, int], float]" = {}
-    else:
-        covered, out, pending = promises
-        cfloor = dict.fromkeys(covered, inf)
-
-    def send_floor(pred: int, lane: int) -> float:
-        bound = bounds[pred]
-        floor = cfloor.get((pred, lane))
-        if floor is not None and floor > bound:
-            return floor
-        return bound
-
-    changed = True
-    while changed:
-        changed = False
-        # Re-derive covered channel floors from the current bounds/floors.
-        # Values only descend (min-with-old), so together with the bounds
-        # relaxation below this is Kleene iteration from the top — it stops
-        # at the greatest fixed point, the widest sound floors.
-        for a, b in cfloor:
-            w_rev = la.get((b, a), min_delay)
-            sent = pending.get((b, a))
-            if sent is not None:
-                reply = sent + w_rev
-            else:
-                reply = send_floor(b, a) + w_rev
-            floor = out.get((a, b), inf)
-            if reply < floor:
-                floor = reply
-            if floor < cfloor[(a, b)]:
-                cfloor[(a, b)] = floor
-                changed = True
-        for lane in range(n_lanes):
-            for pred in preds[lane]:
-                relaxed = send_floor(pred, lane) + la.get((pred, lane), min_delay)
-                if relaxed < bounds[lane]:
-                    bounds[lane] = relaxed
-                    changed = True
-    horizons = []
-    for lane in range(n_lanes):
-        horizon = float("inf")
-        for pred in preds[lane]:
-            bound = send_floor(pred, lane) + la.get((pred, lane), min_delay)
-            if bound < horizon:
-                horizon = bound
-        horizons.append(horizon)
-    return horizons
-
-
-class HorizonSolver:
-    """Label-setting evaluator of the :func:`conservative_horizons` system.
-
-    The Kleene iteration in the reference function re-sweeps every covered
-    channel until quiescence — fine for tests, but at 16+ lanes the sweep
-    costs more per window than the window saves.  The same greatest fixed
-    point falls out of one Dijkstra pass: every equation is a ``min`` of
-    monotone terms, every cyclic dependency adds a strictly positive
-    lookahead ``W``, so settling variables in increasing label order is
-    exact — finite values are the unique fixed point among reachable
-    variables, and variables no source chain reaches stay ``inf``, which is
-    precisely the greatest-fixed-point reading of "nobody can ever send
-    here".  The only wrinkle is the ``max`` inside ``send_floor(x, y) =
-    max(bound[x], floor[x, y])``: that is a two-input gate whose output
-    equals its *later*-settling input, so the gate fires when its last
-    input settles and relaxes its successors then.
-
-    The graph structure (channels, weights, gates) is fixed for a run; only
-    the labels (heads, out floors, pending sends) change per window — so
-    the adjacency is precomputed here once and :meth:`solve` touches each
-    edge O(1) times per call.  Must produce float-identical results to the
-    reference (additions happen pairwise along the same chains); the test
-    suite cross-checks the two on randomized instances.
-    """
-
-    __slots__ = ("n_lanes", "_channels", "_w_rev", "_gate_of", "_rem0",
-                 "_gate_succ", "_feeds", "_hedges")
-
-    def __init__(self, preds: "list[set[int]]", min_delay: float,
-                 lookahead: "dict[tuple[int, int], float] | None",
-                 covered: "frozenset[tuple[int, int]]") -> None:
-        la = lookahead or {}
-        n_lanes = len(preds)
-        self.n_lanes = n_lanes
-        #: Covered channels in a fixed order; C-variable i is channel i and
-        #: carries variable id ``n_lanes + i``.
-        self._channels = sorted(covered)
-        cvar = {ch: n_lanes + i for i, ch in enumerate(self._channels)}
-        #: Reverse-channel weight per C variable (reply flight time).
-        self._w_rev = [la.get((b, a), min_delay) for a, b in self._channels]
-        # Gates: one per send_floor(x, y) consulted anywhere — every
-        # declared channel edge, plus the reverse of every covered channel
-        # (reply chaining reads send_floor of the reverse direction).
-        edges = {(src, dst) for dst in range(n_lanes) for src in preds[dst]}
-        gate_channels = sorted(edges | {(b, a) for a, b in self._channels})
-        self._gate_of = {ch: g for g, ch in enumerate(gate_channels)}
-        #: Inputs outstanding per gate: 1 (bound only) or 2 (+ C floor).
-        self._rem0 = [2 if ch in cvar else 1 for ch in gate_channels]
-        #: Per gate: list of (target var id, weight, guard channel).  The
-        #: guard marks a reply-chain edge, taken only when nothing is
-        #: pending on the guard channel (a pending request supplies the
-        #: reply floor directly as a constant instead).
-        self._gate_succ: "list[list[tuple[int, float, tuple[int, int] | None]]]" = [
-            [] for _ in gate_channels
-        ]
-        for x, y in gate_channels:
-            succ = self._gate_succ[self._gate_of[(x, y)]]
-            if (x, y) in edges:
-                succ.append((y, la.get((x, y), min_delay), None))
-            rev = cvar.get((y, x))
-            if rev is not None:
-                succ.append((rev, la.get((x, y), min_delay), (x, y)))
-        #: Per variable id: gate ids it is an input of.
-        self._feeds: "list[list[int]]" = [
-            [] for _ in range(n_lanes + len(self._channels))
-        ]
-        for (x, y), g in self._gate_of.items():
-            self._feeds[x].append(g)
-            c = cvar.get((x, y))
-            if c is not None:
-                self._feeds[c].append(g)
-        #: Horizon edges: per lane, (pred var id, C var id or -1, weight).
-        self._hedges: "list[list[tuple[int, int, float]]]" = [
-            [
-                (src, cvar.get((src, dst), -1), la.get((src, dst), min_delay))
-                for src in preds[dst]
-            ]
-            for dst in range(n_lanes)
-        ]
-
-    def solve(self, heads: "list[float]",
-              out: "dict[tuple[int, int], float]",
-              pending: "dict[tuple[int, int], float]") -> "list[float]":
-        """Horizons for one window's labels; see the class docstring."""
-        inf = float("inf")
-        n_lanes = self.n_lanes
-        label = list(heads)
-        for (a, b), w_rev in zip(self._channels, self._w_rev):
-            floor = out.get((a, b), inf)
-            sent = pending.get((b, a))
-            if sent is not None and sent + w_rev < floor:
-                floor = sent + w_rev
-            label.append(floor)
-        settled = [False] * len(label)
-        rem = list(self._rem0)
-        gate_succ = self._gate_succ
-        feeds = self._feeds
-        heap = [(value, var) for var, value in enumerate(label) if value < inf]
-        heapify(heap)
-        while heap:
-            value, var = heappop(heap)
-            if settled[var] or value > label[var]:
-                continue
-            settled[var] = True
-            for gate in feeds[var]:
-                rem[gate] -= 1
-                if rem[gate]:
-                    continue
-                # Last input settles the gate: max(bound, floor) == value.
-                for target, weight, guard in gate_succ[gate]:
-                    if settled[target]:
-                        continue
-                    if guard is not None and guard in pending:
-                        continue
-                    relaxed = value + weight
-                    if relaxed < label[target]:
-                        label[target] = relaxed
-                        heappush(heap, (relaxed, target))
-        horizons = []
-        for lane in range(n_lanes):
-            horizon = inf
-            for src, c, weight in self._hedges[lane]:
-                floor = label[src]
-                if c >= 0 and label[c] > floor:
-                    floor = label[c]
-                bound = floor + weight
-                if bound < horizon:
-                    horizon = bound
-            horizons.append(horizon)
-        return horizons
-
-
-#: Floor value meaning "no promise": every send time satisfies it.
-NO_PROMISE = 0.0
-
-
-class PromiseBook:
-    """Adaptive-lookahead promise state for the sharded kernels.
-
-    Two kinds of state, combined by the horizon fixed point
-    (:func:`conservative_horizons`) into dynamic per-channel send floors:
-
-    * **Out slots** bound *self-initiated* traffic.  A workload thread
-      promises its rate-cap slot (no new transaction before ``slot_start +
-      0.8 × period``, the driver's jitter lower bound); a delivery pump
-      promises its next poll time.  A floor only ever lower-bounds future
-      sends — it never needs retracting for soundness, only re-raising once
-      a new bound is provable, so a finished promiser leaves ``inf``
-      behind.  Each slot names the *home lane* whose drain executes its
-      actor, letting a worker process restrict the book to the state it
-      actually keeps live (:meth:`restrict`).
-    * **Pending requests** license *reply* traffic causally.  Every armed
-      node records its in-flight cross-lane requests keyed by the request
-      channel (:meth:`track` / :meth:`untrack`): a reply can only be sent
-      on ``(a, b)`` after a request went out on ``(b, a)``, so "nothing
-      pending on the reverse channel" lets the fixed point chain the reply
-      floor through that channel's own send floor.  A request whose reply
-      never arrives stays pending forever — lost messages degrade the
-      window stretch, never soundness.
-
-    Only channels the cluster marked *coverable* participate.  For those
-    the cluster certifies that every actor class able to self-initiate
-    sends on them registers an out slot — which is exactly what entitles
-    the fixed point to read "covered channel, no out entry" as
-    replies-only.  The book is inert until :meth:`enable`; the actor hooks
-    call in unconditionally and cost one attribute check when promises are
-    off.
-    """
-
-    __slots__ = ("enabled", "_coverable", "_slot_channels", "_slot_lane",
-                 "_channel_slots", "_floors", "_pending", "_pending_min")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._coverable: "set[tuple[int, int]]" = set()
-        #: slot key -> the channels it is registered on.
-        self._slot_channels: dict[object, tuple] = {}
-        #: slot key -> home lane (the lane whose drain runs the actor).
-        self._slot_lane: dict[object, int] = {}
-        #: channel -> {slot key: floor}.
-        self._channel_slots: dict[tuple[int, int], dict] = {}
-        #: channel -> cached min over its out slots.
-        self._floors: dict[tuple[int, int], float] = {}
-        #: request channel -> {(node, request id, dst): send time}.
-        self._pending: dict[tuple[int, int], dict] = {}
-        #: request channel -> cached min over outstanding send times.
-        self._pending_min: dict[tuple[int, int], float] = {}
-
-    def enable(self, coverable: "set[tuple[int, int]]") -> None:
-        """Arm the book for the given coverable channels.
-
-        The caller (the cluster) is the single authority on coverage: a
-        channel may only be listed when every actor class that can
-        self-initiate sends on it registers an out slot and every node on
-        the deployment tracks its requests (so reply floors are licensed).
+        While lane L drains, ``_queue`` *is* L's heap: the isolation check
+        in :meth:`schedule_in_lane` guarantees every push made by L's events
+        targets L.  Whatever *until* leaves behind is merged back into one
+        heap, so the next ``run`` (or ``step``) sees every pending event.
         """
-        self.enabled = True
-        self._coverable = set(coverable)
-
-    def register(self, slot: object, lane: int,
-                 channels: "Iterable[tuple[int, int]]",
-                 floor: float = NO_PROMISE) -> None:
-        """Add an out slot, homed in *lane*, to the coverable *channels*."""
-        if not self.enabled:
-            return
-        mine = tuple(ch for ch in channels if ch in self._coverable)
-        self._slot_channels[slot] = mine
-        self._slot_lane[slot] = lane
-        for channel in mine:
-            self._channel_slots.setdefault(channel, {})[slot] = floor
-            self._refresh(channel)
-
-    def set(self, slot: object, floor: float,
-            channels: "Iterable[tuple[int, int]] | None" = None) -> None:
-        """Update *slot*'s floor (on a subset of its channels, or all).
-
-        Raising a floor to T promises no self-initiated sends before T;
-        setting it at or below "now" withdraws the promise.  Floors in the
-        past are no-ops for the fixed point, so a finished promiser simply
-        sets ``float('inf')`` (never sending again) and forgets the slot.
-        """
-        registered = self._slot_channels.get(slot)
-        if registered is None:
-            return
-        targets = registered if channels is None else tuple(
-            ch for ch in channels if ch in self._coverable
-        )
-        for channel in targets:
-            slots = self._channel_slots.get(channel)
-            if slots is None or slot not in slots:
-                continue
-            slots[slot] = floor
-            self._refresh(channel)
-
-    def _refresh(self, channel: "tuple[int, int]") -> None:
-        self._floors[channel] = min(self._channel_slots[channel].values())
-
-    def release(self, slot: object) -> None:
-        """Unregister *slot* entirely (a short-lived promiser finished).
-
-        Sound only when the actor provably sends no more: a released
-        channel left without any slot reverts to the "never self-initiates"
-        reading, and the next short-lived actor must re-register *before*
-        it first runs.
-        """
-        channels = self._slot_channels.pop(slot, None)
-        if channels is None:
-            return
-        self._slot_lane.pop(slot, None)
-        for channel in channels:
-            slots = self._channel_slots.get(channel)
-            if slots is None:
-                continue
-            slots.pop(slot, None)
-            if slots:
-                self._refresh(channel)
-            else:
-                del self._channel_slots[channel]
-                self._floors.pop(channel, None)
-
-    def track(self, channel: "tuple[int, int]", key: object,
-              when: float) -> None:
-        """Record an outstanding request on *channel* sent at *when*."""
-        bucket = self._pending.setdefault(channel, {})
-        bucket[key] = when
-        if len(bucket) == 1 or when < self._pending_min[channel]:
-            self._pending_min[channel] = when
-
-    def untrack(self, channel: "tuple[int, int]", key: object) -> None:
-        """Settle an outstanding request (its response arrived)."""
-        bucket = self._pending.get(channel)
-        if bucket is None or bucket.pop(key, None) is None:
-            return
-        if bucket:
-            self._pending_min[channel] = min(bucket.values())
-        else:
-            del self._pending[channel]
-            del self._pending_min[channel]
-
-    def restrict(self, owned: "set[int]") -> None:
-        """Drop all state not kept live by the *owned* lanes' drains.
-
-        A multiprocessing worker arms every actor (``prepare_run`` rebuilds
-        the whole deployment), but only the actors in its owned lanes ever
-        execute — everything else would sit frozen at its initial value and
-        poison the coordinator's cross-worker fold (a stale ``inf`` is an
-        unsound claim; a stale low floor destroys the stretch).  After this,
-        the book holds exactly the slots and pending entries this worker
-        keeps current, which is what it ships at each barrier.
-        """
-        for slot, lane in list(self._slot_lane.items()):
-            if lane in owned:
-                continue
-            del self._slot_lane[slot]
-            for channel in self._slot_channels.pop(slot, ()):
-                slots = self._channel_slots.get(channel)
-                if slots is None:
-                    continue
-                slots.pop(slot, None)
-                if slots:
-                    self._refresh(channel)
-                else:
-                    del self._channel_slots[channel]
-                    self._floors.pop(channel, None)
-        for channel in [ch for ch in self._pending if ch[0] not in owned]:
-            del self._pending[channel]
-            del self._pending_min[channel]
-
-    def out_floor(self, src: int, dst: int) -> float:
-        """The self-initiated-send floor for one channel.
-
-        A covered channel with no registered out slot floors at ``inf`` —
-        nothing may self-initiate on it, so a non-response send there is a
-        coverage bug and the kernel turns it into a deterministic crash.
-        """
-        channel = (src, dst)
-        floor = self._floors.get(channel)
-        if floor is not None:
-            return floor
-        if channel in self._coverable:
-            return float("inf")
-        return NO_PROMISE
-
-    def window_view(self) -> "tuple | None":
-        """The ``(covered, out floors, pending)`` triple for one window.
-
-        Copies, because the drain mutates the book while the horizon math
-        must see one consistent snapshot.  Every out floor ships — absence
-        means "never sends", so filtering stale-looking entries would turn
-        a modest claim into an unsound one.
-        """
-        if not self._coverable:
-            return None
-        return (self._coverable, dict(self._floors), dict(self._pending_min))
-
-
-#: ``window_span_hist`` bucket for windows whose horizon was unbounded.
-SPAN_UNBOUNDED = 99
-
-
-def span_bucket(span: float) -> int:
-    """Log2 bucket of one window's horizon span (ms), clamped to [-10, 20]."""
-    if span == float("inf") or span != span:  # inf horizon / idle worker window
-        return SPAN_UNBOUNDED
-    if span <= 0.0:
-        return -10
-    return max(-10, min(20, int(log2(span)) if span >= 1.0 else -int(-log2(span)) - 1))
-
-
-class LaneStats:
-    """Bookkeeping the sharded kernel exposes for ``--profile``.
-
-    ``windows`` counts drain rounds; ``barrier_stalls[lane]`` counts rounds
-    in which a lane had work pending but its conservative horizon admitted
-    none of it — the direct measure of lookahead pressure; ``events[lane]``
-    is per-lane processed events, whose spread is the utilization picture.
-
-    The lookahead histogram fields quantify the adaptive-lookahead layer:
-    ``window_span_hist`` buckets each window's frontier-to-horizon span
-    (log2 of ms; :data:`SPAN_UNBOUNDED` for infinite horizons),
-    ``promise_windows`` counts windows in which an active promise widened
-    at least one horizon past its head-only value, and ``stalls_avoided``
-    counts lane-windows that processed events the head-only horizons would
-    have stalled.
-    """
-
-    def __init__(self, n_lanes: int) -> None:
-        self.windows = 0
-        self.events = [0] * n_lanes
-        self.barrier_stalls = [0] * n_lanes
-        self.cross_messages = 0
-        self.window_span_hist: dict[int, int] = {}
-        self.promise_windows = 0
-        self.stalls_avoided = 0
-
-    def utilization(self) -> list[float]:
-        """Per-lane share of all processed events (0.0 when nothing ran)."""
-        total = sum(self.events)
-        if total == 0:
-            return [0.0] * len(self.events)
-        return [count / total for count in self.events]
-
-    def record_window_span(self, frontier: float, horizon: float) -> None:
-        self.windows += 1
-        bucket = span_bucket(horizon - frontier)
-        self.window_span_hist[bucket] = self.window_span_hist.get(bucket, 0) + 1
-
-    def absorb(self, other: "LaneStats") -> None:
-        """Fold a worker process's lane stats into this one."""
-        self.windows += other.windows
-        self.cross_messages += other.cross_messages
-        self.promise_windows += other.promise_windows
-        self.stalls_avoided += other.stalls_avoided
-        for lane, count in enumerate(other.events):
-            self.events[lane] += count
-        for lane, count in enumerate(other.barrier_stalls):
-            self.barrier_stalls[lane] += count
-        for bucket, count in other.window_span_hist.items():
-            self.window_span_hist[bucket] = (
-                self.window_span_hist.get(bucket, 0) + count
-            )
-
-
-class ShardedSimulator(Simulator):
-    """Partitioned event lanes drained under conservative lookahead.
-
-    Each lane owns a heap keyed by the same canonical ``(time, scheduling
-    lane, lane seq)`` merge key as :class:`LanedSimulator`.  One drain round:
-
-    1. snapshot every lane's head time; the global frontier is the minimum;
-    2. give each lane the horizon ``min over predecessor lanes p of
-       (head(p) + min_cross_delay)`` — no predecessor can cause an event in
-       this lane earlier than that, because every cross-lane interaction is
-       a network message and the network's one-way delay is floored at
-       ``min_cross_delay`` (:meth:`repro.net.latency.LatencyModel.min_delay`);
-       lanes with no predecessors get an infinite horizon;
-    3. drain each lane strictly below its horizon; cross-lane sends land in
-       the destination heap (provably at or beyond its horizon) or, for
-       lanes owned by another worker process, in the outbox.
-
-    The predecessor relation defaults to the complete graph (always sound).
-    :meth:`restrict_channels` installs the deployment's actual communication
-    graph — e.g. group-pinned workload threads never message other lanes, so
-    every lane's horizon is infinite and the run decomposes outright, which
-    is what the multiprocessing mode exploits.  A send over an undeclared
-    channel raises rather than miscompute.
-    """
-
-    __slots__ = ("_heaps", "_seqs", "_lane", "n_lanes", "min_cross_delay",
-                 "_preds", "_owned", "_outbox", "stats", "_drained_through",
-                 "lookahead", "promises", "_solver")
-
-    def __init__(self, n_lanes: int, min_cross_delay: float = float("inf"),
-                 lookahead: "dict[tuple[int, int], float] | None" = None) -> None:
-        super().__init__()
-        if n_lanes < 1:
-            raise ValueError(f"need at least one lane, got {n_lanes}")
-        self.n_lanes = n_lanes
-        self.min_cross_delay = min_cross_delay
-        #: Optional per-(src, dst) lookahead matrix refining the scalar floor.
-        self.lookahead = lookahead
-        #: Dynamic per-channel send floors (inert until the cluster arms it).
-        self.promises = PromiseBook()
-        self._heaps: list[list[tuple[float, int, int, Event]]] = [
-            [] for _ in range(n_lanes)
-        ]
-        self._seqs = [0] * n_lanes
-        self._lane: int | None = None
-        #: Incoming-channel sets: ``_preds[g]`` = lanes that may message g.
-        self._preds: list[set[int]] = [
-            set(range(n_lanes)) - {lane} for lane in range(n_lanes)
-        ]
-        #: Lanes this kernel instance executes (a worker process owns a
-        #: subset; the single-process kernel owns all of them).
-        self._owned: set[int] = set(range(n_lanes))
-        #: Cross-lane sends targeting non-owned lanes, for the coordinator:
-        #: ``(deliver_time, key_lane, key_seq, dst_lane, transport)``.
-        self._outbox: list[tuple[float, int, int, int, object]] = []
-        self.stats = LaneStats(n_lanes)
-        #: Cached :class:`HorizonSolver`; rebuilt when the topology changes.
-        self._solver: HorizonSolver | None = None
-        #: Per-lane safe frontier: everything strictly below has been
-        #: processed; cross-lane pushes below it would rewrite the past.
-        self._drained_through = [0.0] * n_lanes
-
-    # ------------------------------------------------------------------
-    # Topology
-    # ------------------------------------------------------------------
-
-    @property
-    def current_lane(self) -> int:
-        return 0 if self._lane is None else self._lane
-
-    @property
-    def executing_lane(self) -> int | None:
-        """Lane of the event being processed, ``None`` while paused (see
-        :attr:`LanedSimulator.executing_lane`)."""
-        return self._lane
-
-    @property
-    def channel_preds(self) -> "list[set[int]]":
-        """Incoming-channel sets per lane (the mp coordinator reads these)."""
-        return [set(preds) for preds in self._preds]
-
-    def restrict_channels(self, channels: "set[tuple[int, int]]") -> None:
-        """Declare the only (src, dst) lane pairs messages may cross.
-
-        Must describe a superset of the traffic the run will generate; the
-        kernel raises on a send outside it.  Smaller graphs mean larger
-        horizons — an empty graph makes every lane fully independent.
-        """
-        preds: list[set[int]] = [set() for _ in range(self.n_lanes)]
-        for src, dst in channels:
-            if src == dst:
-                continue
-            if not (0 <= src < self.n_lanes and 0 <= dst < self.n_lanes):
-                raise ValueError(f"channel ({src}, {dst}) names unknown lanes")
-            preds[dst].add(src)
-        self._preds = preds
-        self._solver = None
-        lookahead = self.lookahead or {}
-        for dst, sources in enumerate(self._preds):
-            for src in sources:
-                if lookahead.get((src, dst), self.min_cross_delay) <= 0:
-                    raise ValueError(
-                        "conservative lookahead requires a positive cross-"
-                        f"lane latency floor on channel ({src}, {dst}) "
-                        "(LatencyModel.min_delay() == 0); use the "
-                        "laned/global kernel for zero-delay networks"
-                    )
-
-    def restrict_lanes(self, owned: "set[int]") -> None:
-        """Execute only *owned* lanes (worker-process mode).
-
-        Sends into non-owned lanes accumulate in the outbox for the
-        coordinator; events pre-scheduled into non-owned lanes stay put.
-        """
-        unknown = owned - set(range(self.n_lanes))
-        if unknown:
-            raise ValueError(f"cannot own unknown lanes {sorted(unknown)}")
-        self._owned = set(owned)
-        if self.promises.enabled and len(self._owned) < self.n_lanes:
-            self.promises.restrict(self._owned)
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule event in the past (delay={delay})")
-        lane = self.current_lane
-        self._seqs[lane] = seq = self._seqs[lane] + 1
-        heappush(self._heaps[lane], (self._now + delay, lane, seq, event))
-
-    def schedule_in_lane(self, event: Event, delay: float, lane: int,
-                         transport: object = None) -> None:
-        """Schedule into *lane*; cross-lane calls must ride the network.
-
-        ``transport`` carries the picklable ``(message, dst node name)``
-        pair a cross-process send needs; it is ignored for owned lanes.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule event in the past (delay={delay})")
-        if not 0 <= lane < self.n_lanes:
-            raise ValueError(f"no lane {lane} (have {self.n_lanes})")
-        if self._lane is None:
-            # Setup-time spawn into a target lane (drivers, pumps, injector
-            # replicas): stamped by the target lane in both kernels, heap
-            # placement unconditional — a worker process pre-schedules every
-            # lane's setup events and simply never drains non-owned lanes.
-            self._seqs[lane] = seq = self._seqs[lane] + 1
-            heappush(self._heaps[lane], (self._now + delay, lane, seq, event))
-            return
-        klane = self._lane
-        if klane != lane and klane not in self._preds[lane]:
-            raise RuntimeError(
-                f"lane isolation violated: lane {klane} sent into lane "
-                f"{lane} but the channel is not declared"
-            )
-        if klane != lane and self.promises.enabled:
-            # Responses are licensed by the requester's pending entry; every
-            # other send must respect its channel's out floor.  Out slots
-            # live where their actor executes, so this check is exact in
-            # worker processes too.
-            msg = transport[0] if transport is not None else None
-            if msg is None or not msg.is_response:
-                floor = self.promises.out_floor(klane, lane)
-                if self._now < floor:
-                    raise RuntimeError(
-                        f"promise violated: lane {klane} self-initiated a "
-                        f"send into lane {lane} at t={self._now} but the "
-                        f"channel's out floor is t={floor}"
-                    )
-        self._seqs[klane] = seq = self._seqs[klane] + 1
-        when = self._now + delay
-        if lane not in self._owned:
-            if transport is None:
-                raise RuntimeError(
-                    f"event for non-owned lane {lane} has no transport; only "
-                    "network deliveries may cross worker boundaries"
-                )
-            self._outbox.append((when, klane, seq, lane, transport))
-            self.stats.cross_messages += 1
-            return
-        if klane != lane:
-            if when < self._drained_through[lane]:
-                raise RuntimeError(
-                    f"cross-lane event at t={when} would land in lane "
-                    f"{lane}'s past (drained through "
-                    f"{self._drained_through[lane]}); lookahead violated"
-                )
-            self.stats.cross_messages += 1
-        heappush(self._heaps[lane], (when, klane, seq, event))
-
-    def push_external(self, lane: int, when: float, key_lane: int,
-                      key_seq: int, event: Event) -> None:
-        """Inject a coordinator-routed delivery with its original key."""
-        if when < self._drained_through[lane]:
-            raise RuntimeError(
-                f"injected event at t={when} is in lane {lane}'s past "
-                f"(drained through {self._drained_through[lane]})"
-            )
-        heappush(self._heaps[lane], (when, key_lane, key_seq, event))
-
-    def drain_outbox(self) -> list[tuple[float, int, int, int, object]]:
-        out, self._outbox = self._outbox, []
-        return out
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def peek(self) -> float:
-        return min(
-            (heap[0][0] for heap in self._heaps if heap), default=float("inf")
-        )
-
-    def lane_head(self, lane: int) -> float:
-        heap = self._heaps[lane]
-        return heap[0][0] if heap else float("inf")
-
-    def step(self) -> None:  # pragma: no cover - tests drive run()
-        raise NotImplementedError(
-            "ShardedSimulator drains whole lookahead windows; use run()"
-        )
-
-    def _horizons(self, heads: list[float],
-                  promises: "tuple | None" = None) -> list[float]:
-        """Per-window horizons (see :func:`conservative_horizons`)."""
-        if promises is None:
-            return conservative_horizons(
-                heads, self._preds, self.min_cross_delay, self.lookahead,
-            )
-        covered, out, pending = promises
-        solver = self._solver
-        if solver is None:
-            solver = self._solver = HorizonSolver(
-                self._preds, self.min_cross_delay, self.lookahead,
-                frozenset(covered),
-            )
-        return solver.solve(heads, out, pending)
-
-    def _active_promises(self) -> "tuple | None":
-        """This window's promise snapshot (None when promises are off)."""
-        if not self.promises.enabled:
-            return None
-        return self.promises.window_view()
-
-    def _drain_lane(self, lane: int, horizon: float, cap: float | None) -> int:
-        """Drain one lane strictly below *horizon* (and at or below *cap*)."""
-        heap = self._heaps[lane]
-        processed = 0
+        lanes: list[list] = [[] for _ in range(self.n_lanes)]
+        for entry in self._queue:
+            lanes[entry[3]].append(entry)
+        if self.lane_events is None:
+            self.lane_events = [0] * self.n_lanes
+        latest = self._now
         try:
-            while heap and heap[0][0] < horizon and (
-                cap is None or heap[0][0] <= cap
-            ):
-                when, _klane, _seq, event = heappop(heap)
-                self._now = when
+            for lane, queue in enumerate(lanes):
+                heapify(queue)
+                self._queue = queue
                 self._lane = lane
-                processed += 1
-                event._process()
+                processed = 0
+                try:
+                    if until is None:
+                        while queue:
+                            when, _klane, _seq, _lane, event = heappop(queue)
+                            self._now = when
+                            processed += 1
+                            event._process()
+                    else:
+                        while queue and queue[0][0] <= until:
+                            when, _klane, _seq, _lane, event = heappop(queue)
+                            self._now = when
+                            processed += 1
+                            event._process()
+                finally:
+                    self._processed_events += processed
+                    self.lane_events[lane] += processed
+                if self._now > latest:
+                    latest = self._now
         finally:
             self._lane = None
-            self._processed_events += processed
-            self.stats.events[lane] += processed
-        self._drained_through[lane] = max(
-            self._drained_through[lane],
-            horizon if cap is None else min(horizon, cap),
-        )
-        return processed
-
-    def run(self, until: float | None = None) -> None:
-        if until is not None and until < self._now:
-            raise ValueError(f"cannot run backwards: until={until} < now={self._now}")
-        while True:
-            heads = [self.lane_head(lane) for lane in self._owned]
-            frontier = min(heads, default=float("inf"))
-            if frontier == float("inf"):
-                break
-            if until is not None and frontier > until:
-                break
-            all_heads = [self.lane_head(lane) for lane in range(self.n_lanes)]
-            promises = self._active_promises()
-            horizons = self._horizons(all_heads, promises)
-            base = self._horizons(all_heads) if promises else horizons
-            if promises and horizons != base:
-                self.stats.promise_windows += 1
-            self.stats.record_window_span(
-                frontier, min(horizons[lane] for lane in self._owned)
-            )
-            progressed = 0
-            for lane in sorted(self._owned):
-                head_before = self.lane_head(lane)
-                had_work = head_before != float("inf")
-                done = self._drain_lane(lane, horizons[lane], until)
-                progressed += done
-                if had_work and done == 0:
-                    self.stats.barrier_stalls[lane] += 1
-                elif done and base[lane] <= head_before:
-                    self.stats.stalls_avoided += 1
-            if progressed == 0:
-                if self._owned != set(range(self.n_lanes)):
-                    break  # worker mode: blocked on non-owned lanes
-                raise RuntimeError(
-                    "sharded kernel made no progress: the channel graph "
-                    "admits no event below every horizon (is "
-                    "min_cross_delay positive?)"
-                )
-        if until is not None:
-            self._now = until
-
-    def run_window(self, horizons: "dict[int, float]",
-                   cap: float | None = None) -> int:
-        """Worker-process entry: drain owned lanes to coordinator horizons."""
-        processed = 0
-        frontier = min(
-            (self.lane_head(lane) for lane in self._owned if lane in horizons),
-            default=float("inf"),
-        )
-        bound = min(
-            (horizons[lane] for lane in self._owned if lane in horizons),
-            default=float("inf"),
-        )
-        self.stats.record_window_span(frontier, bound)
-        for lane in sorted(self._owned):
-            horizon = horizons.get(lane)
-            if horizon is None:
-                continue
-            had_work = bool(self._heaps[lane])
-            done = self._drain_lane(lane, horizon, cap)
-            processed += done
-            if had_work and done == 0:
-                self.stats.barrier_stalls[lane] += 1
-        return processed
+            self._queue = [entry for queue in lanes for entry in queue]
+            heapify(self._queue)
+        # One clock for all lanes: where the single heap would have stopped.
+        self._now = latest if until is None else until

@@ -7,26 +7,20 @@ processes use: :meth:`timeout`, :meth:`event`, :meth:`process`,
 
 Single-lane environments (the default) run on the classic
 :class:`~repro.sim.core.Simulator`.  Lane-partitioned deployments pass
-``lanes > 1`` and pick a kernel: ``engine="global"`` is the reference
-:class:`~repro.sim.core.LanedSimulator`; ``engine="sharded"`` is the
-conservative-lookahead :class:`~repro.sim.core.ShardedSimulator`, which
-needs the network's cross-lane latency floor (``min_cross_delay``).
+``lanes > 1`` and get a :class:`~repro.sim.core.LanedSimulator`;
+``engine="sharded"`` additionally lets it drain lane by lane whenever the
+declared channel graph is empty, ``engine="global"`` keeps the single heap.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Literal
+from typing import Any, Generator
 
-from repro.sim.core import LanedSimulator, ShardedSimulator, Simulator
+from repro.config import EngineName, validate_engine
+from repro.sim.core import LanedSimulator, Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-
-#: Kernel selector for lane-partitioned environments.  ``"sharded-mp"`` is
-#: accepted as an alias of ``"sharded"`` — the multiprocessing orchestration
-#: lives in :mod:`repro.harness.shardrun`, and each of its workers (and the
-#: coordinating parent) runs an ordinary sharded kernel.
-EngineName = Literal["global", "sharded", "sharded-mp"]
 
 
 class Environment:
@@ -37,16 +31,13 @@ class Environment:
         seed: int = 0,
         lanes: int = 1,
         engine: EngineName = "global",
-        min_cross_delay: float = float("inf"),
     ) -> None:
-        if lanes <= 1 and engine == "global":
+        validate_engine(engine)
+        if lanes <= 1:
             self.sim: Simulator = Simulator()
-        elif engine == "global":
-            self.sim = LanedSimulator(lanes)
-        elif engine in ("sharded", "sharded-mp"):
-            self.sim = ShardedSimulator(lanes, min_cross_delay=min_cross_delay)
         else:
-            raise ValueError(f"unknown simulation engine {engine!r}")
+            self.sim = LanedSimulator(lanes)
+            self.sim.lane_by_lane = engine == "sharded"
         self.rng = RngRegistry(seed)
         self.seed = seed
         self.engine = engine

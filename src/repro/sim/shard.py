@@ -1,13 +1,16 @@
 """Shard (lane) assignment for lane-partitioned deployments.
 
 The paper's core structural claim — entity groups are independent units of
-concurrency control — is what the sharded simulation kernel exploits: every
-entity group's replicas (its per-datacenter service endpoints and store
-partition) are pinned to one **event lane**, while actors that span groups
-(unpinned clients, 2PC coordinators and their decision instances, ad-hoc
-groups outside the placement) live on the shared lane 0.  The
-:class:`ShardMap` owns that assignment plus the lane-aware node-name scheme,
-and derives the conservative channel graph a run's actors declare.
+concurrency control, each with its own transaction log — is what the laned
+simulation kernel exploits: every entity group's replicas (its
+per-datacenter service endpoints and store partition) are pinned to one
+**event lane**, while actors that span groups (unpinned clients, 2PC
+coordinators and their decision instances, ad-hoc groups outside the
+placement) live on the shared lane 0.  The :class:`ShardMap` owns that
+assignment plus the lane-aware node-name scheme, and derives the
+conservative channel graph a run's actors declare: a superset of the lane
+pairs their messages can cross.  The kernel raises on a send outside it,
+and may drain the lanes one after another when it is empty.
 
 With ``shards <= 1`` everything collapses to one lane and the historic node
 names (``svc:V1``, ``store:V1``), so single-lane deployments are untouched.
@@ -98,7 +101,7 @@ class ShardMap:
         return [service_node_name(dc, lane) for dc in ordered]
 
     # ------------------------------------------------------------------
-    # Channel derivation (conservative lookahead inputs)
+    # Channel derivation (the declared cross-lane traffic)
     # ------------------------------------------------------------------
 
     def channels_for_client(

@@ -288,8 +288,7 @@ class OpenLoopDriver:
 
     Duck-type compatible with :class:`~repro.workload.driver.WorkloadDriver`
     where the harness touches it (``install_data`` / ``start`` / ``done`` /
-    ``result`` / ``aggregate`` / ``thread_outcomes`` /
-    ``absorb_thread_outcomes`` / ``lane_channels``), so
+    ``result`` / ``aggregate`` / ``lane_channels``), so
     :func:`repro.harness.experiment.prepare_run` swaps it in when
     ``workload.open_loop`` is set.
 
@@ -359,13 +358,6 @@ class OpenLoopDriver:
     def lane_channels(self) -> "set[tuple[int, int]]":
         return set()
 
-    def thread_client_names(self) -> "list[str]":
-        return [client.node.name for client in self._clients]
-
-    def arm_promises(self, book) -> None:
-        # Single-lane only (enforced at construction): nothing to promise.
-        return
-
     @property
     def done(self) -> bool:
         return all(not process.is_alive for process in self._processes)
@@ -386,15 +378,6 @@ class OpenLoopDriver:
         for aggregate in self._aggregates:
             merged.merge(aggregate)
         return merged
-
-    def thread_outcomes(self) -> dict[int, OutcomeAggregate]:
-        """Per-client aggregates (O(buckets) worker-shipping payloads)."""
-        return {i: agg.copy() for i, agg in enumerate(self._aggregates)}
-
-    def absorb_thread_outcomes(self, outcomes) -> None:
-        for index, aggregate in outcomes.items():
-            if isinstance(aggregate, OutcomeAggregate) and aggregate.n:
-                self._aggregates[index] = aggregate.copy()
 
     def open_loop_stats(self) -> OpenLoopStats:
         """Arrival-side accounting, merged over the pool in client order."""

@@ -1,28 +1,40 @@
-"""Digest equality: the sharded kernels against the global kernel.
+"""Digest equality: the lane-by-lane drain against the single heap.
 
-The sharded simulation's whole contract is *bit-identical execution*: for a
-fixed deployment layout (``shards``), every engine — the single-heap laned
-kernel, the conservative-lookahead sharded kernel, and its multiprocessing
-fan-out — must produce field-identical metrics, logs, and outcomes.  This
-module sweeps that contract over seeds × protocols (basic Paxos, Paxos-CP,
-2PC mixes, queue mixes) × fault injection × shard counts (1, 4, n_groups).
+For a fixed deployment layout (``shards``) both ``engine`` values must
+produce field-identical metrics, logs, and outcomes.  They only take
+different paths when the run's declared channel graph is empty — group-
+pinned threads, no 2PC or queue traffic — so that is the regime swept here:
+seeds × protocols (basic Paxos, Paxos-CP, leased leader) × shard counts
+(1, 4, n_groups) × faults (none; two overlapping crash windows overlapped
+by an outage, then a partition and a loss episode).  The cross-traffic
+cells (2PC, queues, both, roaming clients) show every sharded *deployment*
+layout still passing its invariants on the single heap, whichever value was
+asked for.
 
-Workloads are sized for CI; the full-scale equivalents run in the
-benchmarks (bench_groups_scaling --sharded64 asserts the same digests at 64
-groups).
+Workloads are sized for CI; the full-scale equivalent is the ledger's
+``sharded_64g`` workload (``python -m benchmarks.ledger --verify`` compares
+the two drains' digests at 64 groups).
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-from dataclasses import replace
 
 import pytest
 
-from repro.config import ClusterConfig, PlacementConfig, WorkloadConfig
+from repro.config import (
+    ClusterConfig,
+    CrashWindow,
+    FaultScheduleConfig,
+    LossWindow,
+    OutageWindow,
+    PartitionWindow,
+    PlacementConfig,
+    ProtocolConfig,
+    WorkloadConfig,
+)
 from repro.cluster import Cluster
-from repro.failures.injector import FailureInjector
+from repro.failures.schedule import install_fault_schedule
 from repro.harness.experiment import ExperimentSpec, run_once
 from repro.harness.metrics import RunMetrics
 from repro.harness.parallel import metrics_digest
@@ -30,6 +42,18 @@ from repro.workload.driver import WorkloadDriver
 
 N_GROUPS = 6
 SHARD_COUNTS = (1, 4, N_GROUPS)
+
+#: V3 crashes twice over (the second window opens inside the first) and V2
+#: is cut off before V3 is back: quorum is lost for a stretch in every lane.
+FAULTS = FaultScheduleConfig(
+    crashes=(
+        CrashWindow("V3", 300.0, 400.0),
+        CrashWindow("V3", 500.0, 500.0),
+    ),
+    outages=(OutageWindow("V2", 800.0, 700.0),),
+    partitions=(PartitionWindow("V1", "V3", 2000.0, 700.0),),
+    loss_windows=(LossWindow(0.05, 3000.0, 600.0),),
+)
 
 
 def base_spec(engine: str, shards: int, **workload) -> ExperimentSpec:
@@ -69,21 +93,20 @@ def fingerprint(cluster: Cluster, driver: WorkloadDriver) -> str:
 
 def run_world(engine: str, shards: int, seed: int, protocol: str,
               cross: float = 0.0, queue: float = 0.0,
-              faults: bool = False, adaptive: bool = False,
-              promises: bool = True) -> str:
-    """One bare-``Cluster`` run, fingerprinted.
+              faults: bool = False) -> tuple[str, bool]:
+    """One bare-``Cluster`` run: its fingerprint, and whether the kernel
+    drained it lane by lane.
 
-    ``adaptive=True`` mirrors what ``prepare_run`` does for sharded
-    engines: restrict the kernel to the workload's channel graph (the
-    per-lane-pair lookahead matrix) and arm the promise book; ``promises``
-    then toggles the dynamic-promise layer on top of the static matrix.
+    Mirrors ``prepare_run``: threads are pinned to their groups unless the
+    cell carries cross-group traffic, and the workload's channel graph is
+    declared to the kernel before the run.
     """
     cluster = Cluster(ClusterConfig(
         placement=PlacementConfig.ranged(N_GROUPS),
         shards=shards,
         engine=engine,  # type: ignore[arg-type]
         seed=seed,
-        promises=promises,
+        protocol=ProtocolConfig(retry_attempts=6, retry_backoff_cap_ms=320.0),
     ))
     driver = WorkloadDriver(
         cluster,
@@ -91,6 +114,7 @@ def run_world(engine: str, shards: int, seed: int, protocol: str,
             n_transactions=30, n_rows=N_GROUPS, n_threads=3,
             target_rate_per_thread=4.0,
             cross_group_fraction=cross, queue_fraction=queue,
+            group_distribution="uniform" if cross or queue else "pinned",
         ),
         protocol,  # type: ignore[arg-type]
         datacenter=cluster.topology.names[0],
@@ -100,20 +124,15 @@ def run_world(engine: str, shards: int, seed: int, protocol: str,
     if queue > 0:
         cluster.start_queue_pumps()
     if faults:
-        injector = FailureInjector(cluster)
-        injector.outage(cluster.topology.names[1], 400.0, 900.0)
-        injector.partition(cluster.topology.names[0],
-                           cluster.topology.names[2], 1500.0, 700.0)
-        injector.loss_episode(0.05, 2500.0, 600.0)
-    if adaptive and not cluster.shard_map.single_lane:
+        install_fault_schedule(cluster, FAULTS)
+    if not cluster.shard_map.single_lane:
         channels = set(driver.lane_channels())
         if queue > 0:
             for group in cluster.placement.groups:
                 channels |= cluster.shard_map.channels_for_pump(group)
         cluster.restrict_lane_channels(channels)
-        cluster.enable_promises([driver])
     cluster.run()
-    return fingerprint(cluster, driver)
+    return fingerprint(cluster, driver), cluster.lane_profile() is not None
 
 
 class TestEngineDigestEquality:
@@ -121,143 +140,62 @@ class TestEngineDigestEquality:
     @pytest.mark.parametrize("seed", (0, 11))
     @pytest.mark.parametrize("scenario", (
         ("paxos", dict()),
-        ("paxos-cp", dict(cross=0.25)),
-        ("paxos-cp", dict(queue=0.25)),
-    ), ids=("basic", "2pc", "queues"))
-    def test_global_vs_sharded(self, shards, seed, scenario):
-        protocol, extra = scenario
-        a = run_world("global", shards, seed, protocol, **extra)
-        b = run_world("sharded", shards, seed, protocol, **extra)
-        assert a == b
-
-    @pytest.mark.parametrize("shards", (1, 4))
-    def test_fault_injection_digest(self, shards):
-        a = run_world("global", shards, 5, "paxos", faults=True)
-        b = run_world("sharded", shards, 5, "paxos", faults=True)
-        assert a == b
-
-    def test_fault_injection_with_queue_traffic(self):
-        a = run_world("global", N_GROUPS, 9, "paxos-cp", queue=0.3, faults=True)
-        b = run_world("sharded", N_GROUPS, 9, "paxos-cp", queue=0.3, faults=True)
-        assert a == b
-
-
-@functools.lru_cache(maxsize=None)
-def global_fingerprint(seed: int, protocol: str, cross: float = 0.0,
-                       queue: float = 0.0, faults: bool = False) -> str:
-    """The reference digest, computed once per scenario.
-
-    The global kernel ignores the lookahead matrix and the promise book,
-    so one reference run serves every (adaptive, promises) row.
-    """
-    return run_world("global", N_GROUPS, seed, protocol,
-                     cross=cross, queue=queue, faults=faults)
-
-
-class TestAdaptiveLookaheadDigest:
-    """Seeds × protocols × faults × promises on/off against the reference.
-
-    The hard correctness bar for the adaptive-lookahead layer: with the
-    per-lane-pair matrix restricted to the workload's channel graph and
-    dynamic promises armed (or disarmed — the static matrix alone must
-    also be sound), the sharded kernel's execution stays byte-identical to
-    the global kernel's.  Any unsound horizon widens a window past a real
-    cross-lane message and either trips the promise-enforcement oracle or
-    shifts an event order — both of which this digest comparison catches.
-    """
-
-    @pytest.mark.parametrize("promises", (True, False),
-                             ids=("promises", "matrix-only"))
-    @pytest.mark.parametrize("seed", (3, 17))
-    @pytest.mark.parametrize("scenario", (
-        ("paxos", dict()),
+        ("paxos-cp", dict()),
+        ("leased-leader", dict()),
         ("paxos-cp", dict(cross=0.25)),
         ("paxos-cp", dict(queue=0.25)),
         ("paxos-cp", dict(cross=0.2, queue=0.2)),
-    ), ids=("basic", "2pc", "queues", "chatty"))
-    def test_adaptive_vs_global(self, promises, seed, scenario):
-        protocol, extra = scenario
-        reference = global_fingerprint(seed, protocol, **extra)
-        adaptive = run_world("sharded", N_GROUPS, seed, protocol,
-                             adaptive=True, promises=promises, **extra)
-        assert adaptive == reference
+    ), ids=("basic", "cp", "leased", "2pc", "queues", "chatty"))
+    def test_global_vs_sharded(self, shards, seed, scenario):
+        protocol, traffic = scenario
+        reference, heap_by_lane = run_world(
+            "global", shards, seed, protocol, **traffic)
+        digest, by_lane = run_world(
+            "sharded", shards, seed, protocol, **traffic)
+        assert digest == reference
+        # Without cross-lane traffic the comparison is between two different
+        # drains wherever the deployment has lanes at all; with it, both
+        # values are the single heap and the cell shows that layout (lanes
+        # holding one group or several) passing its invariants.
+        assert not heap_by_lane
+        assert by_lane == (shards > 1 and not traffic)
 
-    @pytest.mark.parametrize("promises", (True, False),
-                             ids=("promises", "matrix-only"))
-    def test_adaptive_fault_injection(self, promises):
-        reference = global_fingerprint(5, "paxos-cp", cross=0.2, faults=True)
-        adaptive = run_world("sharded", N_GROUPS, 5, "paxos-cp", cross=0.2,
-                             faults=True, adaptive=True, promises=promises)
-        assert adaptive == reference
+    @pytest.mark.parametrize("shards", (1, 4))
+    def test_fault_injection_digest(self, shards):
+        for protocol in ("paxos", "paxos-cp", "leased-leader"):
+            for seed in (5, 9):
+                cell = (protocol, seed)
+                reference, _ = run_world("global", shards, seed, protocol,
+                                         faults=True)
+                digest, by_lane = run_world("sharded", shards, seed, protocol,
+                                            faults=True)
+                assert digest == reference, cell
+                assert by_lane == (shards > 1), cell
+
+    def test_fault_injection_with_queue_traffic(self):
+        _digest, by_lane = run_world("sharded", N_GROUPS, 9, "paxos-cp",
+                                     queue=0.3, faults=True)
+        assert not by_lane
 
 
 class TestRunOnceEngines:
-    """run_once-level equality, including the channel-restricted paths."""
+    """run_once-level equality, through ``prepare_run``'s own declaration."""
 
     @pytest.mark.parametrize("dist", ("uniform", "pinned"))
     def test_sharded_matches_global(self, dist):
         a = run_once(base_spec("global", 4, group_distribution=dist), seed=2)
         b = run_once(base_spec("sharded", 4, group_distribution=dist), seed=2)
         assert metrics_digest([a]) == metrics_digest([b])
+        assert a.lane_profile is None
+        # Roaming (uniform) clients message every lane from lane 0.
+        assert (b.lane_profile is not None) == (dist == "pinned")
 
     def test_pinned_run_decomposes(self):
         result = run_once(base_spec("sharded", N_GROUPS,
                                     group_distribution="pinned"), seed=2)
         profile = result.lane_profile
-        assert profile is not None
-        # No cross-lane traffic and a single drain window: the lane-closed
-        # regime the multiprocessing mode exploits.
-        assert profile["cross_messages"] == 0
-        assert profile["windows"] == 1
-
-    def test_sharded_mp_matches_inprocess(self):
-        spec = base_spec("sharded", 4, group_distribution="pinned",
-                         n_transactions=24)
-        mp_spec = replace(
-            spec, cluster=replace(spec.cluster, engine="sharded-mp"),
-        )
-        a = run_once(spec, seed=4)
-        b = run_once(mp_spec, seed=4)
-        assert metrics_digest([a]) == metrics_digest([b])
-
-    def test_sharded_mp_windowed_traffic_matches(self):
-        """Roaming clients force the coordinator's windowed message rounds."""
-        spec = base_spec("sharded", 4, n_transactions=12)
-        mp_spec = replace(
-            spec, cluster=replace(spec.cluster, engine="sharded-mp"),
-        )
-        a = run_once(spec, seed=6)
-        b = run_once(mp_spec, seed=6)
-        assert metrics_digest([a]) == metrics_digest([b])
-
-    def test_sharded_mp_multi_worker_windowed_matches(self):
-        """Cross-worker exchange: lanes split over several workers.
-
-        Regression test for the coordinator's horizon computation ignoring
-        in-flight messages: with more than one worker, a reply routed
-        through the coordinator used to arrive below the destination lane's
-        already-drained frontier and crash.  ``shard_workers`` deliberately
-        exceeds this machine's CPU count — worker count is a correctness
-        dial here, not a performance one.
-        """
-        spec = base_spec("global", 4, n_transactions=12)
-        mp_spec = replace(
-            spec,
-            cluster=replace(spec.cluster, engine="sharded-mp",
-                            shard_workers=3),
-        )
-        a = run_once(spec, seed=6)
-        b = run_once(mp_spec, seed=6)
-        assert metrics_digest([a]) == metrics_digest([b])
-
-    def test_sharded_mp_multi_worker_2pc_matches(self):
-        spec = base_spec("global", 4, n_transactions=12,
-                         cross_group_fraction=0.3, n_threads=3)
-        mp_spec = replace(
-            spec,
-            cluster=replace(spec.cluster, engine="sharded-mp",
-                            shard_workers=5),
-        )
-        a = run_once(spec, seed=8)
-        b = run_once(mp_spec, seed=8)
-        assert metrics_digest([a]) == metrics_digest([b])
+        assert profile is not None and sorted(profile) == ["events", "utilization"]
+        # Four pinned threads: lanes 1-4 did all the work, nothing else ran.
+        assert [count > 0 for count in profile["events"]] == \
+            [False, True, True, True, True, False, False]
+        assert sum(profile["utilization"]) == pytest.approx(1.0)

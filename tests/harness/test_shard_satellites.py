@@ -1,22 +1,15 @@
 """Satellite behaviours around the sharded simulation subsystem.
 
-Oversubscription clamping, the latency-floor API, the pinned workload
-distribution, and the lane-profile surfacing.
+``--jobs`` normalisation, the pinned workload distribution, and the
+lane-profile surfacing.
 """
 
 from __future__ import annotations
 
-import warnings
-
-import pytest
-
 from repro.cluster import Cluster
 from repro.config import ClusterConfig, PlacementConfig, WorkloadConfig
-from repro.harness.parallel import resolve_jobs, shard_procs_per_run
-from repro.harness.experiment import ExperimentSpec
+from repro.harness.parallel import resolve_jobs
 from repro.harness.profiling import format_lane_profile
-from repro.net.latency import ConstantLatency, RttMatrixLatency
-from repro.net.topology import INTRA_DC_RTT_MS, cluster_preset
 from repro.workload.driver import WorkloadDriver
 
 
@@ -24,90 +17,10 @@ class TestResolveJobsClamp:
     def test_plain_jobs_unchanged(self):
         assert resolve_jobs(3) == 3
 
-    def test_oversubscription_clamps_with_warning(self):
-        import os
 
-        cpus = os.cpu_count() or 1
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            jobs = resolve_jobs(cpus * 4, procs_per_job=2)
-        assert jobs == max(1, cpus // 2)
-        assert any("oversubscribes" in str(w.message) for w in caught)
-
-    def test_auto_jobs_budgets_for_shard_workers(self):
-        import os
-
-        cpus = os.cpu_count() or 1
-        assert resolve_jobs(None, procs_per_job=cpus) == 1
-
-    def test_sharded_mp_specs_survive_a_jobs_pool(self, monkeypatch):
-        """Regression: a daemonic Pool cannot host sharded-mp runs (their
-        shard workers are child processes); run_cells must pick the
-        futures executor for them.  The CPU count is patched up so the
-        oversubscription clamp leaves jobs > 1 and the nested-spawn path
-        genuinely executes."""
-        import os
-
-        from repro.harness.parallel import metrics_digest, run_cells
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        spec = ExperimentSpec(
-            name="pool-cell",
-            cluster=ClusterConfig(
-                placement=PlacementConfig.ranged(2), shards=2,
-                engine="sharded-mp", shard_workers=2,
-            ),
-            workload=WorkloadConfig(
-                n_transactions=6, n_rows=2, n_threads=2,
-                target_rate_per_thread=8.0,
-            ),
-            protocol="paxos",
-        )
-        parallel = run_cells([spec], trials=2, jobs=2)
-        serial = run_cells([spec], trials=2, jobs=1)
-        assert metrics_digest(parallel) == metrics_digest(serial)
-
-    def test_shard_procs_per_run(self):
-        spec = ExperimentSpec(
-            name="x",
-            cluster=ClusterConfig(
-                placement=PlacementConfig.ranged(4), shards=4,
-                engine="sharded-mp", shard_workers=2,
-            ),
-            workload=WorkloadConfig(),
-        )
-        assert shard_procs_per_run(spec) == 2
-        inline = ExperimentSpec(name="y", cluster=ClusterConfig(),
-                                workload=WorkloadConfig())
-        assert shard_procs_per_run(inline) == 1
-
-
-class TestMinDelay:
-    def test_constant_latency_floor(self):
-        assert ConstantLatency(2.5).min_delay() == 2.5
-
-    def test_rtt_matrix_floor_is_intra_dc_half_rtt_at_jitter_floor(self):
-        topology = cluster_preset("VVV")
-        model = RttMatrixLatency(topology, jitter=0.08)
-        expected = (INTRA_DC_RTT_MS / 2.0) * (1.0 - 2.0 * 0.08)
-        assert model.min_delay() == pytest.approx(expected)
-
-    def test_floor_bounds_every_draw(self):
-        import random
-
-        topology = cluster_preset("VVVOC")
-        model = RttMatrixLatency(topology, jitter=0.2)
-        rng = random.Random(7)
-        floor = model.min_delay()
-        names = topology.names
-        for _ in range(2000):
-            src, dst = rng.choice(names), rng.choice(names)
-            assert model.one_way_delay(src, dst, rng) >= floor
-
-    def test_zero_jitter_floor(self):
-        topology = cluster_preset("VVV")
-        model = RttMatrixLatency(topology, jitter=0.0)
-        assert model.min_delay() == INTRA_DC_RTT_MS / 2.0
+def thread_of(outcome) -> int:
+    """The driver thread behind an outcome (its client is named after it)."""
+    return int(outcome.transaction.origin.rsplit(":", 1)[1])
 
 
 class TestPinnedDriver:
@@ -134,9 +47,11 @@ class TestPinnedDriver:
 
     def test_thread_lanes_follow_shard_map(self):
         cluster, driver = self.make()
-        lanes = driver.thread_lanes()
-        for index, lane in lanes.items():
-            assert lane == cluster.shard_map.lane_of(driver.thread_group(index))
+        driver.start()
+        for index in range(driver.workload.n_threads):
+            client = cluster.network.node(f"cli:V1:ycsb0:{index}")
+            assert client.lane == cluster.shard_map.lane_of(
+                driver.thread_group(index))
 
     def test_pinned_channels_empty_without_cross_traffic(self):
         _cluster, driver = self.make()
@@ -149,60 +64,26 @@ class TestPinnedDriver:
         cluster.run()
         outcomes = driver.result.outcomes
         assert len(outcomes) == driver.workload.n_transactions
-        per_thread = driver.thread_outcomes()
-        flattened = [o for i in sorted(per_thread) for o in per_thread[i]]
-        assert outcomes == flattened
+        threads = [thread_of(outcome) for outcome in outcomes]
+        assert threads == sorted(threads) and set(threads) == {0, 1, 2}
 
     def test_every_transaction_stays_in_its_group(self):
         cluster, driver = self.make(threads=3)
         driver.install_data()
         driver.start()
         cluster.run()
-        for index, results in driver.thread_outcomes().items():
-            expected = driver.thread_group(index)
-            for outcome in results:
-                assert outcome.transaction.group == expected
+        for outcome in driver.result.outcomes:
+            expected = driver.thread_group(thread_of(outcome))
+            assert outcome.transaction.group == expected
 
 
 class TestLaneProfileFormatting:
     def test_format_lane_profile(self):
         text = format_lane_profile({
-            "windows": 3,
             "events": [10, 90, 80],
-            "barrier_stalls": [1, 0, 2],
-            "cross_messages": 7,
             "utilization": [10 / 180, 90 / 180, 80 / 180],
         })
-        assert "3 window(s)" in text
-        assert "7 cross-lane message(s)" in text
-        assert "shared" in text
-        # No lookahead counters, no histogram section.
-        assert "lookahead" not in text
-
-    def test_format_lookahead_histogram(self):
-        from repro.sim.core import SPAN_UNBOUNDED
-
-        text = format_lane_profile({
-            "windows": 8,
-            "events": [10, 90],
-            "barrier_stalls": [1, 0],
-            "cross_messages": 7,
-            "utilization": [0.1, 0.9],
-            "window_span_hist": {-3: 5, 4: 2, SPAN_UNBOUNDED: 1},
-            "promise_windows": 6,
-            "stalls_avoided": 11,
-        })
-        assert "6/8 promise-stretched window(s) (75.0%)" in text
-        assert "11 barrier stall(s) avoided" in text
-        assert "[0.125, 0.25)" in text
-        assert "[16, 32)" in text
-        assert "unbounded" in text
-
-    def test_span_bucket_labels(self):
-        from repro.harness.profiling import span_bucket_label
-        from repro.sim.core import SPAN_UNBOUNDED, span_bucket
-
-        assert span_bucket_label(span_bucket(float("inf"))) == "unbounded"
-        assert span_bucket_label(span_bucket(24.0)) == "[16, 32)"
-        assert span_bucket_label(span_bucket(0.15)) == "[0.125, 0.25)"
-        assert SPAN_UNBOUNDED == span_bucket(float("inf"))
+        lines = text.splitlines()
+        assert lines[1].split() == ["lane", "events", "util"]
+        assert lines[2].split() == ["shared", "10", "5.6%"]
+        assert lines[4].split() == ["2", "80", "44.4%"]

@@ -17,8 +17,9 @@ from repro.cluster import Cluster
 from repro.config import ClusterConfig, PlacementConfig, StoreConfig, WorkloadConfig
 from repro.serializability.checker import is_one_copy_serializable
 from repro.serializability.history import MVHistory
-from repro.wal.invariants import global_log
+from repro.wal.invariants import InvariantViolation, global_log
 from repro.workload.driver import WorkloadDriver
+from tests.helpers import committed, txn
 
 
 def sharded_cluster(n_groups: int, seed: int = 0, instant: bool = True) -> Cluster:
@@ -107,6 +108,31 @@ class TestMultiGroupRuns:
         outcomes = [o for d in drivers for o in d.result.outcomes]
         assert len(outcomes) == 12 * 3
         cluster.check_invariants_all(outcomes)
+
+    def test_ghost_commit_on_a_mixed_run_is_named(self):
+        """A planted committed-but-unlogged transaction on a 2PC + queue
+        multi-group run surfaces from check_invariants_all by its tid."""
+        cluster = Cluster(ClusterConfig(
+            placement=PlacementConfig.ranged(4), seed=4,
+        ))
+        driver = WorkloadDriver(
+            cluster,
+            WorkloadConfig(
+                n_transactions=16, n_rows=4, n_threads=2,
+                target_rate_per_thread=6.0,
+                cross_group_fraction=0.2, queue_fraction=0.2,
+            ),
+            "paxos-cp",
+            datacenter=cluster.topology.names[0],
+        )
+        driver.install_data()
+        driver.start()
+        cluster.start_queue_pumps()
+        cluster.run()
+        ghost = committed(txn("ghost", writes={"a": "v"}, group="group-1"), 1)
+        with pytest.raises(InvariantViolation) as raised:
+            cluster.check_invariants_all(driver.result.outcomes + [ghost])
+        assert any("ghost" in v for v in raised.value.violations)
 
     def test_multi_group_requires_sharded_placement(self):
         cluster = Cluster(ClusterConfig(store=StoreConfig.instant()))

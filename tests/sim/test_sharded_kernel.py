@@ -1,25 +1,24 @@
-"""Unit tests for the lane-partitioned kernels and the shard map.
+"""Unit tests for the lane-partitioned kernel and the shard map.
 
-The integration-level contract (field-identical metrics across kernels) is
-covered by tests/harness/test_shard_digest.py; these tests pin the kernel
-mechanics: canonical ordering, conservative horizons, lane isolation
-enforcement, and the lane bookkeeping the profiling surfaces.
+The integration-level contract (field-identical metrics under both engine
+values) is covered by tests/harness/test_shard_digest.py; these tests pin the
+kernel mechanics: canonical ordering, the lane-by-lane drain of independent
+lanes, lane isolation enforcement, and the per-lane event counts the
+profiling surfaces.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.sim.core import LanedSimulator, Simulator
 from repro.sim.env import Environment
+from repro.sim.events import Notification
 from repro.sim.shard import ShardMap, service_node_name, store_name
 
 
 def laned_env(lanes: int) -> Environment:
     return Environment(seed=1, lanes=lanes, engine="global")
-
-
-def sharded_env(lanes: int, w: float = 1.0) -> Environment:
-    return Environment(seed=1, lanes=lanes, engine="sharded", min_cross_delay=w)
 
 
 class TestShardMap:
@@ -114,24 +113,146 @@ class TestLanedSimulator:
         assert logs[0] == logs[1]
 
 
-class TestShardedSimulator:
-    def test_independent_lanes_drain_in_one_window(self):
-        env = sharded_env(3)
-        env.sim.restrict_channels(set())
+def busy_lanes(engine: str, lanes: int = 4):
+    """Independent lanes full of same-instant ties and in-lane spawns.
 
-        def chain(env, hops):
-            for _ in range(hops):
-                yield env.timeout(1.0)
+    Returns the environment and the trace its events append to: one
+    ``(time, lane, lane-seq, tag)`` record per firing, where lane-seq is the
+    firing lane's scheduling counter — the state every later key in that
+    lane is stamped from.
+    """
+    env = Environment(seed=1, lanes=lanes, engine=engine)
+    env.sim.restrict_channels(set())
+    trace: list[tuple] = []
 
-        env.process(chain(env, 10), lane=1)
-        env.process(chain(env, 10), lane=2)
+    def note(tag):
+        lane = env.sim.current_lane
+        trace.append((env.now, lane, env.sim._seqs[lane], tag))
+
+    def child(tag):
+        yield env.timeout(0.5)
+        note(tag)
+
+    def chain(tag, hops, step):
+        for hop in range(hops):
+            yield env.timeout(step)
+            note((tag, hop))
+            if hop % 3 == 0:
+                env.process(child((tag, hop, "child")))
+
+    for lane in range(1, lanes):
+        # Two chains per lane with commensurable steps: plenty of ties.
+        env.process(chain(f"a{lane}", 9, 1.0), lane=lane)
+        env.process(chain(f"b{lane}", 6, 1.5), lane=lane)
+    return env, trace
+
+
+def by_lane(trace):
+    lanes: dict[int, list] = {}
+    for record in trace:
+        lanes.setdefault(record[1], []).append(record)
+    return lanes
+
+
+class TestLaneByLane:
+    def test_independent_lanes_fire_the_single_heap_keys(self):
+        reference_env, reference = busy_lanes("global")
+        reference_env.run()
+        env, trace = busy_lanes("sharded")
         env.run()
-        assert env.sim.stats.windows == 1
-        assert env.sim.stats.events[1] == env.sim.stats.events[2]
+        assert by_lane(trace) == by_lane(reference)
+        # Same events, regrouped: lane 1 to completion, then lane 2, ...
+        assert trace == sorted(reference, key=lambda record: record[1])
+        assert trace != reference
+        assert env.sim._seqs == reference_env.sim._seqs
+        assert env.now == reference_env.now
+        assert env.sim.processed_events == reference_env.sim.processed_events
 
-    def test_undeclared_channel_raises(self):
-        env = sharded_env(2)
+    def test_lane_events_are_a_by_product_of_the_drain(self):
+        reference_env, _trace = busy_lanes("global")
+        reference_env.run()
+        assert reference_env.sim.lane_events is None
+        env, _trace = busy_lanes("sharded")
+        env.run()
+        counts = env.sim.lane_events
+        assert counts[0] == 0 and counts[1] == counts[2] == counts[3] > 0
+        assert sum(counts) == env.sim.processed_events
+
+    def test_run_until_then_run_loses_and_repeats_nothing(self):
+        reference_env, reference = busy_lanes("global")
+        reference_env.run()
+        env, trace = busy_lanes("sharded")
+        env.run(until=4.0)
+        assert env.now == 4.0
+        fired = len(trace)
+        assert 0 < fired < len(reference)
+        assert all(record[0] <= 4.0 for record in trace)
+        # What is left sits in one heap again, from every busy lane.
+        assert env.sim.peek() > 4.0
+        env.run()
+        assert {record[1] for record in trace[fired:]} == {1, 2, 3}
+        assert all(record[0] > 4.0 for record in trace[fired:])
+        assert by_lane(trace) == by_lane(reference)
+        assert env.now == reference_env.now >= 4.0
+        assert env.sim.processed_events == reference_env.sim.processed_events
+
+    def test_run_until_advances_the_clock_when_idle(self):
+        env = Environment(seed=1, lanes=2, engine="sharded")
         env.sim.restrict_channels(set())
+        fired = []
+        env.timeout(4.0, lane=1).add_callback(lambda e: fired.append(env.now))
+        env.run(until=2.0)
+        assert fired == [] and env.now == 2.0
+        env.run(until=10.0)
+        assert fired == [4.0] and env.now == 10.0
+        with pytest.raises(ValueError, match="backwards"):
+            env.run(until=5.0)
+
+    def test_declared_traffic_keeps_the_single_heap(self):
+        """A non-empty graph under "sharded" is the reference drain: the
+        merged firing order, not just each lane's, matches "global"."""
+
+        def run(engine):
+            env = Environment(seed=1, lanes=2, engine=engine)
+            env.sim.restrict_channels({(0, 1)})
+            trace: list[tuple] = []
+
+            class Poke(Notification):
+                __slots__ = ()
+
+                def _process(self) -> None:
+                    trace.append(("poke", env.sim.current_lane, env.now))
+
+            def ping():
+                for _ in range(5):
+                    yield env.timeout(0.7)
+                    trace.append(("ping", env.sim.current_lane, env.now))
+                    env.sim.schedule_in_lane(Poke(env), 1.5, 1)
+
+            def local():
+                for _ in range(5):
+                    yield env.timeout(1.1)
+                    trace.append(("local", env.sim.current_lane, env.now))
+
+            env.process(ping(), lane=0)
+            env.process(local(), lane=1)
+            env.run()
+            assert env.sim.lane_events is None
+            return trace
+
+        assert run("global") == run("sharded")
+
+    def test_single_lane_gets_the_plain_kernel(self):
+        for engine in ("global", "sharded"):
+            assert type(Environment(lanes=1, engine=engine).sim) is Simulator
+            assert type(Environment(lanes=2, engine=engine).sim) is LanedSimulator
+
+
+class TestLaneIsolation:
+    @pytest.mark.parametrize("engine", ("global", "sharded"))
+    def test_undeclared_channel_raises(self, engine):
+        env = Environment(seed=1, lanes=3, engine=engine)
+        env.sim.restrict_channels({(1, 2)})
 
         def offender(env):
             yield env.timeout(1.0)
@@ -141,70 +262,36 @@ class TestShardedSimulator:
         with pytest.raises(RuntimeError, match="lane isolation violated"):
             env.run()
 
-    def test_zero_floor_with_channels_rejected(self):
-        env = Environment(seed=1, lanes=2, engine="sharded",
-                          min_cross_delay=0.0)
-        with pytest.raises(ValueError, match="latency floor"):
-            env.sim.restrict_channels({(0, 1)})
+    @pytest.mark.parametrize("engine", ("global", "sharded"))
+    def test_empty_graph_forbids_every_cross_lane_send(self, engine):
+        env = Environment(seed=1, lanes=2, engine=engine)
+        env.sim.restrict_channels(set())
 
-    def test_run_until_advances_clock_per_lane(self):
-        env = sharded_env(2)
-        fired = []
-        env.timeout(4.0, lane=1).add_callback(lambda e: fired.append(env.now))
-        env.run(until=2.0)
-        assert fired == [] and env.now == 2.0
-        env.run(until=10.0)
-        assert fired == [4.0]
+        def offender(env):
+            yield env.timeout(1.0)
+            env.sim.schedule_in_lane(env.event().succeed(), 0.0, 0)
 
-    def test_matches_laned_kernel_with_cross_lane_pingpong(self):
-        """Two lanes exchanging messages through a latency-floored channel
-        observe identical per-lane histories on both kernels.
-
-        Cross-lane execution *interleaving* within a window is free (the
-        kernels only promise that nothing in one lane can observe it), so
-        the comparison is per lane, not over the merged append order.
-        """
-
-        def run(engine):
-            env = Environment(seed=1, lanes=2, engine=engine,
-                              min_cross_delay=1.5)
-            traces: dict[int, list] = {0: [], 1: []}
-
-            def ping(env):
-                for index in range(5):
-                    yield env.timeout(0.7)
-                    traces[0].append(("ping", round(env.now, 6)))
-                    # Cross-lane notification via the kernel API, 1.5ms floor.
-                    from repro.sim.events import Notification
-
-                    class Poke(Notification):
-                        __slots__ = ()
-
-                        def _process(self_inner) -> None:
-                            traces[1].append(("poke", round(env.now, 6)))
-
-                    env.sim.schedule_in_lane(Poke(env), 1.5, 1)
-
-            env.process(ping(env), lane=0)
+        env.process(offender(env), lane=1)
+        with pytest.raises(RuntimeError, match="lane isolation violated"):
             env.run()
-            return traces
+        # The failed drain put every pending event back on the one heap.
+        assert env.sim.executing_lane is None
 
-        assert run("global") == run("sharded")
-
-    def test_stats_track_cross_messages(self):
-        env = sharded_env(2, w=2.0)
-        from repro.sim.events import Notification
-
-        class Noop(Notification):
-            __slots__ = ()
-
-            def _process(self) -> None:
-                pass
+    def test_undeclared_graph_is_the_complete_graph(self):
+        env = laned_env(2)
+        fired = []
 
         def sender(env):
             yield env.timeout(1.0)
-            env.sim.schedule_in_lane(Noop(env), 2.0, 1)
+            env.timeout(2.0, lane=1).add_callback(
+                lambda e: fired.append((env.sim.current_lane, env.now))
+            )
 
         env.process(sender(env), lane=0)
         env.run()
-        assert env.sim.stats.cross_messages == 1
+        assert fired == [(1, 3.0)]
+
+    def test_channels_must_name_known_lanes(self):
+        env = laned_env(2)
+        with pytest.raises(ValueError, match="unknown lanes"):
+            env.sim.restrict_channels({(0, 2)})

@@ -43,6 +43,18 @@ class TestClusterConfig:
         assert store.op_high_ms == 24.0
         assert StoreConfig.instant().op_high_ms == 0.0
 
+    def test_engine_is_validated_at_construction(self):
+        assert ClusterConfig(engine="sharded").engine == "sharded"
+        with pytest.raises(ValueError, match="engine must be one of"):
+            ClusterConfig(engine="shraded")
+
+    def test_removed_engine_names_what_replaces_it(self):
+        with pytest.raises(ValueError) as raised:
+            ClusterConfig(engine="sharded-mp")
+        message = str(raised.value)
+        assert "removed" in message
+        assert "--jobs" in message and "run_cells(jobs=" in message
+
 
 class TestWorkloadConfig:
     def test_paper_defaults(self):
