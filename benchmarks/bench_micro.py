@@ -10,7 +10,12 @@ wall-clock time.
 import random
 
 from repro.core.combine import best_combination, greedy_combination
+from repro.kvstore.service import StoreAccessor
 from repro.kvstore.store import MultiVersionStore
+from repro.net.latency import RttMatrixLatency
+from repro.net.network import Network
+from repro.net.node import Node
+from repro.net.topology import cluster_preset
 from repro.serializability.checker import is_one_copy_serializable
 from repro.serializability.history import HistoryTxn, MVHistory
 from repro.sim.env import Environment
@@ -70,6 +75,49 @@ class TestSimKernel:
             env.run()
 
         benchmark(run_ping_pong)
+
+
+class TestHandlerRoundTrip:
+    ROUND_TRIPS = 500
+
+    def test_request_store_op_reply(self, benchmark):
+        """Request → one store operation → reply over ``Node`` and
+        ``StoreAccessor`` alone, no protocol above: the path every service
+        handler takes, and the kernel-event budget it is held to."""
+
+        def run_round_trips():
+            env = Environment(seed=0)
+            topology = cluster_preset("VVV")
+            network = Network(env, topology, RttMatrixLatency(topology))
+            client = Node(env, network, "client", "V1")
+            server = Node(env, network, "server", "V2")
+            accessor = StoreAccessor(env, MultiVersionStore("server"))
+            accessor.store.write("row", {"a": 1})
+
+            def handler(msg):
+                version = yield accessor.read("row")
+                return version.get("a")
+
+            server.on("read", handler)
+
+            def requester():
+                for _ in range(self.ROUND_TRIPS):
+                    responses = yield client.request("server", "read")
+                    assert responses[0].payload == 1
+
+            env.process(requester())
+            env.run()
+            return env.sim.processed_events
+
+        events = benchmark(run_round_trips)
+        # Per round trip three simulated delays — request delivery, store
+        # latency, reply delivery — plus the request's deadline; the
+        # requester's own bootstrap and completion are the other two.
+        assert events == (3 + 1) * self.ROUND_TRIPS + 2
+        if benchmark.stats:  # None under --benchmark-disable
+            benchmark.extra_info["round_trips_per_s"] = round(
+                self.ROUND_TRIPS / benchmark.stats.stats.median
+            )
 
 
 class TestCombination:

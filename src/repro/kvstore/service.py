@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.kvstore.store import MultiVersionStore
-from repro.sim.events import Event
+from repro.sim.events import _PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.env import Environment
@@ -54,12 +54,49 @@ class StoreLatencyModel:
         return cls(0.0, 0.0)
 
 
+class _StoreOp(Event):
+    """One deferred store operation: one kernel event for one latency.
+
+    Scheduled with the drawn latency; when it pops it checks the crash
+    fence, runs the operation and hands the result (or the store's
+    exception) to its waiters — popping is the last thing that happens to
+    it, so it is in tail position.  If another entry is due at the same
+    instant the hand-off falls back to the queue and the event pops a
+    second time, already triggered, to run its waiters in turn.
+    """
+
+    __slots__ = ("_accessor", "_operation", "_args", "_epoch")
+
+    def __init__(self, accessor: "StoreAccessor", operation, args: tuple,
+                 delay: float) -> None:
+        super().__init__(accessor.env)
+        self._accessor = accessor
+        self._operation = operation
+        self._args = args
+        self._epoch = accessor.epoch
+        accessor.env.sim.schedule(self, delay)
+
+    def _process(self) -> None:
+        if self._value is not _PENDING:
+            super()._process()  # the queued half of a hand-off that tied
+            return
+        if self._epoch != self._accessor.epoch:
+            return  # fenced: the issuing replica crashed meanwhile
+        try:
+            value = self._operation(*self._args)
+        except Exception as exc:  # store errors flow to the waiter
+            self.hand_off(exc, ok=False)
+        else:
+            self.hand_off(value)
+
+
 class StoreAccessor:
     """Async facade over a :class:`MultiVersionStore`.
 
     Each method returns an :class:`~repro.sim.events.Event` that fires with
-    the operation's result after the modelled delay.  The underlying store
-    mutation happens when the event fires (not at call time), so concurrent
+    the operation's result after the modelled delay — a single kernel event
+    per operation (:class:`_StoreOp`).  The underlying store mutation
+    happens when the event fires (not at call time), so concurrent
     in-flight operations interleave the way they would against a real store —
     while still executing each individual operation atomically.
     """
@@ -77,7 +114,7 @@ class StoreAccessor:
         self._rng = env.rng.stream(rng_stream or f"kvstore.{store.name}")
         #: Crash fence.  A deferred operation captures the epoch at call
         #: time; :meth:`fence` bumps it, so operations issued by processes a
-        #: crash killed become no-ops when their latency timeout fires —
+        #: crash killed become no-ops when their latency elapses —
         #: the mutation dies with the process, exactly like a write that
         #: never reached the disk.  (The issuing handler can never observe
         #: the difference: it was killed, so it neither sees the result nor
@@ -88,22 +125,8 @@ class StoreAccessor:
         """Invalidate every in-flight deferred operation (crash semantics)."""
         self.epoch += 1
 
-    def _deferred(self, operation) -> Event:
-        done = self.env.event()
-        delay = self.latency.draw(self._rng)
-        wakeup = self.env.timeout(delay)
-        epoch = self.epoch
-
-        def run(_event: Event) -> None:
-            if epoch != self.epoch:
-                return  # fenced: the issuing replica crashed meanwhile
-            try:
-                done.succeed(operation())
-            except Exception as exc:  # store errors flow to the waiter
-                done.fail(exc)
-
-        wakeup.add_callback(run)
-        return done
+    def _deferred(self, operation, *args) -> Event:
+        return _StoreOp(self, operation, args, self.latency.draw(self._rng))
 
     # ------------------------------------------------------------------
     # The paper's operations, asynchronous
@@ -111,12 +134,12 @@ class StoreAccessor:
 
     def read(self, key: str, timestamp: float | None = None) -> Event:
         """Deferred :meth:`MultiVersionStore.read`."""
-        return self._deferred(lambda: self.store.read(key, timestamp))
+        return self._deferred(self.store.read, key, timestamp)
 
     def write(self, key: str, attributes: Mapping[str, Any],
               timestamp: float | None = None) -> Event:
         """Deferred :meth:`MultiVersionStore.write`."""
-        return self._deferred(lambda: self.store.write(key, attributes, timestamp))
+        return self._deferred(self.store.write, key, attributes, timestamp)
 
     def check_and_write(
         self,
@@ -128,14 +151,13 @@ class StoreAccessor:
     ) -> Event:
         """Deferred :meth:`MultiVersionStore.check_and_write`."""
         return self._deferred(
-            lambda: self.store.check_and_write(
-                key, test_attribute, test_value, attributes, timestamp
-            )
+            self.store.check_and_write,
+            key, test_attribute, test_value, attributes, timestamp,
         )
 
     def read_attribute(self, key: str, attribute: str,
                        timestamp: float | None = None, default: Any = None) -> Event:
         """Deferred :meth:`MultiVersionStore.read_attribute`."""
         return self._deferred(
-            lambda: self.store.read_attribute(key, attribute, timestamp, default)
+            self.store.read_attribute, key, attribute, timestamp, default
         )

@@ -43,7 +43,7 @@ class Message:
     payload: Any = None
     request_id: int | None = None
     is_response: bool = False
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
 
     def reply(self, payload: Any) -> "Message":
         """Build the response envelope for this request."""

@@ -56,7 +56,15 @@ class _Delivery(Notification):
         self._dst = dst
 
     def _process(self) -> None:
-        self._network._deliver(self._msg, self._dst)
+        # Re-check outage state at delivery time: a datacenter that went down
+        # while the message was in flight does not receive it.
+        network = self._network
+        dst = self._dst
+        if dst.datacenter in network._down_views[dst.lane] or dst.down:
+            network.stats.dropped_outage += 1
+            return
+        network.stats.delivered += 1
+        dst.deliver(self._msg)
 
 
 @dataclass
@@ -70,10 +78,6 @@ class NetworkStats:
     dropped_partition: int = 0
     duplicated: int = 0
     by_type: dict[str, int] = field(default_factory=dict)
-
-    def record_send(self, msg_type: str) -> None:
-        self.sent += 1
-        self.by_type[msg_type] = self.by_type.get(msg_type, 0) + 1
 
     @property
     def dropped(self) -> int:
@@ -203,7 +207,11 @@ class Network:
 
     def send(self, msg: Message) -> None:
         """Submit *msg* for (unreliable) delivery."""
-        self.stats.record_send(msg.type)
+        stats = self.stats
+        stats.sent += 1
+        by_type = stats.by_type
+        msg_type = msg.type
+        by_type[msg_type] = by_type.get(msg_type, 0) + 1
         dst = self._nodes.get(msg.dst)
         if dst is None:
             raise UnknownDatacenter(f"message to unknown node {msg.dst!r}")
@@ -217,22 +225,22 @@ class Network:
                 src_dc in self._down_datacenters
                 or dst_dc in self._down_datacenters
             ):
-                self.stats.dropped_outage += 1
+                stats.dropped_outage += 1
                 return
             if self._severed_links and \
                     frozenset({src_dc, dst_dc}) in self._severed_links:
-                self.stats.dropped_partition += 1
+                stats.dropped_partition += 1
                 return
             rng = self._rng
             if self.loss_probability and rng.random() < self.loss_probability:
-                self.stats.dropped_loss += 1
+                stats.dropped_loss += 1
                 return
             copies = 1
             if self.duplicate_probability and \
                     rng.random() < self.duplicate_probability:
                 # UDP may duplicate; the copy re-draws its path delay.
                 copies = 2
-                self.stats.duplicated += 1
+                stats.duplicated += 1
             env = self.env
             one_way_delay = self.latency.one_way_delay
             sim_schedule = env.sim.schedule
@@ -243,24 +251,24 @@ class Network:
         lane = src.lane if src is not None else self.env.sim.current_lane
         down = self._down_views[lane]
         if down and (src_dc in down or dst_dc in down):
-            self.stats.dropped_outage += 1
+            stats.dropped_outage += 1
             return
         severed = self._severed_views[lane]
         if severed and frozenset({src_dc, dst_dc}) in severed:
-            self.stats.dropped_partition += 1
+            stats.dropped_partition += 1
             return
         rng = self._rngs[lane]
         loss = self._lane_loss.get(lane, self.loss_probability) \
             if self._lane_loss else self.loss_probability
         if loss and rng.random() < loss:
-            self.stats.dropped_loss += 1
+            stats.dropped_loss += 1
             return
         duplicate = self.duplicate_probability
         copies = 1
         if duplicate and rng.random() < duplicate:
             # UDP may duplicate; the copy takes its own (re-drawn) path delay.
             copies = 2
-            self.stats.duplicated += 1
+            stats.duplicated += 1
         env = self.env
         one_way_delay = self.latency.one_way_delay
         dst_lane = dst.lane
@@ -276,12 +284,3 @@ class Network:
             env.sim.schedule_in_lane(
                 _Delivery(env, self, msg, dst), delay, dst_lane
             )
-
-    def _deliver(self, msg: Message, dst: "Node") -> None:
-        # Re-check outage state at delivery time: a datacenter that went down
-        # while the message was in flight does not receive it.
-        if dst.datacenter in self._down_views[dst.lane] or dst.down:
-            self.stats.dropped_outage += 1
-            return
-        self.stats.delivered += 1
-        dst.deliver(msg)

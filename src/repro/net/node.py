@@ -19,11 +19,14 @@ discipline of Algorithm 2: broadcast to all datacenters, then wait until
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from types import GeneratorType
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.net.message import Message
 from repro.sim.events import Event, Notification
+from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
@@ -56,6 +59,12 @@ class Gather(Event):
 
     The event's value is the list of response :class:`Message` envelopes
     received so far (possibly fewer than a quorum — callers must check).
+
+    A gather completes in tail position — :meth:`add` is the last thing
+    :meth:`Node.deliver` does with a response, and a :class:`_Deadline`
+    does nothing else — so its waiters are handed the result in place
+    (:meth:`~repro.sim.events.Event.hand_off`) instead of through a
+    same-instant queue entry.
     """
 
     __slots__ = ("responses", "_expected", "_enough", "_grace_ms",
@@ -106,7 +115,33 @@ class Gather(Event):
         if self._done:
             return
         self._done = True
-        self.succeed(list(self.responses))
+        self.hand_off(list(self.responses))
+
+
+class _HandlerProcess(Process):
+    """The process of a message handler that returned a generator.
+
+    :meth:`Node.deliver` spawns it as its last act, and a handler only ever
+    waits on events of its own (its store operations, gathers, lock grants
+    and timeouts), so being resumed is the last thing the waking event
+    does.  Both ends are therefore in tail position: the first step is
+    handed off instead of queued as a bootstrap event, and so is a normal
+    return (the reply goes out from the frame of the handler's last step).
+    Failures and kills stay queue-driven like any process's.
+    """
+
+    __slots__ = ()
+
+    def _bootstrap(self, lane: int | None) -> None:
+        pass  # deliver registers its callbacks first, then calls start()
+
+    def start(self) -> None:
+        first_step = Event(self.env)
+        first_step.callbacks.append(self._resume_cb)
+        first_step.hand_off()
+
+    def _returned(self, value: Any) -> None:
+        self.hand_off(value)
 
 
 class Node:
@@ -248,20 +283,21 @@ class Node:
         if handler is None:
             return  # unknown messages are dropped, as UDP would
         result = handler(msg)
-        if isinstance(result, Generator):
-            process = self.env.process(result, name=f"{self.name}:{msg.type}")
+        if type(result) is GeneratorType:
+            process = _HandlerProcess(self.env, result, f"{self.name}:{msg.type}")
             self.adopt(process)
             if msg.request_id is not None:
-                process.add_callback(lambda event: self._on_handler_done(msg, event))
+                process.add_callback(partial(self._on_handler_done, msg))
+            process.start()
         elif msg.request_id is not None:
             self._reply(msg, result)
 
     def _on_handler_done(self, request: Message, event: Event) -> None:
-        if not event.ok:
+        if not event._ok:
             # A crashed handler must not masquerade as a reply; surface the
             # error through the simulation loop instead.
-            raise event.value
-        self._reply(request, event.value)
+            raise event._value
+        self._reply(request, event._value)
 
     def _reply(self, request: Message, payload: Any) -> None:
         if self.down:

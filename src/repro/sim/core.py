@@ -1,15 +1,24 @@
 """The event queue at the heart of the simulation.
 
 :class:`Simulator` owns the virtual clock and a priority queue of scheduled
-events.  Everything else — timeouts, message deliveries, process resumptions —
-is expressed as an :class:`~repro.sim.events.Event` pushed onto this queue.
+events.  Everything that takes simulated time — message deliveries, store
+operations, request deadlines, think times — is expressed as an
+:class:`~repro.sim.events.Event` pushed onto this queue.
 
 Events scheduled for the same instant are processed in scheduling order
 (FIFO), enforced with a monotone sequence number, which makes runs
 deterministic regardless of hash seeds or dict ordering.
 
-This module is the hottest code in the repository — every message hop, think
-time, and process resumption passes through :meth:`Simulator.schedule` and
+What the queue does *not* hold is most same-instant wake-ups.  A process
+resumed by a finished store operation or gather, and a message handler's
+first step and return, would each be the very next pop when nothing else is
+due at that instant; those are handed off in the frame of the event that
+caused them (:meth:`~repro.sim.events.Event.hand_off`) and ride the queue
+only on a tie.  Wake-ups whose waker is not in tail position — a spawned
+process's first step, a lock grant, ``succeed()`` in general — still do.
+
+This module is the hottest code in the repository — every message hop, store
+operation and think time passes through :meth:`Simulator.schedule` and
 the :meth:`Simulator.run` loop — so it trades a little readability for
 allocation- and call-free inner loops: heap entries stay plain ``(time, seq,
 event)`` tuples (tuple comparison happens in C, unlike ``Event.__lt__``

@@ -8,6 +8,7 @@ of replies or a timeout, whichever comes first" without threads.
 Lifecycle::
 
     pending --succeed(value)/fail(exc)--> triggered --queue pop--> processed
+    pending --hand_off(value): tail position, clear instant------> processed
 
 Callbacks registered on a pending or triggered event run when the event is
 processed; callbacks added after processing run at the current instant via a
@@ -16,8 +17,23 @@ order stays queue-driven.  Late registrations made while a relay is still
 pending join that relay: they run adjacently at its queue position, in
 registration order — one queue entry for the batch, not one per waiter.
 
+:meth:`Event.succeed` queues a zero-delay entry, so the waiters run after
+whatever else the current event still does and after every entry already
+due at this instant.  That is the safe default: the caller needs to know
+nothing about what follows it.  :meth:`Event.hand_off` is the same wake-up
+made as a call: when (1) the caller is in *tail position* — nothing after
+the call, in the event being processed, schedules, draws or mutates (so a
+waiter that hands off in turn must be the last waiter of what woke it) — and
+(2) the *instant is clear* — no heap entry is due at ``now`` — the entry
+``succeed`` would push is the unique minimum of the heap and the very next
+pop, so running the waiters in the caller's frame is the queue order by
+construction.  The caller promises (1); ``hand_off`` checks (2) itself and
+falls back to the queue when it fails.  The heap is thereby left holding
+simulated delays (deliveries, store latencies, deadlines, think times),
+not same-instant relays.
+
 Events are the most-allocated objects in a simulation (every timeout, every
-message delivery, every process resumption), so every class in this module
+message delivery, every store operation), so every class in this module
 uses ``__slots__`` and keeps ``__init__`` to plain attribute stores.
 """
 
@@ -34,14 +50,13 @@ _PENDING = object()
 class Event:
     """A one-shot occurrence that processes can wait on."""
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "_late_relay")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_late_relay")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks: list[Callable[[Event], None]] | None = []
         self._value: Any = _PENDING
         self._ok: bool | None = None
-        self._scheduled = False
         self._late_relay: Event | None = None
 
     # ------------------------------------------------------------------
@@ -83,7 +98,6 @@ class Event:
         self._ok = True
         self._value = value
         self.env.sim.schedule(self)
-        self._scheduled = True
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -95,8 +109,32 @@ class Event:
         self._ok = False
         self._value = exception
         self.env.sim.schedule(self)
-        self._scheduled = True
         return self
+
+    def hand_off(self, value: Any = None, ok: bool = True) -> None:
+        """Trigger the event and run its waiters now if the queue would.
+
+        Only for callers in tail position (see the module docstring).  With
+        no heap entry due at the current instant the callbacks run in the
+        caller's frame; otherwise this is :meth:`succeed` (or, with
+        ``ok=False`` and an exception as *value*, :meth:`fail`): the entry
+        is queued behind whatever is already due now.
+        """
+        if self._value is not _PENDING:
+            raise RuntimeError("event already triggered")
+        self._ok = ok
+        self._value = value
+        sim = self.env.sim
+        # Index 0 of a heap entry is its time on every kernel, and during a
+        # lane-by-lane drain ``_queue`` is the draining lane's own heap.
+        queue = sim._queue
+        if queue and queue[0][0] <= sim._now:
+            sim.schedule(self)
+            return
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
 
     # ------------------------------------------------------------------
     # Internal machinery
@@ -159,7 +197,6 @@ class Notification(Event):
         self.callbacks = None
         self._value = None
         self._ok = True
-        self._scheduled = True
         self._late_relay = None
 
 
@@ -182,7 +219,6 @@ class Timeout(Event):
             env.sim.schedule(self, delay)
         else:  # pinned to a specific lane (replicated fault injector)
             env.sim.schedule_in_lane(self, delay, lane)
-        self._scheduled = True
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
         raise RuntimeError("Timeout events fire automatically")

@@ -46,19 +46,37 @@ class Process(Event):
         self.lane = env.sim.current_lane if lane is None else lane
         self._generator = generator
         self._waiting_on: Event | None = None
-        # One bound method for the life of the process: re-binding
+        # One bound method for the life of the generator: re-binding
         # ``self._resume`` on every yield shows up in kernel profiles.
         self._resume_cb = self._resume
-        # Kick off the process with a zero-delay bootstrap event so that
-        # process creation is cheap and ordering stays queue-driven.
-        bootstrap = Event(env)
+        self._bootstrap(lane)
+
+    def _bootstrap(self, lane: int | None) -> None:
+        """Arrange the first step of the generator.
+
+        A zero-delay bootstrap event: the spawner may go on to schedule,
+        draw or mutate after ``env.process(...)`` returns, so the first
+        step has to wait its turn in the queue.  (A message handler's
+        process is the exception — its spawner, ``Node.deliver``, is in
+        tail position — and overrides this; see ``repro.net.node``.)
+        """
+        bootstrap = Event(self.env)
         bootstrap._ok = True
         bootstrap._value = None
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks.append(self._resume_cb)
         if lane is None:
-            env.sim.schedule(bootstrap)
+            self.env.sim.schedule(bootstrap)
         else:
-            env.sim.schedule_in_lane(bootstrap, 0.0, lane)
+            self.env.sim.schedule_in_lane(bootstrap, 0.0, lane)
+
+    def _returned(self, value: Any) -> None:
+        """The generator returned *value* from a normal resumption.
+
+        Fires the process event through the queue, because whoever waits on
+        a process in general (drivers, coordinators, recovery) is not in
+        tail position of it.
+        """
+        self.succeed(value)
 
     @property
     def is_alive(self) -> bool:
@@ -74,32 +92,47 @@ class Process(Event):
         """
         if self.triggered:
             return
-        # Detach from whatever we were waiting on so the resume callback
-        # does not fire into a dead generator (stale wakeups are dropped in
-        # _resume by comparing against _waiting_on, which we clear here).
-        self._waiting_on = None
-        self._step(ProcessKilled(reason), throw=True)
+        # Wait on the kill itself instead of whatever we were waiting on, so
+        # that event's wakeup is dropped as stale when it arrives (see the
+        # comparison against _waiting_on in _resume).
+        self._waiting_on = killer = Event(self.env)
+        killer._ok = False
+        killer._value = ProcessKilled(reason)
+        self._resume(killer)
 
     # ------------------------------------------------------------------
     # Internal machinery
     # ------------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
+        """Step the generator with the outcome of *event*.
+
+        The one driver of the generator: yielded events call it back when
+        they are processed, and the bootstrap event and :meth:`kill` reach
+        it the same way — one frame per resumption.
+        """
         if self._value is not _PENDING:
             return  # killed while the wakeup was in flight
         if self._waiting_on is not None and event is not self._waiting_on:
             return  # stale wakeup from an event we abandoned via kill()
         self._waiting_on = None
-        self._step(event._value, not event._ok)
-
-    def _step(self, value: Any, throw: bool) -> None:
         try:
-            if throw:
-                target = self._generator.throw(value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.send(value)
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            # Drop the self-reference (process -> bound method -> process):
+            # a finished process is then freed on the spot by refcount
+            # instead of waiting for the cycle collector — there is one per
+            # handled message.
+            self._resume_cb = None
+            if event._ok:
+                self._returned(stop.value)
+            else:
+                # Returned by handling a thrown-in exception — possibly a
+                # kill(), whose caller is anything but in tail position.
+                self.succeed(stop.value)
             return
         except ProcessKilled as exc:
             # A kill that the generator chose not to handle is a normal
@@ -132,4 +165,8 @@ class Process(Event):
             self.callbacks = None
             raise error
         self._waiting_on = target
-        target.add_callback(self._resume_cb)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume_cb)
+        else:  # already processed: the late-registration relay
+            target.add_callback(self._resume_cb)

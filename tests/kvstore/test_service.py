@@ -121,3 +121,91 @@ class TestAccessor:
         process = env.process(proc())
         env.run()
         assert process.value == (7, "d")
+
+
+class TestOneEventPerOperation:
+    """A store operation is one simulated delay, so it is one kernel event:
+    the result is handed to the waiter from the event that ran the
+    operation."""
+
+    def test_one_operation_is_one_kernel_event(self, env):
+        accessor, store = make_accessor(env, 2.0, 2.0)
+        seen = []
+        operation = accessor.write("k", {"a": 1})
+        operation.add_callback(lambda e: seen.append((env.now, e.ok)))
+        before = env.sim.processed_events
+        env.run()
+        assert env.sim.processed_events - before == 1
+        assert seen == [(2.0, True)]
+        assert store.read("k").get("a") == 1
+
+    def test_a_process_pays_one_event_per_operation(self, env):
+        accessor, _store = make_accessor(env, 2.0, 2.0)
+
+        def proc():
+            for index in range(5):
+                yield accessor.write("k", {"a": index})
+
+        env.process(proc())
+        env.run()
+        # bootstrap + five operations + the process's own completion
+        assert env.sim.processed_events == 7
+
+    def test_same_instant_operations_complete_in_issue_order(self, env):
+        store = MultiVersionStore("instant")
+        accessor = StoreAccessor(env, store, latency=StoreLatencyModel.instant())
+        order = []
+        first = accessor.write("k", {"a": 1})
+        second = accessor.read("k")
+        first.add_callback(lambda e: order.append("write"))
+        second.add_callback(lambda e: order.append(("read", e.value.get("a"))))
+        env.run()
+        assert order == ["write", ("read", 1)]
+        # Each finds the other due at the same instant, so each result takes
+        # its turn in the queue: the tie fallback, visible as a second pop.
+        assert env.sim.processed_events == 4
+
+    def test_failed_operation_is_one_event_too(self, env):
+        accessor, store = make_accessor(env, 1.0, 1.0)
+        store.write("k", {"a": 1}, timestamp=10)
+        seen = []
+        stale = accessor.write("k", {"a": 2}, timestamp=5)
+        stale.add_callback(lambda e: seen.append((e.ok, type(e.value))))
+        env.run()
+        assert seen == [(False, RowVersionError)]
+        assert env.sim.processed_events == 1
+
+    def test_killed_process_is_not_resumed_by_its_operation(self, env):
+        accessor, store = make_accessor(env, 5.0, 5.0)
+        resumed = []
+
+        def proc():
+            yield accessor.write("k", {"a": 1})
+            resumed.append(env.now)
+
+        process = env.process(proc())
+        env.run(until=1.0)
+        process.kill("crash")
+        env.run()
+        assert resumed == []
+        assert not process.is_alive
+        # Unfenced, the write itself still lands: only the waiter is gone.
+        assert store.read("k").get("a") == 1
+
+    def test_fenced_operation_never_fires(self, env):
+        accessor, store = make_accessor(env, 5.0, 5.0)
+        resumed = []
+
+        def proc():
+            yield accessor.write("k", {"a": 1})
+            resumed.append(env.now)
+
+        process = env.process(proc())
+        env.run(until=1.0)
+        accessor.fence()
+        env.run()
+        assert resumed == [] and process.is_alive
+        assert store.read("k") is None
+        later = accessor.write("k", {"a": 2})  # issued in the new epoch
+        env.run()
+        assert later.ok and store.read("k").get("a") == 2

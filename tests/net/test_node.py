@@ -1,12 +1,17 @@
 """Tests for request/response correlation and quorum gathering."""
 
+import collections.abc
+
 import pytest
 
+from repro.errors import ProcessKilled
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Gather, Node
 from repro.net.topology import cluster_preset
+from repro.sim.process import Process
+from repro.sim.sync import Lock
 
 
 def build(env, delay=1.0, loss=0.0):
@@ -115,6 +120,125 @@ class TestRequestResponse:
         process = env.process(proc())
         env.run()
         assert process.value == []
+
+
+class TestHandlerHandOff:
+    """A handler's process is started and finished by hand-off: the request
+    costs the kernel its two deliveries, the handler's own delays and the
+    requester's deadline — no bootstrap, completion or gather relay."""
+
+    def round_trip(self, env, handler):
+        network = build(env)
+        server = Node(env, network, "server", "V1")
+        client = Node(env, network, "client", "V2")
+        server.on("q", handler)
+        gather = client.request("server", "q", 20, timeout_ms=100)
+        env.run(until=50.0)
+        return gather, env.sim.processed_events
+
+    def test_request_is_two_deliveries_plus_the_handlers_delays(self, env):
+        def handler(msg):
+            yield env.timeout(5.0)
+            return msg.payload + 1
+
+        gather, events = self.round_trip(env, handler)
+        assert [r.payload for r in gather.value] == [21]
+        assert gather.processed  # its waiters ran with the reply's delivery
+        assert events == 3  # delivery, the handler's timeout, delivery
+        env.run()
+        assert env.sim.processed_events == 4  # + the (dead) deadline
+
+    def test_handler_returning_without_yielding_still_replies(self, env):
+        def handler(msg):
+            return msg.payload * 2
+            yield  # pragma: no cover - makes this a generator function
+
+        gather, events = self.round_trip(env, handler)
+        assert [r.payload for r in gather.value] == [40]
+        assert events == 2
+
+    def test_reply_waits_for_what_the_last_step_queued(self, env):
+        # The tie the guard exists for: a handler's last step releases a
+        # lock, which queues the next holder at this instant; that holder's
+        # send must leave before the finishing handler's reply, as it did
+        # when the reply rode a queue entry of its own.
+        network = build(env)
+        server = Node(env, network, "server", "V1")
+        client = Node(env, network, "client", "V2")
+        lock = Lock(env)
+        arrivals = []
+
+        def holder(msg):
+            yield lock.acquire()
+            try:
+                yield env.timeout(5.0)
+            finally:
+                lock.release()
+            return "reply"
+
+        def next_holder(msg):
+            yield lock.acquire()
+            lock.release()
+            server.send("client", "note")
+
+        server.on("hold", holder)
+        server.on("queue-up", next_holder)
+        client.on("note", lambda msg: arrivals.append("note"))
+
+        def requester():
+            responses = yield client.request("server", "hold")
+            arrivals.append(responses[0].payload)
+
+        env.process(requester())
+        # Arrives while the first handler holds the lock.
+        env.timeout(2.0).add_callback(lambda e: client.send("server", "queue-up"))
+        env.run()
+        assert arrivals == ["note", "reply"]
+
+    def test_killed_handler_that_returns_stays_queue_driven(self, env):
+        # kill() is called from the crash path, mid-loop: a handler that
+        # catches the kill and returns must not reply from inside it.
+        network = build(env)
+        server = Node(env, network, "server", "V1")
+        client = Node(env, network, "client", "V2")
+        server.track_processes()
+
+        def handler(msg):
+            try:
+                yield env.timeout(10.0)
+            except ProcessKilled:
+                return "last words"
+
+        server.on("q", handler)
+        gather = client.request("server", "q", timeout_ms=100)
+        sent_inside_kill = []
+
+        def crash(_event):
+            before = network.stats.sent
+            assert server.kill_tracked("crash") == 1
+            sent_inside_kill.append(network.stats.sent - before)
+
+        env.timeout(3.0).add_callback(crash)
+        env.run()
+        assert sent_inside_kill == [0]
+        assert [r.payload for r in gather.value] == ["last words"]
+
+    def test_generator_lookalike_is_a_plain_reply_value(self, env):
+        # Only a real generator is a process; anything else a handler
+        # returns — even an object speaking the generator protocol — is the
+        # reply payload, exactly as ``Process`` would refuse to drive it.
+        class Lookalike(collections.abc.Generator):
+            def send(self, value):
+                raise StopIteration
+
+            def throw(self, *exc_info):
+                raise StopIteration
+
+        lookalike = Lookalike()
+        with pytest.raises(TypeError):
+            Process(env, lookalike)
+        gather, _events = self.round_trip(env, lambda msg: lookalike)
+        assert [r.payload for r in gather.value] == [lookalike]
 
 
 class TestGather:

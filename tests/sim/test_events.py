@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.env import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 
 
@@ -173,6 +174,90 @@ class TestLateCallbacks:
         event.add_callback(lambda e: fired_at.append(env.now))
         env.run()
         assert fired_at == [7.0]
+
+
+@pytest.fixture(params=["single", "laned", "lane-by-lane"])
+def kernel_env(request):
+    """One environment per kernel: the heap key layouts differ."""
+    if request.param == "single":
+        return Environment(seed=42)
+    if request.param == "laned":
+        return Environment(seed=42, lanes=3, engine="global")
+    env = Environment(seed=42, lanes=3, engine="sharded")
+    env.sim.restrict_channels(set())  # independent lanes: drained one by one
+    return env
+
+
+class TestHandOff:
+    """``hand_off`` is ``succeed`` made as a call when the queue would run
+    the waiters next anyway, and exactly ``succeed`` when it would not."""
+
+    def test_runs_waiters_in_place_when_the_instant_is_clear(self, kernel_env):
+        env = kernel_env
+        env.timeout(5.0)  # an entry due later is not a tie
+        event = env.event()
+        seen = []
+        event.add_callback(lambda e: seen.append((e.ok, e.value)))
+        event.hand_off("v")
+        assert seen == [(True, "v")]
+        assert event.processed
+        env.run()
+        assert env.sim.processed_events == 1  # the timeout; nothing was queued
+
+    @pytest.mark.parametrize("trigger", ["hand_off", "succeed"])
+    def test_a_tie_keeps_the_queue_order(self, kernel_env, trigger):
+        # The shape of a handler whose last step releases a lock: the
+        # finishing step queues the next lock holder at this instant, then
+        # completes.  The waiters on the result must run after that entry.
+        env = kernel_env
+        order = []
+        done = env.event()
+        done.add_callback(lambda e: order.append("reply"))
+
+        def finishing_step(_event):
+            env.timeout(0.0).add_callback(lambda e: order.append("next holder"))
+            getattr(done, trigger)("result")
+            assert order == [] and not done.processed
+
+        env.timeout(3.0).add_callback(finishing_step)
+        env.run()
+        assert order == ["next holder", "reply"]
+        assert done.value == "result"
+        assert env.sim.processed_events == 3
+
+    def test_failure_is_handed_off_like_fail(self, env):
+        error = RuntimeError("boom")
+        for tie in (False, True):
+            event = env.event()
+            seen = []
+            event.add_callback(lambda e, seen=seen: seen.append((e.ok, e.value)))
+            if tie:
+                env.timeout(0.0)
+            event.hand_off(error, ok=False)
+            assert seen == ([] if tie else [(False, error)])
+            env.run()
+            assert seen == [(False, error)]
+
+    def test_late_callback_after_a_hand_off_rides_the_relay(self, env):
+        event = env.event()
+        event.hand_off("v")
+        seen = []
+        event.add_callback(lambda e: seen.append(e.value))
+        assert seen == []  # deferred through the queue, never synchronous
+        env.run()
+        assert seen == ["v"]
+
+    def test_double_trigger_rejected(self, env):
+        event = env.event()
+        event.hand_off()
+        with pytest.raises(RuntimeError):
+            event.hand_off()
+        with pytest.raises(RuntimeError):
+            event.succeed()
+        other = env.event()
+        other.succeed()
+        with pytest.raises(RuntimeError):
+            other.hand_off()
 
 
 class TestTimeout:

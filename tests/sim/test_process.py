@@ -1,5 +1,7 @@
 """Tests for generator-based processes."""
 
+import gc
+
 import pytest
 
 from repro.errors import InvalidYield, ProcessKilled
@@ -93,6 +95,58 @@ class TestInterProcess:
         event.fail(RuntimeError("bad"))
         env.run()
         assert process.value == "caught bad"
+
+
+class TestQueueDriven:
+    """A plain process starts and finishes through the queue: neither its
+    spawner nor its waiters promised to be in tail position (only a message
+    handler's process is handed off; see tests/net/test_node.py)."""
+
+    def test_first_step_waits_its_turn(self, env):
+        order = []
+
+        def worker():
+            order.append("worker")
+            yield env.timeout(0.0)
+
+        env.process(worker())
+        order.append("spawner goes on")
+        env.run()
+        assert order == ["spawner goes on", "worker"]
+
+    def test_return_wakes_waiters_through_the_queue(self, env):
+        order = []
+
+        def child():
+            yield env.timeout(1.0)
+            return "done"
+
+        process = env.process(child())
+        process.add_callback(lambda e: order.append(("waiter", e.value)))
+        # bootstrap, the timeout, the process event: the instant is clear
+        # when the child returns, and its waiters still take a queue entry.
+        env.run()
+        assert order == [("waiter", "done")]
+        assert env.sim.processed_events == 3
+
+
+class TestLifetime:
+    def test_finished_process_is_freed_without_the_cycle_collector(self, env):
+        # One process per handled message: if each ended as a reference
+        # cycle (process <-> its bound resume callback) the collector would
+        # run twice as often over a run.  Counted, not timed.
+        def worker():
+            yield env.timeout(1.0)
+
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                env.process(worker())
+            env.run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFailures:
