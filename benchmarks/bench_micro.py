@@ -79,6 +79,7 @@ class TestSimKernel:
 
 class TestHandlerRoundTrip:
     ROUND_TRIPS = 500
+    TIMEOUT_MS = 2000.0  # ``Node.request``'s default, the paper's 2 s
 
     def test_request_store_op_reply(self, benchmark):
         """Request → one store operation → reply over ``Node`` and
@@ -104,16 +105,23 @@ class TestHandlerRoundTrip:
                 for _ in range(self.ROUND_TRIPS):
                     responses = yield client.request("server", "read")
                     assert responses[0].payload == 1
+                return env.now
 
-            env.process(requester())
+            process = env.process(requester())
             env.run()
-            return env.sim.processed_events
+            return env.sim.processed_events, process.value
 
-        events = benchmark(run_round_trips)
+        events, duration_ms = benchmark(run_round_trips)
         # Per round trip three simulated delays — request delivery, store
-        # latency, reply delivery — plus the request's deadline; the
-        # requester's own bootstrap and completion are the other two.
-        assert events == (3 + 1) * self.ROUND_TRIPS + 2
+        # latency, reply delivery — and no deadline: an answered request's
+        # timeout waits in the client's FIFO and is dropped unpopped.  The
+        # requester's own bootstrap and completion are two more.  What is
+        # left of the deadlines is the FIFO's head: armed by the first
+        # request, and re-armed at each pop for the request then in flight,
+        # which started at most one round trip earlier — one pop per
+        # timeout's worth of simulated time, plus the first.
+        head_pops = int(duration_ms // self.TIMEOUT_MS) + 1
+        assert events == 3 * self.ROUND_TRIPS + 2 + head_pops
         if benchmark.stats:  # None under --benchmark-disable
             benchmark.extra_info["round_trips_per_s"] = round(
                 self.ROUND_TRIPS / benchmark.stats.stats.median

@@ -516,10 +516,6 @@ class Cluster:
         """The service endpoint owning *group*'s log in *datacenter*."""
         return self.lane_services[(datacenter, self.shard_map.lane_of(group))]
 
-    def store_for(self, datacenter: str, group: str) -> MultiVersionStore:
-        """The store partition holding *group*'s rows in *datacenter*."""
-        return self.lane_stores[(datacenter, self.shard_map.lane_of(group))]
-
     def replicas(self, group: str) -> list[LogReplica]:
         """Every datacenter's log replica for *group*."""
         return [

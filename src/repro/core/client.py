@@ -186,6 +186,11 @@ class TransactionClient:
         #: Group → event-lane routing on sharded deployments; ``None`` keeps
         #: the historic single-service-per-datacenter addressing.
         self.shard_map = shard_map
+        #: ``service_names`` by service lane: every request asks, and the
+        #: answer is fixed once ``datacenters``, ``datacenter`` and
+        #: ``shard_map`` are.  By lane, not by group — a 2PC decision group
+        #: is named per transaction, so groups are unbounded and lanes few.
+        self._service_names: dict[int, tuple[str, ...]] = {}
         self._txn_counter = 0
         #: Jitter stream for the failover retry loop.  Drawn from only when
         #: a full service sweep actually failed, so fault-free runs are
@@ -213,18 +218,26 @@ class TransactionClient:
     # Topology helpers used by the protocols
     # ------------------------------------------------------------------
 
-    def service_names(self, group: str | None = None) -> list[str]:
+    def service_names(self, group: str | None = None) -> tuple[str, ...]:
         """All of *group*'s Transaction Service names, local datacenter first.
 
         On a sharded deployment the group picks the service lane; without a
         shard map (or a group) the historic one-service-per-datacenter names
         are returned.
         """
-        if self.shard_map is not None and group is not None:
-            return self.shard_map.ordered_service_names(
-                self.datacenters, self.datacenter, group
-            )
-        return ordered_service_names(self.datacenters, self.datacenter)
+        shard_map = self.shard_map
+        sharded = shard_map is not None and group is not None
+        lane = shard_map.lane_of(group) if sharded else 0
+        names = self._service_names.get(lane)
+        if names is None:
+            if sharded:
+                ordered = shard_map.ordered_service_names(
+                    self.datacenters, self.datacenter, group
+                )
+            else:
+                ordered = ordered_service_names(self.datacenters, self.datacenter)
+            names = self._service_names[lane] = tuple(ordered)
+        return names
 
     def service_in(self, datacenter: str, group: str | None = None) -> str | None:
         """Service node name in *datacenter*, if it is part of the deployment."""

@@ -441,13 +441,5 @@ class TransactionService:
     def _recover_group(self, group: str, target: int) -> Generator:
         yield from self._ensure_applied(group, target)
 
-    # ------------------------------------------------------------------
-    # Introspection for tests and the harness
-    # ------------------------------------------------------------------
-
-    def chosen_log(self, group: str) -> dict[int, LogEntry]:
-        """All decisions this replica knows for *group*."""
-        return self.replica(group).entries()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TransactionService {self.datacenter}>"

@@ -11,6 +11,7 @@ present the average here").
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from statistics import fmean
 from typing import TYPE_CHECKING
@@ -272,10 +273,20 @@ def finish_run(
 
 
 def run_once(spec: ExperimentSpec, seed: int = 0) -> ExperimentResult:
-    """Execute one cell once with one seed."""
+    """Execute one cell once with one seed.
+
+    The finished cluster is one large reference cycle, and
+    :meth:`Environment.run <repro.sim.env.Environment.run>` pauses the
+    cycle collector: collect it here, where it is dropped, so a process
+    that runs cells back to back never carries a dead cluster through the
+    next cell's run.
+    """
     cluster, drivers = prepare_run(spec, seed)
     cluster.run()
-    return finish_run(spec, cluster, drivers)
+    result = finish_run(spec, cluster, drivers)
+    del cluster, drivers
+    gc.collect()
+    return result
 
 
 def aggregate_cell(spec: ExperimentSpec, runs: list[ExperimentResult]) -> ExperimentResult:

@@ -235,13 +235,6 @@ class AvailabilityTimeline:
         indices = set(self.commits) | set(self.aborts)
         return max(indices) if indices else -1
 
-    def commit_p99_ms(self, index: int) -> float:
-        """p99 commit latency of one window (NaN when no commits)."""
-        histogram = self.latency.get(index)
-        if histogram is None:
-            return float("nan")
-        return histogram.percentile(0.99)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AvailabilityTimeline):
             return NotImplemented
@@ -646,20 +639,12 @@ class RunMetrics:
         return self.commit_latency.p50_ms
 
     @property
-    def p95_commit_latency_ms(self) -> float:
-        return self.commit_latency.p95_ms
-
-    @property
     def mean_all_latency_ms(self) -> float:
         return self.all_latency.mean_ms
 
     @property
     def mean_cross_commit_latency_ms(self) -> float:
         return self.cross_commit_latency.mean_ms
-
-    @property
-    def mean_queue_commit_latency_ms(self) -> float:
-        return self.queue_commit_latency.mean_ms
 
     @property
     def goodput_per_s(self) -> float:

@@ -16,6 +16,21 @@ from typing import Any
 _message_ids = count(1)
 
 
+class _ResponseTypes(dict):
+    """``request type -> response type``, each formatted once.
+
+    A deployment speaks fewer than ten request types and sends tens of
+    thousands of replies.
+    """
+
+    def __missing__(self, request_type: str) -> str:
+        response_type = self[request_type] = f"{request_type}.response"
+        return response_type
+
+
+_response_types = _ResponseTypes()
+
+
 @dataclass(slots=True)
 class Message:
     """An envelope travelling between two nodes.
@@ -52,7 +67,7 @@ class Message:
         return Message(
             src=self.dst,
             dst=self.src,
-            type=f"{self.type}.response",
+            type=_response_types[self.type],
             payload=payload,
             request_id=self.request_id,
             is_response=True,

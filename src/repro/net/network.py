@@ -41,16 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class _Delivery(Notification):
     """A scheduled message arrival.
 
-    The hot path used to build a :class:`~repro.sim.events.Timeout` plus a
-    closure per message; this event carries the message directly and skips
-    the callback machinery entirely — nothing ever waits on a delivery.
+    Nothing ever waits on a delivery, so it is a bare queue entry carrying
+    the message and where it goes — three stores per message, no event.
     """
 
     __slots__ = ("_network", "_msg", "_dst")
 
-    def __init__(self, env: "Environment", network: "Network",
-                 msg: Message, dst: "Node") -> None:
-        super().__init__(env)
+    def __init__(self, network: "Network", msg: Message, dst: "Node") -> None:
         self._network = network
         self._msg = msg
         self._dst = dst
@@ -241,12 +238,11 @@ class Network:
                 # UDP may duplicate; the copy re-draws its path delay.
                 copies = 2
                 stats.duplicated += 1
-            env = self.env
             one_way_delay = self.latency.one_way_delay
-            sim_schedule = env.sim.schedule
+            sim_schedule = self.env.sim.schedule
             for _copy in range(copies):
                 delay = one_way_delay(src_dc, dst_dc, rng)
-                sim_schedule(_Delivery(env, self, msg, dst), delay)
+                sim_schedule(_Delivery(self, msg, dst), delay)
             return
         lane = src.lane if src is not None else self.env.sim.current_lane
         down = self._down_views[lane]
@@ -269,18 +265,16 @@ class Network:
             # UDP may duplicate; the copy takes its own (re-drawn) path delay.
             copies = 2
             stats.duplicated += 1
-        env = self.env
+        sim = self.env.sim
         one_way_delay = self.latency.one_way_delay
         dst_lane = dst.lane
         if dst_lane == lane:
-            sim_schedule = env.sim.schedule
+            sim_schedule = sim.schedule
             for _copy in range(copies):
                 delay = one_way_delay(src_dc, dst_dc, rng)
-                sim_schedule(_Delivery(env, self, msg, dst), delay)
+                sim_schedule(_Delivery(self, msg, dst), delay)
             return
         # Cross-lane: the kernel checks the channel and routes the delivery.
         for _copy in range(copies):
             delay = one_way_delay(src_dc, dst_dc, rng)
-            env.sim.schedule_in_lane(
-                _Delivery(env, self, msg, dst), delay, dst_lane
-            )
+            sim.schedule_in_lane(_Delivery(self, msg, dst), delay, dst_lane)

@@ -19,7 +19,7 @@ discipline of Algorithm 2: broadcast to all datacenters, then wait until
 
 from __future__ import annotations
 
-from functools import partial
+from collections import deque
 from itertools import count
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable
@@ -36,22 +36,71 @@ Handler = Callable[[Message], Any]
 
 
 class _Deadline(Notification):
-    """Fires a :class:`Gather`'s loss-detection timeout.
+    """Fires a :class:`Gather`'s grace window, as a queue entry of its own.
 
-    A dedicated event (rather than a ``Timeout`` plus a closure) because one
-    is scheduled per outgoing request — this is the second-hottest allocation
-    site after message delivery.
+    The grace window is short and usually still open when it is due, so it
+    is worth a heap entry; the long loss-detection timeout is not (see
+    :class:`_DeadlineFifo`).
     """
 
     __slots__ = ("_gather",)
 
-    def __init__(self, env: "Environment", gather: "Gather", delay: float) -> None:
-        super().__init__(env)
+    def __init__(self, gather: "Gather") -> None:
         self._gather = gather
-        env.sim.schedule(self, delay)
 
     def _process(self) -> None:
         self._gather._finish()
+
+
+class _DeadlineFifo(Notification):
+    """One node's loss-detection deadlines of one length, in the order set.
+
+    Nearly every request is answered long before its (2 s) timeout, so a
+    heap entry per request is an entry that sits in the queue for two
+    simulated seconds to do nothing.  Deadlines of one length come due in
+    the order they were set — ``now + length`` is monotone in ``now`` and
+    the sequence number breaks ties — so they wait here instead, each with
+    the heap key the kernel reserved for it at request time, and only the
+    oldest one that was unsettled when armed is in the heap, under its own
+    key, represented by this object.
+
+    When it pops, it drops that entry and every settled one behind it,
+    re-arms at the next entry's reserved key — even one due at this very
+    instant: events keyed between the two must run first — and last, in
+    tail position (:meth:`Gather._finish` hands off), fires the gather it
+    was armed for unless that settled meanwhile.  A live deadline thus
+    fires at exactly the ``(time, seq)`` a heap entry of its own would
+    have; a dead one costs a ``popleft`` instead of a pop.
+    """
+
+    __slots__ = ("_sim", "_waiting")
+
+    def __init__(self, sim) -> None:
+        self._sim = sim
+        #: ``(reserved heap key, gather)``; the head is the one in the heap.
+        self._waiting: deque[tuple[tuple, Gather]] = deque()
+
+    def add(self, gather: "Gather", timeout_ms: float) -> None:
+        key = self._sim.reserve(timeout_ms)
+        waiting = self._waiting
+        if not waiting:
+            self._sim.push_reserved(key, self)
+        elif key < waiting[-1][0]:
+            # One node's requests are all stamped by its own lane; a caller
+            # outside it (setup code on a laned kernel) would break the order.
+            raise RuntimeError("deadline reserved out of order")
+        waiting.append((key, gather))
+
+    def _process(self) -> None:
+        waiting = self._waiting
+        _key, gather = waiting.popleft()
+        while waiting:
+            key, behind = waiting[0]
+            if not behind._done:
+                self._sim.push_reserved(key, self)
+                break
+            waiting.popleft()
+        gather._finish()
 
 
 class Gather(Event):
@@ -60,15 +109,21 @@ class Gather(Event):
     The event's value is the list of response :class:`Message` envelopes
     received so far (possibly fewer than a quorum — callers must check).
 
+    *deadlines* is the requesting node's registry of :class:`_DeadlineFifo`
+    by timeout length; the gather joins (or opens) the one for
+    ``timeout_ms``.  The grace window, armed once ``enough`` holds, is a
+    plain :class:`_Deadline` on the heap.
+
     A gather completes in tail position — :meth:`add` is the last thing
-    :meth:`Node.deliver` does with a response, and a :class:`_Deadline`
-    does nothing else — so its waiters are handed the result in place
+    :meth:`Node.deliver` does with a response, and a deadline does nothing
+    after firing — so its waiters are handed the result in place
     (:meth:`~repro.sim.events.Event.hand_off`) instead of through a
     same-instant queue entry.
     """
 
     __slots__ = ("responses", "_expected", "_enough", "_grace_ms",
-                 "_grace_armed", "_done", "_answered")
+                 "_grace_armed", "_done", "_answered", "_pending",
+                 "_request_id")
 
     def __init__(
         self,
@@ -77,6 +132,7 @@ class Gather(Event):
         enough: Callable[[list[Message]], bool] | None,
         timeout_ms: float,
         grace_ms: float,
+        deadlines: "dict[float, _DeadlineFifo]",
     ) -> None:
         super().__init__(env)
         self.responses: list[Message] = []
@@ -86,7 +142,14 @@ class Gather(Event):
         self._grace_armed = False
         self._done = False
         self._answered: set[str] = set()
-        _Deadline(env, self, timeout_ms)
+        #: The requester's correlation table and this gather's key in it,
+        #: set by :meth:`Node.request_many`; the gather leaves it on finish.
+        self._pending: dict[int, Gather] | None = None
+        self._request_id = 0
+        fifo = deadlines.get(timeout_ms)
+        if fifo is None:
+            fifo = deadlines[timeout_ms] = _DeadlineFifo(env.sim)
+        fifo.add(self, timeout_ms)
 
     def add(self, response: Message) -> None:
         """Record one response; may complete the gather.
@@ -109,13 +172,21 @@ class Gather(Event):
                 self._finish()
                 return
             self._grace_armed = True
-            _Deadline(self.env, self, self._grace_ms)
+            self.env.sim.schedule(_Deadline(self), self._grace_ms)
 
     def _finish(self) -> None:
         if self._done:
             return
         self._done = True
+        if self._pending is not None:
+            self._pending.pop(self._request_id, None)
         self.hand_off(list(self.responses))
+
+
+#: What a handler's first step is resumed with: nothing, successfully.
+_FIRST_STEP = Event(None)  # type: ignore[arg-type]
+_FIRST_STEP._ok = True
+_FIRST_STEP._value = None
 
 
 class _HandlerProcess(Process):
@@ -125,20 +196,34 @@ class _HandlerProcess(Process):
     waits on events of its own (its store operations, gathers, lock grants
     and timeouts), so being resumed is the last thing the waking event
     does.  Both ends are therefore in tail position: the first step is
-    handed off instead of queued as a bootstrap event, and so is a normal
-    return (the reply goes out from the frame of the handler's last step).
-    Failures and kills stay queue-driven like any process's.
+    taken in ``deliver``'s frame instead of from a bootstrap event, and a
+    normal return is handed off (the reply goes out from the frame of the
+    handler's last step).  Failures and kills stay queue-driven like any
+    process's.
     """
 
-    __slots__ = ()
+    __slots__ = ("_request",)
 
     def _bootstrap(self, lane: int | None) -> None:
         pass  # deliver registers its callbacks first, then calls start()
 
     def start(self) -> None:
-        first_step = Event(self.env)
-        first_step.callbacks.append(self._resume_cb)
-        first_step.hand_off()
+        """Take the first step now if the queue would, else queue it.
+
+        The same clear-instant guard as :meth:`Event.hand_off`, without an
+        event to hand off: on a tie the usual bootstrap entry is queued.
+        """
+        sim = self.env.sim
+        queue = sim._queue
+        if queue and queue[0][0] <= sim._now:
+            Process._bootstrap(self, None)
+        else:
+            self._resume(_FIRST_STEP)
+
+    @property
+    def name(self) -> str:
+        request = self._request
+        return f"{request.dst}:{request.type}"
 
     def _returned(self, value: Any) -> None:
         self.hand_off(value)
@@ -165,6 +250,8 @@ class Node:
         self.down = False
         self._handlers: dict[str, Handler] = {}
         self._pending: dict[int, Gather] = {}
+        #: Loss-detection deadlines in flight, one FIFO per timeout length.
+        self._deadlines: dict[float, _DeadlineFifo] = {}
         self._request_ids = count(1)
         self._learner_ids = count(1)
         #: Live handler processes, tracked only when :meth:`track_processes`
@@ -249,11 +336,11 @@ class Node:
         ``payload_for`` lets the caller customize the payload per destination
         (unused by the core protocols but handy in tests).
         """
-        gather = Gather(self.env, expected=len(dsts), enough=enough,
-                        timeout_ms=timeout_ms, grace_ms=grace_ms)
-        request_id = next(self._request_ids)
-        self._pending[request_id] = gather
-        gather.add_callback(lambda _e: self._pending.pop(request_id, None))
+        gather = Gather(self.env, len(dsts), enough, timeout_ms, grace_ms,
+                        self._deadlines)
+        gather._request_id = request_id = next(self._request_ids)
+        gather._pending = pending = self._pending
+        pending[request_id] = gather
         for dst in dsts:
             body = payload if payload_for is None else payload_for(dst)
             self.network.send(Message(
@@ -284,20 +371,21 @@ class Node:
             return  # unknown messages are dropped, as UDP would
         result = handler(msg)
         if type(result) is GeneratorType:
-            process = _HandlerProcess(self.env, result, f"{self.name}:{msg.type}")
+            process = _HandlerProcess(self.env, result)
+            process._request = msg
             self.adopt(process)
             if msg.request_id is not None:
-                process.add_callback(partial(self._on_handler_done, msg))
+                process.add_callback(self._on_handler_done)
             process.start()
         elif msg.request_id is not None:
             self._reply(msg, result)
 
-    def _on_handler_done(self, request: Message, event: Event) -> None:
-        if not event._ok:
+    def _on_handler_done(self, process: _HandlerProcess) -> None:
+        if not process._ok:
             # A crashed handler must not masquerade as a reply; surface the
             # error through the simulation loop instead.
-            raise event._value
-        self._reply(request, event._value)
+            raise process._value
+        self._reply(process._request, process._value)
 
     def _reply(self, request: Message, payload: Any) -> None:
         if self.down:

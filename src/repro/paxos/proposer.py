@@ -160,11 +160,3 @@ class SynodProposer:
         payload = m.ApplyPayload(self.group, self.position, ballot, value)
         for service in self.services:
             self.node.send(service, m.APPLY, payload)
-
-    # ------------------------------------------------------------------
-    # Helpers shared by the commit protocols
-    # ------------------------------------------------------------------
-
-    def votes_with_quorum(self) -> bool:
-        """Whether a majority of services is even reachable on paper."""
-        return len(self.services) >= self.majority

@@ -2,8 +2,15 @@
 
 :class:`Simulator` owns the virtual clock and a priority queue of scheduled
 events.  Everything that takes simulated time — message deliveries, store
-operations, request deadlines, think times — is expressed as an
-:class:`~repro.sim.events.Event` pushed onto this queue.
+operations, think times — is an entry on this queue (an
+:class:`~repro.sim.events.Event`, or a bare
+:class:`~repro.sim.events.Notification` where nothing waits).  The one
+delay that is *not* an entry of its own is a request's loss-detection
+deadline: almost every one is dead by the time it is due, so a node keeps
+them in a FIFO per timeout length and the queue holds one entry per node and
+length — the oldest deadline that was still live when it was armed, under
+the key :meth:`Simulator.reserve` stamped for it at request time (see
+``repro.net.node``).
 
 Events scheduled for the same instant are processed in scheduling order
 (FIFO), enforced with a monotone sequence number, which makes runs
@@ -102,6 +109,32 @@ class Simulator:
             raise ValueError(f"cannot schedule event in the past (delay={delay})")
         self._seq = seq = self._seq + 1
         heappush(self._queue, (self._now + delay, seq, event))
+
+    def reserve(self, delay: float) -> tuple:
+        """Stamp the key :meth:`schedule` would stamp now, without pushing.
+
+        The key takes its place in the scheduling order at this moment —
+        the sequence counter advances exactly as for a push — but the queue
+        holds nothing until :meth:`push_reserved` enters an event under it,
+        which may be any time before the key is due.  For delays that are
+        mostly never needed (``repro.net.node``'s deadline FIFOs).
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule event in the past (delay={delay})")
+        self._seq = seq = self._seq + 1
+        return (self._now + delay, seq)
+
+    def push_reserved(self, key: tuple, event: Event) -> None:
+        """Enter *event* under a key :meth:`reserve` stamped earlier.
+
+        *event* pops exactly where a ``schedule`` at reservation time would
+        have put it; a key already in the past is refused like a negative
+        delay.
+        """
+        if key[0] < self._now:
+            raise ValueError(f"reserved key is in the past (due {key[0]}, "
+                             f"now {self._now})")
+        heappush(self._queue, (*key, event))
 
     # ------------------------------------------------------------------
     # Execution
@@ -241,6 +274,13 @@ class LanedSimulator(Simulator):
         lane = self.current_lane
         self._seqs[lane] = seq = self._seqs[lane] + 1
         heappush(self._queue, (self._now + delay, lane, seq, lane, event))
+
+    def reserve(self, delay: float) -> tuple:
+        if delay < 0:
+            raise ValueError(f"cannot schedule event in the past (delay={delay})")
+        lane = self.current_lane
+        self._seqs[lane] = seq = self._seqs[lane] + 1
+        return (self._now + delay, lane, seq, lane)
 
     def schedule_in_lane(self, event: Event, delay: float, lane: int) -> None:
         """Schedule *event* to execute in *lane* (cross-lane deliveries).

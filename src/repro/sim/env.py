@@ -14,6 +14,7 @@ declared channel graph is empty, ``engine="global"`` keeps the single heap.
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Generator
 
 from repro.config import EngineName, validate_engine
@@ -57,8 +58,25 @@ class Environment:
         return self.sim.n_lanes
 
     def run(self, until: float | None = None) -> None:
-        """Advance the simulation (see :meth:`Simulator.run`)."""
-        self.sim.run(until)
+        """Advance the simulation (see :meth:`Simulator.run`).
+
+        The cycle collector is paused while the queue drains and put back
+        as it was found (a caller who had it disabled keeps it disabled).
+        The one reason: a run makes next to no cyclic garbage — a finished
+        process, gather or store operation is freed by reference count
+        (``tests/sim/test_process.py::TestLifetime``) — so every collection
+        in here is triggered by live data growing (history, outcomes, log
+        entries, store versions), walks it, and frees nothing.  What *is*
+        one large cycle is a finished cluster; whoever drops one between
+        runs collects it there (:func:`repro.harness.experiment.run_once`).
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.sim.run(until)
+        finally:
+            if collecting:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # Event factories

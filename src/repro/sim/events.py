@@ -29,12 +29,14 @@ waiter that hands off in turn must be the last waiter of what woke it) — and
 pop, so running the waiters in the caller's frame is the queue order by
 construction.  The caller promises (1); ``hand_off`` checks (2) itself and
 falls back to the queue when it fails.  The heap is thereby left holding
-simulated delays (deliveries, store latencies, deadlines, think times),
-not same-instant relays.
+simulated delays (deliveries, store latencies, think times, one armed
+deadline per node and timeout length), not same-instant relays.
 
 Events are the most-allocated objects in a simulation (every timeout, every
-message delivery, every store operation), so every class in this module
-uses ``__slots__`` and keeps ``__init__`` to plain attribute stores.
+store operation, every request), so every class in this module uses
+``__slots__`` and keeps ``__init__`` to plain attribute stores; the queue
+entries nothing waits on (message deliveries, deadlines) are not events at
+all: see :class:`Notification`.
 """
 
 from __future__ import annotations
@@ -177,27 +179,21 @@ class Event:
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
 
 
-class Notification(Event):
-    """Base for fire-and-forget events nothing ever waits on.
+class Notification:
+    """Base for fire-and-forget queue entries nothing ever waits on.
 
-    Subclasses override ``_process`` to perform their action directly; the
-    callback machinery is bypassed entirely (``callbacks`` stays ``None``).
-    The init writes every :class:`Event` slot by hand instead of going
-    through ``Event.__init__`` — these are the hottest allocations in the
-    simulation (one per message delivery, one per request deadline), and
-    skipping the callback-list allocation is the point.  Keeping the slot
-    list in one place here is what lets subclasses stay oblivious when a
-    slot is added to :class:`Event`.
+    Not an :class:`Event`: the kernel asks of a popped entry only that it
+    has ``_process()``, and nothing registers a callback on, reads the value
+    of, or reaches the environment through a message delivery or a request
+    deadline.  These are the hottest allocations in the simulation (one per
+    message), so a subclass declares the slots its ``_process`` reads and
+    stores nothing else — no ``__init__`` to chain to, no dead slot.
     """
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self.callbacks = None
-        self._value = None
-        self._ok = True
-        self._late_relay = None
+    def _process(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
 
 
 class Timeout(Event):

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Process(Event):
     """Drives a generator, resuming it each time a yielded event fires."""
 
-    __slots__ = ("name", "lane", "_generator", "_waiting_on", "_resume_cb")
+    __slots__ = ("_name", "lane", "_generator", "_waiting_on", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: str | None = None, lane: int | None = None) -> None:
@@ -39,7 +39,7 @@ class Process(Event):
                 "did you forget to call the process function?"
             )
         super().__init__(env)
-        self.name = name or getattr(generator, "__name__", "process")
+        self._name = name
         #: Event lane this process started in (the fault injector kills a
         #: process from its own lane).  Resumptions follow the events the
         #: process waits on, which stay in this lane for lane-local work.
@@ -77,6 +77,11 @@ class Process(Event):
         tail position of it.
         """
         self.succeed(value)
+
+    @property
+    def name(self) -> str:
+        """What error messages call this process (built when asked for)."""
+        return self._name or getattr(self._generator, "__name__", "process")
 
     @property
     def is_alive(self) -> bool:

@@ -70,15 +70,6 @@ class ShardMap:
         """The event lane of *group* (shared lane for unknown groups)."""
         return self._lanes.get(group, SHARED_LANE)
 
-    def groups_in(self, lane: int) -> tuple[str, ...]:
-        """Every placement group assigned to *lane*, in placement order."""
-        return tuple(g for g, l in self._lanes.items() if l == lane)
-
-    @property
-    def group_lanes(self) -> tuple[int, ...]:
-        """The non-shared lanes (empty on a single-lane map)."""
-        return tuple(range(1, self.n_lanes))
-
     # ------------------------------------------------------------------
     # Node naming / routing
     # ------------------------------------------------------------------

@@ -21,6 +21,18 @@ def env() -> Environment:
     return Environment(seed=42)
 
 
+@pytest.fixture(params=["single", "laned", "lane-by-lane"])
+def kernel_env(request):
+    """One environment per kernel: the heap key layouts differ."""
+    if request.param == "single":
+        return Environment(seed=42)
+    if request.param == "laned":
+        return Environment(seed=42, lanes=3, engine="global")
+    env = Environment(seed=42, lanes=3, engine="sharded")
+    env.sim.restrict_channels(set())  # independent lanes: drained one by one
+    return env
+
+
 def make_cluster(
     code: str = "VVV",
     seed: int = 0,

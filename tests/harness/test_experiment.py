@@ -1,11 +1,18 @@
 """Tests for the experiment runner (scaled down to stay fast)."""
 
+import gc
 from dataclasses import replace
 
 import pytest
 
 from repro.config import ClusterConfig, StoreConfig, WorkloadConfig
-from repro.harness.experiment import ExperimentSpec, run_cell, run_once
+from repro.harness.experiment import (
+    ExperimentSpec,
+    finish_run,
+    prepare_run,
+    run_cell,
+    run_once,
+)
 
 
 def small_spec(protocol="paxos-cp", **workload_overrides):
@@ -51,6 +58,21 @@ class TestRunOnce:
             or first.metrics.commits != second.metrics.commits
         )
         assert difference
+
+    def test_dropped_cluster_is_collected_before_returning(self):
+        # A finished cluster is one large reference cycle and the next
+        # cell's run pauses the collector: run_once must not leave it behind.
+        spec = small_spec()
+        gc.collect()
+        result = run_once(spec, seed=1)
+        assert gc.collect() < 100
+        # The premise: dropped by hand, the same cluster is cyclic garbage.
+        cluster, drivers = prepare_run(spec, 1)
+        cluster.run()
+        by_hand = finish_run(spec, cluster, drivers)
+        del cluster, drivers
+        assert gc.collect() > 100
+        assert by_hand.metrics.commits == result.metrics.commits
 
     def test_per_datacenter_instances(self):
         spec = replace(small_spec(), per_datacenter_instances=True)

@@ -1,14 +1,23 @@
-"""Differential: a wake-up handed off against the same wake-up queued.
+"""Differential: the kernel's two shortcuts against what they replaced.
 
 ``Event.hand_off`` runs a finished gather's, store operation's or message
 handler's waiters in the caller's frame when no other entry is due at that
-instant, and claims this *is* the queue order.  The check: the same cell
-with the primitive replaced by "always queue" — which is what every one of
-those sites did before — must decide, send and store exactly the same
-things.  Swept over the three protocols × seeds × {no faults; an outage
-over two overlapping crash windows} × {one lane; four lanes on the single
-heap; four lanes drained one by one}, plus the ``xgroup_mix`` shape (2PC,
-queues, pumps), which is long enough to hit same-instant ties: there the
+instant (and ``_HandlerProcess.start`` takes a handler's first step the
+same way), and claims this *is* the queue order.  The check: the same cell
+with both replaced by "always queue" — which is what every one of those
+sites did before — must decide, send and store exactly the same things.
+
+A request's loss-detection deadline waits in its node's FIFO and only the
+oldest live one is a heap entry (``_DeadlineFifo``), and claims a live
+deadline still fires at its old queue position.  The check: the same cell
+with every deadline forced back onto the heap as a plain ``_Deadline`` of
+its own must again observe exactly the same things, in strictly more
+kernel events.
+
+Swept over the three protocols × seeds × {no faults; an outage over two
+overlapping crash windows} × {one lane; four lanes on the single heap; four
+lanes drained one by one}, plus the ``xgroup_mix`` shape (2PC, queues,
+pumps), which is long enough to hit same-instant ties: there the hand-off
 guard's fallback must have been taken, so the test fails without it.
 """
 
@@ -27,7 +36,9 @@ from repro.config import (
 )
 from repro.harness.experiment import ExperimentSpec, finish_run, prepare_run
 from repro.harness.parallel import metrics_digest
+from repro.net.node import _Deadline, _DeadlineFifo, _HandlerProcess
 from repro.sim.events import Event
+from repro.sim.process import Process
 from tests.helpers import xgroup_mix_spec
 
 N_GROUPS = 6
@@ -54,6 +65,22 @@ def always_queued(event: Event, value=None, ok: bool = True) -> None:
         event.succeed(value)
     else:
         event.fail(value)
+
+
+def queued_start(process: _HandlerProcess) -> None:
+    """A handler's first step as the bootstrap entry every process gets."""
+    Process._bootstrap(process, None)
+
+
+def relaying(patch: pytest.MonkeyPatch) -> None:
+    """Every same-instant wake-up rides the queue again."""
+    patch.setattr(Event, "hand_off", always_queued)
+    patch.setattr(_HandlerProcess, "start", queued_start)
+
+
+def deadline_on_the_heap(fifo: _DeadlineFifo, gather, timeout_ms: float) -> None:
+    """What every request did before: a heap entry of its own."""
+    fifo._sim.schedule(_Deadline(gather), timeout_ms)
 
 
 def observe(spec: ExperimentSpec, seed: int) -> tuple[dict, int]:
@@ -99,14 +126,20 @@ def cell(protocol: str, faults: FaultScheduleConfig, layout: str) -> ExperimentS
 def test_handed_off_equals_queued(protocol, faulty, layout, monkeypatch):
     spec = cell(protocol, FAULTS if faulty else FaultScheduleConfig(), layout)
     for seed in (0, 11):
+        handed, handed_events = observe(spec, seed)
         with monkeypatch.context() as patch:
-            handed, handed_events = observe(spec, seed)
-            patch.setattr(Event, "hand_off", always_queued)
+            relaying(patch)
             queued, queued_events = observe(spec, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(_DeadlineFifo, "add", deadline_on_the_heap)
+            heaped, heaped_events = observe(spec, seed)
         assert handed == queued
+        assert handed == heaped
         assert (handed["crashes"] > 0) == faulty  # the schedule happened
-        # The two runs really took different paths: the relays are events.
+        # The runs really took different paths: the relays are events, and
+        # so is every request's deadline.
         assert handed_events < 0.7 * queued_events
+        assert handed_events < heaped_events
 
 
 def test_ties_fall_back_to_the_queue_on_the_xgroup_mix_shape(monkeypatch):
@@ -121,11 +154,17 @@ def test_ties_fall_back_to_the_queue_on_the_xgroup_mix_shape(monkeypatch):
 
     monkeypatch.setattr(Event, "hand_off", counting)
     handed, handed_events = observe(spec, 0)
-    monkeypatch.setattr(Event, "hand_off", always_queued)
-    queued, queued_events = observe(spec, 0)
+    with monkeypatch.context() as patch:
+        relaying(patch)
+        queued, queued_events = observe(spec, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(_DeadlineFifo, "add", deadline_on_the_heap)
+        heaped, heaped_events = observe(spec, 0)
 
     assert handed == queued
+    assert handed == heaped
     assert handed_events < 0.7 * queued_events
+    assert handed_events < heaped_events
     # Some entry was due at the instant of a hand-off (two deliveries
     # landing together; a handler's last step releasing the apply lock to a
     # queued waiter), and the guard sent the wake-up through the queue.

@@ -1,15 +1,23 @@
 """Event budget: the kernel queue holds simulated delays, not relays.
 
 A message between datacenters and an operation on a datacenter's store are
-the two things that take time in the paper's cost model; a request deadline
-and a think time are the simulation's own delays.  Those are what a run may
-spend kernel events on.  The same-instant relays that used to move a result
-one hop — a store operation's ``done`` event, a handler process's bootstrap
-and completion, a gather's completion — were 48 % of all events and are
-handed off in place now, so a run must fit in 55 % of the events the
-relaying kernel (commit 392c1b5) spent on it, while sending exactly the
-messages and committing exactly the transactions it did.  Integer counters,
-exact for a seed on any machine: a tier-1 guard, not a timing benchmark.
+the two things that take time in the paper's cost model; a think time, a
+retry backoff, a pump's poll, a quorum's grace window and a request whose
+loss-detection deadline is still *live* when due are the simulation's own
+delays.  Those — plus a lock grant, a spawned process's first step and
+completion, a wake-up that ties with another entry, and one pop of each
+node's deadline FIFO per timeout's worth of simulated time — are what a run
+may spend kernel events on.  Not among them: the same-instant relays that
+used to move a result one hop (a store operation's ``done`` event, a
+handler process's bootstrap and completion, a gather's completion; 48 % of
+all events, handed off in place now), and a deadline that is dead when it
+comes due (a further 6–9 % of the relaying kernel's count; it waits in
+its node's FIFO and is dropped unpopped).  So a run must fit in 48 % of the
+events the relaying kernel (commit 392c1b5) spent on it — today's counts
+are 17 719 / 12 400 / 29 012, i.e. 44.4 / 43.3 / 47.7 % — while sending
+exactly the messages and committing exactly the transactions it did.
+Integer counters, exact for a seed on any machine: a tier-1 guard, not a
+timing benchmark.
 """
 
 from __future__ import annotations
@@ -61,4 +69,4 @@ def test_run_fits_the_event_budget_and_sends_the_same_messages(shape):
 
     assert (stats.sent, result.metrics.commits) == (sent, commits)
     assert stats.by_type == by_type
-    assert 100 * events <= 55 * relaying_events
+    assert 100 * events <= 48 * relaying_events

@@ -10,6 +10,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Gather, Node
 from repro.net.topology import cluster_preset
+from repro.sim.env import Environment
 from repro.sim.process import Process
 from repro.sim.sync import Lock
 
@@ -241,6 +242,172 @@ class TestHandlerHandOff:
         assert [r.payload for r in gather.value] == [lookalike]
 
 
+class TestDeadlineFifo:
+    """Loss-detection deadlines wait per node and timeout length in the
+    order they were set; only the oldest one that was live when armed is a
+    kernel event.  ``build`` delivers in exactly 1 ms, so every count and
+    instant below is exact."""
+
+    def pair(self, env, answer=True):
+        network = build(env)
+        server = Node(env, network, "server", "V1")
+        client = Node(env, network, "client", "V2")
+        if answer:
+            server.on("q", lambda msg: "ok")
+        return server, client
+
+    def test_answered_requests_cost_no_deadline_event_each(self, env):
+        _server, client = self.pair(env)
+        n, timeout_ms, finished = 200, 75.0, []
+
+        def requester():
+            for _ in range(n):
+                responses = yield client.request("server", "q", timeout_ms=timeout_ms)
+                assert len(responses) == 1
+            finished.append(env.now)
+
+        env.process(requester())
+        env.run()
+        assert finished == [2.0 * n]
+        # Two deliveries per request, the requester's bootstrap and
+        # completion, and one pop of the FIFO head per timeout's worth of
+        # simulated time — where a deadline per request was ``n`` more.
+        head_pops = env.sim.processed_events - (2 * n + 2)
+        assert 1 <= head_pops <= finished[0] // timeout_ms + 1
+        assert head_pops == 6
+        assert not client._deadlines[timeout_ms]._waiting
+
+    def test_unanswered_request_completes_empty_exactly_at_its_deadline(self, env):
+        _server, client = self.pair(env, answer=False)
+
+        def requester():
+            yield env.timeout(7.5)
+            responses = yield client.request("server", "q", timeout_ms=100.0)
+            return responses, env.now
+
+        process = env.process(requester())
+        env.run()
+        assert process.value == ([], 7.5 + 100.0)
+
+    def test_same_instant_deadlines_keep_their_own_queue_positions(self, env):
+        # A, a plain timeout, B: three entries due at one instant, keyed in
+        # that order.  The head (A) must re-arm B under B's own key — behind
+        # the timeout — not fire it in place.
+        _server, client = self.pair(env, answer=False)
+        a = client.request("server", "q", timeout_ms=50.0)
+        between = env.timeout(50.0)
+        b = client.request("server", "q", timeout_ms=50.0)
+        trace = []
+        between.add_callback(
+            lambda e: trace.append(("timeout", a.triggered, b.triggered)))
+        a.add_callback(lambda e: trace.append("A"))
+        b.add_callback(lambda e: trace.append("B"))
+        env.run()
+        # Neither instant is clear, so both gathers wake their waiters
+        # through the queue, in the order their deadlines popped.
+        assert trace == [("timeout", True, False), "A", "B"]
+        assert env.now == 50.0
+        assert a.value == [] and b.value == []
+
+    def test_two_timeout_lengths_each_keep_their_own_order(self, env):
+        _server, client = self.pair(env, answer=False)
+        fired = []
+
+        def ask(tag, timeout_ms):
+            gather = client.request("server", "q", timeout_ms=timeout_ms)
+            gather.add_callback(lambda e: fired.append((tag, env.now)))
+
+        def requester():
+            ask("long-1", 100.0)
+            ask("short-1", 30.0)
+            yield env.timeout(10.0)
+            ask("long-2", 100.0)
+            ask("short-2", 30.0)
+
+        env.process(requester())
+        env.run()
+        assert fired == [("short-1", 30.0), ("short-2", 40.0),
+                         ("long-1", 100.0), ("long-2", 110.0)]
+        assert sorted(client._deadlines) == [30.0, 100.0]
+
+    def test_settled_head_re_arms_for_the_live_entry_behind_it(self, env):
+        network = build(env)
+        server = Node(env, network, "server", "V1")
+        Node(env, network, "silent", "V3")
+        client = Node(env, network, "client", "V2")
+        server.on("q", lambda msg: "ok")
+
+        def requester():
+            first = yield client.request("server", "q", timeout_ms=40.0)
+            yield env.timeout(3.0)  # t = 5
+            settled = client.request("server", "q", timeout_ms=40.0)
+            lost = client.request("silent", "q", timeout_ms=40.0)
+            yield env.timeout(0.5)  # keeps the two replies off one instant
+            also_settled = client.request("server", "q", timeout_ms=40.0)
+            responses = yield lost
+            assert settled.processed and also_settled.processed
+            return len(first), responses, env.now
+
+        process = env.process(requester())
+        env.run()
+        assert process.value == (1, [], 45.0)
+        # 7 deliveries (the silent node drops its one), two think times, the
+        # requester's two — and two head pops: the dead first deadline,
+        # which re-arms past a settled entry for the live one, and that one;
+        # the settled entry behind it is dropped unpopped.
+        assert network.stats.delivered == 7
+        assert env.sim.processed_events == 7 + 2 + 2 + 2
+        assert env.now == 45.0
+
+    def test_down_requester_times_out_as_before(self, env):
+        _server, client = self.pair(env)
+        client.down = True  # the reply is dropped at delivery
+        gather = client.request("server", "q", timeout_ms=60.0)
+        env.run()
+        assert gather.value == [] and env.now == 60.0
+
+    def test_killed_requester_is_not_resumed_by_its_deadline(self, env):
+        _server, client = self.pair(env, answer=False)
+        gathers = []
+
+        def requester():
+            gathers.append(client.request("server", "q", timeout_ms=60.0))
+            yield gathers[0]
+            raise AssertionError("resumed after the kill")  # pragma: no cover
+
+        process = env.process(requester())
+        env.timeout(3.0).add_callback(lambda e: process.kill("crash"))
+        env.run()
+        assert isinstance(process.value, ProcessKilled)
+        assert gathers[0].value == [] and env.now == 60.0
+        assert not client._pending
+
+    def test_finished_gather_leaves_the_correlation_table_at_once(self, env):
+        _server, client = self.pair(env)
+        gather = client.request("server", "q", timeout_ms=60.0)
+        assert list(client._pending.values()) == [gather]
+        env.run(until=2.0)
+        assert gather.processed and not client._pending
+
+    def test_reservation_from_outside_the_nodes_lane_is_refused(self):
+        # A node's deadlines are ordered because its own lane stamps them
+        # all; setup code asking on its behalf between runs is stamped by
+        # lane 0 and could sort ahead of an entry already waiting.
+        env = Environment(seed=42, lanes=3)
+        network = build(env)
+        Node(env, network, "server", "V1", lane=2)
+        client = Node(env, network, "client", "V2", lane=2)
+
+        def requester():
+            yield env.timeout(5.0)
+            client.request("server", "q", timeout_ms=40.0)
+
+        env.process(requester(), lane=2)
+        env.run(until=5.0)
+        with pytest.raises(RuntimeError, match="out of order"):
+            client.request("server", "q", timeout_ms=40.0)
+
+
 class TestGather:
     def make_servers(self, env, network, delays):
         """Servers replying 'ok' after per-server service delays."""
@@ -345,7 +512,8 @@ class TestGather:
         assert len(process.value) == 1
 
     def test_zero_expected_completes_via_timeout(self, env):
-        gather = Gather(env, expected=3, enough=None, timeout_ms=10, grace_ms=0)
+        gather = Gather(env, expected=3, enough=None, timeout_ms=10, grace_ms=0,
+                        deadlines={})
         env.run()
         assert gather.triggered
         assert gather.value == []

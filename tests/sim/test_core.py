@@ -1,10 +1,13 @@
 """Tests for the discrete-event scheduler."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationFinished
 from repro.sim.core import Simulator
 from repro.sim.env import Environment
+from repro.sim.events import Notification
 
 
 def make_event(env, on_fire):
@@ -96,3 +99,113 @@ class TestStep:
         env.timeout(2.0)
         env.run()
         assert env.sim.processed_events == 2
+
+
+class Mark(Notification):
+    """A bare queue entry that records when it popped."""
+
+    __slots__ = ("order", "tag", "env")
+
+    def __init__(self, env, order, tag):
+        self.env, self.order, self.tag = env, order, tag
+
+    def _process(self):
+        self.order.append((self.tag, self.env.now))
+
+
+class TestReservedKeys:
+    """``reserve`` stamps the key ``schedule`` would; ``push_reserved``
+    enters an event under it any time before it is due."""
+
+    def test_pops_where_a_schedule_at_reservation_time_would_have(self, kernel_env):
+        env, order = kernel_env, []
+        env.sim.schedule(Mark(env, order, "before"), 2.0)
+        key = env.sim.reserve(2.0)
+        env.sim.schedule(Mark(env, order, "after"), 2.0)
+        assert env.sim.peek() == 2.0  # the reservation itself holds no entry
+        env.timeout(1.0).add_callback(
+            lambda e: env.sim.push_reserved(key, Mark(env, order, "reserved"))
+        )
+        env.run()
+        assert order == [("before", 2.0), ("reserved", 2.0), ("after", 2.0)]
+        assert env.sim.processed_events == 4
+
+    def test_a_key_due_at_this_very_instant_still_waits_its_turn(self, kernel_env):
+        env, order = kernel_env, []
+
+        def pusher(_event):
+            order.append(("pusher", env.now))
+            env.sim.push_reserved(key, Mark(env, order, "reserved"))
+
+        env.timeout(2.0).add_callback(pusher)
+        env.sim.schedule(Mark(env, order, "between"), 2.0)
+        key = env.sim.reserve(2.0)
+        env.sim.schedule(Mark(env, order, "after"), 2.0)
+        env.run()
+        # Pushed while already due: whatever is keyed between the pusher and
+        # the reserved key runs first, whatever is keyed after it runs after.
+        assert order == [("pusher", 2.0), ("between", 2.0), ("reserved", 2.0),
+                         ("after", 2.0)]
+
+    def test_unpushed_reservation_is_never_an_event(self, kernel_env):
+        kernel_env.sim.reserve(5.0)
+        assert kernel_env.sim.peek() == float("inf")
+        kernel_env.run()
+        assert kernel_env.sim.processed_events == 0
+
+    def test_negative_delay_refused_like_schedule(self, kernel_env):
+        with pytest.raises(ValueError):
+            kernel_env.sim.reserve(-0.5)
+
+    def test_past_key_refused(self, kernel_env):
+        env = kernel_env
+        key = env.sim.reserve(1.0)
+        env.run(until=3.0)
+        with pytest.raises(ValueError):
+            env.sim.push_reserved(key, Mark(env, [], "late"))
+
+
+class TestCollectorPause:
+    """``Environment.run`` pauses the cycle collector for the drain and
+    leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("until", [None, 10.0])
+    def test_paused_inside_a_run_and_back_on_after(self, kernel_env, until):
+        env, seen = kernel_env, []
+
+        def process():
+            yield env.timeout(1.0)
+            seen.append(gc.isenabled())
+
+        env.process(process())
+        gc.enable()
+        env.run(until)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_caller_who_disabled_it_keeps_it_disabled(self, env):
+        env.timeout(1.0)
+        gc.disable()
+        env.run()
+        assert env.sim.processed_events == 1
+        assert not gc.isenabled()
+
+    def test_back_on_when_a_process_exception_escapes_run(self, env):
+        def process():
+            yield env.timeout(1.0)
+            raise RuntimeError("boom")
+
+        env.process(process())
+        gc.enable()
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+        assert gc.isenabled()

@@ -176,18 +176,6 @@ class TestLateCallbacks:
         assert fired_at == [7.0]
 
 
-@pytest.fixture(params=["single", "laned", "lane-by-lane"])
-def kernel_env(request):
-    """One environment per kernel: the heap key layouts differ."""
-    if request.param == "single":
-        return Environment(seed=42)
-    if request.param == "laned":
-        return Environment(seed=42, lanes=3, engine="global")
-    env = Environment(seed=42, lanes=3, engine="sharded")
-    env.sim.restrict_channels(set())  # independent lanes: drained one by one
-    return env
-
-
 class TestHandOff:
     """``hand_off`` is ``succeed`` made as a call when the queue would run
     the waiters next anyway, and exactly ``succeed`` when it would not."""

@@ -227,7 +227,7 @@ class TestLaneByLane:
                 for _ in range(5):
                     yield env.timeout(0.7)
                     trace.append(("ping", env.sim.current_lane, env.now))
-                    env.sim.schedule_in_lane(Poke(env), 1.5, 1)
+                    env.sim.schedule_in_lane(Poke(), 1.5, 1)
 
             def local():
                 for _ in range(5):
