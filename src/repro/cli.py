@@ -39,7 +39,6 @@ from repro.config import (
     StoreConfig,
     WorkloadConfig,
 )
-from repro.errors import OPEN_LOOP_SHARDS_ERROR
 from repro.harness.experiment import ExperimentSpec, run_cell
 from repro.harness.figures import ALL_FIGURES
 from repro.harness.report import format_cells, format_comparison, format_per_instance
@@ -195,10 +194,11 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
 def _parse_faults(args: argparse.Namespace) -> FaultScheduleConfig:
     """Build the declarative fault schedule from the repeatable flags.
 
-    Malformed values are a usage error (SystemExit), caught here at parse
-    time; *semantic* errors (unknown datacenter, no pump for the group)
-    surface later as :class:`~repro.errors.FaultScheduleError` once the
-    deployment exists.
+    A malformed value is a usage error (SystemExit) here; an out-of-range
+    one is the config dataclasses' ``ValueError``, which
+    :func:`_spec_from_args` reports the same way.  *Semantic* errors
+    (unknown datacenter) surface later as
+    :class:`~repro.errors.FaultScheduleError` once the deployment exists.
     """
     def fields(flag: str, value: str, minimum: int, maximum: int) -> list[str]:
         parts = value.split(":")
@@ -219,64 +219,61 @@ def _parse_faults(args: argparse.Namespace) -> FaultScheduleConfig:
                 f"error: {flag}: {raw!r} is not a number"
             ) from None
 
-    try:
-        outages = tuple(
-            OutageWindow(dc, number("--outage", start), number("--outage", dur))
-            for dc, start, dur in (
-                fields("--outage", value, 3, 3) for value in args.outage
-            )
+    outages = tuple(
+        OutageWindow(dc, number("--outage", start), number("--outage", dur))
+        for dc, start, dur in (
+            fields("--outage", value, 3, 3) for value in args.outage
         )
-        partitions = tuple(
-            PartitionWindow(
-                dc_a, dc_b,
-                number("--partition", start), number("--partition", dur),
-            )
-            for dc_a, dc_b, start, dur in (
-                fields("--partition", value, 4, 4) for value in args.partition
-            )
+    )
+    partitions = tuple(
+        PartitionWindow(
+            dc_a, dc_b,
+            number("--partition", start), number("--partition", dur),
         )
-        losses = tuple(
-            LossWindow(
-                number("--loss-episode", p),
-                number("--loss-episode", start),
-                number("--loss-episode", dur),
-            )
-            for p, start, dur in (
-                fields("--loss-episode", value, 3, 3)
-                for value in args.loss_episode
-            )
+        for dc_a, dc_b, start, dur in (
+            fields("--partition", value, 4, 4) for value in args.partition
         )
-        node_crashes = tuple(
-            CrashWindow(
-                dc, number("--crash", start), number("--crash", down),
-            )
-            for dc, start, down in (
-                fields("--crash", value, 3, 3) for value in args.crash
-            )
+    )
+    losses = tuple(
+        LossWindow(
+            number("--loss-episode", p),
+            number("--loss-episode", start),
+            number("--loss-episode", dur),
         )
-        crashes = []
-        for value in args.pump_crash:
-            parts = fields("--pump-crash", value, 2, 4)
-            crashes.append(PumpCrash(
-                group=parts[0],
-                kill_ms=number("--pump-crash", parts[1]),
-                restart_ms=(number("--pump-crash", parts[2])
-                            if len(parts) > 2 else None),
-                restart_poll_ms=(number("--pump-crash", parts[3])
-                                 if len(parts) > 3 else None),
-            ))
-        profile = None
-        if args.fault_profile is not None:
-            mttf, mttr, horizon = fields(
-                "--fault-profile", args.fault_profile, 3, 3
-            )
-            profile = FaultProfile(
-                mttf_ms=number("--fault-profile", mttf),
-                mttr_ms=number("--fault-profile", mttr),
-                horizon_ms=number("--fault-profile", horizon),
-            )
-    except ValueError as error:  # the config dataclasses validate ranges
-        raise SystemExit(f"error: {error}") from None
+        for p, start, dur in (
+            fields("--loss-episode", value, 3, 3)
+            for value in args.loss_episode
+        )
+    )
+    node_crashes = tuple(
+        CrashWindow(
+            dc, number("--crash", start), number("--crash", down),
+        )
+        for dc, start, down in (
+            fields("--crash", value, 3, 3) for value in args.crash
+        )
+    )
+    crashes = []
+    for value in args.pump_crash:
+        parts = fields("--pump-crash", value, 2, 4)
+        crashes.append(PumpCrash(
+            group=parts[0],
+            kill_ms=number("--pump-crash", parts[1]),
+            restart_ms=(number("--pump-crash", parts[2])
+                        if len(parts) > 2 else None),
+            restart_poll_ms=(number("--pump-crash", parts[3])
+                             if len(parts) > 3 else None),
+        ))
+    profile = None
+    if args.fault_profile is not None:
+        mttf, mttr, horizon = fields(
+            "--fault-profile", args.fault_profile, 3, 3
+        )
+        profile = FaultProfile(
+            mttf_ms=number("--fault-profile", mttf),
+            mttr_ms=number("--fault-profile", mttr),
+            horizon_ms=number("--fault-profile", horizon),
+        )
     return FaultScheduleConfig(
         outages=outages, partitions=partitions, loss_windows=losses,
         crashes=node_crashes, pump_crashes=tuple(crashes), profile=profile,
@@ -284,130 +281,76 @@ def _parse_faults(args: argparse.Namespace) -> FaultScheduleConfig:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    protocol_config = ProtocolConfig(
-        leader_fastpath=not args.no_fastpath,
-        max_promotions=args.max_promotions,
-        retry_attempts=args.retry_attempts,
-        retry_backoff_cap_ms=args.retry_backoff_cap_ms,
-        deadline_ms=args.deadline_ms,
-    )
-    faults = _parse_faults(args)
-    if faults.pump_crashes and args.queue_fraction <= 0:
-        raise SystemExit("error: --pump-crash needs --queue-fraction > 0")
-    n_groups = args.groups
-    if n_groups < 1:
-        raise SystemExit(f"error: --groups must be >= 1, got {n_groups}")
-    n_rows = args.rows if args.rows is not None else max(1, n_groups)
-    if n_rows < n_groups:
-        raise SystemExit(
-            f"error: --rows ({n_rows}) must be >= --groups ({n_groups}) so "
-            f"every group owns at least one row"
+    """The experiment spec the flags describe.
+
+    Which flags may be combined is decided by the compatibility table
+    (:data:`repro.config.COMBINATION_RULES`) when the spec is built, and
+    value ranges by the config dataclasses; either refusal exits with its
+    reason.
+    """
+    try:
+        faults = _parse_faults(args)
+        n_groups = args.groups
+        n_rows = args.rows if args.rows is not None else max(1, n_groups)
+        name = f"{args.cluster}/{args.protocol}"
+        if args.isolation != "1sr":
+            name += f"/{args.isolation}"
+        if n_groups > 1:
+            name += f"/{n_groups}g"
+        if args.open_loop:
+            name += f"/open-{args.arrival}"
+        name += faults.cell_suffix()
+        return ExperimentSpec(
+            name=name,
+            cluster=ClusterConfig(
+                cluster_code=args.cluster,
+                loss_probability=args.loss,
+                duplicate_probability=args.duplicate,
+                store=StoreConfig(),
+                protocol=ProtocolConfig(
+                    leader_fastpath=not args.no_fastpath,
+                    max_promotions=args.max_promotions,
+                    retry_attempts=args.retry_attempts,
+                    retry_backoff_cap_ms=args.retry_backoff_cap_ms,
+                    deadline_ms=args.deadline_ms,
+                ),
+                # Range assignment over the numbered row space gives every
+                # group at least one row (or refuses --rows < --groups).
+                placement=PlacementConfig.ranged(n_groups, key_universe=n_rows),
+                shards=args.shards,
+                engine=args.engine,
+                isolation=args.isolation,
+                faults=faults,
+            ),
+            workload=WorkloadConfig(
+                n_transactions=args.transactions,
+                ops_per_transaction=args.ops,
+                n_attributes=args.attributes,
+                n_rows=n_rows,
+                n_threads=args.threads,
+                target_rate_per_thread=args.rate,
+                read_fraction=args.read_fraction,
+                group_distribution=args.group_distribution,
+                cross_group_fraction=args.cross_group_fraction,
+                cross_group_span=args.cross_group_span,
+                queue_fraction=args.queue_fraction,
+                open_loop=args.open_loop,
+                arrival=args.arrival,
+                n_users=args.users,
+                offered_load=args.offered_load,
+                pool_size=args.pool,
+                max_pending=args.max_pending,
+                open_duration_ms=args.duration_ms,
+                hot_shift_period_ms=args.hot_shift_ms,
+            ),
+            protocol=args.protocol,
+            per_datacenter_instances=args.per_dc,
+            retain_outcomes=not args.aggregate_only,
+            # The check subcommand exists to run the invariant suite.
+            check_invariants=args.command == "check" or not args.aggregate_only,
         )
-    if args.cross_group_fraction > 0 and n_groups < 2:
-        raise SystemExit(
-            "error: --cross-group-fraction needs --groups > 1"
-        )
-    if args.queue_fraction > 0 and n_groups < 2:
-        raise SystemExit(
-            "error: --queue-fraction needs --groups > 1"
-        )
-    if args.shards > 1 and args.shards > n_groups:
-        raise SystemExit(
-            f"error: --shards ({args.shards}) must not exceed --groups "
-            f"({n_groups}); every shard lane needs at least one entity group"
-        )
-    if args.group_distribution == "pinned" and n_groups < 2:
-        raise SystemExit("error: --group-distribution pinned needs --groups > 1")
-    if args.queue_fraction > 0 and args.protocol == "leased-leader":
-        raise SystemExit(
-            "error: --queue-fraction is incompatible with leased-leader "
-            "(the delivery pump competes for the receiver's log positions)"
-        )
-    if args.cross_group_fraction > 0 and args.protocol == "leased-leader":
-        raise SystemExit(
-            "error: --cross-group-fraction is incompatible with "
-            "--protocol leased-leader (2PC prepares go through Paxos)"
-        )
-    if args.isolation != "1sr":
-        if args.protocol == "leased-leader":
-            raise SystemExit(
-                "error: --isolation si/ssi needs --protocol paxos or "
-                "paxos-cp (the leased leader validates commits server-side)"
-            )
-        if args.cross_group_fraction > 0 or args.queue_fraction > 0:
-            raise SystemExit(
-                "error: --isolation si/ssi covers single-group commits "
-                "only; drop --cross-group-fraction / --queue-fraction"
-            )
-    if args.open_loop:
-        if args.per_dc:
-            raise SystemExit(
-                "error: --open-loop drives one pooled instance; --per-dc is "
-                "not supported"
-            )
-        if args.shards > 1:
-            raise SystemExit(f"error: {OPEN_LOOP_SHARDS_ERROR}")
-        if args.cross_group_fraction > 0 or args.queue_fraction > 0:
-            raise SystemExit(
-                "error: --open-loop is incompatible with "
-                "--cross-group-fraction / --queue-fraction"
-            )
-    if args.aggregate_only and getattr(args, "command", None) == "check":
-        raise SystemExit(
-            "error: --aggregate-only retains no outcomes, so the check "
-            "subcommand's invariant suite has nothing to verify"
-        )
-    # Range assignment over the numbered row space guarantees every group
-    # owns at least one row.
-    placement = PlacementConfig.ranged(n_groups, key_universe=n_rows)
-    name = f"{args.cluster}/{args.protocol}"
-    if args.isolation != "1sr":
-        name += f"/{args.isolation}"
-    if n_groups > 1:
-        name += f"/{n_groups}g"
-    if args.open_loop:
-        name += f"/open-{args.arrival}"
-    name += faults.cell_suffix()
-    return ExperimentSpec(
-        name=name,
-        cluster=ClusterConfig(
-            cluster_code=args.cluster,
-            loss_probability=args.loss,
-            duplicate_probability=args.duplicate,
-            store=StoreConfig(),
-            protocol=protocol_config,
-            placement=placement,
-            shards=args.shards,
-            engine=args.engine,
-            isolation=args.isolation,
-            faults=faults,
-        ),
-        workload=WorkloadConfig(
-            n_transactions=args.transactions,
-            ops_per_transaction=args.ops,
-            n_attributes=args.attributes,
-            n_rows=n_rows,
-            n_threads=args.threads,
-            target_rate_per_thread=args.rate,
-            read_fraction=args.read_fraction,
-            group_distribution=args.group_distribution,
-            cross_group_fraction=args.cross_group_fraction,
-            cross_group_span=args.cross_group_span,
-            queue_fraction=args.queue_fraction,
-            open_loop=args.open_loop,
-            arrival=args.arrival,
-            n_users=args.users,
-            offered_load=args.offered_load,
-            pool_size=args.pool,
-            max_pending=args.max_pending,
-            open_duration_ms=args.duration_ms,
-            hot_shift_period_ms=args.hot_shift_ms,
-        ),
-        protocol=args.protocol,
-        per_datacenter_instances=args.per_dc,
-        retain_outcomes=not args.aggregate_only,
-        check_invariants=not args.aggregate_only,
-    )
+    except ValueError as error:  # InvalidExperimentSpec is one too
+        raise SystemExit(f"error: {error}") from None
 
 
 def cmd_figure(args: argparse.Namespace) -> int:

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.config import ClusterConfig, ProtocolName
+from repro.config import ClusterConfig, Combination, ProtocolName, check_combination
 from repro.core.client import TransactionClient
 from repro.core.leased_leader import install_leased_leader
 from repro.core.queues import (
@@ -239,6 +239,7 @@ class Cluster:
         default shared lane suits clients that roam groups.
         """
         self.topology.get(datacenter)
+        check_combination(Combination(protocol=protocol, isolation=self.config.isolation))
         if name is None:
             count = self._client_counters.get(datacenter, 0) + 1
             self._client_counters[datacenter] = count

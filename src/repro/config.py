@@ -1,4 +1,6 @@
-"""Configuration dataclasses for deployments, protocols, and workloads.
+"""Configuration dataclasses for deployments, protocols, and workloads, and
+the one table (:data:`COMBINATION_RULES`) of which of their axes do not run
+together.
 
 Defaults follow the paper's evaluation (§6): a two-second message timeout,
 unlimited promotions, the per-log-position leader optimization enabled, and
@@ -8,8 +10,10 @@ a key-value store latency calibrated to HBase-on-EBS (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Literal, Mapping, get_args
+from dataclasses import dataclass, field
+from typing import Callable, Literal, Mapping, get_args
+
+from repro.errors import InvalidExperimentSpec
 
 #: Which commit protocol a client runs.
 ProtocolName = Literal["paxos", "paxos-cp", "leased-leader"]
@@ -90,10 +94,10 @@ class PlacementConfig:
     @classmethod
     def ranged(cls, n_groups: int, key_universe: int | None = None) -> "PlacementConfig":
         """Range-sharded placement over a numbered key space of
-        *key_universe* rows (default: one row per group).  ``n_groups <= 1``
+        *key_universe* rows (default: one row per group).  ``n_groups == 1``
         returns the default single-group placement, so callers can shard
         conditionally without branching."""
-        if n_groups <= 1:
+        if n_groups == 1:
             return cls()
         return cls(
             n_groups=n_groups,
@@ -190,10 +194,6 @@ class ProtocolConfig:
     retry_multiplier: float = 2.0
     deadline_ms: float | None = None
     lease_ms: float = 500.0
-
-    def without_cp(self) -> "ProtocolConfig":
-        """This config with both CP enhancements off (plain Paxos behaviour)."""
-        return replace(self, enable_combination=False, enable_promotion=False)
 
 
 @dataclass(frozen=True)
@@ -607,14 +607,175 @@ class WorkloadConfig:
                 raise ValueError(
                     "flash_multiplier must be >= 1 and flash_duration_ms positive"
                 )
-            if self.cross_group_fraction > 0 or self.queue_fraction > 0:
-                raise ValueError(
-                    "open-loop mode does not support cross_group_fraction or "
-                    "queue_fraction yet; the pooled clients pin each "
-                    "transaction to its user's home group"
-                )
 
     @property
     def mean_interarrival_ms(self) -> float:
         """Mean time between transactions on one thread, in ms."""
         return 1000.0 / self.target_rate_per_thread
+
+
+# ---------------------------------------------------------------------------
+# Which axis combinations run together
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Combination:
+    """The axis values one compatibility check can see.
+
+    The defaults are the paper's plain cell — one group, closed loop, 1SR,
+    no faults — which no row of :data:`COMBINATION_RULES` refuses, so an
+    entry point overrides only the axes it sees: ``Cluster.add_client`` the
+    protocol and the isolation level, a workload driver everything its
+    cluster and workload configs fix, an ``ExperimentSpec`` all of them.
+    """
+
+    protocol: ProtocolName = "paxos"
+    isolation: IsolationLevel = "1sr"
+    #: Entity groups the workload can reach.
+    groups: int = 1
+    shards: int = 1
+    open_loop: bool = False
+    #: ``cross_group_fraction > 0``: 2PC traffic.
+    two_pc: bool = False
+    #: ``queue_fraction > 0``: queue sends, and the pumps that deliver them.
+    queues: bool = False
+    pinned: bool = False
+    pump_crashes: bool = False
+    per_datacenter: bool = False
+    retain_outcomes: bool = True
+    check_invariants: bool = False
+
+    @classmethod
+    def of(cls, cluster: ClusterConfig, workload: WorkloadConfig,
+           protocol: ProtocolName, **axes) -> "Combination":
+        """Every axis *cluster*, *workload* and *protocol* fix; *axes* adds
+        the rest or overrides one (a single-group driver on a multi-group
+        cluster reaches ``groups=1``)."""
+        return cls(**{
+            "protocol": protocol,
+            "isolation": cluster.isolation,
+            "groups": cluster.placement.n_groups,
+            "shards": cluster.shards,
+            "pump_crashes": bool(cluster.faults.pump_crashes),
+            "open_loop": workload.open_loop,
+            "two_pc": workload.cross_group_fraction > 0,
+            "queues": workload.queue_fraction > 0,
+            "pinned": workload.group_distribution == "pinned",
+            **axes,
+        })
+
+
+@dataclass(frozen=True)
+class CombinationRule:
+    """One row of the compatibility table: two axes that do not run
+    together, the predicate that spots them, and why."""
+
+    axes: tuple[str, str]
+    refuses: Callable[[Combination], bool]
+    reason: str
+
+
+#: Every combination of protocol × isolation × traffic mix × open/closed
+#: loop × shards × faults that no row refuses runs, which
+#: ``tests/harness/test_axis_matrix.py`` checks cell by cell.  Rows are
+#: tried in order and the first that refuses names the reason.  Crash
+#: windows × queue traffic is deliberately absent: it runs.
+COMBINATION_RULES: tuple[CombinationRule, ...] = (
+    CombinationRule(
+        ("aggregate-only metrics", "invariant checking"),
+        lambda c: not c.retain_outcomes and c.check_invariants,
+        "retain_outcomes=False discards the per-transaction outcomes the "
+        "invariant suite reads; set check_invariants=False for "
+        "aggregate-only runs",
+    ),
+    CombinationRule(
+        ("open loop", "shards > 1"),
+        lambda c: c.open_loop and c.shards > 1,
+        "the open-loop engine needs a single-lane deployment (shards=1): "
+        "pooled clients roam groups, which the sharded kernel's lane "
+        "pinning cannot express",
+    ),
+    CombinationRule(
+        ("isolation si/ssi", "leased-leader"),
+        lambda c: c.isolation != "1sr" and c.protocol == "leased-leader",
+        "isolation 'si'/'ssi' needs the paxos or paxos-cp protocol (the "
+        "leased leader validates commits server-side, where the snapshot "
+        "window is invisible)",
+    ),
+    CombinationRule(
+        ("isolation si/ssi", "2PC or queue traffic"),
+        lambda c: c.isolation != "1sr" and (c.two_pc or c.queues),
+        "isolation 'si'/'ssi' currently covers single-group commits only; "
+        "cross_group_fraction and queue_fraction must be 0 (the 2PC and "
+        "queue layers still validate against 1SR)",
+    ),
+    CombinationRule(
+        ("open loop", "per-datacenter instances"),
+        lambda c: c.open_loop and c.per_datacenter,
+        "open-loop mode drives one pooled instance; "
+        "per_datacenter_instances is not supported",
+    ),
+    CombinationRule(
+        ("open loop", "2PC or queue traffic"),
+        lambda c: c.open_loop and (c.two_pc or c.queues),
+        "open-loop mode does not support cross_group_fraction or "
+        "queue_fraction yet; the pooled clients pin each transaction to its "
+        "user's home group",
+    ),
+    CombinationRule(
+        ("leased-leader", "2PC traffic"),
+        lambda c: c.protocol == "leased-leader" and c.two_pc,
+        "cross_group_fraction needs the paxos or paxos-cp protocol: the "
+        "leased leader owns its group's log positions, so 2PC prepares "
+        "cannot compete for them",
+    ),
+    CombinationRule(
+        ("leased-leader", "queue traffic"),
+        lambda c: c.protocol == "leased-leader" and c.queues,
+        "queue_fraction needs the paxos or paxos-cp protocol: the delivery "
+        "pump appends queue_apply entries with plain Synod proposals, which "
+        "cannot compete with a leased leader's ownership of the receiver "
+        "group's positions",
+    ),
+    CombinationRule(
+        ("2PC traffic", "one entity group"),
+        lambda c: c.two_pc and c.groups < 2,
+        "cross_group_fraction needs a multi-group workload (a cluster "
+        "placement with more than one group)",
+    ),
+    CombinationRule(
+        ("queue traffic", "one entity group"),
+        lambda c: c.queues and c.groups < 2,
+        "queue_fraction needs a multi-group workload (a cluster placement "
+        "with more than one group to send to)",
+    ),
+    CombinationRule(
+        ("pinned group distribution", "one entity group"),
+        lambda c: c.pinned and c.groups < 2,
+        "group_distribution 'pinned' needs a multi-group workload (a "
+        "cluster placement with more than one group to pin threads to)",
+    ),
+    CombinationRule(
+        ("pump crashes", "no queue traffic"),
+        lambda c: c.pump_crashes and not c.queues,
+        "pump_crashes need running delivery pumps (a workload with "
+        "queue_fraction > 0 starts them)",
+    ),
+)
+
+
+def check_combination(
+    combination: Combination,
+    error: type[Exception] = InvalidExperimentSpec,
+) -> None:
+    """Raise *error* with the reason of the first row that refuses
+    *combination*; return quietly when every row lets it run.
+
+    ``ExperimentSpec`` construction is the one place a whole combination is
+    known; the workload drivers and ``Cluster.add_client`` check the axes
+    they see, and an API-call guard passes its own *error* type.
+    """
+    for rule in COMBINATION_RULES:
+        if rule.refuses(combination):
+            raise error(rule.reason)

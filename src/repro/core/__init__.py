@@ -27,13 +27,12 @@ Two halves, exactly as in the paper:
 from repro.core.client import TransactionClient, TransactionHandle
 from repro.core.combine import best_combination, greedy_combination
 from repro.core.commit_basic import BasicPaxosCommit, find_winning_val
-from repro.core.commit_cp import CpDecision, PaxosCPCommit, enhanced_find_winning_val
+from repro.core.commit_cp import PaxosCPCommit, enhanced_find_winning_val
 from repro.core.leased_leader import LeasedLeaderCommit
 from repro.core.service import TransactionService
 
 __all__ = [
     "BasicPaxosCommit",
-    "CpDecision",
     "LeasedLeaderCommit",
     "PaxosCPCommit",
     "TransactionClient",

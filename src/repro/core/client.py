@@ -31,7 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.config import IsolationLevel, ProtocolConfig, ProtocolName
+from repro.config import (
+    Combination,
+    IsolationLevel,
+    ProtocolConfig,
+    ProtocolName,
+    check_combination,
+)
 from repro.core.retry import backoff_delay_ms
 from repro.errors import (
     CrossGroupTransaction,
@@ -176,11 +182,6 @@ class TransactionClient:
         #: Isolation level the commit engines validate under.  Must be set
         #: before ``_make_protocol`` — engines capture the client.
         self.isolation = isolation
-        if isolation != "1sr" and protocol == "leased-leader":
-            raise ValueError(
-                "isolation 'si'/'ssi' needs the paxos or paxos-cp protocol "
-                "(the leased leader validates commits server-side)"
-            )
         self.protocol = self._make_protocol(protocol)
         self.placement = placement
         #: Group → event-lane routing on sharded deployments; ``None`` keeps
@@ -539,11 +540,11 @@ class TransactionClient:
         """Commit a transaction spanning several groups via 2PC."""
         from repro.core.commit_2pc import TwoPhaseCommit
 
-        if self.protocol_name == "leased-leader":
-            raise TransactionStateError(
-                "cross-group transactions need the paxos or paxos-cp "
-                "protocol (the leased leader owns its group's positions)"
-            )
+        check_combination(
+            Combination(protocol=self.protocol_name, two_pc=True,
+                        groups=len(handle.groups)),
+            TransactionStateError,
+        )
         # Pin every write-only group now, before any prepare is sent: the
         # global serializability argument needs all pins to precede the
         # first prepare message.

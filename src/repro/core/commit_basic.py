@@ -1,38 +1,25 @@
 """The basic Paxos commit protocol (§4.1, Algorithm 2) — Megastore's design.
 
-One transaction per log position; all transactions that read at position
-*k* compete for position *k*+1 and exactly one wins.  The losers abort even
-when their operations do not conflict — the behaviour the paper identifies
-as *concurrency prevention*: "If two transactions try to commit to the same
-log position, one will be aborted, regardless of whether the two
-transactions access the same data items."
+Value policy: ``findWinningVal`` — adopt the highest-ballot LAST VOTE, and
+propose the transaction's own single-entry value only when every response
+is empty.  One transaction per log position.
 
-Under the weaker isolation levels (``si``/``ssi``) the one-shot rule would
-make abort rates measure Paxos luck instead of isolation semantics, so a
-lost position is retried at the next one — a promotion-shaped loop whose
-conflict test is the isolation predicate (first-committer-wins for SI,
-plus the read-set intersection for SSI) rather than §5's reads-from rule.
-The 1SR path is untouched: one position, win or abort.
+Lost position: under 1SR it ends the transaction.  All transactions that
+read at position *k* compete for position *k*+1, exactly one wins, and the
+losers abort even when their operations do not conflict — the behaviour the
+paper identifies as *concurrency prevention*: "If two transactions try to
+commit to the same log position, one will be aborted, regardless of whether
+the two transactions access the same data items."  Under si/ssi the shared
+commit loop (:meth:`PaxosCommitBase.commit`) chases the log head instead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
-
-from repro.model import (
-    AbortReason,
-    Item,
-    Transaction,
-    TransactionStatus,
-)
-from repro.core.isolation import conflict_abort_reason, retries_on_conflict
+from repro.config import IsolationLevel
 from repro.core.protocol import PaxosCommitBase, ValueDecision
 from repro.paxos.ballot import NULL_BALLOT
 from repro.paxos.proposer import PhaseOutcome
 from repro.wal.entry import LogEntry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.client import CommitContext
 
 
 def find_winning_val(prepare: PhaseOutcome, own_entry: LogEntry) -> LogEntry:
@@ -63,85 +50,5 @@ class BasicPaxosCommit(PaxosCommitBase):
     def choose_value(self, prepare, own_entry, txn, n_services) -> ValueDecision:
         return ValueDecision(kind="value", value=find_winning_val(prepare, own_entry))
 
-    def commit(self, context: "CommitContext") -> Generator:
-        """Run the commit; fills in the outcome on *context*.
-
-        Under 1SR the transaction competes for exactly one position —
-        ``read position + 1`` — and aborts if any other value wins it.
-        Under SI/SSI it chases the log head instead (see module docstring),
-        validating against the cumulative winner write set at each loss.
-        """
-        txn: Transaction = context.transaction
-        isolation = self.client.isolation
-        if retries_on_conflict(isolation):
-            status = yield from self._commit_validated(context, isolation)
-            return status
-        own_entry = LogEntry.single(txn)
-        result = yield from self.decide_position(
-            txn.group,
-            txn.read_position + 1,
-            txn,
-            own_entry,
-            context.leader_dc,
-        )
-        if result.kind == "committed":
-            context.record_commit(
-                position=txn.read_position + 1,
-                entry=result.entry,
-                fast_path=result.fast_path,
-            )
-            return TransactionStatus.COMMITTED
-        if result.kind == "lost":
-            context.record_abort(AbortReason.LOST_POSITION)
-        else:
-            context.record_abort(AbortReason.TIMEOUT)
-        return TransactionStatus.ABORTED
-
-    def _commit_validated(self, context: "CommitContext",
-                          isolation: str) -> Generator:
-        """The SI/SSI position-chasing loop (mirrors Paxos-CP's shape).
-
-        Retries are reported through the outcome's ``promotions`` counter —
-        they are the same phenomenon (lost a position, still admissible,
-        moved to the next) even though basic Paxos has no promotion rule of
-        its own.  ``max_promotions`` caps the chase exactly as it caps CP.
-        """
-        txn: Transaction = context.transaction
-        own_entry = LogEntry.single(txn)
-        position = txn.read_position + 1
-        leader_dc = context.leader_dc
-        promotions = 0
-        conflict_writes: set[Item] = set()
-
-        while True:
-            result = yield from self.decide_position(
-                txn.group, position, txn, own_entry, leader_dc
-            )
-            if result.kind == "committed":
-                context.record_commit(
-                    position=position,
-                    entry=result.entry,
-                    fast_path=result.fast_path,
-                    promotions=promotions,
-                )
-                return TransactionStatus.COMMITTED
-            if result.kind == "timeout":
-                context.record_abort(AbortReason.TIMEOUT, promotions=promotions)
-                return TransactionStatus.ABORTED
-
-            winner = result.entry
-            conflict_writes |= winner.union_write_set()
-            reason = conflict_abort_reason(isolation, txn, conflict_writes)
-            if reason is not None:
-                context.record_abort(reason, promotions=promotions)
-                return TransactionStatus.ABORTED
-            if (
-                self.config.max_promotions is not None
-                and promotions >= self.config.max_promotions
-            ):
-                context.record_abort(AbortReason.PROMOTION_CAP, promotions=promotions)
-                return TransactionStatus.ABORTED
-
-            promotions += 1
-            position += 1
-            leader_dc = winner.head_origin_dc(context.home_dc)
+    def lost_position_ends(self, isolation: IsolationLevel) -> bool:
+        return isolation == "1sr"

@@ -1,7 +1,7 @@
 """Paxos-CP: Paxos with Combination and Promotion (§5).
 
-Two enhancements over the basic protocol, both inside the same per-instance
-message budget:
+Value policy: ``enhancedFindWinningVal``, two enhancements over the basic
+protocol inside the same per-instance message budget:
 
 * **Combination** — when the LAST VOTE responses prove that no value can
   have reached a majority (``maxVotes + (D − |responseSet|) ≤ D/2``), the
@@ -11,9 +11,13 @@ message budget:
   (:mod:`repro.core.combine`).
 * **Promotion** — when a single value has provably won the position
   (majority of votes) and ours is not in it, we stop competing for this
-  position and — unless we read an item one of the winners wrote — re-enter
-  the protocol for the *next* position.  The conflict check is cumulative
-  over every position we lose.
+  position before sending accept messages.
+
+Lost position: it ends the transaction only under 1SR with
+``enable_promotion`` off.  Otherwise the shared commit loop
+(:meth:`PaxosCommitBase.commit`) re-enters the protocol at the next
+position unless the transaction read an item one of the winners wrote (the
+check is cumulative over every position lost).
 
 Safety refinement over the paper's prose: the paper promotes whenever
 ``maxVotes > D/2`` counting votes per value.  Votes for one value can be
@@ -30,23 +34,15 @@ LAST VOTE responses, exactly as Algorithm 2's ``responseSet`` does.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Generator
 
-from repro.config import ProtocolConfig
-from repro.model import AbortReason, Item, Transaction, TransactionStatus
+from repro.config import IsolationLevel, ProtocolConfig
+from repro.model import Transaction
 from repro.core.combine import combine
-from repro.core.isolation import conflict_abort_reason
 from repro.core.commit_basic import find_winning_val
 from repro.core.protocol import PaxosCommitBase, ValueDecision
 from repro.paxos.ballot import Ballot
 from repro.paxos.proposer import PhaseOutcome
 from repro.wal.entry import LogEntry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.client import CommitContext
-
-#: Re-exported alias so callers can reason about decisions symbolically.
-CpDecision = ValueDecision
 
 
 def enhanced_find_winning_val(
@@ -115,55 +111,5 @@ class PaxosCPCommit(PaxosCommitBase):
     def choose_value(self, prepare, own_entry, txn, n_services) -> ValueDecision:
         return enhanced_find_winning_val(prepare, own_entry, txn, n_services, self.config)
 
-    def commit(self, context: "CommitContext") -> Generator:
-        """Compete for successive positions until committed or conflicted."""
-        txn: Transaction = context.transaction
-        own_entry = LogEntry.single(txn)
-        position = txn.read_position + 1
-        leader_dc = context.leader_dc
-        promotions = 0
-        conflict_writes: set[Item] = set()
-
-        while True:
-            result = yield from self.decide_position(
-                txn.group, position, txn, own_entry, leader_dc
-            )
-            if result.kind == "committed":
-                context.record_commit(
-                    position=position,
-                    entry=result.entry,
-                    fast_path=result.fast_path,
-                    promotions=promotions,
-                    combined=result.entry is not None and len(result.entry) > 1,
-                )
-                return TransactionStatus.COMMITTED
-            if result.kind == "timeout":
-                context.record_abort(AbortReason.TIMEOUT, promotions=promotions)
-                return TransactionStatus.ABORTED
-
-            # Lost the position.  Collect the winners' writes and decide
-            # whether promotion is still valid under the run's isolation
-            # level (§5, "Promotion", generalized: 1SR checks reads-from,
-            # SI first-committer-wins, SSI both).
-            winner = result.entry
-            conflict_writes |= winner.union_write_set()
-            isolation = self.client.isolation
-            if not self.config.enable_promotion and isolation == "1sr":
-                context.record_abort(AbortReason.LOST_POSITION, promotions=promotions)
-                return TransactionStatus.ABORTED
-            reason = conflict_abort_reason(isolation, txn, conflict_writes)
-            if reason is not None:
-                context.record_abort(reason, promotions=promotions)
-                return TransactionStatus.ABORTED
-            if (
-                self.config.max_promotions is not None
-                and promotions >= self.config.max_promotions
-            ):
-                context.record_abort(AbortReason.PROMOTION_CAP, promotions=promotions)
-                return TransactionStatus.ABORTED
-
-            promotions += 1
-            position += 1
-            # The winner's datacenter leads the next position (§4.1); 2PC
-            # decision markers name no origin and defer to the home.
-            leader_dc = winner.head_origin_dc(context.home_dc)
+    def lost_position_ends(self, isolation: IsolationLevel) -> bool:
+        return isolation == "1sr" and not self.config.enable_promotion

@@ -58,15 +58,3 @@ def conflict_abort_reason(
     if isolation != "si" and txn.read_set & conflict_writes:
         return AbortReason.PROMOTION_CONFLICT
     return None
-
-
-def retries_on_conflict(isolation: IsolationLevel) -> bool:
-    """True when a lost position is retried at the next position.
-
-    Under 1SR the basic-Paxos engine gives up on the first lost position
-    (the paper's behaviour); promotion is a Paxos-CP enhancement.  Under
-    SI/SSI *every* engine must chase the log head, because snapshot
-    validation is defined against the final commit position — giving up
-    early would make abort rates measure protocol luck, not isolation.
-    """
-    return isolation != "1sr"

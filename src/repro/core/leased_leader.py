@@ -58,14 +58,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
 from repro.model import AbortReason, Item, Transaction, TransactionStatus
-from repro.core.protocol import PaxosCommitBase
 from repro.paxos.ballot import Ballot
 from repro.paxos.proposer import PhaseOutcome, SynodProposer
 from repro.sim.sync import Lock
 from repro.wal.entry import LogEntry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.client import CommitContext
+    from repro.core.client import CommitContext, TransactionClient
     from repro.core.service import TransactionService
 
 #: Message type for the single-round leader commit.
@@ -365,13 +364,14 @@ def install_leased_leader(service: "TransactionService") -> LeasedLeaderHost:
     return host
 
 
-class LeasedLeaderCommit(PaxosCommitBase):
+class LeasedLeaderCommit:
     """Client side: one request to the leader decides the transaction."""
 
     name = "leased-leader"
 
-    def choose_value(self, prepare, own_entry, txn, n_services):  # pragma: no cover
-        raise NotImplementedError("the leased leader never runs client-side phases")
+    def __init__(self, client: "TransactionClient") -> None:
+        self.client = client
+        self.config = client.config
 
     def commit(self, context: "CommitContext") -> Generator:
         txn = context.transaction

@@ -2,10 +2,12 @@
 
 Both basic Paxos (Algorithm 2) and Paxos-CP drive the same message skeleton
 — leader check, prepare, accept, apply, with randomized backoff between
-retries — and differ only in the *value policy* applied between prepare and
-accept.  :class:`PaxosCommitBase` implements the skeleton with a
-``choose_value`` hook; subclasses supply ``findWinningVal`` (basic) or
-``enhancedFindWinningVal`` (CP).
+retries — and the same commit loop over ``read position + 1``, ``+ 2``, ….
+They differ in exactly two places: the *value policy* applied between
+prepare and accept (``choose_value``: ``findWinningVal`` for basic,
+``enhancedFindWinningVal`` for CP) and whether a lost position ends the
+transaction (``lost_position_ends``: always under 1SR for basic, only with
+promotion switched off for CP).
 """
 
 from __future__ import annotations
@@ -13,15 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Literal
 
-from repro.config import ProtocolConfig
-from repro.model import Transaction
+from repro.config import IsolationLevel, ProtocolConfig
+from repro.core.isolation import conflict_abort_reason
+from repro.model import AbortReason, Item, Transaction, TransactionStatus
 from repro.paxos import messages as m
 from repro.paxos.ballot import Ballot, fast_path_ballot
 from repro.paxos.proposer import PhaseOutcome, SynodProposer
 from repro.wal.entry import LogEntry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.client import TransactionClient
+    from repro.core.client import CommitContext, TransactionClient
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class PositionResult:
 
 
 class PaxosCommitBase:
-    """The prepare/accept/apply skeleton shared by both protocols."""
+    """The prepare/accept/apply skeleton and commit loop of both protocols."""
 
     #: Subclass marker used in metrics and logs.
     name = "paxos-base"
@@ -69,7 +72,7 @@ class PaxosCommitBase:
         self._rng = client.env.rng.stream(f"protocol.{client.node.name}")
 
     # ------------------------------------------------------------------
-    # The value policy hook
+    # The two policy hooks
     # ------------------------------------------------------------------
 
     def choose_value(
@@ -81,6 +84,77 @@ class PaxosCommitBase:
     ) -> ValueDecision:
         """Decide the accept-phase value from the LAST VOTE responses."""
         raise NotImplementedError
+
+    def lost_position_ends(self, isolation: IsolationLevel) -> bool:
+        """Whether losing a position aborts the transaction outright
+        (``lost_position``) instead of moving on to the next one."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # The commit loop
+    # ------------------------------------------------------------------
+
+    def commit(self, context: "CommitContext") -> Generator:
+        """Compete for ``read position + 1``, ``+ 2``, … until committed or
+        refused; fills in the outcome on *context*.
+
+        Every lost position adds the winner's writes to the concurrent write
+        set, and the run's isolation predicate
+        (:func:`~repro.core.isolation.conflict_abort_reason`) decides whether
+        the transaction may still commit further on: §5's reads-from rule
+        under 1SR, first-committer-wins under SI, both under SSI.  Under
+        si/ssi every protocol chases the log head, because snapshot
+        validation is defined against the *final* commit position — giving
+        up at the first loss would make abort rates measure Paxos luck, not
+        isolation.  ``max_promotions`` caps the chase for every protocol, and
+        a move to the next position is reported as a promotion.
+        """
+        txn: Transaction = context.transaction
+        isolation = self.client.isolation
+        own_entry = LogEntry.single(txn)
+        position = txn.read_position + 1
+        leader_dc = context.leader_dc
+        promotions = 0
+        conflict_writes: set[Item] = set()
+
+        while True:
+            result = yield from self.decide_position(
+                txn.group, position, txn, own_entry, leader_dc
+            )
+            if result.kind == "committed":
+                context.record_commit(
+                    position=position,
+                    entry=result.entry,
+                    fast_path=result.fast_path,
+                    promotions=promotions,
+                    combined=len(result.entry) > 1,
+                )
+                return TransactionStatus.COMMITTED
+            if result.kind == "timeout":
+                context.record_abort(AbortReason.TIMEOUT, promotions=promotions)
+                return TransactionStatus.ABORTED
+            if self.lost_position_ends(isolation):
+                context.record_abort(AbortReason.LOST_POSITION, promotions=promotions)
+                return TransactionStatus.ABORTED
+
+            winner = result.entry
+            conflict_writes |= winner.union_write_set()
+            reason = conflict_abort_reason(isolation, txn, conflict_writes)
+            if reason is not None:
+                context.record_abort(reason, promotions=promotions)
+                return TransactionStatus.ABORTED
+            if (
+                self.config.max_promotions is not None
+                and promotions >= self.config.max_promotions
+            ):
+                context.record_abort(AbortReason.PROMOTION_CAP, promotions=promotions)
+                return TransactionStatus.ABORTED
+
+            promotions += 1
+            position += 1
+            # The winner's datacenter leads the next position (§4.1); 2PC
+            # decision markers name no origin and defer to the home.
+            leader_dc = winner.head_origin_dc(context.home_dc)
 
     # ------------------------------------------------------------------
     # Shared phases

@@ -193,19 +193,6 @@ class DeadlineExceeded(TransactionError):
 # ---------------------------------------------------------------------------
 
 
-#: The one sentence every layer uses to reject open-loop × sharded runs:
-#: :class:`~repro.harness.experiment.ExperimentSpec` validation, the CLI
-#: guard, and the open-loop driver's own backstop all quote it verbatim, so
-#: the user sees the same diagnosis no matter which layer catches the
-#: combination first.  (It lives here, in the dependency-free leaf module,
-#: because all three layers import it.)
-OPEN_LOOP_SHARDS_ERROR = (
-    "the open-loop engine needs a single-lane deployment (shards=1): "
-    "pooled clients roam groups, which the sharded kernel's lane pinning "
-    "cannot express"
-)
-
-
 class FaultScheduleError(ReproError):
     """A declarative fault schedule cannot be installed on this deployment.
 
@@ -223,9 +210,10 @@ class InvalidExperimentSpec(ReproError, ValueError):
     that cannot run together (e.g. aggregate-only mode with invariant
     checking, or the open-loop engine on a sharded deployment).
 
-    Raised at spec *construction* so misconfigured sweeps die before any
-    cluster is built.  Also a :class:`ValueError`, for callers that guard
-    with the generic type.
+    Raised by :func:`repro.config.check_combination`, with the reason of the
+    compatibility-table row that refuses the combination, at spec
+    *construction* — misconfigured sweeps die before any cluster is built.
+    Also a :class:`ValueError`, for callers that guard with the generic type.
     """
 
 

@@ -19,10 +19,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.config import (
+    Combination,
     CrashWindow,
     FaultScheduleConfig,
     LossWindow,
     OutageWindow,
+    check_combination,
 )
 from repro.errors import FaultScheduleError
 from repro.failures.injector import FailureInjector
@@ -108,11 +110,13 @@ def _validate(schedule: FaultScheduleConfig, cluster: "Cluster",
                 f"crash names unknown datacenter {crash.datacenter!r}; "
                 f"this deployment has {sorted(datacenters)}"
             )
-    if schedule.pump_crashes and not pumps:
-        raise FaultScheduleError(
-            "pump_crashes need running delivery pumps (a workload with "
-            "queue_fraction > 0 starts them)"
-        )
+    check_combination(
+        Combination(
+            pump_crashes=bool(schedule.pump_crashes), queues=bool(pumps),
+            groups=cluster.placement.n_groups,
+        ),
+        FaultScheduleError,
+    )
     for crash in schedule.pump_crashes:
         if pumps is not None and crash.group not in pumps:
             raise FaultScheduleError(

@@ -14,11 +14,15 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field, replace
 from statistics import fmean
-from typing import TYPE_CHECKING
 
 from repro.cluster import Cluster
-from repro.config import ClusterConfig, ProtocolName, WorkloadConfig
-from repro.errors import OPEN_LOOP_SHARDS_ERROR, InvalidExperimentSpec
+from repro.config import (
+    ClusterConfig,
+    Combination,
+    ProtocolName,
+    WorkloadConfig,
+    check_combination,
+)
 from repro.harness.metrics import (
     OutcomeAggregate,
     RunMetrics,
@@ -27,9 +31,6 @@ from repro.harness.metrics import (
 )
 from repro.model import TransactionOutcome
 from repro.workload.driver import WorkloadDriver
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,12 @@ class ExperimentSpec:
     ``None`` the first Virginia zone is used if the cluster has one, else
     the first datacenter — the paper's load generator ran in Virginia.
 
-    Construction validates cross-field combinations (``__post_init__``), so
-    a misconfigured cell raises :class:`~repro.errors.InvalidExperimentSpec`
+    Construction checks the whole axis combination against the one
+    compatibility table (:data:`repro.config.COMBINATION_RULES`), so a
+    misconfigured cell raises :class:`~repro.errors.InvalidExperimentSpec`
     the moment the grid is *built* — long before any cluster exists —
     instead of minutes into a sweep.  ``dataclasses.replace`` re-runs the
-    validation, so derived specs (``scaled`` and friends) cannot dodge it.
+    check, so derived specs (``scaled`` and friends) cannot dodge it.
     """
 
     name: str
@@ -64,31 +66,12 @@ class ExperimentSpec:
     retain_outcomes: bool = True
 
     def __post_init__(self) -> None:
-        if not self.retain_outcomes and self.check_invariants:
-            raise InvalidExperimentSpec(
-                "retain_outcomes=False discards the per-transaction outcomes "
-                "the invariant suite reads; set check_invariants=False for "
-                "aggregate-only runs"
-            )
-        if self.workload.open_loop and self.cluster.shards > 1:
-            raise InvalidExperimentSpec(OPEN_LOOP_SHARDS_ERROR)
-        if self.cluster.isolation != "1sr":
-            if self.protocol == "leased-leader":
-                raise InvalidExperimentSpec(
-                    "isolation 'si'/'ssi' needs the paxos or paxos-cp "
-                    "protocol (the leased leader validates commits "
-                    "server-side, where the snapshot window is invisible)"
-                )
-            if (
-                self.workload.cross_group_fraction > 0
-                or self.workload.queue_fraction > 0
-            ):
-                raise InvalidExperimentSpec(
-                    "isolation 'si'/'ssi' currently covers single-group "
-                    "commits only; cross_group_fraction and queue_fraction "
-                    "must be 0 (the 2PC and queue layers still validate "
-                    "against 1SR)"
-                )
+        check_combination(Combination.of(
+            self.cluster, self.workload, self.protocol,
+            per_datacenter=self.per_datacenter_instances,
+            retain_outcomes=self.retain_outcomes,
+            check_invariants=self.check_invariants,
+        ))
 
     def scaled(self, n_transactions: int) -> "ExperimentSpec":
         """The same cell with a smaller transaction budget (for CI runs)."""
@@ -115,17 +98,11 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
 
     A pure function of ``(spec, seed)``.
 
-    Option conflicts (retention × invariants, open-loop × shards) are the
-    spec's own ``__post_init__`` business — any spec that reaches this
-    function already passed them.
+    Axis combinations are the spec's own construction-time business — any
+    spec that reaches this function already passed the compatibility table.
     """
     cluster = Cluster(replace(spec.cluster, seed=seed))
     if spec.workload.open_loop:
-        if spec.per_datacenter_instances:
-            raise ValueError(
-                "open-loop mode drives one pooled instance; "
-                "per_datacenter_instances is not supported"
-            )
         from repro.workload.openloop import OpenLoopDriver
 
         datacenter = spec.client_datacenter

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
-from repro.config import ProtocolName, WorkloadConfig
+from repro.config import Combination, ProtocolName, WorkloadConfig, check_combination
 from repro.errors import CrossGroupTransaction, DeadlineExceeded, TransactionError
 from repro.model import (
     CROSS_GROUP,
@@ -197,35 +197,16 @@ class WorkloadDriver:
                 "multi_group workload needs a cluster placement with more "
                 "than one group (see ClusterConfig.placement)"
             )
-        if workload.cross_group_fraction > 0 and not multi_group:
-            raise ValueError(
-                "cross_group_fraction needs a multi-group workload (a "
-                "cluster placement with more than one group)"
-            )
-        if workload.cross_group_fraction > 0 and protocol == "leased-leader":
-            raise ValueError(
-                "cross_group_fraction needs the paxos or paxos-cp protocol: "
-                "the leased leader owns its group's log positions, so 2PC "
-                "prepares cannot compete for them"
-            )
-        if workload.queue_fraction > 0 and not multi_group:
-            raise ValueError(
-                "queue_fraction needs a multi-group workload (a cluster "
-                "placement with more than one group to send to)"
-            )
-        if workload.queue_fraction > 0 and protocol == "leased-leader":
-            raise ValueError(
-                "queue_fraction needs the paxos or paxos-cp protocol: the "
-                "delivery pump appends queue_apply entries with plain Synod "
-                "proposals, which cannot compete with a leased leader's "
-                "ownership of the receiver group's positions"
-            )
+        check_combination(Combination.of(
+            cluster.config, workload, protocol,
+            groups=cluster.placement.n_groups if multi_group else 1,
+        ))
         self.multi_group = multi_group
         #: ``"pinned"`` statically assigns each client thread one entity
         #: group (round-robin over the placement) with its own RNG stream;
         #: on a sharded deployment the thread then runs in its group's
         #: event lane.
-        self.pinned = multi_group and workload.group_distribution == "pinned"
+        self.pinned = workload.group_distribution == "pinned"
         self._result = InstanceResult(datacenter=self.datacenter)
         #: Per-thread outcome lists (pinned mode): threads in different
         #: event lanes must not interleave appends into one list, or the

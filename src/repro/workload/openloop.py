@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Generator
 
-from repro.config import ProtocolName, WorkloadConfig
+from repro.config import Combination, ProtocolName, WorkloadConfig, check_combination
 from repro.harness.metrics import (
     LatencyHistogram,
     LatencySummary,
@@ -54,12 +54,6 @@ from repro.workload.ycsb import TransactionPlan, YcsbWorkload
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster
     from repro.core.client import TransactionClient
-
-
-# Re-exported for callers that reach for it alongside the driver; the
-# canonical home is repro.errors (the dependency-free leaf all three
-# rejection layers import).
-from repro.errors import OPEN_LOOP_SHARDS_ERROR  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -316,11 +310,7 @@ class OpenLoopDriver:
     ) -> None:
         if not workload.open_loop:
             raise ValueError("OpenLoopDriver needs workload.open_loop=True")
-        if not cluster.shard_map.single_lane:
-            # Backstop only: ExperimentSpec validation (and the CLI guard)
-            # reject this combination before any cluster exists, with the
-            # same message.
-            raise ValueError(OPEN_LOOP_SHARDS_ERROR)
+        check_combination(Combination.of(cluster.config, workload, protocol))
         self.cluster = cluster
         self.workload = workload
         self.protocol = protocol

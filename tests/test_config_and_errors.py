@@ -21,13 +21,6 @@ class TestProtocolConfig:
         assert config.enable_combination and config.enable_promotion
         assert config.leader_fastpath          # §4.1, used in their prototype
 
-    def test_without_cp_disables_both_enhancements(self):
-        config = ProtocolConfig().without_cp()
-        assert not config.enable_combination
-        assert not config.enable_promotion
-        # Everything else is untouched.
-        assert config.timeout_ms == 2000.0
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             ProtocolConfig().timeout_ms = 1.0

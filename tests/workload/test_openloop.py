@@ -222,9 +222,9 @@ def test_hot_shift_changes_traffic():
 
 def test_open_loop_rejects_cross_group_fractions():
     with pytest.raises(ValueError, match="cross_group_fraction"):
-        WorkloadConfig(open_loop=True, cross_group_fraction=0.1)
+        open_spec(workload={"cross_group_fraction": 0.1})
     with pytest.raises(ValueError, match="queue_fraction"):
-        WorkloadConfig(open_loop=True, queue_fraction=0.1)
+        open_spec(workload={"queue_fraction": 0.1})
 
 
 def test_open_loop_rejects_sharded_clusters():
@@ -242,6 +242,6 @@ def test_streaming_rejects_invariant_checking():
 
 
 def test_open_loop_rejects_per_datacenter():
-    spec = replace(open_spec(), per_datacenter_instances=True)
     with pytest.raises(ValueError, match="per_datacenter"):
+        spec = replace(open_spec(), per_datacenter_instances=True)
         run_once(spec, seed=0)
