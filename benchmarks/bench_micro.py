@@ -16,6 +16,9 @@ from repro.net.latency import RttMatrixLatency
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.topology import cluster_preset
+from repro.paxos.acceptor import Acceptor
+from repro.paxos.ballot import Ballot
+from repro.paxos.messages import PREPARE, PreparePayload
 from repro.serializability.checker import is_one_copy_serializable
 from repro.serializability.history import HistoryTxn, MVHistory
 from repro.sim.env import Environment
@@ -122,6 +125,53 @@ class TestHandlerRoundTrip:
         # timeout's worth of simulated time, plus the first.
         head_pops = int(duration_ms // self.TIMEOUT_MS) + 1
         assert events == 3 * self.ROUND_TRIPS + 2 + head_pops
+        if benchmark.stats:  # None under --benchmark-disable
+            benchmark.extra_info["round_trips_per_s"] = round(
+                self.ROUND_TRIPS / benchmark.stats.stats.median
+            )
+
+
+class TestAcceptorRoundTrip:
+    ROUND_TRIPS = 200
+    TIMEOUT_MS = 2000.0  # ``Node.request_many``'s default
+
+    def test_prepare_read_check_and_write_reply(self, benchmark):
+        """PREPARE to three acceptors, each answering with one read and one
+        ``checkAndWrite`` over the calibrated store latency: the replica side
+        of every Paxos phase, undiluted by a client or a checker."""
+
+        def run_round_trips():
+            env = Environment(seed=0)
+            topology = cluster_preset("VVV")
+            network = Network(env, topology, RttMatrixLatency(topology))
+            proposer = Node(env, network, "proposer", "V1")
+            acceptors = []
+            for datacenter in topology.names:
+                node = Node(env, network, f"acceptor@{datacenter}", datacenter)
+                acceptor = Acceptor(StoreAccessor(env, MultiVersionStore(datacenter)))
+                node.on(PREPARE, lambda msg, a=acceptor: a.on_prepare(msg.payload))
+                acceptors.append(node.name)
+            ballot = Ballot(1, "proposer")
+
+            def prepares():
+                for position in range(1, self.ROUND_TRIPS + 1):
+                    responses = yield proposer.request_many(
+                        acceptors, PREPARE, PreparePayload("g", position, ballot),
+                    )
+                    assert [r.payload.success for r in responses] == [True] * 3
+                return env.now
+
+            process = env.process(prepares())
+            env.run()
+            return env.sim.processed_events, process.value
+
+        events, duration_ms = benchmark(run_round_trips)
+        # Per round trip twelve simulated delays — three request deliveries,
+        # a read and a checkAndWrite at each acceptor, three reply
+        # deliveries — plus the proposer's bootstrap and completion and the
+        # deadline FIFO's head pops (see TestHandlerRoundTrip).
+        head_pops = int(duration_ms // self.TIMEOUT_MS) + 1
+        assert events == 12 * self.ROUND_TRIPS + 2 + head_pops
         if benchmark.stats:  # None under --benchmark-disable
             benchmark.extra_info["round_trips_per_s"] = round(
                 self.ROUND_TRIPS / benchmark.stats.stats.median

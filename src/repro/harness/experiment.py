@@ -30,6 +30,7 @@ from repro.harness.metrics import (
     availability_report,
 )
 from repro.model import TransactionOutcome
+from repro.sim.env import collector_paused
 from repro.workload.driver import WorkloadDriver
 
 
@@ -157,7 +158,21 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
 def finish_run(
     spec: ExperimentSpec, cluster: Cluster, drivers: "list[WorkloadDriver]",
 ) -> ExperimentResult:
-    """Offline phase of one cell: finalize, verify invariants, aggregate."""
+    """Offline phase of one cell: finalize, verify invariants, aggregate.
+
+    The cycle collector stays paused here for the reason it is paused in
+    :meth:`Environment.run <repro.sim.env.Environment.run>`: finalizing,
+    checking and aggregating build large live structures (merged logs,
+    histories, the serialization graph) and free next to no cycles, so a
+    collection in here would only re-walk them.
+    """
+    with collector_paused():
+        return _finish_run(spec, cluster, drivers)
+
+
+def _finish_run(
+    spec: ExperimentSpec, cluster: Cluster, drivers: "list[WorkloadDriver]",
+) -> ExperimentResult:
     # Merge every group's log for the aggregate statistics; group logs are
     # independent position sequences, so the merged view keys by
     # (group, position).

@@ -46,10 +46,19 @@ class RowVersion:
         return self.attributes.get(attribute, default)
 
     def merged_with(self, updates: Mapping[str, Any], timestamp: float) -> "RowVersion":
-        """A new version at *timestamp* with *updates* applied over this image."""
-        image = dict(self.attributes)
+        """A new version at *timestamp* with *updates* applied over this image.
+
+        The merged image is a fresh dict nothing else holds, so the new
+        version takes it as is instead of copying it again in
+        ``__post_init__``: one copy per version, on every store write.
+        """
+        image = self.attributes.copy()
         image.update(updates)
-        return RowVersion(timestamp=timestamp, attributes=image)
+        version = object.__new__(RowVersion)
+        setattr_ = object.__setattr__
+        setattr_(version, "timestamp", timestamp)
+        setattr_(version, "attributes", MappingProxyType(image))
+        return version
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RowVersion(ts={self.timestamp}, attrs={dict(self.attributes)!r})"

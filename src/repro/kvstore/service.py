@@ -63,18 +63,36 @@ class _StoreOp(Event):
     it, so it is in tail position.  If another entry is due at the same
     instant the hand-off falls back to the queue and the event pops a
     second time, already triggered, to run its waiters in turn.
+
+    There is one per store operation, so the constructor is flat: it
+    writes :class:`Event`'s slots itself instead of chaining to
+    ``Event.__init__`` (``tests/sim/test_slot_drift.py`` fails if the two
+    drift apart), and draws the latency inline as
+    ``low + (high - low) * rng.random()`` — the expression
+    :meth:`StoreLatencyModel.draw`'s ``rng.uniform`` evaluates, so the
+    draw is the same float from the same stream position
+    (``tests/sim/test_exact_draws.py``).
     """
 
     __slots__ = ("_accessor", "_operation", "_args", "_epoch")
 
-    def __init__(self, accessor: "StoreAccessor", operation, args: tuple,
-                 delay: float) -> None:
-        super().__init__(accessor.env)
+    def __init__(self, accessor: "StoreAccessor", operation, args: tuple) -> None:
+        env = self.env = accessor.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._late_relay = None
         self._accessor = accessor
         self._operation = operation
         self._args = args
         self._epoch = accessor.epoch
-        accessor.env.sim.schedule(self, delay)
+        latency = accessor.latency
+        high = latency.high_ms
+        if high == 0:
+            env.sim.schedule(self, 0.0)
+        else:
+            low = latency.low_ms
+            env.sim.schedule(self, low + (high - low) * accessor._rng.random())
 
     def _process(self) -> None:
         if self._value is not _PENDING:
@@ -125,21 +143,18 @@ class StoreAccessor:
         """Invalidate every in-flight deferred operation (crash semantics)."""
         self.epoch += 1
 
-    def _deferred(self, operation, *args) -> Event:
-        return _StoreOp(self, operation, args, self.latency.draw(self._rng))
-
     # ------------------------------------------------------------------
     # The paper's operations, asynchronous
     # ------------------------------------------------------------------
 
     def read(self, key: str, timestamp: float | None = None) -> Event:
         """Deferred :meth:`MultiVersionStore.read`."""
-        return self._deferred(self.store.read, key, timestamp)
+        return _StoreOp(self, self.store.read, (key, timestamp))
 
     def write(self, key: str, attributes: Mapping[str, Any],
               timestamp: float | None = None) -> Event:
         """Deferred :meth:`MultiVersionStore.write`."""
-        return self._deferred(self.store.write, key, attributes, timestamp)
+        return _StoreOp(self, self.store.write, (key, attributes, timestamp))
 
     def check_and_write(
         self,
@@ -150,14 +165,14 @@ class StoreAccessor:
         timestamp: float | None = None,
     ) -> Event:
         """Deferred :meth:`MultiVersionStore.check_and_write`."""
-        return self._deferred(
-            self.store.check_and_write,
-            key, test_attribute, test_value, attributes, timestamp,
+        return _StoreOp(
+            self, self.store.check_and_write,
+            (key, test_attribute, test_value, attributes, timestamp),
         )
 
     def read_attribute(self, key: str, attribute: str,
                        timestamp: float | None = None, default: Any = None) -> Event:
         """Deferred :meth:`MultiVersionStore.read_attribute`."""
-        return self._deferred(
-            self.store.read_attribute, key, attribute, timestamp, default
+        return _StoreOp(
+            self, self.store.read_attribute, (key, attribute, timestamp, default)
         )

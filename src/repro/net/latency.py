@@ -10,6 +10,7 @@ hide races the protocols must survive.
 from __future__ import annotations
 
 import random
+from math import cos, log, sin, sqrt, tau
 
 from repro.net.topology import INTRA_DC_RTT_MS, PAPER_RTT_MS, Topology
 
@@ -83,9 +84,25 @@ class RttMatrixLatency(LatencyModel):
         if base is None:
             base = self.base_rtt(src_dc, dst_dc) / 2.0
             self._half_rtt[(src_dc, dst_dc)] = base
-        if self.jitter == 0:
+        jitter = self.jitter
+        if jitter == 0:
             return base
-        factor = rng.gauss(1.0, self.jitter)
+        # ``rng.gauss(1.0, jitter)``, inlined: one draw per message makes
+        # the stdlib frame a measurable share of a run.  The arithmetic is
+        # the stdlib's step for step (Box-Muller, the second normal of a
+        # pair parked in the stream's own ``gauss_next``), so the factor is
+        # the same float and loss / duplication coins drawn between two
+        # delays see the stream where they always did
+        # (``tests/sim/test_exact_draws.py`` pins it).
+        z = rng.gauss_next
+        if z is None:
+            x2pi = rng.random() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - rng.random()))
+            z = cos(x2pi) * g2rad
+            rng.gauss_next = sin(x2pi) * g2rad
+        else:
+            rng.gauss_next = None
+        factor = 1.0 + z * jitter
         floor = self._jitter_floor
         if factor < floor:
             factor = floor

@@ -25,7 +25,7 @@ from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.net.message import Message
-from repro.sim.events import Event, Notification
+from repro.sim.events import _PENDING, Event, Notification
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -200,12 +200,29 @@ class _HandlerProcess(Process):
     normal return is handed off (the reply goes out from the frame of the
     handler's last step).  Failures and kills stay queue-driven like any
     process's.
+
+    There is one per handled request, so the constructor is flat: it writes
+    the slots of :class:`Event` and :class:`Process` itself instead of
+    chaining through the two ``__init__`` methods, and arranges no first step —
+    ``deliver`` registers its callbacks, then calls :meth:`start`.
+    (``tests/sim/test_slot_drift.py`` fails if a slot is left unset.)
     """
 
     __slots__ = ("_request",)
 
-    def _bootstrap(self, lane: int | None) -> None:
-        pass  # deliver registers its callbacks first, then calls start()
+    def __init__(self, env: "Environment", generator: GeneratorType,
+                 request: Message) -> None:
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._late_relay = None
+        self._name = None
+        self.lane = env.sim.current_lane
+        self._generator = generator
+        self._waiting_on = None
+        self._resume_cb = self._resume
+        self._request = request
 
     def start(self) -> None:
         """Take the first step now if the queue would, else queue it.
@@ -371,11 +388,11 @@ class Node:
             return  # unknown messages are dropped, as UDP would
         result = handler(msg)
         if type(result) is GeneratorType:
-            process = _HandlerProcess(self.env, result)
-            process._request = msg
-            self.adopt(process)
+            process = _HandlerProcess(self.env, result, msg)
+            if self._procs is not None:
+                self.adopt(process)
             if msg.request_id is not None:
-                process.add_callback(self._on_handler_done)
+                process.callbacks.append(self._on_handler_done)
             process.start()
         elif msg.request_id is not None:
             self._reply(msg, result)

@@ -35,8 +35,7 @@ DESIGN.md:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, NamedTuple
 
 from repro.kvstore.row import RowVersion
 from repro.kvstore.service import StoreAccessor
@@ -60,9 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover
 ATTR_SEQ = "seq"
 
 
-@dataclass(frozen=True)
-class AcceptorState:
-    """Decoded Paxos row: ⟨nextBal, ballotNumber, value⟩ + chosen + seq."""
+class AcceptorState(NamedTuple):
+    """Decoded Paxos row: ⟨nextBal, ballotNumber, value⟩ + chosen + seq.
+
+    Every acceptor handler decodes one per store read, so decoding is one
+    bound ``get`` on the row image and one tuple build.
+    """
 
     next_bal: Ballot
     ballot: Ballot
@@ -73,13 +75,14 @@ class AcceptorState:
     @classmethod
     def from_version(cls, version: RowVersion | None) -> "AcceptorState":
         if version is None:
-            return cls(NULL_BALLOT, NULL_BALLOT, None, False, None)
+            return _NULL_STATE
+        get = version.attributes.get
         return cls(
-            next_bal=version.get(ATTR_NEXT_BAL, NULL_BALLOT),
-            ballot=version.get(ATTR_BALLOT, NULL_BALLOT),
-            value=version.get(ATTR_VALUE),
-            chosen=bool(version.get(ATTR_CHOSEN, False)),
-            seq=version.get(ATTR_SEQ),
+            get(ATTR_NEXT_BAL, NULL_BALLOT),
+            get(ATTR_BALLOT, NULL_BALLOT),
+            get(ATTR_VALUE),
+            bool(get(ATTR_CHOSEN, False)),
+            get(ATTR_SEQ),
         )
 
     @property
@@ -87,15 +90,19 @@ class AcceptorState:
         return 1 if self.seq is None else self.seq + 1
 
 
+#: The state of a row no handler has written yet: ⟨NULL, NULL, ⊥⟩.
+_NULL_STATE = AcceptorState(NULL_BALLOT, NULL_BALLOT, None, False, None)
+
+
 class Acceptor:
-    """Algorithm 1, bound to one datacenter's store."""
+    """Algorithm 1, bound to one datacenter's store.
+
+    Each handler formats its row key once and yields its own store read:
+    a handler's whole cost is the store operations Algorithm 1 names.
+    """
 
     def __init__(self, accessor: StoreAccessor) -> None:
         self.accessor = accessor
-
-    def _read_state(self, group: str, position: int) -> Generator:
-        version = yield self.accessor.read(paxos_row_key(group, position))
-        return AcceptorState.from_version(version)
 
     # ------------------------------------------------------------------
     # PREPARE (Algorithm 1 lines 3–15)
@@ -104,8 +111,9 @@ class Acceptor:
     def on_prepare(self, payload: PreparePayload) -> Generator:
         """Handle a PREPARE; returns a :class:`PrepareReply`."""
         key = paxos_row_key(payload.group, payload.position)
+        accessor = self.accessor
         while True:
-            state = yield from self._read_state(payload.group, payload.position)
+            state = AcceptorState.from_version((yield accessor.read(key)))
             if state.chosen:
                 # The instance is over; tell the proposer the decided value.
                 return PrepareReply(
@@ -116,7 +124,7 @@ class Acceptor:
             if payload.ballot > state.next_bal:
                 # Record the promise only if nothing changed since the read
                 # (Algorithm 1 line 9, hardened per deviation 2).
-                ok = yield self.accessor.check_and_write(
+                ok = yield accessor.check_and_write(
                     key, ATTR_SEQ, state.seq,
                     {ATTR_NEXT_BAL: payload.ballot, ATTR_SEQ: state.next_seq},
                 )
@@ -140,15 +148,16 @@ class Acceptor:
     def on_accept(self, payload: AcceptPayload) -> Generator:
         """Handle an ACCEPT; returns an :class:`AcceptReply`."""
         key = paxos_row_key(payload.group, payload.position)
+        accessor = self.accessor
         while True:
-            state = yield from self._read_state(payload.group, payload.position)
+            state = AcceptorState.from_version((yield accessor.read(key)))
             if state.chosen:
                 return AcceptReply(success=False, promised=state.next_bal)
             if payload.ballot < state.next_bal:
                 return AcceptReply(success=False, promised=state.next_bal)
             # Vote: record ⟨ballotNumber, value⟩, raising nextBal to the
             # accepted ballot (deviation 1: ballot ≥ nextBal is enough).
-            ok = yield self.accessor.check_and_write(
+            ok = yield accessor.check_and_write(
                 key, ATTR_SEQ, state.seq,
                 {
                     ATTR_NEXT_BAL: payload.ballot,
@@ -177,11 +186,12 @@ class Acceptor:
         sequence number and clobber the chosen value.
         """
         key = paxos_row_key(payload.group, payload.position)
+        accessor = self.accessor
         while True:
-            state = yield from self._read_state(payload.group, payload.position)
+            state = AcceptorState.from_version((yield accessor.read(key)))
             if state.chosen:
                 return None
-            ok = yield self.accessor.check_and_write(
+            ok = yield accessor.check_and_write(
                 key, ATTR_SEQ, state.seq,
                 {
                     ATTR_BALLOT: payload.ballot,
@@ -199,7 +209,8 @@ class Acceptor:
 
     def on_learn(self, payload: LearnPayload) -> Generator:
         """Report what this replica knows about a position (read-only)."""
-        state = yield from self._read_state(payload.group, payload.position)
+        key = paxos_row_key(payload.group, payload.position)
+        state = AcceptorState.from_version((yield self.accessor.read(key)))
         return LearnReply(
             chosen=state.value if state.chosen else None,
             last_ballot=state.ballot,

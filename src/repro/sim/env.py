@@ -15,13 +15,30 @@ declared channel graph is empty, ``engine="global"`` keeps the single heap.
 from __future__ import annotations
 
 import gc
-from typing import Any, Generator
+from contextlib import contextmanager
+from typing import Any, Generator, Iterator
 
 from repro.config import EngineName, validate_engine
 from repro.sim.core import LanedSimulator, Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cycle collector, and put it back as it was found.
+
+    A caller who had it disabled keeps it disabled, and an exception
+    escaping the block restores it all the same.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class Environment:
@@ -70,13 +87,8 @@ class Environment:
         one large cycle is a finished cluster; whoever drops one between
         runs collects it there (:func:`repro.harness.experiment.run_once`).
         """
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             self.sim.run(until)
-        finally:
-            if collecting:
-                gc.enable()
 
     # ------------------------------------------------------------------
     # Event factories

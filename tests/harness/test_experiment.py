@@ -13,6 +13,7 @@ from repro.harness.experiment import (
     run_cell,
     run_once,
 )
+from repro.wal.invariants import InvariantViolation
 
 
 def small_spec(protocol="paxos-cp", **workload_overrides):
@@ -73,6 +74,36 @@ class TestRunOnce:
         del cluster, drivers
         assert gc.collect() > 100
         assert by_hand.metrics.commits == result.metrics.commits
+
+    @pytest.mark.parametrize("violated", (False, True), ids=("clean", "violation"))
+    @pytest.mark.parametrize("enabled", (True, False), ids=("caller-on", "caller-off"))
+    def test_finish_run_pauses_the_collector_and_restores_it(
+        self, violated, enabled, monkeypatch,
+    ):
+        spec = small_spec()
+        cluster, drivers = prepare_run(spec, 1)
+        cluster.run()
+        seen = []
+        check = type(cluster).check_invariants_all
+
+        def checking(self, *args, **kwargs):
+            seen.append(gc.isenabled())
+            if violated:
+                raise InvariantViolation(["(L1) forged"])
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(cluster), "check_invariants_all", checking)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if violated:
+                with pytest.raises(InvariantViolation, match="forged"):
+                    finish_run(spec, cluster, drivers)
+            else:
+                finish_run(spec, cluster, drivers)
+            assert seen == [False]
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
     def test_per_datacenter_instances(self):
         spec = replace(small_spec(), per_datacenter_instances=True)
