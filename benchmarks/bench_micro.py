@@ -80,6 +80,46 @@ class TestSimKernel:
         benchmark(run_ping_pong)
 
 
+class TestMessageRoundTrip:
+    ROUND_TRIPS = 1000
+    TIMEOUT_MS = 2000.0  # ``Node.request``'s default, the paper's 2 s
+
+    def test_request_reply(self, benchmark):
+        """Request → instant handler → reply over ``Node`` and ``Network``
+        alone: two messages per round trip and nothing else, so this reads
+        what one message costs — building it, sending it, delivering it and
+        gathering its reply."""
+
+        def run_round_trips():
+            env = Environment(seed=0)
+            topology = cluster_preset("VVV")
+            network = Network(env, topology, RttMatrixLatency(topology))
+            client = Node(env, network, "client", "V1")
+            server = Node(env, network, "server", "V2")
+            server.on("echo", lambda msg: msg.payload)
+
+            def requester():
+                for index in range(self.ROUND_TRIPS):
+                    responses = yield client.request("server", "echo", index)
+                    assert responses[0].payload == index
+                return env.now
+
+            process = env.process(requester())
+            env.run()
+            return env.sim.processed_events, process.value
+
+        events, duration_ms = benchmark(run_round_trips)
+        # Per round trip two simulated delays — the request's delivery and
+        # the reply's — plus the requester's bootstrap and completion and
+        # the deadline FIFO's head pops (see TestHandlerRoundTrip).
+        head_pops = int(duration_ms // self.TIMEOUT_MS) + 1
+        assert events == 2 * self.ROUND_TRIPS + 2 + head_pops
+        if benchmark.stats:  # None under --benchmark-disable
+            benchmark.extra_info["msgs_per_s"] = round(
+                2 * self.ROUND_TRIPS / benchmark.stats.stats.median
+            )
+
+
 class TestHandlerRoundTrip:
     ROUND_TRIPS = 500
     TIMEOUT_MS = 2000.0  # ``Node.request``'s default, the paper's 2 s

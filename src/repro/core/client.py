@@ -74,7 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.shard import ShardMap
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionHandle:
     """Client-side state of one active transaction (readSet/writeSet)."""
 
@@ -334,7 +334,7 @@ class TransactionClient:
         sweeps or the transaction's deadline budget — a brown-out degrades
         into late commits and typed aborts, not hung client threads.
         """
-        request = BeginRequest(group=group)
+        request = BeginRequest(group)
         for attempt in range(self.config.retry_attempts + 1):
             if attempt:
                 yield from self._retry_backoff(
@@ -391,7 +391,8 @@ class TransactionClient:
         at ``handle.read_position`` (A2) and records it in the read set.
         On a cross-group handle the row's group is pinned first.
         """
-        self._require_active(handle)
+        if not handle.active:
+            self._require_active(handle)
         if isinstance(handle, MultiGroupHandle):
             buffered = handle.handles.get(self.group_for(row))
             if buffered is not None and buffered.buffered((row, attribute)):
@@ -401,27 +402,33 @@ class TransactionClient:
             sub = yield from self._sub_handle(handle, row, pin=True)
             value = yield from self.read(sub, row, attribute)
             return value
-        self._check_group(handle, row)
+        # One call per read in every workload: the checks of
+        # ``_require_active``, ``_check_group`` and ``buffered`` are inline.
+        group = handle.group
+        placement = self.placement
+        if placement is not None and placement.group_of(row) != group:
+            raise CrossGroupTransaction(group, row, placement.group_of(row))
         item: Item = (row, attribute)
-        if handle.buffered(item):
-            return handle.write_buffer[item]
-        if item in handle.read_cache:
-            return handle.read_cache[item]
-        request = ReadRequest(
-            group=handle.group, row=row, attribute=attribute,
-            position=handle.read_position,
-        )
+        write_buffer = handle.write_buffer
+        if item in write_buffer:
+            return write_buffer[item]
+        read_cache = handle.read_cache
+        if item in read_cache:
+            return read_cache[item]
+        request = ReadRequest(group, row, attribute, handle.read_position)
+        services = self.service_names(group)
+        timeout_ms = self.config.timeout_ms
+        request_from = self.node.request
         for attempt in range(self.config.retry_attempts + 1):
             if attempt:
                 yield from self._retry_backoff(
                     attempt - 1, handle.begin_time, f"read {item}"
                 )
-            for svc in self.service_names(handle.group):
-                gather = self.node.request(svc, READ, request, timeout_ms=self.config.timeout_ms)
-                responses = yield gather
+            for svc in services:
+                responses = yield request_from(svc, READ, request, timeout_ms)
                 if responses and responses[0].payload.ok:
                     reply: ReadReply = responses[0].payload
-                    handle.read_cache[item] = reply.value
+                    read_cache[item] = reply.value
                     handle.read_set.add(item)
                     handle.read_snapshot.append((item, reply.value))
                     return reply.value

@@ -22,6 +22,13 @@ it against Paxos-CP:
   (multi-Paxos steady state: no prepare needed while the lease holds).
 * Total message rounds per commit: client→leader, leader→replicas,
   replicas→leader, leader→client — matching the §7 claim of fewer rounds.
+* The leader serves **one request per transaction id**.  The network may
+  duplicate the client's request (UDP); a second copy served on its own
+  would take a second slot for the same transaction, or abort while the
+  first copy commits.  A duplicate instead waits for the first copy's
+  reply and returns it.  The table is volatile, like the rest of the
+  leader's ordering state: a copy that arrives after a crash is served
+  afresh by the next incarnation.
 
 **Crash safety.**  The leader's ordering state (next position, recent
 writes, per-group locks) is volatile; what survives a crash is durable and
@@ -60,6 +67,7 @@ from typing import TYPE_CHECKING, Generator
 from repro.model import AbortReason, Item, Transaction, TransactionStatus
 from repro.paxos.ballot import Ballot
 from repro.paxos.proposer import PhaseOutcome, SynodProposer
+from repro.sim.events import Event
 from repro.sim.sync import Lock
 from repro.wal.entry import LogEntry
 
@@ -132,6 +140,11 @@ class LeasedLeaderHost:
     def __init__(self, service: "TransactionService") -> None:
         self.service = service
         self.states: dict[str, GroupLeaderState] = {}
+        #: Requests being served, by tid: ``None`` until a duplicate copy
+        #: arrives, then the event the copies wait on for the reply.
+        self._serving: dict[str, Event | None] = {}
+        #: The reply each served tid was given, for copies that arrive late.
+        self._replies: dict[str, LeaderCommitReply] = {}
         self._incarnation: int | None = None
         #: Until this simulated instant, commit requests are refused — the
         #: restarted leader waits out any lease it cannot prove expired.
@@ -149,6 +162,8 @@ class LeasedLeaderHost:
         otherwise grant to (or starve behind) dead waiters.
         """
         self.states = {}
+        self._serving = {}
+        self._replies = {}
         self._incarnation = None
 
     def on_restart(self, now: float) -> None:
@@ -261,8 +276,28 @@ class LeasedLeaderHost:
         return state
 
     def on_leader_commit(self, msg) -> Generator:
+        """Serve one commit request; a duplicate copy gets the same reply."""
         request: LeaderCommitRequest = msg.payload
-        txn = request.transaction
+        tid = request.transaction.tid
+        reply = self._replies.get(tid)
+        if reply is not None:
+            return reply
+        if tid in self._serving:
+            waiting = self._serving[tid]
+            if waiting is None:
+                waiting = self._serving[tid] = Event(self.service.env)
+            reply = yield waiting
+            return reply
+        self._serving[tid] = None
+        reply = yield from self._serve(request.transaction)
+        self._replies[tid] = reply
+        waiting = self._serving.pop(tid)
+        if waiting is not None:
+            waiting.succeed(reply)
+        return reply
+
+    def _serve(self, txn: Transaction) -> Generator:
+        """Check, order and replicate one transaction; returns the reply."""
         service = self.service
         if service.env.now < self.serve_after_ms:
             # Lease wait-out: the restarted leader must not serve while a

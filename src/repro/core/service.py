@@ -23,8 +23,7 @@ Responsibilities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, NamedTuple
 
 from repro.config import ProtocolConfig
 from repro.core.queues import DeliveryTable
@@ -58,24 +57,25 @@ BEGIN = "txn.begin"
 READ = "txn.read"
 
 
-@dataclass(frozen=True)
-class BeginReply:
+# The four records below travel in every begin and read exchange, so they
+# are NamedTuples, like the Paxos payloads (see ``repro.paxos.messages``).
+
+
+class BeginReply(NamedTuple):
     """Answer to ``begin``: where to read, and who leads the next position."""
 
     read_position: int
     leader_dc: str
 
 
-@dataclass(frozen=True)
-class ReadReply:
+class ReadReply(NamedTuple):
     """Answer to ``read``; ``ok=False`` means the service could not catch up."""
 
     ok: bool
     value: Any = None
 
 
-@dataclass(frozen=True)
-class ReadRequest:
+class ReadRequest(NamedTuple):
     """A pinned read: ``row.attribute`` as of log ``position``."""
 
     group: str
@@ -84,8 +84,7 @@ class ReadRequest:
     position: int
 
 
-@dataclass(frozen=True)
-class BeginRequest:
+class BeginRequest(NamedTuple):
     group: str
 
 
@@ -225,10 +224,7 @@ class TransactionService:
         replica = self.replica(payload.group)
         yield self.accessor.read(data_row_key(payload.group, "_head"))
         position = replica.read_position()
-        return BeginReply(
-            read_position=position,
-            leader_dc=self.leader_dc(payload.group, position + 1),
-        )
+        return BeginReply(position, self.leader_dc(payload.group, position + 1))
 
     def home_for(self, group: str) -> str:
         """The home datacenter of *group*: the per-group placement override
@@ -252,7 +248,7 @@ class TransactionService:
         payload: m.LeaderClaimPayload = msg.payload
         key = (payload.group, payload.position)
         holder = self._leader_claims.setdefault(key, payload.claimant)
-        return m.LeaderClaimReply(granted=holder == payload.claimant)
+        return m.LeaderClaimReply(holder == payload.claimant)
 
     def _on_read(self, msg: Message) -> Generator:
         """Serve a pinned read, applying the log as needed (step 2)."""
@@ -265,12 +261,12 @@ class TransactionService:
                 request.group, request.position
             )
             if not caught_up:
-                return ReadReply(ok=False)
+                return ReadReply(False)
         version = yield self.accessor.read(
             data_row_key(request.group, request.row), timestamp=request.position
         )
         value = None if version is None else version.get(request.attribute)
-        return ReadReply(ok=True, value=value)
+        return ReadReply(True, value)
 
     # ------------------------------------------------------------------
     # Log application and catch-up

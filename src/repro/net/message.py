@@ -5,13 +5,22 @@ selects the handler on the destination node; ``payload`` is an arbitrary
 (protocol-defined) object.  ``request_id``/``is_response`` implement the
 request/response correlation the Transaction Client relies on when gathering
 votes from Transaction Services.
+
+A message is also its own delivery: :meth:`repro.net.network.Network.send`
+stamps the destination node on it and schedules the message itself, so one
+object travels from send to delivery (twice, when the network duplicates
+it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+from repro.sim.events import Notification
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.node import Node
 
 _message_ids = count(1)
 
@@ -31,8 +40,7 @@ class _ResponseTypes(dict):
 _response_types = _ResponseTypes()
 
 
-@dataclass(slots=True)
-class Message:
+class Message(Notification):
     """An envelope travelling between two nodes.
 
     Attributes
@@ -50,28 +58,45 @@ class Message:
         True when this message answers an earlier request.
     msg_id:
         Unique per-message id, useful in logs and for de-duplication tests.
+
+    One is built per message sent, so the class is a plain slotted one and
+    the hot call sites construct it positionally.
     """
 
-    src: str
-    dst: str
-    type: str
-    payload: Any = None
-    request_id: int | None = None
-    is_response: bool = False
-    msg_id: int = field(default_factory=_message_ids.__next__)
+    __slots__ = ("src", "dst", "type", "payload", "request_id", "is_response",
+                 "msg_id", "_node")
+
+    def __init__(self, src: str, dst: str, type: str, payload: Any = None,
+                 request_id: int | None = None, is_response: bool = False,
+                 msg_id: int | None = None) -> None:
+        self.src = src
+        self.dst = dst
+        self.type = type
+        self.payload = payload
+        self.request_id = request_id
+        self.is_response = is_response
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        # ``_node``, the destination node, is left unset until
+        # ``Network.send`` stamps it: nothing reads it before delivery.
 
     def reply(self, payload: Any) -> "Message":
         """Build the response envelope for this request."""
         if self.request_id is None:
             raise ValueError(f"message {self.msg_id} ({self.type}) expects no response")
-        return Message(
-            src=self.dst,
-            dst=self.src,
-            type=_response_types[self.type],
-            payload=payload,
-            request_id=self.request_id,
-            is_response=True,
-        )
+        return Message(self.dst, self.src, _response_types[self.type], payload,
+                       self.request_id, True)
+
+    def _process(self) -> None:
+        """Arrive at the stamped destination (the kernel pops this)."""
+        node: "Node" = self._node
+        network = node.network
+        # Re-check outage state at delivery time: a datacenter that went down
+        # while the message was in flight does not receive it.
+        if node.datacenter in network._down_views[node.lane] or node.down:
+            network.stats.dropped_outage += 1
+            return
+        network.stats.delivered += 1
+        node.deliver(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "resp" if self.is_response else "req" if self.request_id else "msg"

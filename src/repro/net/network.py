@@ -31,37 +31,10 @@ from repro.errors import UnknownDatacenter
 from repro.net.latency import LatencyModel
 from repro.net.message import Message
 from repro.net.topology import Topology
-from repro.sim.events import Notification
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
     from repro.sim.env import Environment
-
-
-class _Delivery(Notification):
-    """A scheduled message arrival.
-
-    Nothing ever waits on a delivery, so it is a bare queue entry carrying
-    the message and where it goes — three stores per message, no event.
-    """
-
-    __slots__ = ("_network", "_msg", "_dst")
-
-    def __init__(self, network: "Network", msg: Message, dst: "Node") -> None:
-        self._network = network
-        self._msg = msg
-        self._dst = dst
-
-    def _process(self) -> None:
-        # Re-check outage state at delivery time: a datacenter that went down
-        # while the message was in flight does not receive it.
-        network = self._network
-        dst = self._dst
-        if dst.datacenter in network._down_views[dst.lane] or dst.down:
-            network.stats.dropped_outage += 1
-            return
-        network.stats.delivered += 1
-        dst.deliver(self._msg)
 
 
 @dataclass
@@ -203,7 +176,13 @@ class Network:
     # ------------------------------------------------------------------
 
     def send(self, msg: Message) -> None:
-        """Submit *msg* for (unreliable) delivery."""
+        """Submit *msg* for (unreliable) delivery.
+
+        The message is stamped with its destination node and is itself the
+        queue entry: its ``_process`` is the arrival (re-checking the
+        destination's outage state).  A duplicated message is the same
+        object, scheduled twice.
+        """
         stats = self.stats
         stats.sent += 1
         by_type = stats.by_type
@@ -212,6 +191,7 @@ class Network:
         dst = self._nodes.get(msg.dst)
         if dst is None:
             raise UnknownDatacenter(f"message to unknown node {msg.dst!r}")
+        msg._node = dst
         src = self._nodes.get(msg.src)
         src_dc = src.datacenter if src is not None else msg.src
         dst_dc = dst.datacenter
@@ -232,17 +212,16 @@ class Network:
             if self.loss_probability and rng.random() < self.loss_probability:
                 stats.dropped_loss += 1
                 return
-            copies = 1
-            if self.duplicate_probability and \
-                    rng.random() < self.duplicate_probability:
-                # UDP may duplicate; the copy re-draws its path delay.
-                copies = 2
-                stats.duplicated += 1
+            duplicated = self.duplicate_probability and \
+                rng.random() < self.duplicate_probability
             one_way_delay = self.latency.one_way_delay
             sim_schedule = self.env.sim.schedule
-            for _copy in range(copies):
-                delay = one_way_delay(src_dc, dst_dc, rng)
-                sim_schedule(_Delivery(self, msg, dst), delay)
+            sim_schedule(msg, one_way_delay(src_dc, dst_dc, rng))
+            if duplicated:
+                # UDP may duplicate: the same message is scheduled again, on
+                # a re-drawn path delay.
+                stats.duplicated += 1
+                sim_schedule(msg, one_way_delay(src_dc, dst_dc, rng))
             return
         lane = src.lane if src is not None else self.env.sim.current_lane
         down = self._down_views[lane]
@@ -262,7 +241,8 @@ class Network:
         duplicate = self.duplicate_probability
         copies = 1
         if duplicate and rng.random() < duplicate:
-            # UDP may duplicate; the copy takes its own (re-drawn) path delay.
+            # UDP may duplicate: the same message is scheduled twice, each
+            # time on its own (re-drawn) path delay.
             copies = 2
             stats.duplicated += 1
         sim = self.env.sim
@@ -272,9 +252,9 @@ class Network:
             sim_schedule = sim.schedule
             for _copy in range(copies):
                 delay = one_way_delay(src_dc, dst_dc, rng)
-                sim_schedule(_Delivery(self, msg, dst), delay)
+                sim_schedule(msg, delay)
             return
         # Cross-lane: the kernel checks the channel and routes the delivery.
         for _copy in range(copies):
             delay = one_way_delay(src_dc, dst_dc, rng)
-            sim.schedule_in_lane(_Delivery(self, msg, dst), delay, dst_lane)
+            sim.schedule_in_lane(msg, delay, dst_lane)

@@ -24,7 +24,7 @@ from itertools import count
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.net.message import Message
+from repro.net.message import Message, _response_types
 from repro.sim.events import _PENDING, Event, Notification
 from repro.sim.process import Process
 
@@ -119,6 +119,10 @@ class Gather(Event):
     after firing — so its waiters are handed the result in place
     (:meth:`~repro.sim.events.Event.hand_off`) instead of through a
     same-instant queue entry.
+
+    There is one per request, so the constructor is flat, as
+    :class:`_HandlerProcess`'s is: it writes :class:`Event`'s slots itself
+    (``tests/sim/test_slot_drift.py`` fails if a slot is left unset).
     """
 
     __slots__ = ("responses", "_expected", "_enough", "_grace_ms",
@@ -133,8 +137,14 @@ class Gather(Event):
         timeout_ms: float,
         grace_ms: float,
         deadlines: "dict[float, _DeadlineFifo]",
+        pending: "dict[int, Gather] | None" = None,
+        request_id: int = 0,
     ) -> None:
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._late_relay = None
         self.responses: list[Message] = []
         self._expected = expected
         self._enough = enough
@@ -142,14 +152,17 @@ class Gather(Event):
         self._grace_armed = False
         self._done = False
         self._answered: set[str] = set()
-        #: The requester's correlation table and this gather's key in it,
-        #: set by :meth:`Node.request_many`; the gather leaves it on finish.
-        self._pending: dict[int, Gather] | None = None
-        self._request_id = 0
+        #: The requester's correlation table and this gather's key in it
+        #: (:meth:`Node.request` / :meth:`Node.request_many`); the gather
+        #: enters it here and leaves it on finish.
+        self._pending = pending
+        self._request_id = request_id
         fifo = deadlines.get(timeout_ms)
         if fifo is None:
             fifo = deadlines[timeout_ms] = _DeadlineFifo(env.sim)
         fifo.add(self, timeout_ms)
+        if pending is not None:
+            pending[request_id] = self
 
     def add(self, response: Message) -> None:
         """Record one response; may complete the gather.
@@ -160,14 +173,18 @@ class Gather(Event):
         """
         if self._done:
             return
-        if response.src in self._answered:
+        answered = self._answered
+        src = response.src
+        if src in answered:
             return
-        self._answered.add(response.src)
-        self.responses.append(response)
-        if len(self.responses) >= self._expected:
+        answered.add(src)
+        responses = self.responses
+        responses.append(response)
+        if len(responses) >= self._expected:
             self._finish()
             return
-        if self._enough is not None and not self._grace_armed and self._enough(self.responses):
+        enough = self._enough
+        if enough is not None and not self._grace_armed and enough(responses):
             if self._grace_ms <= 0:
                 self._finish()
                 return
@@ -204,21 +221,22 @@ class _HandlerProcess(Process):
     There is one per handled request, so the constructor is flat: it writes
     the slots of :class:`Event` and :class:`Process` itself instead of
     chaining through the two ``__init__`` methods, and arranges no first step —
-    ``deliver`` registers its callbacks, then calls :meth:`start`.
+    ``deliver`` registers its callbacks, then calls :meth:`start`.  Its lane
+    is its node's: a message is delivered in its destination's lane.
     (``tests/sim/test_slot_drift.py`` fails if a slot is left unset.)
     """
 
     __slots__ = ("_request",)
 
     def __init__(self, env: "Environment", generator: GeneratorType,
-                 request: Message) -> None:
+                 request: Message, lane: int) -> None:
         self.env = env
         self.callbacks = []
         self._value = _PENDING
         self._ok = None
         self._late_relay = None
         self._name = None
-        self.lane = env.sim.current_lane
+        self.lane = lane
         self._generator = generator
         self._waiting_on = None
         self._resume_cb = self._resume
@@ -336,7 +354,7 @@ class Node:
 
     def send(self, dst: str, msg_type: str, payload: Any = None) -> None:
         """Fire-and-forget message (the APPLY phase uses this)."""
-        self.network.send(Message(src=self.name, dst=dst, type=msg_type, payload=payload))
+        self.network.send(Message(self.name, dst, msg_type, payload))
 
     def request_many(
         self,
@@ -353,24 +371,28 @@ class Node:
         ``payload_for`` lets the caller customize the payload per destination
         (unused by the core protocols but handy in tests).
         """
+        request_id = next(self._request_ids)
         gather = Gather(self.env, len(dsts), enough, timeout_ms, grace_ms,
-                        self._deadlines)
-        gather._request_id = request_id = next(self._request_ids)
-        gather._pending = pending = self._pending
-        pending[request_id] = gather
+                        self._deadlines, self._pending, request_id)
+        name = self.name
+        send = self.network.send
         for dst in dsts:
             body = payload if payload_for is None else payload_for(dst)
-            self.network.send(Message(
-                src=self.name, dst=dst, type=msg_type, payload=body,
-                request_id=request_id,
-            ))
+            send(Message(name, dst, msg_type, body, request_id))
         return gather
 
     def request(self, dst: str, msg_type: str, payload: Any = None,
                 timeout_ms: float = 2000.0) -> Gather:
-        """Single-destination request; the gather completes on first reply."""
-        return self.request_many([dst], msg_type, payload, enough=None,
-                                 timeout_ms=timeout_ms)
+        """Single-destination request; the gather completes on first reply.
+
+        :meth:`request_many` for one destination, no quorum rule and no
+        grace window, built directly.
+        """
+        request_id = next(self._request_ids)
+        gather = Gather(self.env, 1, None, timeout_ms, 0.0, self._deadlines,
+                        self._pending, request_id)
+        self.network.send(Message(self.name, dst, msg_type, payload, request_id))
+        return gather
 
     # ------------------------------------------------------------------
     # Receiving
@@ -388,7 +410,7 @@ class Node:
             return  # unknown messages are dropped, as UDP would
         result = handler(msg)
         if type(result) is GeneratorType:
-            process = _HandlerProcess(self.env, result, msg)
+            process = _HandlerProcess(self.env, result, msg, self.lane)
             if self._procs is not None:
                 self.adopt(process)
             if msg.request_id is not None:
@@ -402,7 +424,14 @@ class Node:
             # A crashed handler must not masquerade as a reply; surface the
             # error through the simulation loop instead.
             raise process._value
-        self._reply(process._request, process._value)
+        if self.down:
+            return
+        # ``request.reply(...)``, inline: one per handled request.
+        request = process._request
+        self.network.send(Message(
+            request.dst, request.src, _response_types[request.type],
+            process._value, request.request_id, True,
+        ))
 
     def _reply(self, request: Message, payload: Any) -> None:
         if self.down:

@@ -116,11 +116,8 @@ class Acceptor:
             state = AcceptorState.from_version((yield accessor.read(key)))
             if state.chosen:
                 # The instance is over; tell the proposer the decided value.
-                return PrepareReply(
-                    success=False, promised=state.next_bal,
-                    last_ballot=state.ballot, last_value=state.value,
-                    chosen=state.value,
-                )
+                return PrepareReply(False, state.next_bal, state.ballot,
+                                    state.value, state.value)
             if payload.ballot > state.next_bal:
                 # Record the promise only if nothing changed since the read
                 # (Algorithm 1 line 9, hardened per deviation 2).
@@ -129,17 +126,13 @@ class Acceptor:
                     {ATTR_NEXT_BAL: payload.ballot, ATTR_SEQ: state.next_seq},
                 )
                 if ok:
-                    return PrepareReply(
-                        success=True, promised=payload.ballot,
-                        last_ballot=state.ballot, last_value=state.value,
-                    )
+                    return PrepareReply(True, payload.ballot, state.ballot,
+                                        state.value)
                 # Lost the race against a concurrent handler: retry
                 # (keepTrying loop).
                 continue
-            return PrepareReply(
-                success=False, promised=state.next_bal,
-                last_ballot=state.ballot, last_value=state.value,
-            )
+            return PrepareReply(False, state.next_bal, state.ballot,
+                                state.value)
 
     # ------------------------------------------------------------------
     # ACCEPT (Algorithm 1 lines 16–19, with the fast-path relaxation)
@@ -152,9 +145,9 @@ class Acceptor:
         while True:
             state = AcceptorState.from_version((yield accessor.read(key)))
             if state.chosen:
-                return AcceptReply(success=False, promised=state.next_bal)
+                return AcceptReply(False, state.next_bal)
             if payload.ballot < state.next_bal:
-                return AcceptReply(success=False, promised=state.next_bal)
+                return AcceptReply(False, state.next_bal)
             # Vote: record ⟨ballotNumber, value⟩, raising nextBal to the
             # accepted ballot (deviation 1: ballot ≥ nextBal is enough).
             ok = yield accessor.check_and_write(
@@ -167,7 +160,7 @@ class Acceptor:
                 },
             )
             if ok:
-                return AcceptReply(success=True, promised=payload.ballot)
+                return AcceptReply(True, payload.ballot)
             # State moved under us; re-evaluate rather than refuse blindly.
             continue
 

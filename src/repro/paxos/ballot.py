@@ -12,15 +12,18 @@ at round 0, which loses to any ballot from a prepare-phase competitor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Round number used by the leader-granted prepare-skipping ACCEPT.
 FAST_PATH_ROUND = 0
 
 
-@dataclass(frozen=True, order=True)
-class Ballot:
-    """A totally ordered proposal number ``(round, proposer)``."""
+class Ballot(NamedTuple):
+    """A totally ordered proposal number ``(round, proposer)``.
+
+    A tuple, so ballots compare (and hash) as ``(round, proposer)`` in C —
+    the order and hash of the frozen, ordered dataclass it replaced.
+    """
 
     round: int
     proposer: str

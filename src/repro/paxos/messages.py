@@ -9,12 +9,17 @@ LEARN is the catch-up request of §4.1 ("the Transaction Service executes a
 Paxos instance for the missing log entry to learn the winning value"); we
 give it an explicit read-only message rather than piggybacking on PREPARE so
 that catch-up cannot disturb in-flight instances.
+
+Every payload and reply is a :class:`typing.NamedTuple`: immutable, with
+the ``repr`` and ``hash`` a frozen dataclass of the same fields has (both
+hash the field tuple), built by one C tuple allocation instead of a
+generated ``__init__`` per field.  A record therefore also equals a plain
+tuple of the same fields; nothing compares one against a tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.paxos.ballot import Ballot
 
@@ -29,8 +34,7 @@ LEARN = "paxos.learn"
 LEADER_CLAIM = "leader.claim"
 
 
-@dataclass(frozen=True)
-class PreparePayload:
+class PreparePayload(NamedTuple):
     """Step 1: a proposer asks for promises at *ballot*."""
 
     group: str
@@ -38,8 +42,7 @@ class PreparePayload:
     ballot: Ballot
 
 
-@dataclass(frozen=True)
-class PrepareReply:
+class PrepareReply(NamedTuple):
     """Step 2: the acceptor's LAST VOTE (or refusal).
 
     ``promised`` is the acceptor's ``nextBal`` after handling the message —
@@ -57,8 +60,7 @@ class PrepareReply:
     chosen: "LogEntry | None" = None
 
 
-@dataclass(frozen=True)
-class AcceptPayload:
+class AcceptPayload(NamedTuple):
     """Step 3: the proposer asks acceptors to vote for *value* at *ballot*."""
 
     group: str
@@ -67,16 +69,14 @@ class AcceptPayload:
     value: "LogEntry"
 
 
-@dataclass(frozen=True)
-class AcceptReply:
+class AcceptReply(NamedTuple):
     """Step 4: SUCCESS (vote recorded) or refusal with the promised ballot."""
 
     success: bool
     promised: Ballot
 
 
-@dataclass(frozen=True)
-class ApplyPayload:
+class ApplyPayload(NamedTuple):
     """Step 5: the decided value, written to the log (Algorithm 1 line 21)."""
 
     group: str
@@ -85,16 +85,14 @@ class ApplyPayload:
     value: "LogEntry"
 
 
-@dataclass(frozen=True)
-class LearnPayload:
+class LearnPayload(NamedTuple):
     """Catch-up: what does this replica know about (group, position)?"""
 
     group: str
     position: int
 
 
-@dataclass(frozen=True)
-class LearnReply:
+class LearnReply(NamedTuple):
     """The replica's knowledge: decided value if any, else its last vote."""
 
     chosen: "LogEntry | None"
@@ -102,8 +100,7 @@ class LearnReply:
     last_value: "LogEntry | None"
 
 
-@dataclass(frozen=True)
-class LeaderClaimPayload:
+class LeaderClaimPayload(NamedTuple):
     """Fast-path arbitration (§4.1 optimization).
 
     The client local to the winner of position ``position - 1`` is the
@@ -116,8 +113,7 @@ class LeaderClaimPayload:
     claimant: str
 
 
-@dataclass(frozen=True)
-class LeaderClaimReply:
+class LeaderClaimReply(NamedTuple):
     """Whether the claimant is first (fast path granted)."""
 
     granted: bool

@@ -271,7 +271,9 @@ class LanedSimulator(Simulator):
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule event in the past (delay={delay})")
-        lane = self.current_lane
+        lane = self._lane
+        if lane is None:  # paused: setup code schedules as lane 0
+            lane = 0
         self._seqs[lane] = seq = self._seqs[lane] + 1
         heappush(self._queue, (self._now + delay, lane, seq, lane, event))
 

@@ -67,7 +67,7 @@ class Environment:
     @property
     def now(self) -> float:
         """Current simulated time in milliseconds."""
-        return self.sim.now
+        return self.sim._now
 
     @property
     def lane_count(self) -> int:

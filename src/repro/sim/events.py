@@ -185,9 +185,10 @@ class Notification:
     Not an :class:`Event`: the kernel asks of a popped entry only that it
     has ``_process()``, and nothing registers a callback on, reads the value
     of, or reaches the environment through a message delivery or a request
-    deadline.  These are the hottest allocations in the simulation (one per
-    message), so a subclass declares the slots its ``_process`` reads and
-    stores nothing else — no ``__init__`` to chain to, no dead slot.
+    deadline.  These are the hottest allocations in the simulation — a
+    :class:`~repro.net.message.Message` is its own delivery — so a subclass
+    declares only the slots it needs: no ``__init__`` to chain to, no dead
+    slot.
     """
 
     __slots__ = ()

@@ -36,7 +36,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from repro.config import WorkloadConfig
 from repro.model import Placement
@@ -44,9 +44,12 @@ from repro.model import Placement
 OpKind = Literal["read", "write"]
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One step of a transaction: read or write one attribute of one row."""
+class Operation(NamedTuple):
+    """One step of a transaction: read or write one attribute of one row.
+
+    A NamedTuple, like the message records (``repro.paxos.messages``): one
+    is built per operation generated.
+    """
 
     kind: OpKind
     row: str
@@ -130,6 +133,12 @@ class YcsbWorkload:
             else None
         )
         self._group_zipf: ZipfianGenerator | None = None
+        #: Attribute names by index, built once for :meth:`_make_ops`.  One
+        #: past the last: a zipfian draw above the final cumulative weight
+        #: (which float rounding can leave just under 1.0) bisects to it.
+        self._attribute_names = [
+            self.attribute_name(a) for a in range(config.n_attributes + 1)
+        ]
         self._all_rows = [self.row_name(r) for r in range(config.n_rows)]
         self._group_rows: dict[str, list[str]] = {}
         if self.multi_group:
@@ -207,14 +216,40 @@ class YcsbWorkload:
         return self.placement.group_name(self.rng.randrange(self.placement.n_groups))
 
     def _make_ops(self, rows: list[str]) -> list[Operation]:
+        """``ops_per_transaction`` operations over *rows*.
+
+        Per operation: a ``random()`` coin for the kind, ``randrange`` for
+        the row, then the attribute (:meth:`_pick_attribute`).  One call per
+        generated transaction, so the two ``randrange`` draws are inlined as
+        the standard library computes them — ``getrandbits(n.bit_length())``
+        until the value is below ``n``; for ``n == 1`` that still draws one
+        bit until it reads 0 — which leaves every value and every stream
+        position as ``randrange`` would (``tests/sim/test_exact_draws.py``).
+        """
+        config = self.config
+        rng = self.rng
+        coin = rng.random
+        getrandbits = rng.getrandbits
+        read_fraction = config.read_fraction
+        n_rows = len(rows)
+        row_bits = n_rows.bit_length()
+        names = self._attribute_names
+        zipf = self._zipf
+        n_attributes = config.n_attributes
+        attribute_bits = n_attributes.bit_length()
         ops: list[Operation] = []
-        for _index in range(self.config.ops_per_transaction):
-            kind: OpKind = (
-                "read" if self.rng.random() < self.config.read_fraction else "write"
-            )
-            row = rows[self.rng.randrange(len(rows))]
-            attribute = self.attribute_name(self._pick_attribute())
-            ops.append(Operation(kind=kind, row=row, attribute=attribute))
+        for _index in range(config.ops_per_transaction):
+            kind: OpKind = "read" if coin() < read_fraction else "write"
+            row = getrandbits(row_bits)
+            while row >= n_rows:
+                row = getrandbits(row_bits)
+            if zipf is not None:
+                attribute = zipf.next(rng)
+            else:
+                attribute = getrandbits(attribute_bits)
+                while attribute >= n_attributes:
+                    attribute = getrandbits(attribute_bits)
+            ops.append(Operation(kind, rows[row], names[attribute]))
         return ops
 
     def _pick_groups(self, span: int) -> list[str]:

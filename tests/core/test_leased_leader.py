@@ -1,9 +1,16 @@
 """Tests for the §7 leased-leader extension."""
 
-from repro.core.leased_leader import LEASE_ROUND, lease_epoch_key
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from repro.core.leased_leader import LEASE_ROUND, LeasedLeaderHost, lease_epoch_key
 from repro.failures import FailureInjector
+from repro.harness.experiment import finish_run, prepare_run
 from repro.model import AbortReason
 from tests.conftest import make_cluster, run_txn
+from tests.helpers import fig7_spec
 
 GROUP = "g"
 
@@ -103,6 +110,34 @@ class TestLeasedLeader:
             make_proc(index, dc)
         cluster.run()
         cluster.check_invariants(GROUP, outcomes)
+
+
+class TestDuplicatedRequests:
+    """The network may deliver a commit request twice.  Served twice, the
+    copies took a slot each (the same tid at positions N and N+1, L2), or
+    one aborted while the other committed (L1).  The leader now serves one
+    request per tid and answers a copy with the first one's reply."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_invariants_hold_when_requests_are_duplicated(self, seed, monkeypatch):
+        arrivals: Counter[str] = Counter()
+        serve = LeasedLeaderHost.on_leader_commit
+
+        def counting(host, msg):
+            arrivals[msg.payload.transaction.tid] += 1
+            return serve(host, msg)
+
+        # Patched before the cluster is built: ``install_leased_leader``
+        # registers the bound method.
+        monkeypatch.setattr(LeasedLeaderHost, "on_leader_commit", counting)
+        spec = fig7_spec(300, "leased-leader")
+        spec = replace(spec, cluster=replace(spec.cluster, duplicate_probability=0.05))
+        cluster, drivers = prepare_run(spec, seed)
+        cluster.run()
+        result = finish_run(spec, cluster, drivers)  # check_invariants_all
+        assert result.metrics.commits > 0
+        # The case under test happened: some request reached the leader twice.
+        assert any(count > 1 for count in arrivals.values())
 
 
 class TestCrashRestartFailover:

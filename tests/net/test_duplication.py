@@ -28,6 +28,23 @@ class TestDuplication:
         assert received[0] == received[1]
         assert network.stats.duplicated == 1
 
+    def test_duplicate_is_one_message_scheduled_and_delivered_twice(self, env):
+        # A message is its own queue entry: the copy the network makes is
+        # the same object, pushed twice (each on its own path delay).
+        network = make_net(env, duplicate=0.999)
+        received = []
+        server = Node(env, network, "server", "V1")
+        server.on("ping", received.append)
+        client = Node(env, network, "client", "V2")
+        client.send("server", "ping", "body")
+        queued = [entry[-1] for entry in env.sim._queue]
+        assert len(queued) == 2 and queued[0] is queued[1]
+        env.run()
+        assert len(received) == 2
+        assert received[0] is received[1] is queued[0]
+        assert (network.stats.sent, network.stats.delivered) == (1, 2)
+        assert env.sim.processed_events == 2
+
     def test_zero_probability_never_duplicates(self, env):
         network = make_net(env, duplicate=0.0)
         received = []

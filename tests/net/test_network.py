@@ -7,6 +7,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.topology import cluster_preset
+from repro.sim.env import Environment
 
 
 def make_net(env, loss=0.0, delay=1.0, code="COV"):
@@ -120,6 +121,36 @@ class TestOutages:
         network.take_down("O")
         env.run()
         assert received == []
+
+    def test_destination_down_in_flight_is_one_outage_drop(self, env):
+        # The send passes the outage check; the arrival re-checks it, counts
+        # the message once as an outage drop, and never hands it over.
+        network = make_net(env, delay=5.0)
+        nodes, received = wire(env, network)
+        nodes["C"].send("node:O", "ping")
+        assert network.stats.dropped == 0
+        env.run(until=1.0)
+        network.take_down("O")
+        env.run()
+        assert received == []
+        assert (network.stats.dropped_outage, network.stats.dropped) == (1, 1)
+        assert network.stats.delivered == 0
+
+    def test_destination_down_in_flight_across_lanes(self):
+        # The same on a laned kernel: the message crosses into the
+        # destination's lane and is checked against that lane's view.
+        env = Environment(seed=0, lanes=2)
+        network = make_net(env, delay=5.0)
+        received = []
+        sender = Node(env, network, "sender", "C", lane=0)
+        receiver = Node(env, network, "receiver", "O", lane=1)
+        receiver.on("ping", received.append)
+        sender.send("receiver", "ping")
+        env.run(until=1.0)
+        network.take_down("O", lane=1)
+        env.run()
+        assert received == []
+        assert (network.stats.dropped_outage, network.stats.delivered) == (1, 0)
 
     def test_is_down_flag(self, env):
         network = make_net(env)

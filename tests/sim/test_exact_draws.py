@@ -1,4 +1,4 @@
-"""The inlined delay draws are the standard library's, bit for bit.
+"""The inlined draws are the standard library's, bit for bit.
 
 A store operation's latency (``_StoreOp``) and a message's jitter factor
 (``RttMatrixLatency.one_way_delay``) are drawn once each per operation and
@@ -11,6 +11,10 @@ stdlib way, with ``random()`` coins (the network's loss and duplication
 tests) mixed in at random points on both; an odd number of Gaussian draws
 between two coins is what exercises the stream's parked second normal.  CI
 runs tier-1 on two CPython versions, so a stdlib change fails here.
+
+The workload's operation generator (``YcsbWorkload._make_ops``) inlines
+``random.Random.randrange`` the same way, and is held to the same standard:
+10 000 generated transactions against a twin that calls ``randrange``.
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ import random
 
 import pytest
 
+from repro.config import WorkloadConfig
 from repro.kvstore.service import StoreAccessor, StoreLatencyModel
 from repro.kvstore.store import MultiVersionStore
 from repro.net.latency import RttMatrixLatency
 from repro.net.topology import cluster_preset
 from repro.sim.env import Environment
 from repro.sim.rng import derive_seed
+from repro.workload.ycsb import Operation, YcsbWorkload
 
 DRAWS = 10_000
 SEEDS = (0, 1, 7, 2024)
@@ -74,3 +80,35 @@ def test_jitter_factor_is_gauss_bit_for_bit(seed, jitter):
         assert model.one_way_delay("C", "V1", stream) == base * max(factor, floor)
     assert stream.getstate() == twin.getstate()
     assert stream.gauss_next == twin.gauss_next
+
+
+def reference_ops(workload: YcsbWorkload, rows: list[str]) -> list[Operation]:
+    """``_make_ops`` as the standard library's ``randrange`` computes it."""
+    rng = workload.rng
+    config = workload.config
+    ops = []
+    for _index in range(config.ops_per_transaction):
+        kind = "read" if rng.random() < config.read_fraction else "write"
+        row = rows[rng.randrange(len(rows))]
+        if config.distribution == "zipfian":
+            attribute = workload._zipf.next(rng)
+        else:
+            attribute = rng.randrange(config.n_attributes)
+        ops.append(Operation(kind=kind, row=row,
+                             attribute=workload.attribute_name(attribute)))
+    return ops
+
+
+@pytest.mark.parametrize("n_rows", (1, 8, 64))
+@pytest.mark.parametrize("distribution", ("uniform", "zipfian"))
+@pytest.mark.parametrize("seed", (0, 7))
+def test_op_generator_is_randrange_bit_for_bit(seed, distribution, n_rows):
+    # n_rows == 1 is the edge: randrange(1) still draws getrandbits(1)
+    # until it reads 0, so even a one-row draw moves the stream.
+    config = WorkloadConfig(n_rows=n_rows, distribution=distribution)
+    workload = YcsbWorkload(config, random.Random(seed))
+    twin = YcsbWorkload(config, random.Random(seed))
+    rows = [workload.row_name(index) for index in range(n_rows)]
+    for _transaction in range(DRAWS):
+        assert workload._make_ops(rows) == reference_ops(twin, rows)
+    assert workload.rng.getstate() == twin.rng.getstate()
