@@ -54,6 +54,36 @@ class TestStoreOps:
 
         benchmark(op)
 
+    # A data row: 100 attributes, of which each transaction writes a few.
+    WIDE_IMAGE = {f"a{index}": index for index in range(100)}
+
+    def test_wide_row_write(self, benchmark):
+        """A two-attribute write into a 100-attribute row, the shape of a
+        data-row apply.  The row is reset to its preloaded image every 1000
+        writes, so the store stays small however long the benchmark runs."""
+        store = MultiVersionStore("bench")
+        store.write("row", self.WIDE_IMAGE, timestamp=0)
+        counter = iter(range(10_000_000))
+
+        def op():
+            n = next(counter)
+            if n % 1000 == 999:
+                store.erase_volatile()
+            store.write("row", {f"a{n % 100}": n, f"a{(n + 50) % 100}": n})
+
+        benchmark(op)
+
+    def test_wide_row_read_at_timestamp(self, benchmark):
+        """One attribute of a 100-attribute row at a past timestamp, the
+        shape of a transaction's read at its read position."""
+        store = MultiVersionStore("bench")
+        store.write("row", self.WIDE_IMAGE, timestamp=0)
+        for ts in range(1, 501):
+            store.write("row", {f"a{ts % 100}": ts, f"a{(ts + 50) % 100}": ts},
+                        timestamp=ts)
+        assert store.read_attribute("row", "a7", timestamp=250) == 207
+        benchmark(lambda: store.read_attribute("row", "a7", timestamp=250))
+
 
 class TestSimKernel:
     def test_event_scheduling_throughput(self, benchmark):

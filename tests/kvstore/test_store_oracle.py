@@ -2,10 +2,14 @@
 
 The store's hot paths were rewritten for speed — a version appended rather
 than ``insort``-ed, reads bisecting with ``attrgetter`` rather than a
-lambda, one image copy per version, ``keys`` served from a lazily sorted key
-list.  Random operation sequences run against both stores here: every
-result, every raised :class:`~repro.errors.RowVersionError` and the final
-``op_counts`` must be equal.
+lambda, ``keys`` served from a lazily sorted key list — and a wide row's
+version holds only its changes over a shared image, where the reference
+copies the full image per version.  Random operation sequences run against
+both stores here: every result, every raised
+:class:`~repro.errors.RowVersionError` and the final ``op_counts`` must be
+equal.  The general sequences draw three attribute names, so their rows
+stay narrow; the wide-row sequences write a few of 48 attributes at a time
+and read them back at past timestamps.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import random
 import pytest
 
 from repro.errors import RowVersionError
+from repro.kvstore.row import WIDE_ROW
 from repro.kvstore.store import MultiVersionStore
 from tests.kvstore.reference_store import ReferenceStore
 
@@ -97,6 +102,69 @@ def test_random_sequences_agree_with_the_reference(seed):
         assert shape(store.versions(key)) == shape(reference.versions(key))
     for prefix in PREFIXES:
         assert store.keys(prefix) == reference.keys(prefix)
+
+
+WIDE_KEYS = ("data/g1/wide0", "data/g2/wide1")
+WIDE_ATTRIBUTES = tuple(f"f{index:02d}" for index in range(48))
+
+
+def preload_wide(store) -> None:
+    """Two wide rows: a full image at −1 and a small change over it at 0,
+    both of which ``erase_volatile`` keeps."""
+    for key in WIDE_KEYS:
+        store.write(key, {name: 0 for name in WIDE_ATTRIBUTES}, timestamp=-1)
+        store.write(key, {WIDE_ATTRIBUTES[0]: 1, WIDE_ATTRIBUTES[1]: 1}, timestamp=0)
+
+
+def wide_timestamp(rng: random.Random):
+    """Mostly a past position; the rows reach ts ≈ 80 in a sequence."""
+    return rng.choice((None, rng.randint(-2, 90), rng.randint(-2, 90) + 0.5))
+
+
+def wide_step(rng: random.Random):
+    """One random operation on a wide row: ``(method name, args)``."""
+    key = rng.choice(WIDE_KEYS)
+    kind = rng.choice((
+        "write", "write", "write", "check_and_write", "check_and_write",
+        "read", "read", "read_attribute", "read_attribute", "versions",
+        "erase_volatile",
+    ))
+    attributes = {rng.choice(WIDE_ATTRIBUTES): rng.randint(0, 3)
+                  for _ in range(rng.randint(1, 3))}
+    if kind == "write":
+        # Mostly auto-timestamped, so the rows grow; sometimes a stale one.
+        return kind, (key, attributes, rng.choice((None, None, None, wide_timestamp(rng))))
+    if kind == "check_and_write":
+        test_value = rng.choice((None, 0, 1, 2, 3))
+        return kind, (key, rng.choice(WIDE_ATTRIBUTES), test_value, attributes, None)
+    if kind == "read":
+        return kind, (key, wide_timestamp(rng))
+    if kind == "read_attribute":
+        attribute = rng.choice(WIDE_ATTRIBUTES + ("absent",))
+        return kind, (key, attribute, wide_timestamp(rng), "default")
+    if kind == "erase_volatile" and rng.random() < 0.1:
+        return kind, ()
+    return "versions", (key,)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_wide_row_sequences_agree_with_the_reference(seed):
+    assert len(WIDE_ATTRIBUTES) >= WIDE_ROW  # the rows really are wide
+    rng = random.Random(seed)
+    store, reference = MultiVersionStore("s"), ReferenceStore("s")
+    preload_wide(store)
+    preload_wide(reference)
+    for index in range(OPERATIONS):
+        kind, args = wide_step(rng)
+        assert call(store, kind, args) == call(reference, kind, args), (index, kind, args)
+    assert store.op_counts == reference.op_counts
+    for key in WIDE_KEYS:
+        assert shape(store.versions(key)) == shape(reference.versions(key))
+        for version in store.versions(key):
+            at = version.timestamp
+            for name in WIDE_ATTRIBUTES:
+                assert (store.read_attribute(key, name, at)
+                        == reference.read_attribute(key, name, at)), (key, at, name)
 
 
 def test_keys_serve_rows_created_and_erased_between_calls():
