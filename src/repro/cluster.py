@@ -138,6 +138,9 @@ class Cluster:
         self.lane_stores: dict[tuple[str, int], MultiVersionStore] = {}
         self.lane_services: dict[tuple[str, int], TransactionService] = {}
         self._client_counters: dict[str, int] = {}
+        #: The simulation's item intern table, shared by every client it
+        #: creates (see :class:`~repro.core.client.TransactionClient`).
+        self._items: dict[Item, Item] = {}
         self._initial_images: dict[str, dict[Item, Any]] = {}
         self._groups: set[str] = set()
         #: Every delivery pump ever started (restarts append, never replace).
@@ -257,6 +260,7 @@ class Cluster:
             shard_map=self.shard_map if not self.shard_map.single_lane else None,
             lane=lane,
             isolation=self.config.isolation,
+            items=self._items,
         )
 
     def client_pool(

@@ -171,6 +171,7 @@ class TransactionClient:
         shard_map: "ShardMap | None" = None,
         lane: int = 0,
         isolation: IsolationLevel = "1sr",
+        items: dict[Item, Item] | None = None,
     ) -> None:
         self.env = env
         self.datacenter = datacenter
@@ -198,6 +199,13 @@ class TransactionClient:
         #: bit-identical whatever the retry settings (creating a named
         #: stream never perturbs the others — seeds derive per name).
         self._retry_rng = env.rng.stream(f"client.retry.{name}")
+        #: Intern table: each ``(row, attribute)`` item is one object in every
+        #: record this client keeps (read and write sets, snapshots, queue
+        #: sends) — a retained history otherwise holds a fresh tuple per
+        #: operation.  A cluster hands all its clients one table, so it is
+        #: per simulation: never module-global (it would outlive the cell)
+        #: nor per client (a pool of clients would each hold a copy).
+        self._items: dict[Item, Item] = {} if items is None else items
 
     def _make_protocol(self, protocol: ProtocolName):
         # Imported here to keep module import order acyclic.
@@ -409,6 +417,7 @@ class TransactionClient:
         if placement is not None and placement.group_of(row) != group:
             raise CrossGroupTransaction(group, row, placement.group_of(row))
         item: Item = (row, attribute)
+        item = self._items.setdefault(item, item)
         write_buffer = handle.write_buffer
         if item in write_buffer:
             return write_buffer[item]
@@ -451,6 +460,7 @@ class TransactionClient:
             handle = sub
         self._check_group(handle, row)
         item: Item = (row, attribute)
+        item = self._items.setdefault(item, item)
         handle.write_buffer[item] = value
         handle.write_order.append((item, value))
 
@@ -488,7 +498,9 @@ class TransactionClient:
                 f"enqueue: {row!r} routes to the transaction's own group "
                 f"{handle.group!r}; use write() for local rows"
             )
-        handle.queue_buffer.setdefault(target, []).append(((row, attribute), value))
+        item: Item = (row, attribute)
+        item = self._items.setdefault(item, item)
+        handle.queue_buffer.setdefault(target, []).append((item, value))
 
     def commit(self, handle: TransactionHandle | MultiGroupHandle) -> Generator:
         """Try to commit (§4 step 4); returns a :class:`TransactionOutcome`.
@@ -626,18 +638,29 @@ class TransactionClient:
         """The client-facing record of a cross-group transaction.
 
         Items are namespaced ``{group}/{row}`` so rows that share a name
-        across groups stay distinct in the merged (global) history.
+        across groups stay distinct in the merged (global) history.  Each
+        group's item is named once and interned like a local one.
         """
+        items = self._items
         read_set: set[Item] = set()
         writes: list[tuple[Item, Any]] = []
         snapshot: list[tuple[Item, Any]] = []
         for group in handle.groups:
             sub = handle.handles[group]
-            read_set |= {(f"{group}/{row}", attr) for row, attr in sub.read_set}
-            writes += [((f"{group}/{row}", attr), value)
-                       for (row, attr), value in sub.write_order]
-            snapshot += [((f"{group}/{row}", attr), value)
-                         for (row, attr), value in sub.read_snapshot]
+            named: dict[Item, Item] = {}
+
+            def global_item(item: Item) -> Item:
+                name = named.get(item)
+                if name is None:
+                    row, attribute = item
+                    name = (f"{group}/{row}", attribute)
+                    name = named[item] = items.setdefault(name, name)
+                return name
+
+            read_set |= {global_item(item) for item in sub.read_set}
+            writes += [(global_item(item), value) for item, value in sub.write_order]
+            snapshot += [(global_item(item), value)
+                         for item, value in sub.read_snapshot]
         return Transaction(
             tid=gtid,
             group=CROSS_GROUP,

@@ -33,7 +33,6 @@ Guarantees:
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Iterable, Sequence
 
@@ -43,6 +42,7 @@ from repro.harness.experiment import (
     aggregate_cell,
     run_once,
 )
+from repro.sim.rng import sha256
 
 #: Task and result shapes crossing the process boundary.
 _Task = tuple[int, int, ExperimentSpec, int]  # (cell index, trial, spec, seed)
@@ -137,10 +137,14 @@ def metrics_digest(results: Iterable[ExperimentResult]) -> str:
     constructed in sorted order by the aggregator, and ``nan`` reprs are
     stable — so serial and parallel runs of the same grid hash identically,
     and any drift in any field changes the digest.
+
+    The hash is :mod:`repro.sim.rng`'s built-in SHA-256, not
+    :mod:`hashlib`'s: the same algorithm over the same bytes, so the digest
+    is unchanged, without mapping OpenSSL into every process.
     """
     payload = "\n".join(
         f"{result.spec.name!r} {result.metrics!r} "
         f"{sorted(result.per_instance.items())!r}"
         for result in results
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()

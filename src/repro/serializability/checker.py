@@ -237,15 +237,22 @@ def merge_group_histories(
     → gtid map); transactions renamed to the same id merge into one node
     with the union of their reads and writes, which is exactly what makes a
     cross-group transaction a single point in the global serial order.
+    Each group's item is named once and shared by every read, write and
+    version order that mentions it.
     """
     rename = dict(rename or {})
     reads: dict[str, list] = {}
     writes: dict[str, set] = {}
     merged = MVHistory()
     for group, history in sorted(histories.items()):
+        named: dict[tuple[str, str], tuple[str, str]] = {}
+
         def global_item(item):
-            row, attribute = item
-            return (f"{group}/{row}", attribute)
+            name = named.get(item)
+            if name is None:
+                row, attribute = item
+                name = named[item] = (f"{group}/{row}", attribute)
+            return name
 
         for txn in history.transactions.values():
             tid = rename.get(txn.tid, txn.tid)

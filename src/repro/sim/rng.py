@@ -6,17 +6,32 @@ adding one message would perturb the whole workload.  The registry hands each
 named component its own :class:`random.Random` seeded from ``(root_seed,
 name)`` via SHA-256, so streams are independent and stable across runs and
 Python versions (``hash()`` is salted per-process and must not be used).
+
+SHA-256 comes from CPython's built-in module (``_sha2`` on 3.12+,
+``_sha256`` on 3.11), the way ``random`` itself takes SHA-512, rather than
+from :mod:`hashlib`: importing ``hashlib`` maps OpenSSL's libcrypto into
+every process (≈ 4 MB resident) to hash a few hundred short strings per
+cell.  Both implement the same algorithm over the same bytes, so every
+derived seed is unchanged; ``hashlib`` remains the fallback for an
+interpreter built without the built-in module.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:  # CPython 3.12+
+    from _sha2 import sha256
+except ImportError:
+    try:  # CPython 3.11
+        from _sha256 import sha256
+    except ImportError:  # pragma: no cover - no built-in SHA-256 module
+        from hashlib import sha256
 
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a 64-bit child seed from a root seed and a stream name."""
-    digest = hashlib.sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
+    digest = sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
