@@ -831,7 +831,10 @@ class Cluster:
                     confirmed[key] = record
         lags = [record.lag_ms for record in confirmed.values()]
         if lags:
-            stats.mean_lag_ms = sum(lags) / len(lags)
+            total = 0.0
+            for lag in lags:  # left to right: builtin sum() compensates on 3.12+
+                total += lag
+            stats.mean_lag_ms = total / len(lags)
             stats.max_lag_ms = max(lags)
         stats.undelivered = max(
             0, stats.sends - stats.applied_online - stats.drained_offline

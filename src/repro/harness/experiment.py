@@ -198,40 +198,26 @@ def _finish_run(
         for group, group_log in group_logs.items()
         for position, entry in group_log.items()
     }
-    # Streaming drivers (retain_outcomes=False, and the open-loop engine in
-    # either retention mode) carry their statistics as O(histogram-bucket)
-    # aggregates; build the metrics from those instead of outcome lists.
-    use_aggregates = any(
-        getattr(driver, "metrics_from_aggregates", False) for driver in drivers
-    )
-    if use_aggregates:
-        merged = OutcomeAggregate()
-        for driver in drivers:
-            merged.merge(driver.aggregate())
-        open_loop = None
-        loops = [d for d in drivers if hasattr(d, "open_loop_stats")]
-        if loops:
-            open_loop = loops[0].open_loop_stats()
-        metrics = RunMetrics.from_aggregate(
-            merged, protocol=spec.protocol, log=log, queue=queue,
-            open_loop=open_loop,
-        )
-        per_instance = {
-            driver.datacenter: RunMetrics.from_aggregate(
-                driver.aggregate(), protocol=spec.protocol
-            )
-            for driver in drivers
-        }
+    # One fold either way: a retained run folds its outcome lists (exact
+    # latency statistics), a streaming run merges the drivers' aggregates
+    # (bucketed ones).
+    if spec.retain_outcomes:
+        build, whole = RunMetrics.from_outcomes, outcomes
+        parts = [result.outcomes for result in results]
     else:
-        metrics = RunMetrics.from_outcomes(
-            outcomes, protocol=spec.protocol, log=log, queue=queue
-        )
-        per_instance = {
-            result.datacenter: RunMetrics.from_outcomes(
-                result.outcomes, protocol=spec.protocol
-            )
-            for result in results
-        }
+        build, whole = RunMetrics.from_aggregate, OutcomeAggregate()
+        parts = [driver.aggregate() for driver in drivers]
+        for part in parts:
+            whole.merge(part)
+    loops = [driver for driver in drivers if hasattr(driver, "open_loop_stats")]
+    metrics = build(
+        whole, protocol=spec.protocol, log=log, queue=queue,
+        open_loop=loops[0].open_loop_stats() if loops else None,
+    )
+    per_instance = {
+        driver.datacenter: build(part, protocol=spec.protocol)
+        for driver, part in zip(drivers, parts)
+    }
     # Under snapshot isolation check_invariants_all classified the MVSG
     # cycles; surface the per-kind counts on the run's metrics (empty dict
     # under 1sr/ssi, and when invariants are off).

@@ -10,18 +10,26 @@ more than seven promotions before aborting").
 Beyond the paper's means, every latency family (commit, all-transaction,
 cross-group, queue-send) flows through one summary helper,
 :class:`LatencySummary`, which also carries the production-facing tails
-(p50/p95/p99/p999).  A summary is built either *exactly* from a retained
-sample list, or from a :class:`LatencyHistogram` — the fixed-memory
-log-bucketed accumulator that open-loop and aggregate-only runs stream
-into instead of keeping per-transaction outcome lists.
+(p50/p95/p99/p999).
+
+Every run reaches :class:`RunMetrics` through one fold,
+:class:`OutcomeAggregate`, for the closed-loop and the open-loop driver
+alike.  ``retain_outcomes`` decides only how its latencies are kept: a
+retained run folds its outcome list after the run and reports every
+latency statistic *exactly*; a streaming run folds each outcome as it
+happens into a :class:`LatencyHistogram` — the fixed-memory log-bucketed
+accumulator — and reports percentiles to within one bucket.
+:func:`aggregate_metrics` then combines trials field by field, by each
+field's declared type and one table of exceptions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from statistics import fmean, median
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 from repro.core.queues import QueueStats
 from repro.model import AbortReason, TransactionOutcome
@@ -112,12 +120,18 @@ class LatencyHistogram:
     def count(self) -> int:
         return self.n
 
+    def __len__(self) -> int:
+        return self.n
+
     @property
     def mean(self) -> float:
         """Exact mean (running sum, not bucket representatives)."""
         if self.n == 0:
             return float("nan")
         return self.total / self.n
+
+    def summary(self) -> "LatencySummary":
+        return LatencySummary.from_histogram(self)
 
     def percentile(self, fraction: float) -> float:
         """The *fraction* percentile, to within one bucket width.
@@ -414,68 +428,84 @@ class OpenLoopStats:
         return self.dropped / self.offered
 
 
-@dataclass
-class OutcomeAggregate:
-    """Streaming, exactly-mergeable accumulation of transaction outcomes.
+class _Samples(list):
+    """The latency recorder of a retained run: every sample, kept in order.
 
-    ``retain_outcomes=False`` runs fold every outcome into one of these —
-    O(histogram buckets) state — instead of appending to per-thread
-    outcome lists.  Counts and sums merge exactly; merging per-thread
-    aggregates in thread order reproduces the serial fold bit for bit,
-    which is what keeps ``--jobs`` digests identical.
+    Records like :class:`LatencyHistogram` but summarizes exactly, so one
+    :class:`OutcomeAggregate` fold serves both retention modes.
     """
 
-    n: int = 0
-    commits: int = 0
-    aborts_by_reason: dict[str, int] = field(default_factory=dict)
-    commits_by_round: dict[int, int] = field(default_factory=dict)
-    latency_sum_by_round: dict[int, float] = field(default_factory=dict)
-    commit_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    all_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    cross_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    queue_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    cross_group_transactions: int = 0
-    cross_group_commits: int = 0
-    queue_send_transactions: int = 0
-    queue_send_commits: int = 0
-    queue_sends: int = 0
-    max_promotions: int = 0
-    duration_ms: float = 0.0
-    timeline: AvailabilityTimeline = field(default_factory=AvailabilityTimeline)
+    record = list.append
+    absorb = list.extend
 
-    def absorb(self, outcome: TransactionOutcome,
-               latency_ms: float | None = None) -> None:
-        """Fold one outcome in; mirrors ``RunMetrics.from_outcomes``.
+    @property
+    def mean(self) -> float:
+        return fmean(self)
 
-        ``latency_ms`` overrides the outcome's own latency — the open-loop
-        driver passes the *response time* (arrival → decision, queueing
-        delay included), the honest open-loop latency.
-        """
-        latency = outcome.latency_ms if latency_ms is None else latency_ms
-        self.n += 1
+    def summary(self) -> LatencySummary:
+        return LatencySummary.exact(self)
+
+
+class OutcomeAggregate:
+    """The one fold from transaction outcomes to :class:`RunMetrics`.
+
+    Streaming runs (``retain_outcomes=False``) fold every outcome into one
+    of these as it happens — O(histogram buckets) state — instead of
+    appending to per-thread outcome lists; :meth:`RunMetrics.from_outcomes`
+    folds a retained list through an ``exact`` one, whose latency
+    recorders keep their samples.  Counts and sums merge exactly; merging
+    per-thread aggregates in thread order reproduces the serial fold bit
+    for bit, which is what keeps ``--jobs`` digests identical.
+    """
+
+    def __init__(self, exact: bool = False) -> None:
+        self._recorder = _Samples if exact else LatencyHistogram
+        self.aborts_by_reason: dict[str, int] = {}
+        #: Commit latency per promotion round; its counts are the commits.
+        self.round_latency: dict[int, LatencyHistogram | _Samples] = {}
+        self.commit_latency = self._recorder()
+        self.all_latency = self._recorder()
+        self.cross_latency = self._recorder()
+        self.queue_latency = self._recorder()
+        self.cross_group_transactions = 0
+        self.queue_send_transactions = 0
+        self.queue_sends = 0
+        self.max_promotions = 0
+        self.duration_ms = 0.0
+        self.timeline = AvailabilityTimeline()
+
+    @property
+    def n(self) -> int:
+        return len(self.all_latency)
+
+    @property
+    def commits(self) -> int:
+        return len(self.commit_latency)
+
+    def absorb(self, outcome: TransactionOutcome) -> None:
+        """Fold one outcome in."""
+        latency = outcome.latency_ms
         self.all_latency.record(latency)
         if outcome.promotions > self.max_promotions:
             self.max_promotions = outcome.promotions
+        # Only transactions that named participant groups count as 2PC
+        # attempts; an untouched unpinned handle commits trivially and
+        # must not skew the cross-group latency average.
         if outcome.transaction.is_cross_group and outcome.transaction.groups:
             self.cross_group_transactions += 1
             if outcome.committed:
-                self.cross_group_commits += 1
                 self.cross_latency.record(latency)
         if outcome.transaction.sends:
             self.queue_send_transactions += 1
             if outcome.committed:
-                self.queue_send_commits += 1
                 self.queue_sends += len(outcome.transaction.sends)
                 self.queue_latency.record(latency)
         if outcome.committed:
-            self.commits += 1
-            self.commits_by_round[outcome.promotions] = (
-                self.commits_by_round.get(outcome.promotions, 0) + 1
-            )
-            self.latency_sum_by_round[outcome.promotions] = (
-                self.latency_sum_by_round.get(outcome.promotions, 0.0) + latency
-            )
             self.commit_latency.record(latency)
+            per_round = self.round_latency.get(outcome.promotions)
+            if per_round is None:
+                per_round = self.round_latency[outcome.promotions] = self._recorder()
+            per_round.record(latency)
             self.timeline.record(outcome.end_time, True, latency_ms=latency)
         else:
             reason = str(outcome.abort_reason or AbortReason.TIMEOUT)
@@ -486,39 +516,27 @@ class OutcomeAggregate:
         if outcome.end_time > self.duration_ms:
             self.duration_ms = outcome.end_time
 
-    # List-compatible alias: the driver's client loops append outcomes to
+    # List-compatible alias: the drivers' client loops append outcomes to
     # their sink without caring whether it is a list or an aggregate.
     append = absorb
 
-    def copy(self) -> "OutcomeAggregate":
-        fresh = OutcomeAggregate()
-        fresh.merge(self)
-        return fresh
-
     def merge(self, other: "OutcomeAggregate") -> None:
         """Fold another aggregate in (exact; order fixes float sums)."""
-        self.n += other.n
-        self.commits += other.commits
         for reason, count in other.aborts_by_reason.items():
             self.aborts_by_reason[reason] = (
                 self.aborts_by_reason.get(reason, 0) + count
             )
-        for round_, count in other.commits_by_round.items():
-            self.commits_by_round[round_] = (
-                self.commits_by_round.get(round_, 0) + count
-            )
-        for round_, total in other.latency_sum_by_round.items():
-            self.latency_sum_by_round[round_] = (
-                self.latency_sum_by_round.get(round_, 0.0) + total
-            )
+        for round_, latency in other.round_latency.items():
+            mine = self.round_latency.get(round_)
+            if mine is None:
+                mine = self.round_latency[round_] = self._recorder()
+            mine.absorb(latency)
         self.commit_latency.absorb(other.commit_latency)
         self.all_latency.absorb(other.all_latency)
         self.cross_latency.absorb(other.cross_latency)
         self.queue_latency.absorb(other.queue_latency)
         self.cross_group_transactions += other.cross_group_transactions
-        self.cross_group_commits += other.cross_group_commits
         self.queue_send_transactions += other.queue_send_transactions
-        self.queue_send_commits += other.queue_send_commits
         self.queue_sends += other.queue_sends
         if other.max_promotions > self.max_promotions:
             self.max_promotions = other.max_promotions
@@ -660,60 +678,13 @@ class RunMetrics:
         protocol: str = "",
         log: Mapping[Hashable, LogEntry] | None = None,
         queue: QueueStats | None = None,
+        open_loop: OpenLoopStats | None = None,
     ) -> "RunMetrics":
-        outcomes = list(outcomes)
-        metrics = cls(protocol=protocol, n_transactions=len(outcomes))
-        if queue is not None:
-            metrics.queue = queue
-        commit_latencies: list[float] = []
-        all_latencies: list[float] = []
-        cross_latencies: list[float] = []
-        queue_latencies: list[float] = []
-        per_round: dict[int, list[float]] = {}
+        """Metrics from a retained outcome list: exact latency statistics."""
+        aggregate = OutcomeAggregate(exact=True)
         for outcome in outcomes:
-            all_latencies.append(outcome.latency_ms)
-            metrics.max_promotions = max(metrics.max_promotions, outcome.promotions)
-            # Only transactions that named participant groups count as 2PC
-            # attempts; an untouched unpinned handle commits trivially and
-            # must not skew the cross-group latency average.
-            if outcome.transaction.is_cross_group and outcome.transaction.groups:
-                metrics.cross_group_transactions += 1
-                if outcome.committed:
-                    metrics.cross_group_commits += 1
-                    cross_latencies.append(outcome.latency_ms)
-            if outcome.transaction.sends:
-                metrics.queue_send_transactions += 1
-                if outcome.committed:
-                    metrics.queue_send_commits += 1
-                    metrics.queue_sends += len(outcome.transaction.sends)
-                    queue_latencies.append(outcome.latency_ms)
-            if outcome.committed:
-                metrics.commits += 1
-                metrics.commits_by_round[outcome.promotions] = (
-                    metrics.commits_by_round.get(outcome.promotions, 0) + 1
-                )
-                per_round.setdefault(outcome.promotions, []).append(outcome.latency_ms)
-                commit_latencies.append(outcome.latency_ms)
-                metrics.timeline.record(
-                    outcome.end_time, True, latency_ms=outcome.latency_ms
-                )
-            else:
-                reason = str(outcome.abort_reason or AbortReason.TIMEOUT)
-                metrics.aborts_by_reason[reason] = (
-                    metrics.aborts_by_reason.get(reason, 0) + 1
-                )
-                metrics.timeline.record(outcome.end_time, False, reason=reason)
-            metrics.duration_ms = max(metrics.duration_ms, outcome.end_time)
-        metrics.commit_latency = LatencySummary.exact(commit_latencies)
-        metrics.all_latency = LatencySummary.exact(all_latencies)
-        metrics.cross_commit_latency = LatencySummary.exact(cross_latencies)
-        metrics.queue_commit_latency = LatencySummary.exact(queue_latencies)
-        metrics.latency_by_round = {
-            round_: fmean(values) for round_, values in sorted(per_round.items())
-        }
-        if log is not None:
-            metrics.log = LogStats.from_log(log)
-        return metrics
+            aggregate.absorb(outcome)
+        return cls._from_fold(aggregate, protocol, log, queue, open_loop)
 
     @classmethod
     def from_aggregate(
@@ -726,39 +697,48 @@ class RunMetrics:
     ) -> "RunMetrics":
         """Metrics from a streaming aggregate (no outcome list retained).
 
-        Field-for-field the same derivations as :meth:`from_outcomes`,
-        except every percentile comes from the log-bucketed histograms —
-        within one bucket width of the exact value by construction.
+        Field-for-field the derivation of :meth:`from_outcomes`, except
+        every percentile comes from the log-bucketed histograms — within
+        one bucket width of the exact value by construction.
         """
-        metrics = cls(
+        return cls._from_fold(aggregate, protocol, log, queue, open_loop)
+
+    @classmethod
+    def _from_fold(
+        cls,
+        aggregate: OutcomeAggregate,
+        protocol: str,
+        log: Mapping[Hashable, LogEntry] | None,
+        queue: QueueStats | None,
+        open_loop: OpenLoopStats | None,
+    ) -> "RunMetrics":
+        # The two public constructors share this body and never call each
+        # other: the ledger adds their cumulative times, so nesting them
+        # would count the fold twice.
+        rounds = sorted(aggregate.round_latency.items())
+        return cls(
             protocol=protocol,
             n_transactions=aggregate.n,
             commits=aggregate.commits,
             aborts_by_reason=dict(sorted(aggregate.aborts_by_reason.items())),
-            commits_by_round=dict(sorted(aggregate.commits_by_round.items())),
-            latency_by_round={
-                round_: total / aggregate.commits_by_round[round_]
-                for round_, total in sorted(aggregate.latency_sum_by_round.items())
-            },
-            commit_latency=LatencySummary.from_histogram(aggregate.commit_latency),
-            all_latency=LatencySummary.from_histogram(aggregate.all_latency),
-            cross_commit_latency=LatencySummary.from_histogram(aggregate.cross_latency),
-            queue_commit_latency=LatencySummary.from_histogram(aggregate.queue_latency),
+            commits_by_round={round_: len(latency) for round_, latency in rounds},
+            latency_by_round={round_: latency.mean for round_, latency in rounds},
+            commit_latency=aggregate.commit_latency.summary(),
+            all_latency=aggregate.all_latency.summary(),
+            cross_commit_latency=aggregate.cross_latency.summary(),
+            queue_commit_latency=aggregate.queue_latency.summary(),
             max_promotions=aggregate.max_promotions,
             duration_ms=aggregate.duration_ms,
+            log=LogStats.from_log(log or {}),
             cross_group_transactions=aggregate.cross_group_transactions,
-            cross_group_commits=aggregate.cross_group_commits,
+            cross_group_commits=len(aggregate.cross_latency),
             queue_send_transactions=aggregate.queue_send_transactions,
-            queue_send_commits=aggregate.queue_send_commits,
+            queue_send_commits=len(aggregate.queue_latency),
             queue_sends=aggregate.queue_sends,
+            queue=queue or QueueStats(),
             open_loop=open_loop,
             timeline=aggregate.timeline.copy(),
         )
-        if queue is not None:
-            metrics.queue = queue
-        if log is not None:
-            metrics.log = LogStats.from_log(log)
-        return metrics
 
 
 def _safe_mean(values: list[float]) -> float:
@@ -766,19 +746,131 @@ def _safe_mean(values: list[float]) -> float:
     return fmean(finite) if finite else float("nan")
 
 
-def _aggregate_summaries(summaries: list[LatencySummary]) -> LatencySummary:
-    """Average per-trial summaries field by field (the paper's convention:
-    trials are averaged, not pooled)."""
-    finite_max = [s.max_ms for s in summaries if s.max_ms == s.max_ms]
-    return LatencySummary(
-        count=round(fmean(s.count for s in summaries)),
-        mean_ms=_safe_mean([s.mean_ms for s in summaries]),
-        p50_ms=_safe_mean([s.p50_ms for s in summaries]),
-        p95_ms=_safe_mean([s.p95_ms for s in summaries]),
-        p99_ms=_safe_mean([s.p99_ms for s in summaries]),
-        p999_ms=_safe_mean([s.p999_ms for s in summaries]),
-        max_ms=max(finite_max) if finite_max else float("nan"),
-    )
+def _rounded_mean(values: list[int]) -> int:
+    return round(fmean(values))
+
+
+def _ceiled_mean(values: list[int]) -> int:
+    return math.ceil(fmean(values))
+
+
+def _finite_max(values: list[float]) -> float:
+    return max((v for v in values if v == v), default=float("nan"))
+
+
+def _first(values: list) -> object:
+    return values[0]
+
+
+def _per_key(combine: Callable[[list], object]) -> Callable[[list[dict]], dict]:
+    """Combine dicts key by key, in sorted key order, an absent key as 0."""
+    def combined(dicts: list[dict]) -> dict:
+        keys = sorted({key for mapping in dicts for key in mapping})
+        return {key: combine([mapping.get(key, 0) for mapping in dicts]) for key in keys}
+    return combined
+
+
+def _mean_where_present(dicts: list[dict]) -> dict:
+    keys = sorted({key for mapping in dicts for key in mapping})
+    return {
+        key: fmean([mapping[key] for mapping in dicts if key in mapping])
+        for key in keys
+    }
+
+
+def _worst_recovery(values: list[float]) -> float:
+    # A single never-recovered trial keeps the mean at infinity: the worst
+    # case must not average away.
+    return math.inf if math.inf in values else _safe_mean(values)
+
+
+def _pooled(timelines: list[AvailabilityTimeline]) -> AvailabilityTimeline:
+    # Timelines pool rather than average: the cross-trial window counts
+    # stay integers, and per-window means are recoverable by dividing by
+    # the trial count.
+    pooled = AvailabilityTimeline(timelines[0].window_ms)
+    for timeline in timelines:
+        pooled.absorb(timeline)
+    return pooled
+
+
+#: How :func:`aggregate_metrics` combines the fields whose trial rule is not
+#: the one their declared type implies (an int is a rounded mean, a float a
+#: NaN-skipping mean, a dict of counts a per-key rounded mean).  Keyed by
+#: ``Record.field``.  A tuple names sibling fields whose combined values sum
+#: to this one.
+_TRIAL_RULES: dict[str, Callable[[list], object] | tuple[str, ...]] = {
+    "RunMetrics.protocol": _first,
+    # Anomalies and zero-commit windows round *up*: a cell that showed any
+    # in any trial must never average down to a clean-looking zero.
+    "RunMetrics.anomalies": _per_key(_ceiled_mean),
+    "AvailabilityReport.zero_windows": _ceiled_mean,
+    "RunMetrics.latency_by_round": _mean_where_present,
+    "RunMetrics.max_promotions": max,
+    "RunMetrics.timeline": _pooled,
+    "LatencySummary.max_ms": _finite_max,
+    "LogStats.max_entry_size": max,
+    # The three delivery buckets are averaged individually and the send
+    # total re-derived from them, so independent rounding can never break
+    # the ``applied + drained + undelivered == sends`` identity, and a
+    # trial with genuinely undelivered sends stays visible as such.
+    "QueueStats.sends": ("applied_online", "drained_offline", "undelivered"),
+    "QueueStats.max_depth": max,
+    "QueueStats.max_lag_ms": _finite_max,
+    "QueueStats.stall_threshold_ms": _first,
+    "OpenLoopStats.logical_users": _first,
+    "OpenLoopStats.pool_size": _first,
+    "OpenLoopStats.offered_rate": _first,
+    "OpenLoopStats.duration_ms": _first,
+    "OpenLoopStats.peak_pending": max,
+    "AvailabilityReport.recovery_ms": _worst_recovery,
+    "AvailabilityReport.recovery_threshold": _first,
+}
+
+
+@functools.cache
+def _declared_types(cls: type) -> dict[str, object]:
+    return get_type_hints(cls)
+
+
+def _combine(records: list) -> object:
+    """One record from the per-trial *records*, field by field."""
+    cls = type(records[0])
+    declared = _declared_types(cls)
+    combined: dict[str, object] = {}
+    derived: dict[str, tuple[str, ...]] = {}
+    for spec in fields(cls):
+        values = [getattr(record, spec.name) for record in records]
+        rule = _TRIAL_RULES.get(f"{cls.__name__}.{spec.name}")
+        if isinstance(rule, tuple):
+            derived[spec.name] = rule
+        elif rule is not None:
+            combined[spec.name] = rule(values)
+        else:
+            combined[spec.name] = _combine_declared(declared[spec.name], values)
+    for name, parts in derived.items():
+        combined[name] = sum(combined[part] for part in parts)
+    return cls(**combined)
+
+
+def _combine_declared(declared: object, values: list) -> object:
+    """Combine by the declared type, never the value: a float field may hold
+    an int (``OutageWindow("V2", 8000, 3000)``) and must still average as
+    a float."""
+    if declared is int:
+        return _rounded_mean(values)
+    if declared is float:
+        return _safe_mean(values)
+    if get_origin(declared) is dict and get_args(declared)[1] is int:
+        return _per_key(_rounded_mean)(values)
+    if is_dataclass(declared):
+        return _combine(values)
+    arms = get_args(declared)
+    if len(arms) == 2 and arms[1] is type(None) and is_dataclass(arms[0]):
+        # An optional record: combined over the trials that have one.
+        present = [value for value in values if value is not None]
+        return _combine(present) if present else None
+    raise TypeError(f"no trial rule for a field declared {declared!r}")
 
 
 def aggregate_metrics(trials: list[RunMetrics]) -> RunMetrics:
@@ -787,135 +879,4 @@ def aggregate_metrics(trials: list[RunMetrics]) -> RunMetrics:
         raise ValueError("no trials to aggregate")
     if len(trials) == 1:
         return trials[0]
-    result = RunMetrics(
-        protocol=trials[0].protocol,
-        n_transactions=round(fmean(t.n_transactions for t in trials)),
-        commits=round(fmean(t.commits for t in trials)),
-    )
-    reasons = {reason for t in trials for reason in t.aborts_by_reason}
-    result.aborts_by_reason = {
-        reason: round(fmean(t.aborts_by_reason.get(reason, 0) for t in trials))
-        for reason in sorted(reasons)
-    }
-    # Anomaly means round *up*: a cell that manufactured any anomaly in any
-    # trial must never average down to a clean-looking zero.
-    kinds = {kind for t in trials for kind in t.anomalies}
-    result.anomalies = {
-        kind: math.ceil(fmean(t.anomalies.get(kind, 0) for t in trials))
-        for kind in sorted(kinds)
-    }
-    rounds = {r for t in trials for r in t.commits_by_round}
-    result.commits_by_round = {
-        r: round(fmean(t.commits_by_round.get(r, 0) for t in trials))
-        for r in sorted(rounds)
-    }
-    latency_rounds = {r for t in trials for r in t.latency_by_round}
-    result.latency_by_round = {
-        r: fmean([t.latency_by_round[r] for t in trials if r in t.latency_by_round])
-        for r in sorted(latency_rounds)
-    }
-    result.commit_latency = _aggregate_summaries([t.commit_latency for t in trials])
-    result.all_latency = _aggregate_summaries([t.all_latency for t in trials])
-    result.cross_commit_latency = _aggregate_summaries(
-        [t.cross_commit_latency for t in trials]
-    )
-    result.queue_commit_latency = _aggregate_summaries(
-        [t.queue_commit_latency for t in trials]
-    )
-    result.max_promotions = max(t.max_promotions for t in trials)
-    result.duration_ms = fmean(t.duration_ms for t in trials)
-    result.cross_group_transactions = round(
-        fmean(t.cross_group_transactions for t in trials)
-    )
-    result.cross_group_commits = round(fmean(t.cross_group_commits for t in trials))
-    result.queue_send_transactions = round(
-        fmean(t.queue_send_transactions for t in trials)
-    )
-    result.queue_send_commits = round(fmean(t.queue_send_commits for t in trials))
-    result.queue_sends = round(fmean(t.queue_sends for t in trials))
-    # The three delivery buckets are averaged individually and the send
-    # total re-derived from them, so independent rounding can never break
-    # the ``applied + drained + undelivered == sends`` identity — and a
-    # trial with genuinely undelivered sends stays visible as such instead
-    # of being reclassified by the rounding.
-    applied_online = round(fmean(t.queue.applied_online for t in trials))
-    drained_offline = round(fmean(t.queue.drained_offline for t in trials))
-    undelivered = round(fmean(t.queue.undelivered for t in trials))
-    result.queue = QueueStats(
-        sends=applied_online + drained_offline + undelivered,
-        applied_online=applied_online,
-        drained_offline=drained_offline,
-        undelivered=undelivered,
-        max_depth=max(t.queue.max_depth for t in trials),
-        mean_lag_ms=_safe_mean([t.queue.mean_lag_ms for t in trials]),
-        max_lag_ms=max(
-            (t.queue.max_lag_ms for t in trials if t.queue.max_lag_ms == t.queue.max_lag_ms),
-            default=float("nan"),
-        ),
-        stalled=round(fmean(t.queue.stalled for t in trials)),
-        stall_threshold_ms=trials[0].queue.stall_threshold_ms,
-    )
-    loops = [t.open_loop for t in trials if t.open_loop is not None]
-    if loops:
-        result.open_loop = OpenLoopStats(
-            logical_users=loops[0].logical_users,
-            pool_size=loops[0].pool_size,
-            offered_rate=loops[0].offered_rate,
-            duration_ms=loops[0].duration_ms,
-            offered=round(fmean(s.offered for s in loops)),
-            admitted=round(fmean(s.admitted for s in loops)),
-            dropped=round(fmean(s.dropped for s in loops)),
-            completed=round(fmean(s.completed for s in loops)),
-            peak_pending=max(s.peak_pending for s in loops),
-            queue_wait=_aggregate_summaries([s.queue_wait for s in loops]),
-        )
-    # Timelines pool (absorb) rather than average: the cross-trial window
-    # counts stay integers, and per-window means are recoverable by
-    # dividing by the trial count.
-    result.timeline = AvailabilityTimeline(trials[0].timeline.window_ms)
-    for t in trials:
-        result.timeline.absorb(t.timeline)
-    causes = {cause for t in trials for cause in t.dropped_messages}
-    result.dropped_messages = {
-        cause: round(fmean(t.dropped_messages.get(cause, 0) for t in trials))
-        for cause in sorted(causes)
-    }
-    result.node_crashes = round(fmean(t.node_crashes for t in trials))
-    result.node_restarts = round(fmean(t.node_restarts for t in trials))
-    result.crash_downtime_ms = _safe_mean(
-        [t.crash_downtime_ms for t in trials]
-    )
-    reports = [t.availability for t in trials if t.availability is not None]
-    if reports:
-        # Zero-windows round *up* (any unavailability stays visible) and a
-        # single never-recovered trial keeps the mean at infinity — the
-        # worst case must not average away.
-        recoveries = [r.recovery_ms for r in reports]
-        recovery = (
-            float("inf") if any(r == float("inf") for r in recoveries)
-            else _safe_mean(recoveries)
-        )
-        result.availability = AvailabilityReport(
-            fault_start_ms=fmean(r.fault_start_ms for r in reports),
-            fault_end_ms=fmean(r.fault_end_ms for r in reports),
-            baseline_goodput_per_s=_safe_mean(
-                [r.baseline_goodput_per_s for r in reports]
-            ),
-            fault_min_goodput_per_s=_safe_mean(
-                [r.fault_min_goodput_per_s for r in reports]
-            ),
-            zero_windows=math.ceil(fmean(r.zero_windows for r in reports)),
-            unavailable_ms=fmean(r.unavailable_ms for r in reports),
-            recovery_ms=recovery,
-            recovery_threshold=reports[0].recovery_threshold,
-        )
-    result.log = LogStats(
-        positions=round(fmean(t.log.positions for t in trials)),
-        combined_entries=round(fmean(t.log.combined_entries for t in trials)),
-        combined_transactions=round(fmean(t.log.combined_transactions for t in trials)),
-        max_entry_size=max(t.log.max_entry_size for t in trials),
-        prepare_entries=round(fmean(t.log.prepare_entries for t in trials)),
-        marker_entries=round(fmean(t.log.marker_entries for t in trials)),
-        queue_apply_entries=round(fmean(t.log.queue_apply_entries for t in trials)),
-    )
-    return result
+    return _combine(trials)

@@ -185,9 +185,6 @@ class WorkloadDriver:
         #: buckets) memory for aggregate-only runs (benchmarks, open-loop).
         #: Invariant-checking runs keep the default, which retains the lists.
         self.retain_outcomes = retain_outcomes
-        #: True when :func:`repro.harness.experiment.finish_run` must build
-        #: metrics from :meth:`aggregate` because no outcomes were retained.
-        self.metrics_from_aggregates = not retain_outcomes
         self.datacenter = datacenter or cluster.topology.names[0]
         self.instance_id = instance_id
         if multi_group is None:

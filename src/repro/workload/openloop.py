@@ -224,7 +224,9 @@ class LogicalUserModel:
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
         head = min(n, _ZETA_HEAD)
-        total = sum(1.0 / math.pow(rank, theta) for rank in range(1, head + 1))
+        total = 0.0
+        for rank in range(1, head + 1):  # left to right: builtin sum() compensates on 3.12+
+            total += 1.0 / math.pow(rank, theta)
         if n > head:
             # Integral tail: sum_{k=head+1..n} k^-theta ≈ ∫_{head}^{n} x^-theta dx.
             total += (math.pow(n, 1.0 - theta) - math.pow(head, 1.0 - theta)) / (
@@ -295,10 +297,6 @@ class OpenLoopDriver:
     the FIFO is empty and the horizon has passed.
     """
 
-    #: Harness signal: metrics come from :meth:`aggregate` (and histograms),
-    #: even when outcome retention is on for invariant checking.
-    metrics_from_aggregates = True
-
     def __init__(
         self,
         cluster: "Cluster",
@@ -320,8 +318,9 @@ class OpenLoopDriver:
         self.multi_group = cluster.placement.n_groups > 1
         #: One entry per pooled client, index-aligned.
         self._loads: list[_ClientLoad] = []
-        self._aggregates: list[OutcomeAggregate] = []
-        self._outcomes: list[list[TransactionOutcome]] = []
+        #: Each client's outcome list, or its streaming aggregate when
+        #: ``retain_outcomes`` is off.
+        self._sinks: list[list[TransactionOutcome] | OutcomeAggregate] = []
         self._processes = []
         self._clients: "list[TransactionClient]" = []
         self.users = LogicalUserModel(
@@ -358,14 +357,20 @@ class OpenLoopDriver:
     def result(self) -> InstanceResult:
         """Retained outcomes in client order (empty in streaming mode)."""
         merged = InstanceResult(datacenter=self.datacenter)
-        for bucket in self._outcomes:
-            merged.outcomes.extend(bucket)
+        if self.retain_outcomes:
+            for outcomes in self._sinks:
+                merged.outcomes.extend(outcomes)
         return merged
 
-    def aggregate(self) -> OutcomeAggregate:
-        """Merged streaming aggregate, folded in client order."""
+    def aggregate(self) -> OutcomeAggregate | None:
+        """Merged streaming aggregate, folded in client order.
+
+        ``None`` on retained runs (build metrics from :attr:`result`).
+        """
+        if self.retain_outcomes:
+            return None
         merged = OutcomeAggregate()
-        for aggregate in self._aggregates:
+        for aggregate in self._sinks:
             merged.merge(aggregate)
         return merged
 
@@ -403,8 +408,7 @@ class OpenLoopDriver:
         rate_per_ms = self.workload.offered_load / pool_size / 1000.0
         for index, client in enumerate(self._clients):
             self._loads.append(_ClientLoad())
-            self._aggregates.append(OutcomeAggregate())
-            self._outcomes.append([])
+            self._sinks.append([] if self.retain_outcomes else OutcomeAggregate())
             arrivals = make_arrival_process(self.workload, rate_per_ms)
             generator = YcsbWorkload(
                 self.workload,
@@ -453,7 +457,7 @@ class OpenLoopDriver:
                      generator: YcsbWorkload) -> Generator:
         env = self.cluster.env
         load = self._loads[index]
-        aggregate = self._aggregates[index]
+        sink = self._sinks[index]
         arrival_rng = env.rng.stream(
             f"openloop.{self.instance_id}.{index}.arrivals"
         )
@@ -474,13 +478,10 @@ class OpenLoopDriver:
                 load.wait_hist.record(env.now - arrived)
                 outcome = yield from execute_plan(self.cluster, client, plan)
                 load.completed += 1
-                response_ms = env.now - arrived
-                if self.retain_outcomes:
-                    # Re-anchor at the arrival so the retained outcome's
-                    # latency_ms is the open-loop response time too.
-                    outcome.begin_time = arrived
-                    self._outcomes[index].append(outcome)
-                aggregate.absorb(outcome, latency_ms=response_ms)
+                # Re-anchor at the arrival: an open-loop outcome's latency
+                # is its response time, queueing delay included.
+                outcome.begin_time = arrived
+                sink.append(outcome)
                 continue
             if next_arrival >= horizon:
                 return

@@ -86,7 +86,9 @@ class ZipfianGenerator:
         self.n = n
         self.theta = theta
         weights = [1.0 / math.pow(rank + 1, theta) for rank in range(n)]
-        total = sum(weights)
+        total = 0.0
+        for weight in weights:  # left to right: builtin sum() compensates on 3.12+
+            total += weight
         cumulative = []
         acc = 0.0
         for weight in weights:

@@ -1,8 +1,21 @@
 """Tests for metrics aggregation."""
 
 import math
+from dataclasses import fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
-from repro.harness.metrics import LogStats, RunMetrics, aggregate_metrics
+import pytest
+
+from repro.config import ClusterConfig, PlacementConfig, WorkloadConfig
+from repro.harness.experiment import ExperimentSpec, run_once
+from repro.harness.metrics import (
+    AvailabilityTimeline,
+    LatencyHistogram,
+    LatencySummary,
+    LogStats,
+    RunMetrics,
+    aggregate_metrics,
+)
 from repro.model import AbortReason
 from tests.helpers import aborted, committed, entry, txn
 
@@ -101,10 +114,114 @@ class TestAggregate:
         assert merged.max_promotions == 2
 
     def test_empty_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             aggregate_metrics([])
+
+    def test_every_numeric_field_survives(self):
+        # Two identical trials, every number distinct: whatever a field's
+        # rule (mean, maximum, rounded up, first trial), it must come back.
+        trial = filled(RunMetrics, iter(range(1, 1000)))
+        queue = trial.queue
+        queue.sends = queue.applied_online + queue.drained_offline + queue.undelivered
+        merged = aggregate_metrics([trial, trial])
+        assert numbers(merged) == numbers(trial)
+        assert merged.timeline.commits == {0: 2}
+
+
+def filled(cls, counter):
+    """An instance of the record *cls* with a distinct non-default number in
+    every numeric field, recursing into nested and optional records."""
+    values = {}
+    hints = get_type_hints(cls)
+    for spec in fields(cls):
+        declared = hints[spec.name]
+        arms = [arm for arm in get_args(declared) if arm is not type(None)]
+        if get_origin(declared) is not dict and len(arms) == 1:
+            declared = arms[0]  # an optional record
+        if declared is int:
+            values[spec.name] = next(counter)
+        elif declared is float:
+            values[spec.name] = next(counter) + 0.5
+        elif declared is str:
+            values[spec.name] = "paxos"
+        elif get_origin(declared) is dict:
+            key_type, value_type = get_args(declared)
+            key = "k" if key_type is str else 0
+            values[spec.name] = {key: value_type(next(counter))}
+        elif is_dataclass(declared):
+            values[spec.name] = filled(declared, counter)
+        elif declared is AvailabilityTimeline:
+            timeline = AvailabilityTimeline()
+            timeline.record(10.0, True, latency_ms=next(counter))
+            values[spec.name] = timeline
+        else:
+            raise TypeError(f"{cls.__name__}.{spec.name}: {declared!r}")
+    return cls(**values)
+
+
+def numbers(record, path="metrics"):
+    """Every numeric leaf of *record*, by path."""
+    out = {}
+    for spec in fields(record):
+        value = getattr(record, spec.name)
+        where = f"{path}.{spec.name}"
+        if is_dataclass(value):
+            out.update(numbers(value, where))
+        elif isinstance(value, dict):
+            out.update({f"{where}[{key!r}]": v for key, v in value.items()})
+        elif isinstance(value, (int, float)):
+            out[where] = value
+    return out
+
+
+LATENCY_FIELDS = dict.fromkeys((
+    "latency_by_round", "commit_latency", "all_latency",
+    "cross_commit_latency", "queue_commit_latency", "timeline",
+))
+
+CELLS = {
+    "closed": ExperimentSpec(
+        "closed", ClusterConfig(placement=PlacementConfig.ranged(4)),
+        WorkloadConfig(n_transactions=40, n_rows=4, n_threads=4,
+                       target_rate_per_thread=8.0),
+        "paxos-cp", check_invariants=False,
+    ),
+    "open_loop": ExperimentSpec(
+        "open_loop",
+        ClusterConfig(placement=PlacementConfig.ranged(4, key_universe=8)),
+        WorkloadConfig(open_loop=True, n_users=1_000_000, offered_load=120.0,
+                       pool_size=8, max_pending=3, open_duration_ms=1_200.0,
+                       n_rows=8),
+        "paxos-cp", check_invariants=False,
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_retention_decides_only_exact_vs_bucketed(cell):
+    retained = run_once(CELLS[cell], seed=2)
+    streamed = run_once(replace(CELLS[cell], retain_outcomes=False), seed=2)
+    r, s = retained.metrics, streamed.metrics
+    # Every count and every non-latency field comes out of the one fold.
+    assert repr(replace(r, **LATENCY_FIELDS)) == repr(replace(s, **LATENCY_FIELDS))
+    assert r.commits_by_round == s.commits_by_round
+    assert r.timeline.commits == s.timeline.commits
+    assert r.timeline.aborts == s.timeline.aborts
+    # Retained: exact over the outcome list.  Streamed: the histograms'.
+    committed_ms = [o.latency_ms for o in retained.outcomes if o.committed]
+    assert r.commit_latency == LatencySummary.exact(committed_ms)
+    assert r.all_latency == LatencySummary.exact(o.latency_ms for o in retained.outcomes)
+    histogram = LatencyHistogram()
+    for value in committed_ms:
+        histogram.record(value)
+    bucketed = LatencySummary.from_histogram(histogram)
+    # The open-loop pool sums its mean client by client, hence isclose.
+    assert replace(s.commit_latency, mean_ms=0.0) == replace(bucketed, mean_ms=0.0)
+    assert math.isclose(s.commit_latency.mean_ms, bucketed.mean_ms)
+    for name in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
+        exact, bucketed = getattr(r.commit_latency, name), getattr(s.commit_latency, name)
+        ratio = LatencyHistogram.bucket_ratio()
+        assert exact / ratio <= bucketed <= exact * ratio, name
 
 
 class TestNoopStats:

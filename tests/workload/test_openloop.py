@@ -179,8 +179,10 @@ def test_retained_mode_runs_invariants_and_matches_streaming():
     a = run_once(streaming, seed=5)
     b = run_once(retained, seed=5)
     assert len(b.outcomes) == b.metrics.n_transactions > 0
-    # Metrics flow through the same aggregate path in both retention modes.
-    assert repr(a.metrics) == repr(b.metrics)
+    # Retention decides only whether latency statistics are exact or
+    # bucketed (tests/harness/test_metrics.py holds the full rule).
+    assert a.metrics.commits == b.metrics.commits
+    assert a.metrics.open_loop == b.metrics.open_loop
     # Retained outcomes are re-anchored at the arrival: latency == response.
     assert all(o.latency_ms >= 0 for o in b.outcomes)
 
