@@ -279,7 +279,7 @@ def fresh_read_history(n_transactions: int, n_attributes: int, ops: int) -> MVHi
     for index in range(n_transactions):
         tid = f"t{index}"
         reads = tuple((item, last[item]) for item in rng.sample(items, ops))
-        writes = frozenset(rng.sample(items, ops))
+        writes = tuple(rng.sample(items, ops))
         history.add(HistoryTxn(tid, reads=reads, writes=writes))
         for item in writes:
             history.version_order.setdefault(item, []).append(tid)

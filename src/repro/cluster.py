@@ -977,17 +977,20 @@ class Cluster:
         """
         logs = logs if logs is not None else self.finalize_all()
         decisions = decisions if decisions is not None else self.cross_group_decisions()
-        histories: dict[str, MVHistory] = {}
         rename: dict[str, str] = {}
-        for group, log in logs.items():
+        for log in logs.values():
             for entry in log.values():
                 if entry.kind == "prepare" and decisions.get(entry.gtid or ""):
                     rename[entry.transactions[0].tid] = entry.gtid or ""
-            histories[group] = MVHistory.from_log(
-                effective_log(log, decisions), self.initial_image_for(group)
-            )
-        merged = merge_group_histories(histories, rename)
-        return is_one_copy_serializable(merged)
+        # One group history at a time: each is merged and dropped before
+        # the next is built.
+        histories = (
+            (group, MVHistory.from_log(
+                effective_log(logs[group], decisions), self.initial_image_for(group)
+            ))
+            for group in sorted(logs)
+        )
+        return is_one_copy_serializable(merge_group_histories(histories, rename))
 
     def check_invariants(
         self,

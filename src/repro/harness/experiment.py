@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field, replace
-from statistics import fmean
 
 from repro.cluster import Cluster
 from repro.config import (
@@ -28,6 +27,7 @@ from repro.harness.metrics import (
     RunMetrics,
     aggregate_metrics,
     availability_report,
+    fmean,
 )
 from repro.model import TransactionOutcome
 from repro.sim.env import collector_paused

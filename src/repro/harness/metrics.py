@@ -28,12 +28,36 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from statistics import fmean, median
 from typing import Callable, Hashable, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 from repro.core.queues import QueueStats
 from repro.model import AbortReason, TransactionOutcome
 from repro.wal.entry import LogEntry
+
+
+def fmean(data: Iterable[float]) -> float:
+    """The mean of *data*, bit for bit as :func:`statistics.fmean` computes
+    it: ``math.fsum(data) / n``.  Raises ``ValueError`` on empty data.
+
+    Here rather than imported: :mod:`statistics` pulls :mod:`fractions`
+    and :mod:`decimal` into every process that imports ``repro``."""
+    values = list(data)
+    if not values:
+        raise ValueError("fmean requires at least one data point")
+    return math.fsum(values) / len(values)
+
+
+def median(data: Iterable[float]) -> float:
+    """The median of *data* with :func:`statistics.median`'s arithmetic: the
+    middle value, or the mean of the middle two.  Raises ``ValueError`` on
+    empty data."""
+    values = sorted(data)
+    n = len(values)
+    if not n:
+        raise ValueError("no median for empty data")
+    if n % 2:
+        return values[n // 2]
+    return (values[n // 2 - 1] + values[n // 2]) / 2
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:

@@ -14,7 +14,7 @@ This package provides:
 * :mod:`repro.serializability.graph` — the multi-version serialization
   graph (MVSG) of Bernstein/Hadzilacos/Goodman, twice: the *chained* graph
   (:class:`ChainedMVSG`, O(reads + versions) edges, same reachability,
-  plain integer adjacency) that every pass/fail check runs on, and the
+  flat integer arrays) that every pass/fail check runs on, and the
   explicit labelled graph (:func:`build_mvsg`, ``networkx``, one edge per
   read × other version) that the anomaly classifier and the tests'
   reference comparisons need;

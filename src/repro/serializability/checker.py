@@ -38,7 +38,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from typing import TYPE_CHECKING, Mapping
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.queues import StreamSend, enumerate_sends
 from repro.serializability.graph import (
@@ -226,10 +227,14 @@ def equivalent_serial_order(history: MVHistory) -> list[str]:
 
 
 def merge_group_histories(
-    histories: Mapping[str, MVHistory],
+    histories: Iterable[tuple[str, MVHistory]],
     rename: Mapping[str, str] | None = None,
 ) -> MVHistory:
     """One global history from per-group histories.
+
+    *histories* yields ``(group, history)`` pairs in group order; each is
+    folded in as it arrives, so a caller that builds them lazily holds one
+    group history beside the merged one, never all of them.
 
     Every item ``(row, attr)`` of group *g* becomes ``(f"{g}/{row}", attr)``
     — groups are disjoint keyspaces, but row *names* may repeat across them.
@@ -241,10 +246,14 @@ def merge_group_histories(
     version order that mentions it.
     """
     rename = dict(rename or {})
-    reads: dict[str, list] = {}
-    writes: dict[str, set] = {}
     merged = MVHistory()
-    for group, history in sorted(histories.items()):
+    transactions = merged.transactions
+    # An id that may recur in a later group (a renamed branch, or one seen
+    # twice) gathers its reads and writes here and becomes a node once every
+    # group is in.  Its slot in ``transactions`` is taken on first sight, so
+    # the node order is the order of first appearance either way.
+    pending: dict[str, tuple[list, dict]] = {}
+    for group, history in histories:
         named: dict[tuple[str, str], tuple[str, str]] = {}
 
         def global_item(item):
@@ -256,23 +265,39 @@ def merge_group_histories(
 
         for txn in history.transactions.values():
             tid = rename.get(txn.tid, txn.tid)
-            txn_reads = reads.setdefault(tid, [])
-            for item, writer in txn.reads:
-                writer_tid = writer if writer is INITIAL else rename.get(writer, writer)
-                txn_reads.append((global_item(item), writer_tid))
-            writes.setdefault(tid, set()).update(
-                global_item(item) for item in txn.writes
-            )
+            reads = [
+                (global_item(item), writer if writer is INITIAL else rename.get(writer, writer))
+                for item, writer in txn.reads
+            ]
+            writes = dict.fromkeys(global_item(item) for item in txn.writes)
+            if tid in transactions:
+                gathered = pending.get(tid)
+                if gathered is None:
+                    # Seen before under an id of its own: reopen its node.
+                    done = transactions[tid]
+                    gathered = pending[tid] = (
+                        list(done.reads), dict.fromkeys(done.writes)
+                    )
+                    transactions[tid] = None
+                gathered[0].extend(reads)
+                gathered[1].update(writes)
+            elif tid != txn.tid:
+                pending[tid] = (reads, writes)
+                transactions[tid] = None
+            else:
+                transactions[tid] = HistoryTxn(
+                    tid, tuple(sorted(reads, key=itemgetter(0))), tuple(writes)
+                )
         for item, order in history.version_order.items():
             merged.version_order[global_item(item)] = [
                 rename.get(tid, tid) for tid in order
             ]
-    for tid in reads:
-        merged.add(HistoryTxn(
-            tid=tid,
-            reads=tuple(sorted(reads[tid], key=lambda pair: pair[0])),
-            writes=frozenset(writes[tid]),
-        ))
+        # Let this group's history go before the next one is built.
+        del history
+    for tid, (reads, writes) in pending.items():
+        transactions[tid] = HistoryTxn(
+            tid, tuple(sorted(reads, key=itemgetter(0))), tuple(writes)
+        )
     return merged
 
 

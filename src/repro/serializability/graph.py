@@ -22,8 +22,10 @@ Two builders, two jobs:
   there a cycle?" only depends on reachability.  The chained graph keeps
   the transaction nodes and replaces each item's order edges by two forward
   chains of auxiliary nodes, O(reads + versions) edges in all, such that a
-  path between two transactions exists iff the MVSG has one.  Plain
-  ``list[int]`` adjacency, no ``networkx``.
+  path between two transactions exists iff the MVSG has one.  No
+  ``networkx`` and no object per node: a transaction's successors are one
+  ``array`` of node ids, an auxiliary node is one integer in a flat
+  ``array`` from which the search derives its at most two successors.
 * :func:`build_mvsg` — the explicit graph with per-edge provenance, built
   with ``networkx``.  Its one production caller is the anomaly classifier
   (a cycle is *write skew* exactly when its hops carry ``rw`` labels, which
@@ -39,6 +41,7 @@ chained graph leaves it out.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import HistoryError
@@ -70,9 +73,14 @@ EdgeLabels = dict[tuple[str, str], set[tuple[EdgeKind, object]]]
 #: Sentinels of :attr:`_ItemChains.sole_reader` (real entries are node ids).
 _NO_READER, _SEVERAL_READERS = -1, -2
 
+#: Bits of an auxiliary node's code: an edge to the next node id (its chain
+#: link); a *before*-chain node (whose chain link comes first); an edge to
+#: the writer whose node is ``code >> _WRITER_SHIFT``.
+_LINKED, _BEFORE, _TO_WRITER, _WRITER_SHIFT = 1, 2, 4, 3
+
 
 class _ItemChains(NamedTuple):
-    """One read item's slice of a :class:`ChainedMVSG`."""
+    """One read item's slice of a :class:`ChainedMVSG` while it is built."""
 
     #: writer → version; the initial version is 0.
     version_of: dict[str | None, int]
@@ -116,13 +124,23 @@ class ChainedMVSG:
 
     The verdict is therefore identical to the explicit graph's for every
     history, not only log-ordered ones.
+
+    Storage: only transaction nodes hold successors, one ``array`` each
+    (:attr:`successors`).  An item's chains take consecutive ids, ``A_1 …
+    A_n`` then ``B_2 … B_n``, so a chain link is always "the next id", and
+    an auxiliary node has at most one other edge, to a writer.  Each node is
+    therefore one integer of :attr:`codes` (0 for a transaction), and the
+    search derives an auxiliary node's successors — ``w_j`` then
+    ``A_{j+1}``, or ``B_{j+1}`` then ``w_j`` — on entering it.
     """
 
     def __init__(self, history: MVHistory) -> None:
         self.tids: list[str] = list(history.transactions)
         node_of = {tid: node for node, tid in enumerate(self.tids)}
-        successors: list[list[int]] = [[] for _ in self.tids]
+        successors: list[array[int]] = [array("q") for _ in self.tids]
         self.successors = successors
+        #: Node → code (see ``_LINKED``); 0 for every transaction node.
+        self.codes = codes = array("q", [0]) * len(self.tids)
 
         # Chains are laid only for items that are read: every MVSG edge
         # stems from a read.
@@ -137,17 +155,19 @@ class ChainedMVSG:
                 version_of[tid] = version
                 writers.append(node_of[tid])
             # After chain: A_j → w_j and A_j → A_{j+1}.
-            after = len(successors) - 1
-            for version in range(1, n):
-                successors.append([writers[version], after + version + 1])
+            after = len(codes) - 1
+            codes.extend([
+                writer << _WRITER_SHIFT | _TO_WRITER | _LINKED
+                for writer in writers[1:n]
+            ])
             if n:
-                successors.append([writers[n]])
+                codes.append(writers[n] << _WRITER_SHIFT | _TO_WRITER)
             # Before chain: w_{j-1} → B_j and B_j → B_{j+1}; B_j → w_j waits
             # until the readers of version j are known.
-            before = len(successors) - 2
+            before = len(codes) - 2
             for version in range(2, n + 1):
                 successors[writers[version - 1]].append(before + version)
-                successors.append([before + version + 1] if version < n else [])
+                codes.append(_BEFORE | _LINKED if version < n else _BEFORE)
             items[item] = state = _ItemChains(
                 version_of, writers, after, before, [_NO_READER] * (n + 1)
             )
@@ -194,12 +214,14 @@ class ChainedMVSG:
                             if earlier != own_version:
                                 successors[writers[earlier]].append(target)
                         continue
-                successors[before + version].append(target)
+                codes[before + version] |= target << _WRITER_SHIFT | _TO_WRITER
 
     @property
     def edge_count(self) -> int:
         """Edges of the chained graph, auxiliary ones included."""
-        return sum(len(out) for out in self.successors)
+        return sum(len(out) for out in self.successors) + sum(
+            (code & _LINKED) + (code & _TO_WRITER > 0) for code in self.codes
+        )
 
     def cycle_or_order(self) -> tuple[list[str] | None, list[str]]:
         """``(cycle, [])`` if the MVSG has a cycle, else ``(None, order)``.
@@ -213,10 +235,10 @@ class ChainedMVSG:
         in the order the history lists them, so both outputs are
         deterministic for a given history.
         """
-        tids, successors = self.tids, self.successors
+        tids, successors, codes = self.tids, self.successors, self.codes
         n_txns = len(tids)
         WHITE, GREY, BLACK = 0, 1, 2
-        colour = bytearray(len(successors))
+        colour = bytearray(len(codes))
         finished: list[int] = []
         for root in range(n_txns):
             if colour[root] != WHITE:
@@ -230,7 +252,20 @@ class ChainedMVSG:
                     if state == WHITE:
                         colour[child] = GREY
                         path.append(child)
-                        pending.append(iter(successors[child]))
+                        if child < n_txns:
+                            pending.append(iter(successors[child]))
+                            break
+                        code = codes[child]
+                        if code & _TO_WRITER:
+                            if not code & _LINKED:
+                                chained = (code >> _WRITER_SHIFT,)
+                            elif code & _BEFORE:
+                                chained = (child + 1, code >> _WRITER_SHIFT)
+                            else:
+                                chained = (code >> _WRITER_SHIFT, child + 1)
+                        else:
+                            chained = (child + 1,) if code & _LINKED else ()
+                        pending.append(iter(chained))
                         break
                     if state == GREY:
                         cycle = path[path.index(child):]

@@ -27,17 +27,18 @@ if TYPE_CHECKING:  # pragma: no cover
 INITIAL: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistoryTxn:
     """One committed transaction, reduced for serializability analysis.
 
     ``reads`` maps each item the transaction read to the transaction that
-    wrote the version it observed (``None`` = initial version).
+    wrote the version it observed (``None`` = initial version).  ``writes``
+    names each item the transaction wrote once, in first-write order.
     """
 
     tid: str
     reads: tuple[tuple[Item, str | None], ...] = ()
-    writes: frozenset[Item] = frozenset()
+    writes: tuple[Item, ...] = ()
 
     @property
     def read_items(self) -> frozenset[Item]:
@@ -81,25 +82,32 @@ class MVHistory:
                     raise HistoryError(
                         f"{txn.tid} reads {item} from {writer}, which never wrote it"
                     )
-        writers_by_item: dict[Item, set[str]] = {}
-        for txn in self.transactions.values():
-            for item in txn.writes:
-                writers_by_item.setdefault(item, set()).add(txn.tid)
         for item, order in self.version_order.items():
             if len(set(order)) != len(order):
                 raise HistoryError(f"version order of {item} repeats a writer: {order}")
             for tid in order:
-                if tid not in writers_by_item.get(item, set()):
+                source = self.transactions.get(tid)
+                if source is None or item not in source.writes:
                     raise HistoryError(
                         f"version order of {item} lists {tid}, which never wrote it"
                     )
-        for item, writers in writers_by_item.items():
-            ordered = set(self.version_order.get(item, []))
-            missing = writers - ordered
-            if missing:
-                raise HistoryError(
-                    f"version order of {item} misses writers {sorted(missing)}"
-                )
+        # Every order lists distinct real writers, so it covers all of them
+        # iff it is as long as the item has writers.
+        writer_count: dict[Item, int] = {}
+        for txn in self.transactions.values():
+            for item in txn.writes:
+                writer_count[item] = writer_count.get(item, 0) + 1
+        for item, count in writer_count.items():
+            if count > len(self.version_order.get(item, ())):
+                ordered = set(self.version_order.get(item, []))
+                missing = {
+                    txn.tid for txn in self.transactions.values()
+                    if item in txn.writes and txn.tid not in ordered
+                }
+                if missing:
+                    raise HistoryError(
+                        f"version order of {item} misses writers {sorted(missing)}"
+                    )
 
     def version_index(self, item: Item, writer: str | None) -> int:
         """Position of *writer*'s version of *item* (initial version = 0)."""
@@ -132,47 +140,53 @@ class MVHistory:
         at a position ≤ *rp* (values may repeat — think bank balances — and
         the latest matching writer before the pin is the version a correct
         execution serves); failing that, the initial image (writer
-        ``None``); failing that, *any* writer of that value anywhere in the
-        log — a stale/future read that the MVSG test will then surface as a
-        cycle rather than this constructor papering over it.  Values that
-        match nothing raise :class:`HistoryError` — the reader observed data
-        no committed transaction wrote.
+        ``None``); failing that, the *latest* writer of that value anywhere
+        in the log — a stale/future read that the MVSG test will then
+        surface as a cycle rather than this constructor papering over it.
+        Values that match nothing raise :class:`HistoryError` — the reader
+        observed data no committed transaction wrote.
+
+        The only index is three parallel lists per written item, one slot
+        per write in log order: positions (bisected for the pin), writers
+        and values.  The last fallback scans an item's values backwards, so
+        it costs nothing unless a read is stale or from the future.
         """
-        initial = dict(initial_image or {})
+        initial = initial_image or {}
         history = cls()
-        # writes_by_item[item] = [(position, tid, value)] in log order, with
-        # a parallel position list so attribution is a bisect, not a scan
-        # back over the whole log tail for every read.
-        writes_by_item: dict[Item, list[tuple[int, str, object]]] = {}
-        write_positions: dict[Item, list[int]] = {}
-        all_writers: dict[tuple[Item, object], list[str]] = {}
+        version_order = history.version_order
+        # index[item] = (positions, writers, values), one slot per write.
+        index: dict[Item, tuple[list[int], list[str], list[object]]] = {}
         for position in sorted(entries):
             for txn in entries[position].transactions:
                 for item, value in txn.writes:
-                    writes_by_item.setdefault(item, []).append(
-                        (position, txn.tid, value)
-                    )
-                    write_positions.setdefault(item, []).append(position)
-                    all_writers.setdefault((item, value), []).append(txn.tid)
+                    slots = index.get(item)
+                    if slots is None:
+                        slots = index[item] = ([], [], [])
+                    positions, writers, values = slots
+                    positions.append(position)
+                    writers.append(txn.tid)
+                    values.append(value)
 
         def attribute(reader, item: Item, value: object) -> str | None:
             # The latest write at or before the read pin decides: if its
             # value matches, that writer is the observed version; if it
             # differs, the reader did not observe the pinned state and we
             # fall through to the bug-surfacing paths.
-            positions = write_positions.get(item)
-            if positions:
-                index = bisect_right(positions, reader.read_position) - 1
-                if index >= 0:
-                    _position, tid, written = writes_by_item[item][index]
-                    if written == value:
-                        return tid
+            slots = index.get(item)
+            if slots is not None:
+                positions, writers, values = slots
+                at = bisect_right(positions, reader.read_position) - 1
+                if at >= 0 and values[at] == value:
+                    return writers[at]
             if item in initial and initial[item] == value:
                 return INITIAL
             if item not in initial and value is None:
                 return INITIAL
-            if (item, value) in all_writers:
-                return all_writers[(item, value)][-1]
+            if slots is not None:
+                for at in range(len(values) - 1, -1, -1):
+                    stored = values[at]
+                    if stored is value or stored == value:
+                        return writers[at]
             raise HistoryError(
                 f"{reader.tid} read {item}={value!r}, which no committed "
                 "transaction wrote and is not initial"
@@ -186,14 +200,11 @@ class MVHistory:
                         txn.read_snapshot, key=lambda pair: pair[0]
                     )
                 )
-                history.add(HistoryTxn(
-                    tid=txn.tid,
-                    reads=reads,
-                    writes=txn.write_set,
-                ))
                 # One version per written item, even if written twice.
-                for item in dict.fromkeys(item for item, _value in txn.writes):
-                    history.version_order.setdefault(item, []).append(txn.tid)
+                written = tuple(dict.fromkeys(item for item, _value in txn.writes))
+                history.add(HistoryTxn(txn.tid, reads, written))
+                for item in written:
+                    version_order.setdefault(item, []).append(txn.tid)
         return history
 
     def tids(self) -> list[str]:

@@ -1,6 +1,8 @@
 """Tests for metrics aggregation."""
 
 import math
+import random
+import statistics
 from dataclasses import fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -15,6 +17,8 @@ from repro.harness.metrics import (
     LogStats,
     RunMetrics,
     aggregate_metrics,
+    fmean,
+    median,
 )
 from repro.model import AbortReason
 from tests.helpers import aborted, committed, entry, txn
@@ -236,3 +240,34 @@ class TestNoopStats:
         assert stats.positions == 2
         assert stats.noop_entries == 1
         assert stats.combined_entries == 0
+
+
+class TestMeanAndMedian:
+    """The helpers that keep :mod:`statistics` off the import path return
+    the stdlib's floats bit for bit."""
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 10, 101, 1000])
+    def test_bit_identical_to_statistics(self, length):
+        rng = random.Random(length)
+        for _ in range(20):
+            values = [rng.uniform(-1e3, 1e6) * rng.choice((1e-9, 1.0, 1e12))
+                      for _ in range(length)]
+            assert fmean(values).hex() == statistics.fmean(values).hex()
+            assert fmean(tuple(values)).hex() == statistics.fmean(values).hex()
+            assert fmean(v for v in values).hex() == statistics.fmean(values).hex()
+            assert float(median(values)).hex() == float(statistics.median(values)).hex()
+            assert float(median(v for v in values)).hex() == (
+                float(statistics.median(values)).hex()
+            )
+
+    def test_integers_as_the_stdlib_does(self):
+        assert fmean([1, 2]) == statistics.fmean([1, 2]) == 1.5
+        assert median([3, 1, 2]) == statistics.median([3, 1, 2]) == 2
+        assert median([4, 1, 2, 3]) == statistics.median([4, 1, 2, 3]) == 2.5
+
+    @pytest.mark.parametrize("helper", [fmean, median])
+    def test_empty_input_raises_value_error(self, helper):
+        with pytest.raises(ValueError):
+            helper([])
+        with pytest.raises(ValueError):
+            helper(v for v in ())

@@ -102,3 +102,16 @@ def fig7_spec(n_transactions: int, protocol: str = "paxos-cp"):
         ),
         protocol,
     )
+
+
+def fig7_history_inputs(n_transactions: int, protocol: str = "paxos-cp", seed: int = 0):
+    """``(effective log, initial image)`` of one finished :func:`fig7_spec`
+    cell: what :meth:`MVHistory.from_log` reads to check it."""
+    from repro.harness.experiment import prepare_run
+    from repro.wal.invariants import effective_log
+
+    cluster, _drivers = prepare_run(fig7_spec(n_transactions, protocol), seed=seed)
+    cluster.run()
+    (group,) = cluster.groups
+    log = effective_log(cluster.finalize(group), cluster.cross_group_decisions())
+    return log, cluster.initial_image_for(group)

@@ -10,23 +10,15 @@ a tier-1 guard, not a timing benchmark.
 
 from __future__ import annotations
 
-from repro.harness.experiment import prepare_run
 from repro.serializability.graph import ChainedMVSG, build_mvsg
 from repro.serializability.history import MVHistory
-from repro.wal.invariants import effective_log
-from tests.helpers import fig7_spec
+from tests.helpers import fig7_history_inputs
 
 
 def edges_per_committed_txn(n_transactions: int) -> tuple[float, float, int]:
     """(chained, explicit) MVSG edges per committed transaction of one
     Figure 7 cell, and the raw explicit count."""
-    cluster, _drivers = prepare_run(fig7_spec(n_transactions), seed=0)
-    cluster.run()
-    (group,) = cluster.groups
-    history = MVHistory.from_log(
-        effective_log(cluster.finalize(group), cluster.cross_group_decisions()),
-        cluster.initial_image_for(group),
-    )
+    history = MVHistory.from_log(*fig7_history_inputs(n_transactions))
     chained = ChainedMVSG(history).edge_count
     explicit = build_mvsg(history).number_of_edges()
     return chained / len(history), explicit / len(history), explicit

@@ -36,8 +36,8 @@ class TestWriteSkew:
         # the other writes.  No write-write conflict, so first-committer-
         # wins admits both — and the MVSG closes a pure rw/rw 2-cycle.
         return history_of(
-            HistoryTxn("t1", reads=((X, None),), writes=frozenset({Y})),
-            HistoryTxn("t2", reads=((Y, None),), writes=frozenset({X})),
+            HistoryTxn("t1", reads=((X, None),), writes=(Y,)),
+            HistoryTxn("t2", reads=((Y, None),), writes=(X,)),
         )
 
     def test_classified_as_write_skew(self):
@@ -69,17 +69,17 @@ class TestReadOnlyAnomaly:
         # (t2 before t1), but the read-only t3 saw t1's write while missing
         # t2's — a snapshot no serial order of the three explains.
         return history_of(
-            HistoryTxn("t1", reads=((Y, None),), writes=frozenset({Y})),
+            HistoryTxn("t1", reads=((Y, None),), writes=(Y,)),
             HistoryTxn("t2", reads=((X, None), (Y, None)),
-                       writes=frozenset({X})),
+                       writes=(X,)),
             HistoryTxn("t3", reads=((X, None), (Y, "t1"))),
         )
 
     def test_writers_alone_are_serializable(self):
         writers_only = history_of(
-            HistoryTxn("t1", reads=((Y, None),), writes=frozenset({Y})),
+            HistoryTxn("t1", reads=((Y, None),), writes=(Y,)),
             HistoryTxn("t2", reads=((X, None), (Y, None)),
-                       writes=frozenset({X})),
+                       writes=(X,)),
         )
         ok, _ = is_one_copy_serializable(writers_only)
         assert ok
@@ -98,9 +98,9 @@ class TestOtherCycles:
         # A 3-cycle of anti-dependencies with no mutual pair and no
         # read-only member: real, non-serializable, but unnamed.
         history = history_of(
-            HistoryTxn("t1", reads=((X, None),), writes=frozenset({Y})),
-            HistoryTxn("t2", reads=((Y, None),), writes=frozenset({Z})),
-            HistoryTxn("t3", reads=((Z, None),), writes=frozenset({X})),
+            HistoryTxn("t1", reads=((X, None),), writes=(Y,)),
+            HistoryTxn("t2", reads=((Y, None),), writes=(Z,)),
+            HistoryTxn("t3", reads=((Z, None),), writes=(X,)),
         )
         report = classify_anomalies(history)
         assert report.counts() == {"other": 1}
@@ -111,21 +111,21 @@ class TestOtherCycles:
 class TestAgreementWithPassFailChecker:
     def cases(self):
         clean_chain = history_of(
-            HistoryTxn("t1", writes=frozenset({X})),
-            HistoryTxn("t2", reads=((X, "t1"),), writes=frozenset({X})),
+            HistoryTxn("t1", writes=(X,)),
+            HistoryTxn("t2", reads=((X, "t1"),), writes=(X,)),
             HistoryTxn("t3", reads=((X, "t2"),)),
         )
         disjoint = history_of(
-            HistoryTxn("t1", writes=frozenset({X})),
-            HistoryTxn("t2", writes=frozenset({Y})),
+            HistoryTxn("t1", writes=(X,)),
+            HistoryTxn("t2", writes=(Y,)),
         )
         skew = history_of(
-            HistoryTxn("t1", reads=((X, None),), writes=frozenset({Y})),
-            HistoryTxn("t2", reads=((Y, None),), writes=frozenset({X})),
+            HistoryTxn("t1", reads=((X, None),), writes=(Y,)),
+            HistoryTxn("t2", reads=((Y, None),), writes=(X,)),
         )
         torn = history_of(
-            HistoryTxn("t2", writes=frozenset({Y})),
-            HistoryTxn("t1", reads=((Y, "t2"),), writes=frozenset({X})),
+            HistoryTxn("t2", writes=(Y,)),
+            HistoryTxn("t1", reads=((Y, "t2"),), writes=(X,)),
             HistoryTxn("t3", reads=((X, "t1"), (Y, None))),
         )
         return [MVHistory(), clean_chain, disjoint, skew, torn]

@@ -34,8 +34,8 @@ class TestKnownSerializable:
 
     def test_serial_chain(self):
         history = history_of(
-            HistoryTxn("t1", writes=frozenset({A})),
-            HistoryTxn("t2", reads=((A, "t1"),), writes=frozenset({A})),
+            HistoryTxn("t1", writes=(A,)),
+            HistoryTxn("t2", reads=((A, "t1"),), writes=(A,)),
             HistoryTxn("t3", reads=((A, "t2"),)),
         )
         ok, _ = is_one_copy_serializable(history)
@@ -44,15 +44,15 @@ class TestKnownSerializable:
 
     def test_disjoint_transactions(self):
         history = history_of(
-            HistoryTxn("t1", writes=frozenset({A})),
-            HistoryTxn("t2", writes=frozenset({B})),
+            HistoryTxn("t1", writes=(A,)),
+            HistoryTxn("t2", writes=(B,)),
         )
         ok, _ = is_one_copy_serializable(history)
         assert ok
 
     def test_snapshot_readers(self):
         history = history_of(
-            HistoryTxn("t1", writes=frozenset({A, B})),
+            HistoryTxn("t1", writes=(A, B)),
             HistoryTxn("ro1", reads=((A, "t1"), (B, "t1"))),
             HistoryTxn("ro2", reads=((A, None), (B, None))),
         )
@@ -67,8 +67,8 @@ class TestKnownNonSerializable:
         # t1 reads a0 writes b, t2 reads b0 writes a — write versions ordered
         # after the reads → cycle.
         history = history_of(
-            HistoryTxn("t1", reads=((A, None),), writes=frozenset({B})),
-            HistoryTxn("t2", reads=((B, None),), writes=frozenset({A})),
+            HistoryTxn("t1", reads=((A, None),), writes=(B,)),
+            HistoryTxn("t2", reads=((B, None),), writes=(A,)),
         )
         ok, cycle = is_one_copy_serializable(history)
         assert not ok
@@ -81,8 +81,8 @@ class TestKnownNonSerializable:
         # inconsistency: t3 sees t2's effect missing but t1's present while
         # t1 read t2's write — no serial order satisfies all three.
         history = history_of(
-            HistoryTxn("t2", writes=frozenset({B})),
-            HistoryTxn("t1", reads=((B, "t2"),), writes=frozenset({A})),
+            HistoryTxn("t2", writes=(B,)),
+            HistoryTxn("t1", reads=((B, "t2"),), writes=(A,)),
             HistoryTxn("t3", reads=((A, "t1"), (B, None))),
         )
         ok, _ = is_one_copy_serializable(history)
@@ -91,10 +91,10 @@ class TestKnownNonSerializable:
 
     def test_stale_read_after_overwrite(self):
         history = history_of(
-            HistoryTxn("t1", writes=frozenset({A})),
-            HistoryTxn("t2", reads=((A, "t1"),), writes=frozenset({A})),
+            HistoryTxn("t1", writes=(A,)),
+            HistoryTxn("t2", reads=((A, "t1"),), writes=(A,)),
             # t3 reads t1's version but writes a later version of A than t2:
-            HistoryTxn("t3", reads=((A, "t1"),), writes=frozenset({A})),
+            HistoryTxn("t3", reads=((A, "t1"),), writes=(A,)),
             # t4 pins the order by reading t3 and t2... creates the tangle.
             HistoryTxn("t4", reads=((A, "t3"),)),
         )
@@ -108,7 +108,7 @@ class TestKnownNonSerializable:
 class TestEquivalentSerialOrder:
     def test_order_respects_reads_from(self):
         history = history_of(
-            HistoryTxn("t1", writes=frozenset({A})),
+            HistoryTxn("t1", writes=(A,)),
             HistoryTxn("t2", reads=((A, "t1"),)),
         )
         order = equivalent_serial_order(history)
@@ -116,16 +116,16 @@ class TestEquivalentSerialOrder:
 
     def test_raises_on_cycle(self):
         history = history_of(
-            HistoryTxn("t1", reads=((A, None),), writes=frozenset({B})),
-            HistoryTxn("t2", reads=((B, None),), writes=frozenset({A})),
+            HistoryTxn("t1", reads=((A, None),), writes=(B,)),
+            HistoryTxn("t2", reads=((B, None),), writes=(A,)),
         )
         with pytest.raises(ValueError):
             equivalent_serial_order(history)
 
     def test_witness_order_replays_identically(self):
         history = history_of(
-            HistoryTxn("t1", writes=frozenset({A})),
-            HistoryTxn("t2", reads=((A, "t1"),), writes=frozenset({B})),
+            HistoryTxn("t1", writes=(A,)),
+            HistoryTxn("t2", reads=((A, "t1"),), writes=(B,)),
             HistoryTxn("t3", reads=((B, "t2"), (A, "t1"))),
         )
         from repro.serializability.history import serial_reads_from
@@ -140,7 +140,7 @@ class TestEquivalentSerialOrder:
 class TestBruteForce:
     def test_cap_enforced(self):
         history = history_of(
-            *[HistoryTxn(f"t{i}", writes=frozenset({A})) for i in range(9)]
+            *[HistoryTxn(f"t{i}", writes=(A,)) for i in range(9)]
         )
         with pytest.raises(ValueError):
             brute_force_one_copy_serializable(history)

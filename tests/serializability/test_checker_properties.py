@@ -50,7 +50,7 @@ def execution_histories(draw):
             # Read from any past state — possibly stale.
             source_slot = draw(st.integers(min_value=0, max_value=slot - 1))
             reads.append((item, states[source_slot][item]))
-        history.add(HistoryTxn(tid, reads=tuple(reads), writes=frozenset(write_items)))
+        history.add(HistoryTxn(tid, reads=tuple(reads), writes=tuple(sorted(write_items))))
         new_state = dict(states[-1])
         for item in write_items:
             history.version_order.setdefault(item, []).append(tid)
@@ -127,7 +127,7 @@ def arbitrary_histories(draw):
     items = ITEMS[: draw(st.integers(min_value=1, max_value=len(ITEMS)))]
     tids = [f"t{index}" for index in range(1, n + 1)]
     writes = {
-        tid: frozenset(draw(st.sets(st.sampled_from(items), max_size=len(items))))
+        tid: tuple(sorted(draw(st.sets(st.sampled_from(items), max_size=len(items)))))
         for tid in tids
     }
     history = MVHistory()

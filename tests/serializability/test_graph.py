@@ -29,7 +29,7 @@ def history_of(*txns):
 class TestEdges:
     def test_reads_from_edge(self):
         history = history_of(
-            HistoryTxn("w", writes=frozenset({A})),
+            HistoryTxn("w", writes=(A,)),
             HistoryTxn("r", reads=((A, "w"),)),
         )
         graph = build_mvsg(history)
@@ -44,7 +44,7 @@ class TestEdges:
         # r reads the initial version; w writes a later version: r → w.
         history = history_of(
             HistoryTxn("r", reads=((A, None),)),
-            HistoryTxn("w", writes=frozenset({A})),
+            HistoryTxn("w", writes=(A,)),
         )
         graph = build_mvsg(history)
         assert graph.has_edge("r", "w")
@@ -52,8 +52,8 @@ class TestEdges:
     def test_earlier_version_orders_writers(self):
         # r reads w2's version; w1 wrote an earlier version: w1 → w2.
         history = history_of(
-            HistoryTxn("w1", writes=frozenset({A})),
-            HistoryTxn("w2", writes=frozenset({A})),
+            HistoryTxn("w1", writes=(A,)),
+            HistoryTxn("w2", writes=(A,)),
             HistoryTxn("r", reads=((A, "w2"),)),
         )
         graph = build_mvsg(history)
@@ -61,7 +61,7 @@ class TestEdges:
 
     def test_no_self_loops(self):
         history = history_of(
-            HistoryTxn("t", reads=((A, None),), writes=frozenset({A})),
+            HistoryTxn("t", reads=((A, None),), writes=(A,)),
         )
         graph = build_mvsg(history)
         assert not graph.has_edge("t", "t")
@@ -70,15 +70,15 @@ class TestEdges:
 class TestCycleDetection:
     def test_acyclic_reports_none(self):
         history = history_of(
-            HistoryTxn("t1", writes=frozenset({A})),
+            HistoryTxn("t1", writes=(A,)),
             HistoryTxn("t2", reads=((A, "t1"),)),
         )
         assert find_cycle(build_mvsg(history)) is None
 
     def test_cycle_reported_with_members(self):
         history = history_of(
-            HistoryTxn("t1", reads=((A, None),), writes=frozenset({B})),
-            HistoryTxn("t2", reads=((B, None),), writes=frozenset({A})),
+            HistoryTxn("t1", reads=((A, None),), writes=(B,)),
+            HistoryTxn("t2", reads=((B, None),), writes=(A,)),
         )
         cycle = find_cycle(build_mvsg(history))
         assert cycle is not None
@@ -90,7 +90,7 @@ class TestChainedGraph:
         # The reader wrote the next version of what it read: it must not
         # reach itself through the after chain.
         history = history_of(
-            HistoryTxn("t", reads=((A, None),), writes=frozenset({A})),
+            HistoryTxn("t", reads=((A, None),), writes=(A,)),
         )
         assert is_one_copy_serializable(history) == (True, None)
         assert ChainedMVSG(history).cycle_or_order() == (None, ["t"])
@@ -100,9 +100,9 @@ class TestChainedGraph:
         # t3 → t2 (t2 overwrote its read) but no edge to itself, and t2's
         # version is unread, so nothing orders t2 before t3: acyclic.
         history = history_of(
-            HistoryTxn("t1", writes=frozenset({A})),
-            HistoryTxn("t2", writes=frozenset({A})),
-            HistoryTxn("t3", reads=((A, "t1"),), writes=frozenset({A})),
+            HistoryTxn("t1", writes=(A,)),
+            HistoryTxn("t2", writes=(A,)),
+            HistoryTxn("t3", reads=((A, "t1"),), writes=(A,)),
         )
         explicit = build_mvsg(history)
         assert set(explicit.edges) == {(INITIAL_NODE, "t1"), ("t1", "t3"), ("t3", "t2")}
@@ -112,17 +112,17 @@ class TestChainedGraph:
         # t1 wrote version 1 and read version 3: only t2 → t3 is owed, not
         # t1 → t3 (which with the reads-from edge t3 → t1 would be a cycle).
         history = history_of(
-            HistoryTxn("t1", reads=((A, "t3"),), writes=frozenset({A})),
-            HistoryTxn("t2", writes=frozenset({A})),
-            HistoryTxn("t3", writes=frozenset({A})),
+            HistoryTxn("t1", reads=((A, "t3"),), writes=(A,)),
+            HistoryTxn("t2", writes=(A,)),
+            HistoryTxn("t3", writes=(A,)),
         )
         assert find_cycle(build_mvsg(history)) is None
         assert equivalent_serial_order(history) == ["t2", "t3", "t1"]
 
     def test_cycle_drops_auxiliary_nodes(self):
         history = history_of(
-            HistoryTxn("t1", reads=((A, None),), writes=frozenset({B})),
-            HistoryTxn("t2", reads=((B, None),), writes=frozenset({A})),
+            HistoryTxn("t1", reads=((A, None),), writes=(B,)),
+            HistoryTxn("t2", reads=((B, None),), writes=(A,)),
         )
         ok, cycle = is_one_copy_serializable(history)
         assert not ok
@@ -131,10 +131,10 @@ class TestChainedGraph:
     def test_edge_count_is_linear_on_a_hot_item(self):
         # 40 serial read-modify-writes of one item: the explicit graph has
         # Θ(n²) edges, the chained one at most seven per transaction.
-        txns = [HistoryTxn("t0", writes=frozenset({A}))]
+        txns = [HistoryTxn("t0", writes=(A,))]
         for i in range(1, 40):
             txns.append(HistoryTxn(
-                f"t{i}", reads=((A, f"t{i - 1}"),), writes=frozenset({A})
+                f"t{i}", reads=((A, f"t{i - 1}"),), writes=(A,)
             ))
         history = history_of(*txns)
         assert build_mvsg(history).number_of_edges() > 700
@@ -148,8 +148,8 @@ class TestSerialOrder:
 
     def test_topological(self):
         history = history_of(
-            HistoryTxn("t1", writes=frozenset({A})),
-            HistoryTxn("t2", reads=((A, "t1"),), writes=frozenset({B})),
+            HistoryTxn("t1", writes=(A,)),
+            HistoryTxn("t2", reads=((A, "t1"),), writes=(B,)),
             HistoryTxn("t3", reads=((B, "t2"),)),
         )
         order = equivalent_serial_order(history)

@@ -5,6 +5,9 @@ CPython also ships as a built-in module.  :mod:`repro.sim.rng` takes the
 built-in one and :mod:`repro.harness.parallel` reuses it; these tests keep
 ``hashlib`` off the import path and pin both users to ``hashlib``'s bytes,
 so every derived seed and every metrics digest is what it always was.
+``statistics`` stays off it too: :mod:`repro.harness.metrics` has its own
+``fmean`` and ``median`` (pinned to the stdlib's in
+``tests/harness/test_metrics.py``).
 """
 
 from __future__ import annotations
@@ -25,14 +28,19 @@ from tests.helpers import fig7_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SCRIPT = """
+#: Modules ``import repro`` must not load: ``hashlib`` maps OpenSSL in;
+#: ``statistics`` brings ``fractions`` and ``decimal`` (≈ 0.5 MB resident).
+ABSENT = ("hashlib", "_hashlib", "statistics", "fractions", "decimal")
+
+SCRIPT = f"""
 import sys
 import repro, repro.harness.parallel, repro.cli
-print(sorted(name for name in ("hashlib", "_hashlib") if name in sys.modules))
+print(sorted(name for name in {ABSENT!r} if name in sys.modules))
 """
 
 
 def test_import_repro_loads_no_hashlib():
+    """Nor ``statistics`` and what it imports: every name in ``ABSENT``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     child = subprocess.run(
