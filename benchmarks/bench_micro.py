@@ -16,12 +16,13 @@ from repro.net.latency import RttMatrixLatency
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.topology import cluster_preset
-from repro.paxos.acceptor import Acceptor
+from repro.paxos.acceptor import ATTR_SEQ, Acceptor
 from repro.paxos.ballot import Ballot
 from repro.paxos.messages import PREPARE, PreparePayload
 from repro.serializability.checker import is_one_copy_serializable
 from repro.serializability.history import HistoryTxn, MVHistory
 from repro.sim.env import Environment
+from repro.wal.log import ATTR_BALLOT, ATTR_NEXT_BAL, ATTR_VALUE, paxos_row_key
 from tests.helpers import txn
 
 
@@ -51,6 +52,29 @@ class TestStoreOps:
                                        {"flag": state["value"] + 1})
             assert ok
             state["value"] += 1
+
+        benchmark(op)
+
+    def test_acceptor_check_and_write(self, benchmark):
+        """The acceptor's vote: a ``check_and_write`` guarded on ``seq`` into
+        a ``_paxos/`` row that already holds a version, the shape of every
+        acceptor state transition.  The row is dropped and recreated every
+        1000 writes, so the store stays small however long the benchmark
+        runs."""
+        store = MultiVersionStore("bench")
+        key = paxos_row_key("g", 1)
+        ballot = Ballot(1, "bench")
+        counter = iter(range(10_000_000))
+
+        def op():
+            seq = next(counter) % 1000
+            if seq == 0:
+                store.erase_volatile(durable_prefixes=())
+                store.write(key, {ATTR_NEXT_BAL: None, ATTR_SEQ: 0})
+            assert store.check_and_write(key, ATTR_SEQ, seq, {
+                ATTR_NEXT_BAL: ballot, ATTR_BALLOT: ballot,
+                ATTR_VALUE: seq, ATTR_SEQ: seq + 1,
+            })
 
         benchmark(op)
 

@@ -99,6 +99,9 @@ class CrashRecord:
     datacenter: str
     lane: int
     crash_ms: float
+    #: Versions the crash erased (:meth:`MultiVersionStore.erase_volatile`):
+    #: each data version written during the run, and each non-durable state
+    #: row (``_queue/``, ``_txnstatus/``) once, since it keeps one version.
     erased_versions: int = 0
     killed_processes: int = 0
     #: ``{paxos row key: (next_bal, ballot, chosen, vote_key, seq)}``.

@@ -67,6 +67,26 @@ class RowVersionError(KVStoreError):
         self.existing = existing
 
 
+class StateHistoryError(KVStoreError):
+    """A read asked a state row for a version it no longer keeps.
+
+    A state row (Paxos acceptor state, queue tables, intents, transaction
+    status) keeps only its current version: each write replaces it.  A read
+    at a timestamp below that version cannot be answered — the row's
+    earlier state is gone, which is not the same as the row not existing —
+    so it raises instead of returning ``None``.
+    """
+
+    def __init__(self, key: str, timestamp: float, retained: float) -> None:
+        super().__init__(
+            f"read of state row {key!r} at timestamp {timestamp}: only its "
+            f"current version, at timestamp {retained}, is kept"
+        )
+        self.key = key
+        self.timestamp = timestamp
+        self.retained = retained
+
+
 class CheckFailed(KVStoreError):
     """A ``check_and_write`` test predicate did not hold.
 

@@ -10,6 +10,10 @@ exactly three operations —
 * ``checkAndWrite(key.testAttribute, testValue, key, value)`` — conditional
   write against the latest version, executed atomically.
 
+Data rows keep every version.  State rows (Paxos acceptor state, queue
+tables, intents, transaction status: ``MultiVersionStore.STATE_PREFIXES``)
+keep only their current one, which is all the protocol ever reads of them.
+
 The paper's prototype used HBase; here the store is in-memory (offline
 substitution, see DESIGN.md §2) with a pluggable per-operation latency model
 (:class:`~repro.kvstore.service.StoreAccessor`) standing in for HBase-on-EBS

@@ -7,11 +7,13 @@ attributes (per-column versioning semantics, as BigTable/HBase give it).
 
 What a version *holds* depends on the row's width:
 
-* A row narrower than :data:`WIDE_ROW` attributes keeps one full image per
-  version.  Its image is a few attributes, so a copy costs little, and a
-  read of any attribute is one lookup in it.  Paxos state, intents and
-  transaction status live here, and the acceptor decodes every one of its
-  reads straight from ``attributes``.
+* A version of a row narrower than :data:`WIDE_ROW` attributes holds the
+  row's full image.  Its image is a few attributes, so a copy costs little,
+  and a read of any attribute is one lookup in it.  Paxos state, intents
+  and transaction status live here, and the acceptor decodes every one of
+  its reads straight from ``attributes``.  These are state rows, which the
+  store keeps at their current version only (see
+  :mod:`repro.kvstore.store`), so each holds one image, not one per write.
 * A version of a wide row holds only the attributes changed since the row's
   last full image, as one small cumulative dict, over a reference to that
   image, which is shared by every version after it and never mutated.  A

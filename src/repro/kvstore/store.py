@@ -13,12 +13,22 @@ that prefix of versions.  1SR, SI, and SSI differ only in commit-time
 validation — none of them needs a different read primitive.
 
 Each row is a list of :class:`~repro.kvstore.row.RowVersion` objects,
-oldest first.  A version of a narrow row (Paxos state, intents,
-transaction status) holds its full image: a few attributes, decoded whole
-on every read.  A version of a wide row (the workload's data rows) holds only
-what its writes changed since the row's last full image, over that shared
-image, so a transaction touching a few of a hundred attributes does not
-store the other ninety-odd again in every replica.
+oldest first.  A data row keeps every version, since its history is what a
+snapshot read at a past timestamp is made of.  A *state* row
+(:attr:`MultiVersionStore.STATE_PREFIXES`: Paxos acceptor state, queue
+tables, intents, transaction status) keeps only its current version, as
+Algorithm 1's acceptor keeps one triple per log position and overwrites it
+on every ``checkAndWrite``: a write replaces the version, and a read at a
+timestamp below it raises :class:`~repro.errors.StateHistoryError`.  Nothing
+reads a state row at a timestamp; crash recovery reads only its latest
+state.
+
+A version of a narrow row (Paxos state, intents, transaction status) holds
+its full image: a few attributes, decoded whole on every read.  A version
+of a wide row (the workload's data rows) holds only what its writes changed
+since the row's last full image, over that shared image, so a transaction
+touching a few of a hundred attributes does not store the other ninety-odd
+again in every replica.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Any, Mapping
 
-from repro.errors import RowVersionError
+from repro.errors import RowVersionError, StateHistoryError
 from repro.kvstore.row import RowVersion
 
 #: A version's sort key: a C getter, not a Python lambda per comparison.
@@ -36,6 +46,13 @@ _TIMESTAMP = attrgetter("timestamp")
 
 class MultiVersionStore:
     """An in-memory multi-version key-value store for one datacenter."""
+
+    #: Key prefixes of state rows, which keep only their current version:
+    #: the acceptor table (``_paxos/``), the queue tables (``_queue/``),
+    #: durable intents (``_meta/``) and transaction status
+    #: (``_txnstatus/``).  Only data rows are read at a timestamp.  Each
+    #: prefix starts with ``_``, which :meth:`write` tests first.
+    STATE_PREFIXES: tuple[str, ...] = ("_paxos/", "_queue/", "_meta/", "_txnstatus/")
 
     def __init__(self, name: str = "kvstore") -> None:
         self.name = name
@@ -54,7 +71,9 @@ class MultiVersionStore:
 
         With ``timestamp=None`` returns the most recent version.  Returns
         ``None`` when the row does not exist (or had no version early
-        enough) — the paper leaves this case to the caller.
+        enough) — the paper leaves this case to the caller.  A state row
+        keeps only its current version, so a timestamp below that version
+        raises :class:`StateHistoryError` instead.
         """
         self.op_counts["read"] += 1
         versions = self._rows.get(key)
@@ -64,6 +83,8 @@ class MultiVersionStore:
             return versions[-1]
         index = bisect_right(versions, timestamp, key=_TIMESTAMP)
         if index == 0:
+            if key.startswith(self.STATE_PREFIXES):
+                raise StateHistoryError(key, timestamp, versions[0].timestamp)
             return None
         return versions[index - 1]
 
@@ -87,7 +108,9 @@ class MultiVersionStore:
         version holds the merged image, a wide row's only its changes over
         a shared image (see :mod:`repro.kvstore.row`).  Since a timestamp at
         or below the latest one is refused, a new version is always the
-        row's newest and is appended.
+        row's newest: a data row's is appended, a state row's
+        (:attr:`STATE_PREFIXES`) replaces the one it keeps.  Either way the
+        old version object is left as it was, for readers still holding it.
         """
         self.op_counts["write"] += 1
         versions = self._rows.get(key)
@@ -97,7 +120,12 @@ class MultiVersionStore:
                 timestamp = latest.timestamp + 1
             elif timestamp <= latest.timestamp:
                 raise RowVersionError(key, timestamp, latest.timestamp)
-            versions.append(latest.merged_with(attributes, timestamp))
+            # Every state prefix starts with "_" and no data key does: a data
+            # write pays one character test, not four prefix tests.
+            if key[:1] == "_" and key.startswith(self.STATE_PREFIXES):
+                versions[-1] = latest.merged_with(attributes, timestamp)
+            else:
+                versions.append(latest.merged_with(attributes, timestamp))
             return timestamp
         if timestamp is None:
             timestamp = 1
@@ -144,7 +172,10 @@ class MultiVersionStore:
         return version.get(attribute, default)
 
     def versions(self, key: str) -> list[RowVersion]:
-        """All versions of *key*, oldest first (copy; safe to inspect)."""
+        """All versions of *key*, oldest first (copy; safe to inspect).
+
+        A state row's list is its one current version.
+        """
         return list(self._rows.get(key, []))
 
     # ------------------------------------------------------------------
@@ -155,7 +186,8 @@ class MultiVersionStore:
     #: acceptor table (Algorithm 1's promised/accepted state — the paper
     #: stores it *in* the key-value store, which is the durable layer);
     #: ``_meta/`` holds small durable intents (lease incarnations, the
-    #: leased leader's head-position intent).
+    #: leased leader's head-position intent).  Both are state rows, so what
+    #: survives is each row's current version: the only one it keeps.
     DURABLE_PREFIXES: tuple[str, ...] = ("_paxos/", "_meta/")
 
     def erase_volatile(
@@ -164,12 +196,13 @@ class MultiVersionStore:
         """Simulate a crash: drop every version a restart would lose.
 
         Durable rows (``durable_prefixes``, default :data:`DURABLE_PREFIXES`)
-        keep every version.  Everything else keeps only its ``timestamp <= 0``
-        versions — the preloaded base image, which stands in for the durable
-        backing files a fresh process maps in; versions written during the
-        run (``timestamp > 0``) are the volatile apply *projection* of the
-        WAL and are erased, to be rebuilt by log replay.  Returns the number
-        of versions erased.
+        keep every version they hold.  Everything else keeps only its
+        ``timestamp <= 0`` versions — the preloaded base image, which stands
+        in for the durable backing files a fresh process maps in; versions
+        written during the run (``timestamp > 0``) are the volatile apply
+        *projection* of the WAL and are erased, to be rebuilt by log replay.
+        Returns the number of versions erased, which counts a non-durable
+        state row (one version) once.
         """
         prefixes = (
             self.DURABLE_PREFIXES if durable_prefixes is None

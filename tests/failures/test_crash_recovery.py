@@ -27,7 +27,7 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.core.queues import QueueDeliveryPump
-from repro.errors import FaultScheduleError
+from repro.errors import FaultScheduleError, StateHistoryError
 from repro.failures import FailureInjector
 from repro.failures.schedule import fault_span, install_fault_schedule, materialize
 from repro.harness.experiment import finish_run, prepare_run
@@ -106,6 +106,33 @@ class TestDurableVolatileSplit:
         assert [v.timestamp for v in store.versions("data/row0")] == [0.0]
         assert store.read("scratch") is None
 
+    def test_state_rows_keep_their_one_version_through_a_crash(self):
+        store = MultiVersionStore(name="s")
+        for ballot in (1, 2, 3):
+            store.write("_paxos/g/00000001", {"promise": ballot})
+        store.write("_txnstatus/t1", {"state": "prepared"})
+        store.write("_txnstatus/t1", {"state": "committed"})
+        store.write("_queue/recv/g/h", {"s1": True})
+        store.write("_queue/recv/g/h", {"s2": True})
+        store.write("data/row0", {"a": "base"}, timestamp=0.0)
+        store.write("data/row0", {"a": "dirty"}, timestamp=7.0)
+        assert len(store.versions("_paxos/g/00000001")) == 1
+        # One version per non-durable state row and the dirty data version:
+        # a state row's erased versions count once, however often it was
+        # written.
+        assert store.erase_volatile() == 3
+        assert store.keys("_txnstatus/") == [] and store.keys("_queue/") == []
+        [version] = store.versions("_paxos/g/00000001")
+        assert (version.timestamp, version.get("promise")) == (3, 3)
+        assert store.read("_paxos/g/00000001", timestamp=3) is version
+        # Its earlier state is gone, which a read at a past timestamp is
+        # told rather than answered with "no row".
+        with pytest.raises(StateHistoryError) as raised:
+            store.read("_paxos/g/00000001", timestamp=2)
+        assert (raised.value.key, raised.value.retained) == ("_paxos/g/00000001", 3)
+        # Data rows keep their history; below it there is simply no row.
+        assert store.read("data/row0", timestamp=-1.0) is None
+
     def test_fenced_in_flight_operation_never_lands(self):
         # A write issued before the crash whose latency timeout fires after
         # it must vanish — like a write that never reached the disk.
@@ -159,6 +186,43 @@ class TestCrashRestart:
         entry = replica.chosen_entry(1)
         assert entry is not None and entry.contains(outcome.transaction.tid)
         assert cluster.check_crash_amnesia() == []
+
+    def test_recovery_leaves_the_acceptor_rows_as_the_crash_found_them(self):
+        cluster = preloaded()
+        client = cluster.add_client("V1", protocol="paxos-cp")
+        for value in ("v1", "v2"):
+            outcome = run_txn(cluster, client, GROUP, writes=[("row0", "a0", value)])
+            assert outcome.committed
+        store = cluster.stores["V2"]
+        before = cluster._durable_acceptor_image(store)
+        assert before
+        cluster.crash_service("V2")
+        cluster.restart_service("V2")
+        cluster.run()  # recovery replays the WAL from the acceptor rows
+        assert cluster._durable_acceptor_image(store) == before
+        for key in store.keys("_paxos/"):
+            assert len(store.versions(key)) == 1, key
+        assert cluster.check_crash_amnesia() == []
+
+    def test_crash_erases_each_non_durable_state_row_once(self):
+        spec = xgroup_mix_spec(300)
+        cluster, _drivers = prepare_run(spec, seed=0)
+        cluster.env.run(until=2000.0)
+        store = cluster.stores["V1"]
+        volatile_state = [key for key in store.keys("_")
+                          if not key.startswith(store.DURABLE_PREFIXES)]
+        dirty_data = sum(
+            version.timestamp > 0
+            for key in store.keys("data/") for version in store.versions(key)
+        )
+        assert any(key.startswith("_queue/") for key in volatile_state)
+        assert any(key.startswith("_txnstatus/") for key in volatile_state)
+        durable = store.keys("_paxos/") + store.keys("_meta/")
+        record = cluster.crash_service("V1")
+        assert record.erased_versions == len(volatile_state) + dirty_data
+        assert store.keys("_queue/") == [] and store.keys("_txnstatus/") == []
+        assert store.keys("_paxos/") + store.keys("_meta/") == durable
+        assert all(len(store.versions(key)) == 1 for key in durable)
 
     def test_overlapping_crash_windows_merge(self):
         # Two windows on one replica refcount like outages: the nested

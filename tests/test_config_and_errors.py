@@ -9,6 +9,7 @@ from repro.errors import (
     QuorumTimeout,
     ReproError,
     RowVersionError,
+    StateHistoryError,
     TransactionAborted,
 )
 
@@ -64,6 +65,7 @@ class TestErrors:
     def test_all_derive_from_repro_error(self):
         for error in [
             RowVersionError("k", 1, 2),
+            StateHistoryError("_paxos/g/1", 1, 2),
             CheckFailed("k", "a", 1, 2),
             TransactionAborted("t1", "lost_position"),
             QuorumTimeout("prepare", 1, 2),
