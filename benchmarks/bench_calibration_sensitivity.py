@@ -24,7 +24,8 @@ def run_sweep():
             spec = ExperimentSpec(
                 name=f"store {low:g}-{high:g}ms",
                 cluster=ClusterConfig(
-                    cluster_code="VVV", store=StoreConfig(low, high)
+                    cluster_code="VVV",
+                    store=StoreConfig(op_low_ms=low, op_high_ms=high),
                 ),
                 workload=WorkloadConfig(n_transactions=N_TRANSACTIONS),
                 protocol=protocol,

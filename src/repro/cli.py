@@ -63,14 +63,14 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--protocol", default="paxos-cp",
                         choices=["paxos", "paxos-cp", "leased-leader"])
     parser.add_argument("--isolation", default="1sr",
-                        choices=["1sr", "si", "ssi"],
+                        choices=["1sr", "si"],
                         help="commit-time validation level: 1sr (full "
-                             "serializability, the paper's default), si "
-                             "(snapshot isolation: first-committer-wins on "
+                             "serializability, the paper's default: "
+                             "read-write conflicts instead of write-write, "
+                             "the rule arXiv:2405.18393 shows serializable), "
+                             "si (snapshot isolation: first-committer-wins on "
                              "write sets only — admits write skew, which the "
-                             "checker classifies instead of failing), ssi "
-                             "(serializable SI: adds read-set validation, "
-                             "restoring 1SR)")
+                             "checker classifies instead of failing)")
     parser.add_argument("--transactions", type=int, default=500)
     parser.add_argument("--attributes", type=int, default=100)
     parser.add_argument("--ops", type=int, default=10)

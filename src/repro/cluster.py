@@ -502,15 +502,6 @@ class Cluster:
             "utilization": [count / total if total else 0.0 for count in events],
         }
 
-    @property
-    def initial_image(self) -> dict[Item, Any]:
-        """The merged initial image across all groups (legacy single-group
-        view; use :meth:`initial_image_for` when groups share row names)."""
-        merged: dict[Item, Any] = {}
-        for image in self._initial_images.values():
-            merged.update(image)
-        return merged
-
     def initial_image_for(self, group: str) -> dict[Item, Any]:
         """The initial image one group's serializability checks replay from."""
         return dict(self._initial_images.get(group, {}))

@@ -19,14 +19,15 @@ from repro.errors import InvalidExperimentSpec
 ProtocolName = Literal["paxos", "paxos-cp", "leased-leader"]
 
 #: Per-run isolation level.  ``"1sr"`` is the paper's one-copy
-#: serializability (reads-from validation on every commit).  ``"si"`` is
-#: snapshot isolation: reads come from the start-timestamp snapshot (the
-#: MVCC store already serves them at ``read_position``) and commit passes
-#: iff no concurrent committed transaction wrote an overlapping *write*
-#: set — first-committer-wins.  ``"ssi"`` is serializable SI: the SI rules
-#: plus the read-set/write-set intersection check, which restores 1SR
-#: without serial execution (arXiv:2405.18393's cure).
-IsolationLevel = Literal["1sr", "si", "ssi"]
+#: serializability (reads-from validation on every commit): read-write
+#: conflicts are checked *instead of* write-write ones, the write-snapshot
+#: isolation rule that A Critique of Snapshot Isolation (arXiv:2405.18393)
+#: shows is serializable, and the one Paxos-CP's promotion check enforces.
+#: ``"si"`` is snapshot isolation: reads come from the start-timestamp
+#: snapshot (the MVCC store already serves them at ``read_position``) and
+#: commit passes iff no concurrent committed transaction wrote an
+#: overlapping *write* set — first-committer-wins.
+IsolationLevel = Literal["1sr", "si"]
 
 #: How the key space is carved into entity groups.
 GroupAssignment = Literal["hash", "range"]
@@ -55,8 +56,6 @@ class PlacementConfig:
     key_universe:
         Size of the numbered key space range assignment splits.  Required
         when ``assignment == "range"``.
-    group_prefix:
-        Group names are ``f"{group_prefix}{index}"`` (``group-0`` …).
     group_homes:
         Optional per-group home override, ``{group name: datacenter}``.  A
         group's *home* datacenter anchors its position-1 leader (and its
@@ -68,14 +67,13 @@ class PlacementConfig:
     n_groups: int = 1
     assignment: GroupAssignment = "hash"
     key_universe: int | None = None
-    group_prefix: str = "group-"
     group_homes: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
         if self.n_groups <= 0:
             raise ValueError(f"need at least one group, got {self.n_groups}")
         if self.group_homes is not None:
-            known = {f"{self.group_prefix}{index}" for index in range(self.n_groups)}
+            known = {f"group-{index}" for index in range(self.n_groups)}
             unknown = sorted(set(self.group_homes) - known)
             if unknown:
                 raise ValueError(
@@ -130,10 +128,6 @@ class ProtocolConfig:
     enable_combination / enable_promotion:
         Feature switches for the two CP enhancements (used by the ablation
         benchmarks; both on reproduces the paper's Paxos-CP).
-    combine_exhaustive_limit:
-        Up to this many candidate transactions the combination search is
-        exhaustive over subsets and orders; beyond it the greedy single pass
-        of §5 is used.
     leader_fastpath:
         The per-log-position leader optimization of §4.1 ("Megastore does
         not use a master replica, but instead designates one leader per log
@@ -155,11 +149,11 @@ class ProtocolConfig:
         fail-on-first-sweep behaviour.  Retries draw backoff jitter from a
         dedicated RNG stream only when a sweep actually fails, so fault-free
         runs are bit-identical at any setting.
-    retry_backoff_cap_ms / retry_multiplier:
+    retry_backoff_cap_ms:
         Capped exponential backoff shared by the client retry loop, the 2PC
         coordinator's ballot rounds, and the queue pumps' append walks:
         attempt ``k`` sleeps ``uniform(0, min(cap, retry_backoff_ms *
-        multiplier**k))``.  The default cap equals ``retry_backoff_ms``, so
+        2**k))``.  The default cap equals ``retry_backoff_ms``, so
         every attempt draws the historic flat ``uniform(0,
         retry_backoff_ms)`` — raise the cap to let brown-out runs spread
         their retries out.
@@ -185,13 +179,11 @@ class ProtocolConfig:
     max_promotions: int | None = None
     enable_combination: bool = True
     enable_promotion: bool = True
-    combine_exhaustive_limit: int = 4
     leader_fastpath: bool = True
     max_commit_attempts: int = 50
     queue_poll_ms: float = 25.0
     retry_attempts: int = 3
     retry_backoff_cap_ms: float = 40.0
-    retry_multiplier: float = 2.0
     deadline_ms: float | None = None
     lease_ms: float = 500.0
 
@@ -465,15 +457,13 @@ class ClusterConfig:
     #: Isolation level every client commits under.  ``"si"`` relaxes commit
     #: validation to first-committer-wins (write-write only), so runs may
     #: admit write skew — the checker then *classifies* the anomalies
-    #: instead of failing the run.  ``"ssi"`` adds the read-set
-    #: intersection back and must re-earn a clean 1SR verdict.
+    #: instead of failing the run.
     isolation: IsolationLevel = "1sr"
 
     def __post_init__(self) -> None:
-        if self.isolation not in ("1sr", "si", "ssi"):
+        if self.isolation not in ("1sr", "si"):
             raise ValueError(
-                f"isolation must be one of '1sr', 'si', 'ssi', "
-                f"got {self.isolation!r}"
+                f"isolation must be one of '1sr', 'si', got {self.isolation!r}"
             )
         validate_engine(self.engine)
         if self.shards < 1:
@@ -509,7 +499,6 @@ class WorkloadConfig:
     target_rate_per_thread: float = 1.0  # transactions per second
     stagger_ms: float = 250.0            # delay between successive thread starts
     distribution: Literal["uniform", "zipfian"] = "uniform"
-    zipfian_theta: float = 0.99
     group: str = "group-0"
     #: How a multi-group workload picks the entity group of each transaction
     #: (only consulted when the driver runs against a placement with more
@@ -550,15 +539,12 @@ class WorkloadConfig:
     pool_size: int = 16                  # simulated client nodes
     max_pending: int = 4                 # per-client admission-control bound
     open_duration_ms: float = 10_000.0   # admission horizon
-    user_zipfian_theta: float = 0.99     # skew of user popularity
     #: >0 migrates the zipfian hot spot every this-many ms (hot-group
     #: migration for the future rebalancer); 0 keeps it static.
     hot_shift_period_ms: float = 0.0
     diurnal_period_ms: float = 8_000.0   # one full diurnal cycle
-    diurnal_trough_fraction: float = 0.25  # trough rate as a share of mean
     flash_at_ms: float = 3_000.0
     flash_duration_ms: float = 1_000.0
-    flash_multiplier: float = 8.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.read_fraction <= 1.0:
@@ -592,20 +578,11 @@ class WorkloadConfig:
                 raise ValueError(
                     "open-loop offered_load and open_duration_ms must be positive"
                 )
-            if not 0.0 < self.user_zipfian_theta < 1.0:
-                raise ValueError(
-                    f"user_zipfian_theta must be in (0,1), got {self.user_zipfian_theta}"
-                )
             if self.hot_shift_period_ms < 0:
                 raise ValueError("hot_shift_period_ms must be >= 0")
-            if self.diurnal_period_ms <= 0 or not 0.0 < self.diurnal_trough_fraction <= 1.0:
+            if self.diurnal_period_ms <= 0 or self.flash_duration_ms <= 0:
                 raise ValueError(
-                    "diurnal_period_ms must be positive and "
-                    "diurnal_trough_fraction in (0,1]"
-                )
-            if self.flash_multiplier < 1.0 or self.flash_duration_ms <= 0:
-                raise ValueError(
-                    "flash_multiplier must be >= 1 and flash_duration_ms positive"
+                    "diurnal_period_ms and flash_duration_ms must be positive"
                 )
 
     @property
@@ -697,16 +674,16 @@ COMBINATION_RULES: tuple[CombinationRule, ...] = (
         "pinning cannot express",
     ),
     CombinationRule(
-        ("isolation si/ssi", "leased-leader"),
+        ("isolation si", "leased-leader"),
         lambda c: c.isolation != "1sr" and c.protocol == "leased-leader",
-        "isolation 'si'/'ssi' needs the paxos or paxos-cp protocol (the "
+        "isolation 'si' needs the paxos or paxos-cp protocol (the "
         "leased leader validates commits server-side, where the snapshot "
         "window is invisible)",
     ),
     CombinationRule(
-        ("isolation si/ssi", "2PC or queue traffic"),
+        ("isolation si", "2PC or queue traffic"),
         lambda c: c.isolation != "1sr" and (c.two_pc or c.queues),
-        "isolation 'si'/'ssi' currently covers single-group commits only; "
+        "isolation 'si' currently covers single-group commits only; "
         "cross_group_fraction and queue_fraction must be 0 (the 2PC and "
         "queue layers still validate against 1SR)",
     ),

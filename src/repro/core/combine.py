@@ -13,8 +13,7 @@ can be used, making one pass over the transaction list and adding each
 compatible transaction to the winning value."
 
 Both searches are implemented below; the protocol picks the exhaustive one
-up to ``ProtocolConfig.combine_exhaustive_limit`` candidates and the greedy
-one beyond.
+up to :data:`EXHAUSTIVE_LIMIT` candidates and the greedy one beyond.
 """
 
 from __future__ import annotations
@@ -22,6 +21,10 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from repro.model import Transaction, is_serializable_sequence
+
+#: Up to this many distinct candidates the search is exhaustive over subsets
+#: and orders; beyond it the greedy single pass of §5 is used.
+EXHAUSTIVE_LIMIT = 4
 
 
 def _dedupe(own: Transaction, candidates: list[Transaction]) -> list[Transaction]:
@@ -64,13 +67,9 @@ def greedy_combination(own: Transaction, candidates: list[Transaction]) -> list[
     return result
 
 
-def combine(
-    own: Transaction,
-    candidates: list[Transaction],
-    exhaustive_limit: int = 4,
-) -> list[Transaction]:
+def combine(own: Transaction, candidates: list[Transaction]) -> list[Transaction]:
     """Pick the search strategy the way the protocol does."""
     others = _dedupe(own, candidates)
-    if len(others) <= exhaustive_limit:
+    if len(others) <= EXHAUSTIVE_LIMIT:
         return best_combination(own, others)
     return greedy_combination(own, others)

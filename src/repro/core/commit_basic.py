@@ -9,7 +9,7 @@ read at position *k* compete for position *k*+1, exactly one wins, and the
 losers abort even when their operations do not conflict — the behaviour the
 paper identifies as *concurrency prevention*: "If two transactions try to
 commit to the same log position, one will be aborted, regardless of whether
-the two transactions access the same data items."  Under si/ssi the shared
+the two transactions access the same data items."  Under si the shared
 commit loop (:meth:`PaxosCommitBase.commit`) chases the log head instead.
 """
 

@@ -87,7 +87,7 @@ def enhanced_find_winning_val(
             member for entry in values.values() if entry.kind == "data"
             for member in entry
         ]
-        combined = combine(txn, candidates, config.combine_exhaustive_limit)
+        combined = combine(txn, candidates)
         if len(combined) > 1:
             return ValueDecision(
                 kind="value", value=LogEntry.combined(combined), combined=True

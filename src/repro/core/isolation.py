@@ -10,7 +10,11 @@ depends on the deployment's :data:`repro.config.IsolationLevel`:
     The paper's rule (§5): abort iff the transaction *read* an item a
     concurrent winner wrote — its reads would no longer be the latest
     writes before its commit position.  Blind write-write overlap is
-    harmless because the log order serializes it.
+    harmless because the log order serializes it.  This is the
+    write-snapshot isolation rule of A Critique of Snapshot Isolation
+    (arXiv:2405.18393), which checks read-write conflicts *instead of*
+    write-write ones and shows that rule alone is serializable; Paxos-CP's
+    promotion check enforces it.
 
 ``"si"``
     Snapshot isolation: reads are served from the start-timestamp snapshot
@@ -18,13 +22,6 @@ depends on the deployment's :data:`repro.config.IsolationLevel`:
     validation is *first-committer-wins* — abort iff the transaction
     *writes* an item a concurrent winner wrote.  Stale reads are allowed
     through, which is what admits write skew.
-
-``"ssi"``
-    Serializable SI: first-committer-wins **plus** the read-set/write-set
-    intersection of the 1SR rule.  This is the write-set-intersection cure
-    of arXiv:2405.18393 — it restores one-copy serializability without
-    serial execution, at the cost of aborting the stale readers SI lets
-    through.
 
 Queue sends ride in the transaction's durable entry under every level, so
 ``union_write_set`` (which includes send targets) is the right "what the
@@ -50,10 +47,10 @@ def conflict_abort_reason(
     committed in ``(txn.read_position, candidate commit position)`` — the
     snapshot-to-commit window.  The returned reason distinguishes the two
     failure modes so abort histograms stay meaningful across levels:
-    ``WRITE_CONFLICT`` is an SI/SSI first-committer-wins loss,
-    ``PROMOTION_CONFLICT`` is the (1SR/SSI) stale-read rejection.
+    ``WRITE_CONFLICT`` is an SI first-committer-wins loss,
+    ``PROMOTION_CONFLICT`` is the 1SR stale-read rejection.
     """
-    if isolation in ("si", "ssi") and txn.write_set & conflict_writes:
+    if isolation == "si" and txn.write_set & conflict_writes:
         return AbortReason.WRITE_CONFLICT
     if isolation != "si" and txn.read_set & conflict_writes:
         return AbortReason.PROMOTION_CONFLICT

@@ -102,12 +102,12 @@ class PaxosCommitBase:
         set, and the run's isolation predicate
         (:func:`~repro.core.isolation.conflict_abort_reason`) decides whether
         the transaction may still commit further on: §5's reads-from rule
-        under 1SR, first-committer-wins under SI, both under SSI.  Under
-        si/ssi every protocol chases the log head, because snapshot
-        validation is defined against the *final* commit position — giving
-        up at the first loss would make abort rates measure Paxos luck, not
-        isolation.  ``max_promotions`` caps the chase for every protocol, and
-        a move to the next position is reported as a promotion.
+        under 1SR, first-committer-wins under SI.  Under si every protocol
+        chases the log head, because snapshot validation is defined against
+        the *final* commit position — giving up at the first loss would make
+        abort rates measure Paxos luck, not isolation.  ``max_promotions``
+        caps the chase for every protocol, and a move to the next position
+        is reported as a promotion.
         """
         txn: Transaction = context.transaction
         isolation = self.client.isolation

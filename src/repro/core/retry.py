@@ -2,7 +2,7 @@
 
 "Sleep for random time period" (Algorithm 2) generalized to a capped
 exponential: attempt ``k`` sleeps ``uniform(0, min(retry_backoff_cap_ms,
-retry_backoff_ms * retry_multiplier**k))``.  The default cap equals the
+retry_backoff_ms * 2.0**k))``.  The default cap equals the
 base, so attempt 0 — and, at default settings, every attempt — draws the
 historic flat ``uniform(0, retry_backoff_ms)``; existing schedules are
 bit-identical until a config raises the cap.
@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def backoff_bound_ms(config: "ProtocolConfig", attempt: int) -> float:
     """Upper bound of the attempt-*k* backoff draw (deterministic part)."""
-    bound = config.retry_backoff_ms * (config.retry_multiplier ** attempt)
+    bound = config.retry_backoff_ms * (2.0 ** attempt)
     return min(config.retry_backoff_cap_ms, bound)
 
 

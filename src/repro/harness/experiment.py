@@ -38,10 +38,6 @@ from repro.workload.driver import WorkloadDriver
 class ExperimentSpec:
     """One cell of an experiment grid.
 
-    ``client_datacenter`` places the (single-instance) YCSB clients; when
-    ``None`` the first Virginia zone is used if the cluster has one, else
-    the first datacenter — the paper's load generator ran in Virginia.
-
     Construction checks the whole axis combination against the one
     compatibility table (:data:`repro.config.COMBINATION_RULES`), so a
     misconfigured cell raises :class:`~repro.errors.InvalidExperimentSpec`
@@ -56,10 +52,6 @@ class ExperimentSpec:
     protocol: ProtocolName = "paxos"
     per_datacenter_instances: bool = False
     check_invariants: bool = True
-    client_datacenter: str | None = None
-    #: A queue send counts as *stalled* when committed but unapplied past
-    #: this lag (the report surfaces stalls as their own condition).
-    queue_stall_threshold_ms: float = 1000.0
     #: ``False`` switches the drivers to aggregate-only mode: no
     #: per-transaction outcome lists, metrics built from streaming
     #: histograms (O(buckets) memory).  Incompatible with
@@ -103,13 +95,14 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
     spec that reaches this function already passed the compatibility table.
     """
     cluster = Cluster(replace(spec.cluster, seed=seed))
+    # A single client instance runs in the first Virginia zone if the
+    # cluster has one, else the first datacenter — the paper's load
+    # generator ran in Virginia.
+    virginia = [dc for dc in cluster.topology.names if dc.startswith("V")]
+    datacenter = virginia[0] if virginia else cluster.topology.names[0]
     if spec.workload.open_loop:
         from repro.workload.openloop import OpenLoopDriver
 
-        datacenter = spec.client_datacenter
-        if datacenter is None:
-            virginia = [dc for dc in cluster.topology.names if dc.startswith("V")]
-            datacenter = virginia[0] if virginia else cluster.topology.names[0]
         drivers = [OpenLoopDriver(
             cluster, spec.workload, spec.protocol, datacenter=datacenter,
             retain_outcomes=spec.retain_outcomes,
@@ -124,10 +117,6 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
             retain_outcomes=spec.retain_outcomes,
         )
     else:
-        datacenter = spec.client_datacenter
-        if datacenter is None:
-            virginia = [dc for dc in cluster.topology.names if dc.startswith("V")]
-            datacenter = virginia[0] if virginia else cluster.topology.names[0]
         drivers = [WorkloadDriver(cluster, spec.workload, spec.protocol,
                                   datacenter=datacenter,
                                   retain_outcomes=spec.retain_outcomes)]
@@ -189,10 +178,7 @@ def _finish_run(
         decisions = cluster.check_invariants_all(outcomes, logs=group_logs)
     queue = None
     if spec.workload.queue_fraction > 0:
-        queue = cluster.queue_stats(
-            group_logs, decisions,
-            stall_threshold_ms=spec.queue_stall_threshold_ms,
-        )
+        queue = cluster.queue_stats(group_logs, decisions)
     log = {
         (group, position): entry
         for group, group_log in group_logs.items()
@@ -220,7 +206,7 @@ def _finish_run(
     }
     # Under snapshot isolation check_invariants_all classified the MVSG
     # cycles; surface the per-kind counts on the run's metrics (empty dict
-    # under 1sr/ssi, and when invariants are off).
+    # under 1sr, and when invariants are off).
     metrics.anomalies = cluster.anomaly_counts()
     # Network drop counters by cause.
     net = cluster.network.stats

@@ -28,8 +28,8 @@ Either way :meth:`RowVersion.get` is at most two dict lookups (the changes,
 then the image), and a read at a timestamp is still one bisection over the
 row's versions.  Because every version is immutable and timestamped by log
 position, a read at a past timestamp is a consistent snapshot for free — the
-property the snapshot-isolation commit path (``isolation="si"``/``"ssi"``)
-leans on without any additions here.
+property the snapshot-isolation commit path (``isolation="si"``) leans on
+without any additions here.
 """
 
 from __future__ import annotations

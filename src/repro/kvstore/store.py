@@ -9,8 +9,8 @@ primitive is genuinely load-bearing in this reproduction, not decorative.
 :meth:`MultiVersionStore.read` at a timestamp is also the *snapshot read*
 every isolation level shares (``isolation`` axis, :mod:`repro.config`): a
 transaction pins its read position at begin and every read resolves against
-that prefix of versions.  1SR, SI, and SSI differ only in commit-time
-validation — none of them needs a different read primitive.
+that prefix of versions.  1SR and SI differ only in commit-time
+validation — neither needs a different read primitive.
 
 Each row is a list of :class:`~repro.kvstore.row.RowVersion` objects,
 oldest first.  A data row keeps every version, since its history is what a

@@ -45,8 +45,7 @@ class Placement:
 
     Every row key routes to exactly one group, stably: the same key always
     lands in the same group, independent of call order, process, or seed.
-    Group names are ``group-0`` … ``group-{n-1}`` (see
-    :class:`repro.config.PlacementConfig.group_prefix`).
+    Group names are ``group-0`` … ``group-{n-1}``.
 
     Transactions live entirely within one group — that is the paper's scope
     ("each transaction accesses only data from a single entity group") — so
@@ -70,7 +69,7 @@ class Placement:
         return self.config.n_groups
 
     def group_name(self, index: int) -> str:
-        return f"{self.config.group_prefix}{index}"
+        return f"group-{index}"
 
     def group_index(self, key: str) -> int:
         """The group index of row *key* (stable across calls and runs)."""
@@ -145,7 +144,7 @@ class AbortReason(enum.Enum):
     SERVICE_UNAVAILABLE = "service_unavailable"  # no service answered begin/read
     CROSS_GROUP = "cross_group"              # pinned txn touched another group
     PREPARE_FAILED = "prepare_failed"        # 2PC: a participant group's prepare lost
-    WRITE_CONFLICT = "write_conflict"        # SI/SSI: lost first-committer-wins
+    WRITE_CONFLICT = "write_conflict"        # SI: lost first-committer-wins
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

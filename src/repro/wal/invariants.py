@@ -458,9 +458,8 @@ def run_all_checks(
     ``decisions`` resolves 2PC prepare entries (gtid → committed); pass the
     post-recovery map when the run produced cross-group transactions.
 
-    ``isolation`` selects the replay obligation: ``"1sr"`` and ``"ssi"``
-    runs owe the full (L3) prefix-serializability replay (SSI's read-set
-    validation must re-earn it); ``"si"`` runs owe the weaker
+    ``isolation`` selects the replay obligation: ``"1sr"`` runs owe the
+    full (L3) prefix-serializability replay; ``"si"`` runs owe the weaker
     :func:`check_snapshot_reads` contract instead — stale reads inside the
     snapshot window are admitted by construction there, and the MVSG
     classifier names the anomalies they cause.

@@ -17,7 +17,7 @@ rather than a config default.
 
 The drivers are isolation-level agnostic: each thread's client inherits the
 cluster's ``isolation`` setting through :meth:`repro.cluster.Cluster.add_client`,
-so the same workload measures 1SR, SI, and SSI on identical seeds.
+so the same workload measures 1SR and SI on identical seeds.
 """
 
 from __future__ import annotations

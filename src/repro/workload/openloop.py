@@ -56,6 +56,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import TransactionClient
 
 
+#: Skew of logical-user popularity (YCSB's default theta).
+USER_ZIPFIAN_THETA = 0.99
+#: A diurnal trough's rate as a share of the mean rate.
+DIURNAL_TROUGH_FRACTION = 0.25
+#: A flash crowd's rate as a multiple of the base rate.
+FLASH_MULTIPLIER = 8.0
+
+
 # ----------------------------------------------------------------------
 # Arrival processes
 # ----------------------------------------------------------------------
@@ -169,13 +177,12 @@ def make_arrival_process(workload: WorkloadConfig,
         return PoissonArrivals(rate_per_ms)
     if workload.arrival == "diurnal":
         return DiurnalArrivals(
-            rate_per_ms, workload.diurnal_period_ms,
-            workload.diurnal_trough_fraction,
+            rate_per_ms, workload.diurnal_period_ms, DIURNAL_TROUGH_FRACTION,
         )
     if workload.arrival == "flash":
         return FlashCrowdArrivals(
             rate_per_ms, workload.flash_at_ms,
-            workload.flash_duration_ms, workload.flash_multiplier,
+            workload.flash_duration_ms, FLASH_MULTIPLIER,
         )
     raise ValueError(f"unknown arrival process {workload.arrival!r}")
 
@@ -324,8 +331,7 @@ class OpenLoopDriver:
         self._processes = []
         self._clients: "list[TransactionClient]" = []
         self.users = LogicalUserModel(
-            workload.n_users, workload.user_zipfian_theta,
-            workload.hot_shift_period_ms,
+            workload.n_users, USER_ZIPFIAN_THETA, workload.hot_shift_period_ms,
         )
         #: Shared data-layout oracle (no RNG use): row names, initial
         #: images, group routing.

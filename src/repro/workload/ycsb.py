@@ -130,7 +130,7 @@ class YcsbWorkload:
         if fixed_group is not None and not self.multi_group:
             raise ValueError("fixed_group needs a multi-group placement")
         self._zipf = (
-            ZipfianGenerator(config.n_attributes, config.zipfian_theta)
+            ZipfianGenerator(config.n_attributes)
             if config.distribution == "zipfian"
             else None
         )

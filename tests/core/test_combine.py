@@ -79,12 +79,12 @@ class TestDispatch:
         other = txn("o1", reads={"a": 0})
         # Exhaustive finds the [other, own] ordering; greedy (own first)
         # would drop other.
-        assert combine(own, [other], exhaustive_limit=4) == [other, own]
+        assert combine(own, [other]) == [other, own]
 
     def test_large_sets_use_greedy(self):
         own = txn("me", writes={"a": 1})
         others = [txn(f"o{i}", reads={"a": 0}) for i in range(6)]
-        result = combine(own, others, exhaustive_limit=4)
+        result = combine(own, others)
         # Greedy starts from [own]; every candidate reads own's write, so
         # none can follow it.
         assert result == [own]

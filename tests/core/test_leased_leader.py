@@ -199,9 +199,10 @@ class TestCrashRestartFailover:
         assert cluster.check_crash_amnesia() == []
 
     def test_no_commit_lands_inside_the_wait_out_window(self):
-        cluster = preloaded(retry_attempts=0)
+        # A 300 ms term ends the wait-out at 440 ms, inside the volley below.
+        lease_ms = 300.0
+        cluster = preloaded(retry_attempts=0, lease_ms=lease_ms)
         home = cluster.home_dc
-        lease_ms = cluster.services[home].config.lease_ms
         injector = FailureInjector(cluster)
         injector.crash(home, start_ms=40.0, restart_after_ms=100.0)
         outcomes = []
@@ -230,4 +231,7 @@ class TestCrashRestartFailover:
                 assert outcome.end_time >= serve_after
             else:
                 assert outcome.abort_reason is AbortReason.SERVICE_UNAVAILABLE
+        # The term is what the restarted leader waits out: attempts inside
+        # it are refused, and the ones after it commit.
+        assert {outcome.committed for outcome in outcomes} == {True, False}
         cluster.check_invariants(GROUP, outcomes)

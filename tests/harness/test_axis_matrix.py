@@ -20,6 +20,7 @@ from repro.config import (
     ClusterConfig,
     CrashWindow,
     FaultScheduleConfig,
+    OutageWindow,
     PlacementConfig,
     WorkloadConfig,
 )
@@ -36,10 +37,11 @@ MIXES = {
 FAULTS = {
     "no-fault": FaultScheduleConfig(),
     "crash": FaultScheduleConfig(crashes=(CrashWindow("V3", 60.0, 150.0),)),
+    "outage": FaultScheduleConfig(outages=(OutageWindow("V3", 60.0, 150.0),)),
 }
 CELLS = list(itertools.product(
     ("paxos", "paxos-cp", "leased-leader"),
-    ("1sr", "si", "ssi"),
+    ("1sr", "si"),
     MIXES,
     ("closed", "open"),
     (1, 2),

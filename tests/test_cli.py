@@ -106,7 +106,7 @@ class TestIsolationFlag:
 
     def test_si_rejects_queue_and_cross_group_traffic(self):
         with pytest.raises(SystemExit, match="single-group"):
-            main(["run", "--isolation", "ssi", "--groups", "2",
+            main(["run", "--isolation", "si", "--groups", "2",
                   "--cross-group-fraction", "0.2", "--transactions", "2"])
         with pytest.raises(SystemExit, match="single-group"):
             main(["run", "--isolation", "si", "--groups", "2",
@@ -122,16 +122,6 @@ class TestIsolationFlag:
         assert code == 0
         assert "first-committer-wins: OK" in out
         assert "classified anomalies (expected under si):" in out
-
-    def test_check_ssi_keeps_full_oracle(self, capsys):
-        code = main([
-            "check", "--transactions", "20", "--threads", "4", "--rate", "10",
-            "--ops", "4", "--attributes", "4", "--protocol", "paxos",
-            "--isolation", "ssi",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "MVSG 1SR: OK" in out
 
 
 class TestOpenLoopGuards:

@@ -1,8 +1,20 @@
 """Tests for configuration dataclasses and the exception hierarchy."""
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from repro.config import ClusterConfig, ProtocolConfig, StoreConfig, WorkloadConfig
+from repro.config import (
+    ClusterConfig,
+    FaultScheduleConfig,
+    PlacementConfig,
+    ProtocolConfig,
+    StoreConfig,
+    WorkloadConfig,
+)
+from repro.harness.experiment import ExperimentSpec
 from repro.errors import (
     CheckFailed,
     NotOneCopySerializable,
@@ -59,6 +71,42 @@ class TestWorkloadConfig:
         assert workload.n_attributes == 100
         assert workload.n_threads == 4
         assert workload.target_rate_per_thread == 1.0
+
+
+REPO = Path(__file__).resolve().parent.parent
+#: Where a setting can be set: the tests, benchmarks and examples, the CLI,
+#: and the harness that builds specs.
+SETTERS = ("tests", "benchmarks", "examples", "src/repro/cli.py", "src/repro/harness")
+
+
+def names_ever_set() -> set[str]:
+    """Every keyword-argument name and every string dict key in SETTERS: a
+    field is set by keyword, by ``replace(..., field=...)``, or through a
+    ``**`` dict of overrides."""
+    names: set[str] = set()
+    for setter in SETTERS:
+        root = REPO / setter
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.keyword) and node.arg is not None:
+                    names.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    names.update(
+                        key.value for key in node.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    )
+    return names
+
+
+@pytest.mark.parametrize("config", [
+    ClusterConfig, ProtocolConfig, WorkloadConfig, PlacementConfig,
+    FaultScheduleConfig, StoreConfig, ExperimentSpec,
+], ids=lambda config: config.__name__)
+def test_every_config_field_is_set_somewhere(config):
+    """A setting nothing ever sets is a constant: it belongs, as one, at the
+    place that reads it."""
+    unset = sorted({field.name for field in fields(config)} - names_ever_set())
+    assert not unset, f"{config.__name__} fields nothing sets: {unset}"
 
 
 class TestErrors:
