@@ -12,21 +12,16 @@ This package provides:
   item), with a constructor that derives the history of a finished run from
   the replicated write-ahead log;
 * :mod:`repro.serializability.graph` — the multi-version serialization
-  graph (MVSG) of Bernstein/Hadzilacos/Goodman, twice: the *chained* graph
+  graph (MVSG) of Bernstein/Hadzilacos/Goodman as a *chained* graph
   (:class:`ChainedMVSG`, O(reads + versions) edges, same reachability,
-  flat integer arrays) that every pass/fail check runs on, and the
-  explicit labelled graph (:func:`build_mvsg`, ``networkx``, one edge per
-  read × other version) that the anomaly classifier and the tests'
-  reference comparisons need;
+  flat integer arrays) that every check runs on, plus the definition's
+  labelled edges among a given set of transactions for the anomaly
+  classifier;
 * :mod:`repro.serializability.checker` — the polynomial MVSG acyclicity
   test for a *given* version order (the log order supplies one), an exact
   brute-force decision procedure for small histories (used to validate the
   graph test property-based), an equivalent-serial-order extractor, and
   the anomaly classifier of the snapshot-isolation axis.
-
-``networkx`` is imported only where the explicit graph is built, so
-importing this package — and running any one-copy-serializable cell —
-never loads it.
 
 The integration tests cross-check the log-replay invariant
 (:func:`repro.wal.invariants.check_l3_prefix_serializable`) against the MVSG
@@ -38,7 +33,7 @@ from repro.serializability.checker import (
     equivalent_serial_order,
     is_one_copy_serializable,
 )
-from repro.serializability.graph import ChainedMVSG, build_mvsg, find_cycle
+from repro.serializability.graph import ChainedMVSG
 from repro.serializability.history import HistoryTxn, MVHistory
 
 __all__ = [
@@ -46,8 +41,6 @@ __all__ = [
     "HistoryTxn",
     "MVHistory",
     "brute_force_one_copy_serializable",
-    "build_mvsg",
     "equivalent_serial_order",
-    "find_cycle",
     "is_one_copy_serializable",
 ]

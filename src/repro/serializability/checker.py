@@ -1,6 +1,6 @@
 """Deciding one-copy serializability.
 
-Three procedures:
+The procedures:
 
 * :func:`is_one_copy_serializable` — the polynomial MVSG acyclicity test for
   the history's given version order.  Sound (acyclic ⇒ 1SR).  For version
@@ -30,7 +30,8 @@ Three procedures:
   history using the taxonomy of "A Critique of Snapshot Isolation"
   (arXiv:2405.18393) — *write skew* (a mutual anti-dependency pair),
   *read-only anomaly* (a cycle through a read-only transaction), *other*
-  (any remaining cycle).
+  (any remaining cycle).  It runs on the same chained graph as the
+  pass/fail test.
 """
 
 from __future__ import annotations
@@ -39,20 +40,12 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.core.queues import StreamSend, enumerate_sends
-from repro.serializability.graph import (
-    ChainedMVSG,
-    EdgeLabels,
-    build_mvsg,
-    find_cycle,
-)
+from repro.serializability.graph import ChainedMVSG, EdgeLabels, labelled_edges
 from repro.serializability.history import INITIAL, HistoryTxn, MVHistory, serial_reads_from
 from repro.wal.entry import LogEntry
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
 
 
 def is_one_copy_serializable(history: MVHistory) -> tuple[bool, list[str] | None]:
@@ -100,38 +93,39 @@ class AnomalyReport:
         return dict(sorted(tally.items()))
 
 
-def _shortest_cycle_through(graph: nx.DiGraph, node: str) -> tuple[str, ...]:
+def _shortest_cycle_through(edges: EdgeLabels, node: str) -> tuple[str, ...]:
     """The shortest cycle through *node*, as a node tuple starting at it.
 
-    *node* must lie in a non-trivial strongly connected component of
-    *graph*.  Successors are scanned in sorted order and ties break on the
-    path tuple itself, so the result is deterministic for a given history.
+    Ties go to the lexicographically least tuple: with every node's distance
+    back to *node* (a breadth-first search over reversed *edges*), the walk
+    from *node* takes at each hop the least successor still on a shortest
+    way back.  Every node of *edges* must reach *node*.
     """
-    import networkx as nx
-
-    best: tuple[tuple[int, tuple[str, ...]], tuple[str, ...]] | None = None
-    for successor in sorted(graph.successors(node)):
-        try:
-            path = nx.shortest_path(graph, successor, node)
-        except nx.NetworkXNoPath:  # pragma: no cover - SCC guarantees a path
-            continue
-        candidate = (node, *path[:-1])
-        key = (len(candidate), candidate)
-        if best is None or key < best[0]:
-            best = (key, candidate)
-    assert best is not None, f"{node} is not on any cycle"
-    return best[1]
+    distance = {node: 0}
+    frontier = {node}
+    hops = 0
+    while frontier:
+        hops += 1
+        frontier = {u for u, v in edges if v in frontier and u not in distance}
+        distance.update(dict.fromkeys(frontier, hops))
+    cycle = [node]
+    remaining = min(distance[v] for u, v in edges if u == node)
+    while remaining:
+        cycle.append(min(
+            v for u, v in edges if u == cycle[-1] and distance[v] == remaining
+        ))
+        remaining -= 1
+    return tuple(cycle)
 
 
 def classify_anomalies(history: MVHistory) -> AnomalyReport:
     """Name every non-serializable phenomenon in *history*.
 
-    Asks the cheap question first: a history that passes the chained MVSG
-    test has nothing to classify and never builds the explicit graph (nor
-    loads ``networkx``).  Otherwise builds the labelled explicit MVSG once
-    and walks its non-trivial strongly connected components (every cycle
-    lives in exactly one, and the initial transaction ``⊥`` never does — it
-    has no in-edges).  Per component, in deterministic order:
+    Every cycle lies in one strongly connected component of the MVSG: the
+    chained graph finds the components (none *is* the pass verdict of
+    :func:`is_one_copy_serializable`), and the labelled edges are built only
+    among each one's members.  The initial transaction ``⊥`` is never a
+    member — it has no in-edges.  Per component, in deterministic order:
 
     * every mutual anti-dependency pair — both edges justified by ``rw``
       labels — is a **write skew**: each transaction overwrote an item the
@@ -139,42 +133,21 @@ def classify_anomalies(history: MVHistory) -> AnomalyReport:
     * every read-only member is a **read-only anomaly**: the component's
       writers could be serialized, but this reader observed a snapshot no
       serial order of them explains (Fekete et al.'s surprise, via
-      arXiv:2405.18393);
-    * a component explained by neither yields one **other** anomaly
-      carrying a concrete cycle.
-
-    An empty report *is* the MVSG pass verdict:
-    ``classify_anomalies(h).serializable`` agrees with
-    :func:`is_one_copy_serializable` by construction.
+      arXiv:2405.18393), shown by the shortest cycle through it;
+    * a component explained by neither yields one **other** anomaly, shown
+      by the shortest cycle through its least member.
     """
-    ok, _cycle = is_one_copy_serializable(history)
-    if ok:
-        return AnomalyReport(anomalies=())
-    import networkx as nx
-
-    labels: EdgeLabels = {}
-    graph = build_mvsg(history, labels=labels)
+    history.validate()
     anomalies: list[Anomaly] = []
-    components = [
-        component
-        for component in nx.strongly_connected_components(graph)
-        if len(component) > 1
-    ]
-    for component in sorted(components, key=lambda nodes: min(nodes)):
-        subgraph = graph.subgraph(component)
+    components = sorted(ChainedMVSG(history).strongly_connected_components(), key=min)
+    for component, labels in zip(components, labelled_edges(history, components)):
         explained = False
         mutual_pairs = sorted({
-            tuple(sorted((u, v)))
-            for u, v in subgraph.edges
-            if subgraph.has_edge(v, u)
+            tuple(sorted((u, v))) for u, v in labels if (v, u) in labels
         })
         for a, b in mutual_pairs:
-            forward = sorted(
-                item for kind, item in labels.get((a, b), ()) if kind == "rw"
-            )
-            backward = sorted(
-                item for kind, item in labels.get((b, a), ()) if kind == "rw"
-            )
+            forward = sorted(item for kind, item in labels[(a, b)] if kind == "rw")
+            backward = sorted(item for kind, item in labels[(b, a)] if kind == "rw")
             if forward and backward:
                 explained = True
                 anomalies.append(Anomaly(
@@ -187,10 +160,9 @@ def classify_anomalies(history: MVHistory) -> AnomalyReport:
                     ),
                 ))
         for tid in sorted(component):
-            txn = history.transactions.get(tid)
-            if txn is None or txn.writes:
+            if history.transactions[tid].writes:
                 continue
-            cycle = _shortest_cycle_through(subgraph, tid)
+            cycle = _shortest_cycle_through(labels, tid)
             explained = True
             anomalies.append(Anomaly(
                 kind="read_only_anomaly",
@@ -202,7 +174,7 @@ def classify_anomalies(history: MVHistory) -> AnomalyReport:
                 ),
             ))
         if not explained:
-            cycle = tuple(find_cycle(subgraph) or sorted(component))
+            cycle = _shortest_cycle_through(labels, min(component))
             anomalies.append(Anomaly(
                 kind="other",
                 cycle=cycle,

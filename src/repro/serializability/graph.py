@@ -14,49 +14,32 @@ item (written by ``t_b``, with ``t_a``, ``t_b``, ``t_r`` distinct):
 order; acyclicity for a *given* order is sufficient.  Our system's log
 positions supply the version order, so the polynomial test applies.
 
-Two builders, two jobs:
-
-* :class:`ChainedMVSG` — what the pass/fail oracle and the serial-order
-  extractor run on.  Taken literally the definition costs one edge per
-  (read, other version) pair — Θ(reads × versions) on a hot item — yet "is
-  there a cycle?" only depends on reachability.  The chained graph keeps
-  the transaction nodes and replaces each item's order edges by two forward
-  chains of auxiliary nodes, O(reads + versions) edges in all, such that a
-  path between two transactions exists iff the MVSG has one.  No
-  ``networkx`` and no object per node: a transaction's successors are one
-  ``array`` of node ids, an auxiliary node is one integer in a flat
-  ``array`` from which the search derives its at most two successors.
-* :func:`build_mvsg` — the explicit graph with per-edge provenance, built
-  with ``networkx``.  Its one production caller is the anomaly classifier
-  (a cycle is *write skew* exactly when its hops carry ``rw`` labels, which
-  only the explicit edge set can say); the tests use it as the reference
-  the chained graph is checked against.  ``networkx`` is imported where the
-  explicit graph is built, so a run that never classifies never loads it.
+Taken literally the definition costs one edge per (read, other version)
+pair — Θ(reads × versions) on a hot item — yet whether a cycle exists, and
+which transactions share one, only depends on reachability.
+:class:`ChainedMVSG` keeps the transaction nodes and replaces each item's
+order edges by two forward chains of auxiliary nodes, O(reads + versions)
+edges in all, such that a path between two transactions exists iff the
+MVSG has one.  No object per node: a transaction's successors are one
+``array`` of node ids, an auxiliary node is one integer in a flat ``array``
+from which a search derives its at most two successors.  The pass/fail
+oracle, the serial-order extractor and the anomaly classifier's strongly
+connected components all run on it.  Only inside a component does the
+classifier need the edges themselves, and *why* each exists:
+:func:`labelled_edges` spells them out from the definition.
 
 The imaginary initial transaction (writer ``None``) participates as the
 oldest version of every item.  It only ever has *out*-edges, so it lies on
-no cycle: the explicit graph carries it as the sentinel node ``"⊥"``, the
-chained graph leaves it out.
+no cycle: the chained graph leaves it out, and no component holds it.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, NamedTuple
+from typing import Collection, NamedTuple, Sequence
 
 from repro.errors import HistoryError
 from repro.serializability.history import INITIAL, MVHistory
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
-
-#: Graph node standing for the imaginary writer of all initial versions.
-INITIAL_NODE = "⊥"
-
-
-def _node(tid: str | None) -> str:
-    return INITIAL_NODE if tid is INITIAL else tid
-
 
 #: Why an MVSG edge exists: ``"wr"`` reads-from (writer → reader), ``"ww"``
 #: version order (earlier writer → later writer), ``"rw"`` anti-dependency
@@ -122,7 +105,7 @@ class ChainedMVSG:
        item gets ``ww`` edges from the other earlier writers instead of
        ``B_a → w_a``.
 
-    The verdict is therefore identical to the explicit graph's for every
+    The verdict is therefore identical to the MVSG's for every
     history, not only log-ordered ones.
 
     Storage: only transaction nodes hold successors, one ``array`` each
@@ -279,76 +262,119 @@ class ChainedMVSG:
         finished.reverse()
         return None, [tids[node] for node in finished]
 
+    def strongly_connected_components(self) -> list[list[str]]:
+        """The transactions of each strongly connected component that holds
+        two or more; none iff the MVSG is acyclic.
 
-def build_mvsg(history: MVHistory, labels: EdgeLabels | None = None) -> nx.DiGraph:
-    """Build the explicit MVSG(H, <<) for the history's own version order.
+        One iterative Tarjan search, auxiliary nodes decoded as in
+        :meth:`cycle_or_order` and dropped from the output.  Paths between
+        transactions are exactly the MVSG's, so these are the MVSG's
+        components with a cycle.  Roots are tried in insertion order.
+        """
+        tids, successors, codes = self.tids, self.successors, self.codes
+        n_txns = len(tids)
+        # A node's visit number, -1 before its visit and ``done`` once its
+        # component is out (so it lowers no one's ``low``).
+        done = len(codes)
+        index = [-1] * done
+        low = [0] * done
+        stack: list[int] = []
+        components: list[list[str]] = []
+        visited = 0
+        for root in range(n_txns):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = visited
+            visited += 1
+            stack.append(root)
+            path = [root]
+            pending = [iter(successors[root])]
+            while path:
+                node = path[-1]
+                for child in pending[-1]:
+                    if index[child] < 0:
+                        index[child] = low[child] = visited
+                        visited += 1
+                        stack.append(child)
+                        path.append(child)
+                        if child < n_txns:
+                            pending.append(iter(successors[child]))
+                            break
+                        code = codes[child]
+                        if code & _TO_WRITER:
+                            if not code & _LINKED:
+                                chained = (code >> _WRITER_SHIFT,)
+                            elif code & _BEFORE:
+                                chained = (child + 1, code >> _WRITER_SHIFT)
+                            else:
+                                chained = (code >> _WRITER_SHIFT, child + 1)
+                        else:
+                            chained = (child + 1,) if code & _LINKED else ()
+                        pending.append(iter(chained))
+                        break
+                    if index[child] < low[node]:
+                        low[node] = index[child]
+                else:
+                    pending.pop()
+                    path.pop()
+                    if path and low[node] < low[path[-1]]:
+                        low[path[-1]] = low[node]
+                    if low[node] < index[node]:
+                        continue
+                    members = []
+                    while True:
+                        member = stack.pop()
+                        index[member] = done
+                        if member < n_txns:
+                            members.append(tids[member])
+                        if member == node:
+                            break
+                    if len(members) > 1:
+                        components.append(members)
+        return components
 
-    One edge per (read, other version) pair, straight from the definition:
-    Θ(reads × versions) on a hot item, which is why the pass/fail oracle
-    runs on :class:`ChainedMVSG` instead.  This form stays for the anomaly
-    classifier, which needs to know *why* each edge exists, and as the
-    reference implementation in the tests.
 
-    Pass a *labels* dict to record why each edge exists (kind and item, see
-    :data:`EdgeLabels`).
+def labelled_edges(
+    history: MVHistory, components: Sequence[Collection[str]]
+) -> list[EdgeLabels]:
+    """The MVSG edges inside each of *components*, each with why it exists.
+
+    The definition's ``wr``, ``ww`` and ``rw`` edges (module docstring),
+    kept where both ends lie in the same component; one pass over the
+    valid *history*'s version orders and reads, plus one step per edge
+    found.
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_node(INITIAL_NODE)
-    for tid in history.transactions:
-        graph.add_node(tid)
-
-    def label(u: str, v: str, kind: EdgeKind, item) -> None:
-        if labels is not None and u != v:
-            labels.setdefault((u, v), set()).add((kind, item))
-
-    # {item: {writer: version index}}, the initial version at index 0.
-    index_of: dict[object, dict[str | None, int]] = {}
-
-    def item_table(item) -> dict[str | None, int]:
-        table = index_of.get(item)
-        if table is None:
-            table = {INITIAL: 0}
-            for index, tid in enumerate(history.version_order.get(item, []), start=1):
-                table[tid] = index
-            index_of[item] = table
-        return table
-
-    for reader in history.transactions.values():
-        reader_tid = reader.tid
-        for item, writer in reader.reads:
-            table = item_table(item)
-            read_version = table.get(writer)
-            if read_version is None:
-                raise HistoryError(f"{writer} is not a writer of {item}")
-            # Reads-from edge: the writer precedes the reader.
-            writer_node = _node(writer)
-            if writer_node != reader_tid:
-                graph.add_edge(writer_node, reader_tid)
-                label(writer_node, reader_tid, "wr", item)
-            # Order edges against every other version of the item.
-            for other, other_version in table.items():
-                if other == writer or other == reader_tid:
-                    # A reader that also writes the item reads its own or an
-                    # earlier version; self-edges are meaningless.
-                    continue
-                if other_version < read_version:
-                    graph.add_edge(_node(other), writer_node)
-                    label(_node(other), writer_node, "ww", item)
-                elif other_version > read_version:
-                    graph.add_edge(reader_tid, _node(other))
-                    label(reader_tid, _node(other), "rw", item)
-    graph.remove_edges_from(nx.selfloop_edges(graph))
-    return graph
-
-
-def find_cycle(graph: nx.DiGraph) -> list[str] | None:
-    """A cycle in the explicit *graph* as a node list, or ``None`` if acyclic."""
-    import networkx as nx
-
-    try:
-        edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in edges]
+    component_of = {tid: c for c, members in enumerate(components) for tid in members}
+    labels: list[EdgeLabels] = [{} for _ in components]
+    version_of: dict[object, dict[str | None, int]] = {}
+    # {item: {component: [(version, member writer), ...]}}
+    member_versions: dict[object, dict[int, list[tuple[int, str]]]] = {}
+    for item, order in history.version_order.items():
+        version_of[item] = table = {INITIAL: 0}
+        for version, tid in enumerate(order, start=1):
+            table[tid] = version
+            if tid in component_of:
+                member_versions.setdefault(item, {}).setdefault(
+                    component_of[tid], []
+                ).append((version, tid))
+    for reader, txn in history.transactions.items():
+        ours = component_of.get(reader)
+        for item, writer in txn.reads:
+            versions = member_versions.get(item)
+            if versions is None:
+                continue
+            read_version = version_of[item][writer]
+            theirs = component_of.get(writer)
+            if theirs is not None:
+                edges = labels[theirs]
+                if theirs == ours and writer != reader:
+                    edges.setdefault((writer, reader), set()).add(("wr", item))
+                for version, other in versions.get(theirs, ()):
+                    if version < read_version and other != reader:
+                        edges.setdefault((other, writer), set()).add(("ww", item))
+            if ours is not None:
+                edges = labels[ours]
+                for version, other in versions.get(ours, ()):
+                    if version > read_version and other != reader:
+                        edges.setdefault((reader, other), set()).add(("rw", item))
+    return labels

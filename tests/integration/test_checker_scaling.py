@@ -10,9 +10,10 @@ a tier-1 guard, not a timing benchmark.
 
 from __future__ import annotations
 
-from repro.serializability.graph import ChainedMVSG, build_mvsg
+from repro.serializability.graph import ChainedMVSG
 from repro.serializability.history import MVHistory
 from tests.helpers import fig7_history_inputs
+from tests.serializability.explicit_mvsg import build_mvsg
 
 
 def edges_per_committed_txn(n_transactions: int) -> tuple[float, float, int]:

@@ -17,6 +17,10 @@ from repro.serializability.history import HistoryTxn, MVHistory
 X = ("row0", "x")
 Y = ("row0", "y")
 Z = ("row0", "z")
+P = ("row1", "p")
+Q = ("row1", "q")
+S = ("row1", "s")
+T = ("row1", "t")
 
 
 def history_of(*txns):
@@ -92,6 +96,25 @@ class TestReadOnlyAnomaly:
         assert "t3 wrote nothing" in anomaly.description
         assert "t3 -> t2 -> t1 -> t3" in anomaly.description
 
+    def test_equal_length_cycles_pick_the_least(self):
+        # t0 misses t1's write of x but sees t3's and t2's writes, each
+        # made after reading one of t1's: two 3-cycles through the reader,
+        # t0 -> t1 -> t3 -> t0 and t0 -> t1 -> t2 -> t0.  The least one is
+        # reported, whatever order the transactions were added in.
+        history = history_of(
+            HistoryTxn("t0", reads=((X, None), (S, "t3"), (T, "t2"))),
+            HistoryTxn("t1", writes=(X, P, Q)),
+            HistoryTxn("t3", reads=((P, "t1"),), writes=(S,)),
+            HistoryTxn("t2", reads=((Q, "t1"),), writes=(T,)),
+        )
+        (anomaly,) = classify_anomalies(history).anomalies
+        assert anomaly.kind == "read_only_anomaly"
+        assert anomaly.cycle == ("t0", "t1", "t2")
+        assert anomaly.description == (
+            "read-only anomaly: t0 wrote nothing yet observed a snapshot no "
+            "serial order explains (cycle t0 -> t1 -> t2 -> t0)"
+        )
+
 
 class TestOtherCycles:
     def test_three_way_skew_falls_back_to_other(self):
@@ -105,7 +128,12 @@ class TestOtherCycles:
         report = classify_anomalies(history)
         assert report.counts() == {"other": 1}
         (anomaly,) = report.anomalies
-        assert "no named pattern" in anomaly.description
+        # The shortest cycle through the component's least member.
+        assert anomaly.cycle == ("t1", "t3", "t2")
+        assert anomaly.description == (
+            "non-serializable cycle with no named pattern: "
+            "t1 -> t3 -> t2 -> t1"
+        )
 
 
 class TestAgreementWithPassFailChecker:

@@ -22,8 +22,13 @@ from repro.serializability.checker import (
     equivalent_serial_order,
     is_one_copy_serializable,
 )
-from repro.serializability.graph import INITIAL_NODE, build_mvsg, find_cycle
 from repro.serializability.history import HistoryTxn, MVHistory, serial_reads_from
+from tests.serializability.explicit_mvsg import (
+    INITIAL_NODE,
+    assert_classifier_matches_reference,
+    build_mvsg,
+    find_cycle,
+)
 
 ITEMS = [("row0", "a"), ("row0", "b"), ("row0", "c")]
 
@@ -162,8 +167,11 @@ def arbitrary_histories(draw):
 def test_chained_graph_agrees_with_explicit_graph(history):
     """Same verdict as ``find_cycle(build_mvsg(h))`` on every history, and
     both witnesses — the cycle and the serial order — hold in the explicit
-    graph."""
-    explicit = build_mvsg(history)
+    graph.  The anomaly classifier, which runs on the chained graph, agrees
+    with its explicit-graph reference."""
+    labels: dict = {}
+    explicit = build_mvsg(history, labels=labels)
+    assert_classifier_matches_reference(history, explicit, labels)
     ok, cycle = is_one_copy_serializable(history)
     assert ok == (find_cycle(explicit) is None)
     if not ok:

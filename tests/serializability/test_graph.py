@@ -1,17 +1,13 @@
-"""Tests for MVSG construction details: the explicit labelled graph and
-the chained graph the pass/fail oracle runs on."""
+"""Tests for MVSG construction details: the explicit reference graph and
+the chained graph every check runs on."""
 
 from repro.serializability.checker import (
     equivalent_serial_order,
     is_one_copy_serializable,
 )
-from repro.serializability.graph import (
-    INITIAL_NODE,
-    ChainedMVSG,
-    build_mvsg,
-    find_cycle,
-)
+from repro.serializability.graph import ChainedMVSG
 from repro.serializability.history import HistoryTxn, MVHistory
+from tests.serializability.explicit_mvsg import INITIAL_NODE, build_mvsg, find_cycle
 
 A = ("row0", "a")
 B = ("row0", "b")

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _spec_from_args, build_parser, main
+from repro.config import (
+    CrashWindow,
+    FaultProfile,
+    FaultScheduleConfig,
+    LossWindow,
+    OutageWindow,
+    PartitionWindow,
+    PumpCrash,
+)
 
 
 class TestParser:
@@ -21,6 +30,84 @@ class TestParser:
     def test_protocol_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--protocol", "2pc"])
+
+
+def faults_of(*argv: str) -> FaultScheduleConfig:
+    """The fault schedule ``repro run`` builds from *argv*."""
+    return _spec_from_args(build_parser().parse_args(["run", *argv])).cluster.faults
+
+
+class TestFaultFlags:
+    QUEUES = ("--groups", "2", "--queue-fraction", "0.2")
+
+    def test_no_flags_no_faults(self):
+        assert faults_of() == FaultScheduleConfig()
+
+    def test_outage(self):
+        assert faults_of("--outage", "V1:100:50.5") == FaultScheduleConfig(
+            outages=(OutageWindow("V1", 100.0, 50.5),)
+        )
+
+    def test_partition(self):
+        assert faults_of("--partition", "V1:V2:10:20") == FaultScheduleConfig(
+            partitions=(PartitionWindow("V1", "V2", 10.0, 20.0),)
+        )
+
+    def test_loss_episode(self):
+        assert faults_of("--loss-episode", "0.3:5:6") == FaultScheduleConfig(
+            loss_windows=(LossWindow(0.3, 5.0, 6.0),)
+        )
+
+    def test_crash(self):
+        assert faults_of("--crash", "V2:100:400") == FaultScheduleConfig(
+            crashes=(CrashWindow("V2", 100.0, 400.0),)
+        )
+
+    def test_repeated_flags_keep_their_order(self):
+        assert faults_of(
+            "--outage", "V2:5:1", "--outage", "V1:1:2",
+        ).outages == (OutageWindow("V2", 5.0, 1.0), OutageWindow("V1", 1.0, 2.0))
+
+    @pytest.mark.parametrize("value, crash", [
+        ("g1:300", PumpCrash("g1", 300.0)),
+        ("g1:300:900", PumpCrash("g1", 300.0, restart_ms=900.0)),
+        ("g1:300:900:25", PumpCrash("g1", 300.0, restart_ms=900.0,
+                                    restart_poll_ms=25.0)),
+    ])
+    def test_pump_crash_fields(self, value, crash):
+        assert faults_of(*self.QUEUES, "--pump-crash", value) == (
+            FaultScheduleConfig(pump_crashes=(crash,))
+        )
+
+    def test_fault_profile(self):
+        assert faults_of("--fault-profile", "1000:200:5000") == FaultScheduleConfig(
+            profile=FaultProfile(mttf_ms=1000.0, mttr_ms=200.0, horizon_ms=5000.0)
+        )
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--outage", "V1:100", "--outage expects 3 colon-separated fields"),
+        ("--partition", "V1:V2:10", "--partition expects 4 colon-separated fields"),
+        ("--loss-episode", "0.3:5:6:7",
+         "--loss-episode expects 3 colon-separated fields"),
+        ("--crash", "V1:100:400:1", "--crash expects 3 colon-separated fields"),
+        ("--pump-crash", "g1", "--pump-crash expects 2-4 colon-separated fields"),
+        ("--pump-crash", "g1:1:2:3:4",
+         "--pump-crash expects 2-4 colon-separated fields"),
+        ("--fault-profile", "1000:200",
+         "--fault-profile expects 3 colon-separated fields"),
+        ("--outage", "V1:soon:50", "--outage: 'soon' is not a number"),
+        ("--partition", "V1:V2:10:long", "--partition: 'long' is not a number"),
+        ("--loss-episode", "half:5:6", "--loss-episode: 'half' is not a number"),
+        ("--crash", "V1:100:never", "--crash: 'never' is not a number"),
+        ("--pump-crash", "g1:300:later", "--pump-crash: 'later' is not a number"),
+        ("--fault-profile", "1000:x:5000", "--fault-profile: 'x' is not a number"),
+    ])
+    def test_malformed_value_exits_with_the_parser_message(self, flag, value, message):
+        with pytest.raises(SystemExit) as exit_info:
+            faults_of(*self.QUEUES, flag, value)
+        assert exit_info.value.code == f"error: {message}" + (
+            f", got {value!r}" if "fields" in message else ""
+        )
 
 
 class TestRunCommand:
@@ -150,8 +237,8 @@ class TestCheckCommand:
         assert code == 0
 
     def test_one_copy_check_never_imports_networkx(self):
-        """Only the anomaly classifier needs the explicit ``networkx`` graph;
-        a 1SR run and its MVSG check must not pay its import, which costs
+        """``networkx`` is the tests' reference oracle, not a dependency: a
+        1SR run and its MVSG check must not pay its import, which costs
         about as much as the rest of ``import repro.cluster``."""
         script = (
             "import sys\n"
@@ -168,6 +255,27 @@ class TestCheckCommand:
         )
         assert child.returncode == 0, child.stderr
         assert "MVSG 1SR: OK" in child.stdout
+
+    def test_si_check_classifies_without_networkx(self):
+        """The anomaly classifier runs on the chained graph: with
+        ``networkx`` unimportable an ``si`` check still names its write
+        skew."""
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from repro.cli import main\n"
+            "code = main(['check', '--isolation', 'si', '--protocol', 'paxos',\n"
+            "             '--transactions', '60', '--threads', '8', '--rate', '10',\n"
+            "             '--ops', '4', '--attributes', '4'])\n"
+            "assert code == 0, code\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            cwd=Path(__file__).resolve().parents[1] / "src",
+        )
+        assert child.returncode == 0, child.stderr
+        assert "write_skew" in child.stdout
 
 
 class TestFigureCommand:
