@@ -70,12 +70,16 @@ def main() -> None:
     print(f"\n{len(commits)}/{N_TRANSFERS} transfers committed "
           f"(each one single-group: no prepare round, no blocking window)")
 
-    # The full obligation: per-group §3 invariants, global 1SR over the
-    # merged history, and the queue-delivery invariant — every committed
-    # send applied exactly once at group-1, in send order (the drain inside
-    # completes anything the pump had not delivered when the run ended).
-    cluster.check_invariants_all(outcomes)
-    stats = cluster.queue_stats()
+    # The full obligation, raising InvariantViolation on any failure:
+    # per-group §3 invariants, the queue-delivery invariant — every
+    # committed send applied exactly once at group-1, in send order (the
+    # drain inside completes anything the pump had not delivered when the
+    # run ended) — and each group's MVSG test: queue applies are
+    # transactions of their receiver alone, so the groups share none.
+    logs = cluster.finalize_all()
+    decisions = cluster.check_invariants_all(outcomes, logs)
+    stats = cluster.queue_stats(logs, decisions)
+    assert stats.applied_online + stats.drained_offline == stats.sends == len(commits)
     print(f"queue: {stats.applied_online} applied online, "
           f"{stats.drained_offline} by the offline drain, "
           f"mean delivery lag {stats.mean_lag_ms:.0f} ms")

@@ -67,12 +67,16 @@ def main() -> None:
           "committed — the system never stopped taking orders")
 
     # V2 is back: its replica catches up on demand and serves reads.
-    log = cluster.finalize(GROUP)
+    assert committed_in_outage > 0
+    logs = cluster.finalize_all()
+    log = logs[GROUP]
     v2 = cluster.services["V2"].replica(GROUP)
     print(f"\nlog positions decided: {len(log)}; "
           f"V2 now knows {len(v2.entries())} of them after catch-up")
+    assert len(v2.entries()) == len(log)
 
-    cluster.check_invariants(GROUP, [o for _w, _d, o in outcomes])
+    # Raises InvariantViolation on any failure.
+    cluster.check_invariants_all([o for _w, _d, o in outcomes], logs)
     print("invariants (L1)-(L3), (R1), read-only consistency, 1SR: OK")
 
     final_stock = 1000 - total_committed

@@ -35,7 +35,8 @@ def run_layout(n_groups: int) -> float:
     cluster.run()
 
     outcomes = driver.result.outcomes
-    cluster.check_invariants_all(outcomes)
+    # Raises InvariantViolation unless every group's log passes the checks.
+    cluster.check_invariants_all(outcomes, cluster.finalize_all())
 
     commits = sum(1 for outcome in outcomes if outcome.committed)
     duration_s = max(outcome.end_time for outcome in outcomes) / 1000.0
@@ -52,6 +53,7 @@ def main() -> None:
     single = run_layout(1)
     print()
     sharded = run_layout(8)
+    assert sharded > single
     print()
     print(
         f"8-group layout commits {sharded / single:.2f}x the throughput of the "

@@ -48,7 +48,8 @@ def race(protocol: str):
     participant("disjoint", "V2", 10.0, reads=["a2"], writes=["a3"])
     participant("conflicted", "V3", 10.0, reads=["a1"], writes=["a4"])
     cluster.run()
-    cluster.check_invariants(GROUP, list(results.values()))
+    # Raises InvariantViolation unless the race stayed one-copy serializable.
+    cluster.check_invariants_all(list(results.values()), cluster.finalize_all())
     return results
 
 

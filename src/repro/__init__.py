@@ -48,10 +48,8 @@ from repro.config import (
 from repro.core.client import MultiGroupHandle, TransactionClient, TransactionHandle
 from repro.errors import (
     CrossGroupTransaction,
-    QuorumTimeout,
     ReproError,
     ServiceUnavailable,
-    TransactionAborted,
     TransactionError,
 )
 from repro.failures import FailureInjector
@@ -76,12 +74,10 @@ __all__ = [
     "Placement",
     "PlacementConfig",
     "ProtocolConfig",
-    "QuorumTimeout",
     "ReproError",
     "ServiceUnavailable",
     "StoreConfig",
     "Transaction",
-    "TransactionAborted",
     "TransactionClient",
     "TransactionError",
     "TransactionHandle",

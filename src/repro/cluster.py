@@ -9,13 +9,13 @@ is the entry point examples, tests, and the benchmark harness all use::
     cluster.preload("group-0", {"row0": {"a0": "init"}})
     client = cluster.add_client("V1", protocol="paxos-cp")
 
-It also hosts the *offline verification* helpers: after a run,
-:meth:`finalize` completes the replicas' knowledge of every decided position
-by direct store inspection (the runtime equivalent is the protocol-level
-catch-up in :class:`repro.paxos.learner.Learner`; the offline form exists so
-invariant checks never block on simulated messaging), and
-:meth:`check_invariants` runs the (L1)–(L3)/(R1) checkers plus the MVSG
-serializability test.
+It also hosts the *offline verification* pass: after a run,
+:meth:`finalize_all` completes the replicas' knowledge of every decided
+position by direct store inspection (the runtime equivalent is the
+protocol-level catch-up in :class:`repro.paxos.learner.Learner`; the offline
+form exists so invariant checks never block on simulated messaging), and
+:meth:`check_invariants_all` — the one check entry point — runs the
+(L1)–(L3)/(R1) checkers on those logs plus the MVSG serializability test.
 """
 
 from __future__ import annotations
@@ -46,10 +46,12 @@ from repro.kvstore.txnstatus import (
     decision_group,
 )
 from repro.model import (
+    AbortReason,
     Item,
     Placement,
     QueueSend,
     TransactionOutcome,
+    TransactionStatus,
     TransactionStatusRecord,
 )
 from repro.net.latency import RttMatrixLatency
@@ -66,12 +68,7 @@ from repro.serializability.checker import (
 from repro.serializability.history import MVHistory
 from repro.sim.env import Environment
 from repro.wal.entry import LogEntry
-from repro.wal.invariants import (
-    InvariantViolation,
-    effective_log,
-    global_log,
-    run_all_checks,
-)
+from repro.wal.invariants import InvariantViolation, effective_log, run_all_checks
 from repro.wal.log import (
     ATTR_BALLOT,
     ATTR_CHOSEN,
@@ -636,7 +633,7 @@ class Cluster:
         return decisions
 
     def recover_cross_group(
-        self, logs: dict[str, dict[int, LogEntry]] | None = None
+        self, logs: dict[str, dict[int, LogEntry]]
     ) -> dict[str, bool]:
         """Resolve every in-doubt 2PC transaction; returns the decision map.
 
@@ -653,7 +650,6 @@ class Cluster:
         decision: all-or-nothing by construction.
         """
         decisions = self.cross_group_decisions()
-        logs = logs if logs is not None else self.finalize_all()
         orphans: dict[str, tuple[str, ...]] = {}
         for log in logs.values():
             for entry in log.values():
@@ -734,8 +730,8 @@ class Cluster:
 
     def drain_queues(
         self,
-        logs: dict[str, dict[int, LogEntry]] | None = None,
-        decisions: dict[str, bool] | None = None,
+        logs: dict[str, dict[int, LogEntry]],
+        decisions: dict[str, bool],
     ) -> int:
         """Complete every undelivered queue send, offline; returns the count.
 
@@ -745,18 +741,14 @@ class Cluster:
         its ``queue_apply`` entry is recorded at every replica at the
         receiver's next free position, in stream order, skipping seqnos the
         log already holds.  Deterministic and idempotent: a second drain
-        finds nothing left to do.
+        finds nothing left to do.  *logs* must hold every receiver group's
+        log; the drained entries are added to it.
         """
-        logs = logs if logs is not None else self.finalize_all()
-        if decisions is None:
-            decisions = self.cross_group_decisions()
         drained = 0
         next_free: dict[str, int] = {}
         for sender in sorted(logs):
             streams = enumerate_sends(sender, logs[sender], decisions)
             for receiver, sends in sorted(streams.items()):
-                if receiver not in logs:
-                    logs[receiver] = self.finalize(receiver)
                 present = first_applies(logs[receiver], sender)
                 for send in sends:
                     if (sender, send.seqno) in present:
@@ -781,8 +773,8 @@ class Cluster:
 
     def queue_stats(
         self,
-        logs: dict[str, dict[int, LogEntry]] | None = None,
-        decisions: dict[str, bool] | None = None,
+        logs: dict[str, dict[int, LogEntry]],
+        decisions: dict[str, bool],
         stall_threshold_ms: float = 1000.0,
     ) -> QueueStats:
         """Aggregate queue-delivery statistics for the finished run.
@@ -798,9 +790,6 @@ class Cluster:
         queue path's availability failure mode and the report surfaces
         them as their own condition.
         """
-        logs = logs if logs is not None else self.finalize_all()
-        if decisions is None:
-            decisions = self.cross_group_decisions()
         stats = QueueStats(stall_threshold_ms=stall_threshold_ms)
         for sender in sorted(logs):
             for sends in enumerate_sends(sender, logs[sender], decisions).values():
@@ -891,12 +880,11 @@ class Cluster:
           per group by :func:`repro.wal.invariants.check_no_orphaned_prepares`;
           re-checked here across groups);
         * **marker agreement** — every in-log commit/abort marker matches
-          the durable decision;
-        * **global 1SR** — the merged cross-group history passes the MVSG
-          test (per-group serializability is necessary but not sufficient).
-        """
-        from repro.model import AbortReason, TransactionStatus
+          the durable decision.
 
+        Global one-copy serializability over the merged history is the MVSG
+        pass's job (:meth:`check_invariants_all`).
+        """
         violations: list[str] = []
         prepared: dict[str, dict[str, int]] = {}
         participants: dict[str, tuple[str, ...]] = {}
@@ -950,51 +938,35 @@ class Cluster:
                 )
         if violations:
             raise InvariantViolation(violations)
-        # Global one-copy serializability over the merged history.
-        ok, cycle = self.check_global_serializability(logs, decisions)
-        if not ok:
-            raise InvariantViolation(
-                [f"(2PC) global MVSG test failed: cycle {cycle} in the merged "
-                 f"cross-group history"]
-            )
 
-    def check_global_serializability(
+    def check_invariants_all(
         self,
-        logs: dict[str, dict[int, LogEntry]] | None = None,
-        decisions: dict[str, bool] | None = None,
-    ) -> tuple[bool, list[str] | None]:
-        """MVSG test over the merged history of *every* group.
-
-        Branch transactions collapse into their global transaction, items
-        are namespaced by group; acyclic ⇒ the whole multi-group execution
-        is one-copy serializable, cross-group transactions included.
-        """
-        logs = logs if logs is not None else self.finalize_all()
-        decisions = decisions if decisions is not None else self.cross_group_decisions()
-        rename: dict[str, str] = {}
-        for log in logs.values():
-            for entry in log.values():
-                if entry.kind == "prepare" and decisions.get(entry.gtid or ""):
-                    rename[entry.transactions[0].tid] = entry.gtid or ""
-        # One group history at a time: each is merged and dropped before
-        # the next is built.
-        histories = (
-            (group, MVHistory.from_log(
-                effective_log(logs[group], decisions), self.initial_image_for(group)
-            ))
-            for group in sorted(logs)
-        )
-        return is_one_copy_serializable(merge_group_histories(histories, rename))
-
-    def check_invariants(
-        self,
-        group: str,
         outcomes: list[TransactionOutcome],
+        logs: dict[str, dict[int, LogEntry]],
         strict_timeouts: bool = False,
-        finalized: bool = False,
-        decisions: dict[str, bool] | None = None,
-    ) -> None:
-        """Run every §3 correctness check; raise on any violation.
+    ) -> dict[str, bool]:
+        """Run every correctness check of the run; raise on any violation.
+
+        *logs* is :meth:`finalize_all`'s result, ``{group: finalized log}``;
+        every check reads these logs and none re-derives them.  Outcomes are
+        routed to their transaction's group.  The checks run, and raise, in
+        this order:
+
+        1. in-doubt 2PC transactions are resolved (:meth:`recover_cross_group`)
+           and, in runs with queue traffic, undelivered sends are drained into
+           *logs* (:meth:`drain_queues` — eventual delivery is an obligation
+           *at quiescence*);
+        2. no transaction is logged in more than one group;
+        3. per group, in name order, (R1), (L1)-(L3) — (SI) in place of (L3)
+           under snapshot isolation — read-only consistency and no orphaned
+           prepare (:func:`repro.wal.invariants.run_all_checks`);
+        4. the crash amnesia detector (:meth:`check_crash_amnesia`);
+        5. when the run holds cross-group or queue entries, the 2PC
+           obligations (:meth:`check_cross_group_invariants`), then the
+           delivery invariant: every committed send applied exactly once at
+           its receiver, in sender order, redeliveries byte-identical shadows,
+           no phantom durable delivery marks;
+        6. the MVSG pass (:meth:`_check_histories`).
 
         ``strict_timeouts=False`` (default) excludes transactions aborted
         with TIMEOUT / CLIENT_CRASH / SERVICE_UNAVAILABLE from the L1 "not
@@ -1002,100 +974,23 @@ class Cluster:
         client failed mid-protocol to be committed or aborted (§4.1), and a
         timed-out client is indistinguishable from a failed one.
 
-        ``finalized=True`` skips the :meth:`finalize` pass for callers that
-        already ran it (it rescans every replica's Paxos key space).
-
-        ``decisions`` resolves 2PC prepare entries; when ``None`` it is
-        derived by direct inspection (cheap when the run had none).
+        Returns the resolved 2PC decision map, for :meth:`queue_stats`.
         """
-        from repro.model import AbortReason, TransactionStatus
-
-        if not finalized:
-            self.finalize(group)
-        if decisions is None:
-            decisions = self.cross_group_decisions()
-        replicas = self.replicas(group)
-        considered = outcomes
-        if not strict_timeouts:
-            lenient = {
-                AbortReason.TIMEOUT,
-                AbortReason.CLIENT_CRASH,
-                AbortReason.SERVICE_UNAVAILABLE,
-            }
-            considered = [
-                outcome for outcome in outcomes
-                if not (
-                    outcome.status is TransactionStatus.ABORTED
-                    and outcome.abort_reason in lenient
-                )
-            ]
-        image = self._initial_images.get(group, {})
-        run_all_checks(
-            replicas, considered, image, decisions,
-            isolation=self.config.isolation,
+        lenient = () if strict_timeouts else (
+            AbortReason.TIMEOUT,
+            AbortReason.CLIENT_CRASH,
+            AbortReason.SERVICE_UNAVAILABLE,
         )
-        if self.config.isolation == "si":
-            # An acyclic MVSG is not owed under snapshot isolation — the
-            # cycles are classified instead of failing the run (see
-            # check_invariants_all).
-            return
-        # Independent oracle: the MVSG test over the observed history.
-        history = MVHistory.from_log(
-            effective_log(global_log(replicas), decisions), image
-        )
-        ok, cycle = is_one_copy_serializable(history)
-        if not ok:
-            raise InvariantViolation(
-                [f"MVSG test failed: cycle {cycle} in the observed history"]
-            )
-
-    def check_invariants_all(
-        self,
-        outcomes: list[TransactionOutcome],
-        strict_timeouts: bool = False,
-        logs: dict[str, dict[int, LogEntry]] | None = None,
-    ) -> dict[str, bool]:
-        """Run :meth:`check_invariants` over every group.
-
-        Outcomes are routed to their transaction's group; each group's log
-        must independently satisfy (R1), (L1)-(L3), read-only consistency,
-        and the MVSG oracle.  On top of the per-group checks, no transaction
-        may appear in more than one group's log — group logs are disjoint
-        position sequences, never interleaved.
-
-        ``logs`` lets a caller that already ran :meth:`finalize_all` reuse
-        its result instead of rescanning every replica's Paxos key space;
-        any group missing from it is finalized here.
-
-        Cross-group (2PC) outcomes are verified separately: in-doubt
-        transactions are first resolved (:meth:`recover_cross_group`), the
-        resulting decision map gates every per-group check, and
-        :meth:`check_cross_group_invariants` adds the atomicity,
-        no-orphaned-prepare, and *global* serializability obligations.
-
-        Runs with queue traffic are first drained (:meth:`drain_queues` —
-        eventual delivery is an obligation *at quiescence*), then checked
-        against the delivery invariant: every committed send applied exactly
-        once at its receiver, in sender order, with redeliveries reduced to
-        byte-identical shadows and no phantom durable delivery marks.
-
-        Returns the resolved 2PC decision map so callers (e.g.
-        :meth:`queue_stats`) can reuse it instead of re-deriving it by
-        store inspection.
-        """
-        by_group: dict[str, list[TransactionOutcome]] = {
-            group: [] for group in self.groups
-        }
+        by_group: dict[str, list[TransactionOutcome]] = {group: [] for group in logs}
         cross_outcomes: list[TransactionOutcome] = []
         for outcome in outcomes:
             if outcome.transaction.is_cross_group:
                 cross_outcomes.append(outcome)
-            else:
-                by_group.setdefault(outcome.transaction.group, []).append(outcome)
-        logs = dict(logs or {})
-        for group in sorted(by_group):
-            if group not in logs:
-                logs[group] = self.finalize(group)
+            elif not (
+                outcome.status is TransactionStatus.ABORTED
+                and outcome.abort_reason in lenient
+            ):
+                by_group[outcome.transaction.group].append(outcome)
         decisions = self.recover_cross_group(logs)
         queue_active = any(
             entry.kind == "queue_apply" or entry.queue_sends
@@ -1116,15 +1011,15 @@ class Cluster:
                         )
         if cross_group:
             raise InvariantViolation(cross_group)
-        for group, group_outcomes in sorted(by_group.items()):
-            self.check_invariants(
-                group, group_outcomes, strict_timeouts,
-                finalized=True, decisions=decisions,
+        for group in sorted(logs):
+            run_all_checks(
+                logs[group], self.replicas(group), by_group[group],
+                self._initial_images.get(group, {}), decisions,
+                isolation=self.config.isolation,
             )
         amnesia = self.check_crash_amnesia()
         if amnesia:
             raise InvariantViolation(amnesia)
-        self._anomalies = self._classify_anomalies(by_group, logs, decisions)
         if cross_outcomes or any(
             entry.kind != "data" for log in logs.values() for entry in log.values()
         ):
@@ -1134,32 +1029,65 @@ class Cluster:
             violations += self._check_delivery_records(logs, decisions)
             if violations:
                 raise InvariantViolation(violations)
+        self._check_histories(logs, decisions)
         return decisions
 
-    def _classify_anomalies(
+    def _check_histories(
         self,
-        by_group: dict[str, list[TransactionOutcome]],
         logs: dict[str, dict[int, LogEntry]],
         decisions: dict[str, bool],
-    ) -> "list[Anomaly]":
-        """Name the MVSG cycles an ``si`` run admitted, per group.
+    ) -> None:
+        """The MVSG pass: each group's history is built once, used, and
+        dropped before the next is built.
 
-        Non-SI runs return no anomalies: their group checks already
-        *failed* on any MVSG cycle, so reaching this point means the
-        history is clean.
+        * Under snapshot isolation an acyclic MVSG is not owed: the cycles
+          are classified into :attr:`anomalies` instead of failing the run,
+          and no MVSG test runs.
+        * When a committed 2PC branch links two groups (the branch → gtid
+          rename map is non-empty), one MVSG test runs over the merged
+          history: branches collapse into their global transaction and items
+          are namespaced by group, so its cycles include every per-group
+          cycle (:func:`~repro.serializability.checker.merge_group_histories`).
+        * Otherwise the groups share no transaction — queue applies are
+          transactions of their receiver alone — and the merged graph is
+          the disjoint union of the group graphs, so one test per group
+          gives the same verdict on smaller graphs.
         """
-        if self.config.isolation != "si":
-            return []
-        from repro.serializability.checker import classify_anomalies
-
-        anomalies: list[Anomaly] = []
-        for group in sorted(by_group):
-            history = MVHistory.from_log(
+        def history(group: str) -> MVHistory:
+            return MVHistory.from_log(
                 effective_log(logs[group], decisions),
-                self.initial_image_for(group),
+                self._initial_images.get(group, {}),
             )
-            anomalies.extend(classify_anomalies(history).anomalies)
-        return anomalies
+
+        self._anomalies = []
+        if self.config.isolation == "si":
+            from repro.serializability.checker import classify_anomalies
+
+            for group in sorted(logs):
+                self._anomalies.extend(classify_anomalies(history(group)).anomalies)
+            return
+        rename = {
+            entry.transactions[0].tid: entry.gtid or ""
+            for log in logs.values() for entry in log.values()
+            if entry.kind == "prepare" and decisions.get(entry.gtid or "")
+        }
+        if rename:
+            merged = merge_group_histories(
+                ((group, history(group)) for group in sorted(logs)), rename
+            )
+            ok, cycle = is_one_copy_serializable(merged)
+            if not ok:
+                raise InvariantViolation(
+                    [f"(2PC) global MVSG test failed: cycle {cycle} in the "
+                     f"merged cross-group history"]
+                )
+            return
+        for group in sorted(logs):
+            ok, cycle = is_one_copy_serializable(history(group))
+            if not ok:
+                raise InvariantViolation(
+                    [f"MVSG test failed: cycle {cycle} in the observed history"]
+                )
 
     @property
     def anomalies(self) -> "list[Anomaly]":

@@ -87,24 +87,6 @@ class StateHistoryError(KVStoreError):
         self.retained = retained
 
 
-class CheckFailed(KVStoreError):
-    """A ``check_and_write`` test predicate did not hold.
-
-    The store also reports this outcome as a boolean status; the exception
-    form is used by callers that treat a failed check as exceptional.
-    """
-
-    def __init__(self, key: str, attribute: str, expected: object, actual: object) -> None:
-        super().__init__(
-            f"check_and_write on {key!r}.{attribute} failed: "
-            f"expected {expected!r}, found {actual!r}"
-        )
-        self.key = key
-        self.attribute = attribute
-        self.expected = expected
-        self.actual = actual
-
-
 # ---------------------------------------------------------------------------
 # Network
 # ---------------------------------------------------------------------------
@@ -125,22 +107,6 @@ class UnknownDatacenter(NetworkError):
 
 class TransactionError(ReproError):
     """Base class for transaction tier errors."""
-
-
-class TransactionAborted(TransactionError):
-    """The commit protocol aborted the transaction.
-
-    Attributes
-    ----------
-    reason:
-        Machine-readable abort reason (``"lost_position"``,
-        ``"promotion_conflict"``, ``"timeout"``, ``"client_crash"``).
-    """
-
-    def __init__(self, tid: str, reason: str) -> None:
-        super().__init__(f"transaction {tid} aborted: {reason}")
-        self.tid = tid
-        self.reason = reason
 
 
 class TransactionStateError(TransactionError):
@@ -169,18 +135,6 @@ class CrossGroupTransaction(TransactionError):
         self.handle_group = handle_group
         self.row = row
         self.row_group = row_group
-
-
-class QuorumTimeout(TransactionError):
-    """A protocol phase failed to gather a majority before the timeout."""
-
-    def __init__(self, phase: str, got: int, needed: int) -> None:
-        super().__init__(
-            f"{phase} phase timed out with {got}/{needed} responses"
-        )
-        self.phase = phase
-        self.got = got
-        self.needed = needed
 
 
 class ServiceUnavailable(TransactionError):
@@ -245,14 +199,3 @@ class InvalidExperimentSpec(ReproError, ValueError):
 class HistoryError(ReproError):
     """A history object is malformed (e.g. a read of a version never written)."""
 
-
-class NotOneCopySerializable(HistoryError):
-    """Raised by strict checkers when a history fails Definition 1.
-
-    Carries the offending cycle (as a list of transaction ids) when the
-    checker can produce one.
-    """
-
-    def __init__(self, message: str, cycle: list[str] | None = None) -> None:
-        super().__init__(message)
-        self.cycle = cycle or []

@@ -194,11 +194,11 @@ class FailureInjector:
         """The generic kill/restart pair: *kill* fires at ``kill_ms`` and
         *restart* (when given) at ``restart_ms``, both in *lane*.
 
-        This is the one path every crash goes through — queue-pump crashes
-        (kill the pump process, start a fresh pump) and service-replica
-        crashes (kill the replica's handler processes + erase volatile
-        state, then recover from durable state) differ only in the actions
-        they pass in.
+        Queue-pump crashes use it (its one caller is
+        ``repro.failures.schedule._install_pump_crash``: kill the pump
+        process, start a fresh pump).  Service-replica crashes do not:
+        :meth:`crash` schedules them on every lane through
+        :meth:`_at_every_lane`.
         """
         self._at(kill_ms, kill, f"crash {what}", lane=lane)
         if restart is not None:

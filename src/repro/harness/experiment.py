@@ -170,12 +170,13 @@ def _finish_run(
     # property that merges the per-thread outcome lists on every access.
     results = [driver.result for driver in drivers]
     outcomes = [outcome for result in results for outcome in result.outcomes]
-    decisions = None
     if spec.check_invariants:
         # Also drains undelivered queue sends and verifies exactly-once
         # delivery, mutating group_logs with the drained applies; returns
         # the resolved 2PC decision map for reuse below.
-        decisions = cluster.check_invariants_all(outcomes, logs=group_logs)
+        decisions = cluster.check_invariants_all(outcomes, group_logs)
+    else:
+        decisions = cluster.cross_group_decisions()
     queue = None
     if spec.workload.queue_fraction > 0:
         queue = cluster.queue_stats(group_logs, decisions)

@@ -8,11 +8,13 @@
 * **(R1)** no two replicas disagree on the value of a log position.
 
 These functions turn each obligation into a check over the state left behind
-by a run: the per-datacenter :class:`~repro.wal.log.LogReplica` views and the
+by a run: one group's finalized log (``{position: entry}``, what
+:meth:`repro.cluster.Cluster.finalize` returns), the per-datacenter
+:class:`~repro.wal.log.LogReplica` views that only (R1) reads, and the
 :class:`~repro.model.TransactionOutcome` records collected by the harness.
-The integration test-suite runs :func:`run_all_checks` after every scenario,
-and the hypothesis-driven property tests run it over randomized workloads and
-failure schedules.
+:meth:`repro.cluster.Cluster.check_invariants_all` runs :func:`run_all_checks`
+on every group; each checker takes its log (and the queue-shadow set) as an
+argument and never rebuilds it.
 
 The (L3) check is the strongest available: it *replays* the global log from
 the initial data image and verifies that every committed transaction observed
@@ -60,10 +62,10 @@ class InvariantViolation(AssertionError):
 def global_log(replicas: list[LogReplica]) -> dict[int, Any]:
     """Union of all replicas' chosen entries, keyed by position.
 
-    Assumes (R1) holds; call :func:`check_r1_replica_agreement` first if in
-    doubt.  When replicas disagree the lowest-named store's value wins, which
-    keeps the remaining checks deterministic while R1's own report carries
-    the real failure.
+    A log built from replicas by hand, for inspecting them outside a run's
+    offline pass (which checks the log :meth:`repro.cluster.Cluster.finalize`
+    returns).  Assumes (R1) holds; when replicas disagree the lowest-named
+    store's value wins.
     """
     merged: dict[int, Any] = {}
     for replica in sorted(replicas, key=lambda r: r.store.name, reverse=True):
@@ -127,9 +129,7 @@ def effective_log(
 
 
 def check_no_orphaned_prepares(
-    replicas: list[LogReplica],
-    decisions: Mapping[str, bool] | None = None,
-    log: Mapping[int, LogEntry] | None = None,
+    log: Mapping[int, LogEntry], decisions: Mapping[str, bool]
 ) -> list[str]:
     """(2PC) every prepare entry's transaction has a durable decision.
 
@@ -137,12 +137,9 @@ def check_no_orphaned_prepares(
     some participant group could still block forever on it.
     """
     violations: list[str] = []
-    resolved = decisions or {}
-    if log is None:
-        log = global_log(replicas)
     for position in sorted(log):
         entry = log[position]
-        if entry.kind == "prepare" and entry.gtid not in resolved:
+        if entry.kind == "prepare" and entry.gtid not in decisions:
             violations.append(
                 f"(2PC) orphaned prepare for {entry.gtid} at position "
                 f"{position}: no durable commit/abort decision"
@@ -169,9 +166,7 @@ def check_r1_replica_agreement(replicas: list[LogReplica]) -> list[str]:
 
 
 def check_l1_only_committed(
-    replicas: list[LogReplica],
-    outcomes: list[TransactionOutcome],
-    log: Mapping[int, LogEntry] | None = None,
+    log: Mapping[int, LogEntry], outcomes: list[TransactionOutcome]
 ) -> list[str]:
     """(L1) plus durability, phrased over observable outcomes.
 
@@ -184,8 +179,6 @@ def check_l1_only_committed(
     unconstrained — the paper allows either result in that case (§4.1).
     """
     violations: list[str] = []
-    if log is None:
-        log = global_log(replicas)
     logged_tids = {
         txn.tid for entry in log.values() for txn in entry.transactions
     }
@@ -203,12 +196,11 @@ def check_l1_only_committed(
 
 
 def check_read_only_consistency(
-    replicas: list[LogReplica],
+    log: Mapping[int, LogEntry],
+    shadows: set[int],
     outcomes: list[TransactionOutcome],
     initial_image: Mapping[Item, Any] | None = None,
     decisions: Mapping[str, bool] | None = None,
-    log: Mapping[int, LogEntry] | None = None,
-    shadows: set[int] | None = None,
 ) -> list[str]:
     """Read-only transactions read a consistent snapshot (Theorem 1).
 
@@ -223,10 +215,6 @@ def check_read_only_consistency(
     by bisecting that list at its read position.
     """
     violations: list[str] = []
-    if log is None:
-        log = global_log(replicas)
-    if shadows is None:
-        shadows = queue_shadow_positions(log)
     initial = dict(initial_image or {})
     # One pass: versions[item] = ([position, ...], [value, ...]) in log order.
     versions: dict[Item, tuple[list[int], list[Any]]] = {}
@@ -269,9 +257,7 @@ def check_read_only_consistency(
 
 
 def check_l2_single_position(
-    replicas: list[LogReplica],
-    log: Mapping[int, LogEntry] | None = None,
-    shadows: set[int] | None = None,
+    log: Mapping[int, LogEntry], shadows: set[int]
 ) -> list[str]:
     """(L2): each transaction occupies exactly one log position.
 
@@ -281,10 +267,6 @@ def check_l2_single_position(
     twins of their first occurrence).
     """
     violations: list[str] = []
-    if log is None:
-        log = global_log(replicas)
-    if shadows is None:
-        shadows = queue_shadow_positions(log)
     first_seen: dict[str, int] = {}
     for position in sorted(log):
         if position in shadows:
@@ -299,11 +281,10 @@ def check_l2_single_position(
 
 
 def check_l3_prefix_serializable(
-    replicas: list[LogReplica],
+    log: Mapping[int, LogEntry],
+    shadows: set[int],
     initial_image: Mapping[Item, Any] | None = None,
     decisions: Mapping[str, bool] | None = None,
-    log: Mapping[int, LogEntry] | None = None,
-    shadows: set[int] | None = None,
 ) -> list[str]:
     """(L3): replay the log and verify every recorded read.
 
@@ -317,10 +298,6 @@ def check_l3_prefix_serializable(
     """
     violations: list[str] = []
     state: dict[Item, Any] = dict(initial_image or {})
-    if log is None:
-        log = global_log(replicas)
-    if shadows is None:
-        shadows = queue_shadow_positions(log)
     positions = sorted(log)
     # Verify contiguity: a chosen position with an unchosen predecessor means
     # catch-up was not run to completion before checking.
@@ -355,11 +332,10 @@ def check_l3_prefix_serializable(
 
 
 def check_snapshot_reads(
-    replicas: list[LogReplica],
+    log: Mapping[int, LogEntry],
+    shadows: set[int],
     initial_image: Mapping[Item, Any] | None = None,
     decisions: Mapping[str, bool] | None = None,
-    log: Mapping[int, LogEntry] | None = None,
-    shadows: set[int] | None = None,
 ) -> list[str]:
     """(SI) the snapshot-isolation obligations, replacing (L3) under ``si``.
 
@@ -382,10 +358,6 @@ def check_snapshot_reads(
     at the spec level).
     """
     violations: list[str] = []
-    if log is None:
-        log = global_log(replicas)
-    if shadows is None:
-        shadows = queue_shadow_positions(log)
     positions = sorted(log)
     expected = 1
     for position in positions:
@@ -447,16 +419,19 @@ def check_snapshot_reads(
 
 
 def run_all_checks(
+    log: Mapping[int, LogEntry],
     replicas: list[LogReplica],
     outcomes: list[TransactionOutcome],
-    initial_image: Mapping[Item, Any] | None = None,
-    decisions: Mapping[str, bool] | None = None,
+    initial_image: Mapping[Item, Any],
+    decisions: Mapping[str, bool],
     isolation: str = "1sr",
 ) -> None:
-    """Run every checker; raise :class:`InvariantViolation` on any failure.
+    """Run every checker on one group; raise :class:`InvariantViolation` on
+    any failure.
 
-    ``decisions`` resolves 2PC prepare entries (gtid → committed); pass the
-    post-recovery map when the run produced cross-group transactions.
+    *log* is the group's finalized log; *replicas* are its per-datacenter
+    views, which only (R1) reads.  ``decisions`` resolves 2PC prepare
+    entries (gtid → committed): the post-recovery map.
 
     ``isolation`` selects the replay obligation: ``"1sr"`` runs owe the
     full (L3) prefix-serializability replay; ``"si"`` runs owe the weaker
@@ -464,29 +439,19 @@ def run_all_checks(
     snapshot window are admitted by construction there, and the MVSG
     classifier names the anomalies they cause.
 
-    The merged log and the queue-shadow set are computed once and shared by
-    every checker — each used to rebuild them from the replicas on its own,
-    which multiplied the rescans by the number of checks.
+    The queue-shadow set is computed once here and shared by every checker.
     """
-    log = global_log(replicas)
     shadows = queue_shadow_positions(log)
-    if isolation == "si":
-        replay = check_snapshot_reads(
-            replicas, initial_image, decisions, log=log, shadows=shadows
-        )
-    else:
-        replay = check_l3_prefix_serializable(
-            replicas, initial_image, decisions, log=log, shadows=shadows
-        )
+    replay = check_snapshot_reads if isolation == "si" else check_l3_prefix_serializable
     violations = (
         check_r1_replica_agreement(replicas)
-        + check_l1_only_committed(replicas, outcomes, log=log)
-        + check_l2_single_position(replicas, log=log, shadows=shadows)
-        + replay
+        + check_l1_only_committed(log, outcomes)
+        + check_l2_single_position(log, shadows)
+        + replay(log, shadows, initial_image, decisions)
         + check_read_only_consistency(
-            replicas, outcomes, initial_image, decisions, log=log, shadows=shadows
+            log, shadows, outcomes, initial_image, decisions
         )
-        + check_no_orphaned_prepares(replicas, decisions, log=log)
+        + check_no_orphaned_prepares(log, decisions)
     )
     if violations:
         raise InvariantViolation(violations)

@@ -109,7 +109,7 @@ class TestLeasedLeader:
         for index, dc in enumerate(["V1", "V2", "V3", "V1"]):
             make_proc(index, dc)
         cluster.run()
-        cluster.check_invariants(GROUP, outcomes)
+        cluster.check_invariants_all(outcomes, cluster.finalize_all())
 
 
 class TestDuplicatedRequests:
@@ -195,7 +195,7 @@ class TestCrashRestartFailover:
         assert service.lease_host.ballot().round == LEASE_ROUND + 1
 
         # And the log the three clients saw is still gapless and 1SR.
-        cluster.check_invariants(GROUP, list(outcomes.values()))
+        cluster.check_invariants_all(list(outcomes.values()), cluster.finalize_all())
         assert cluster.check_crash_amnesia() == []
 
     def test_no_commit_lands_inside_the_wait_out_window(self):
@@ -234,4 +234,4 @@ class TestCrashRestartFailover:
         # The term is what the restarted leader waits out: attempts inside
         # it are refused, and the ones after it commit.
         assert {outcome.committed for outcome in outcomes} == {True, False}
-        cluster.check_invariants(GROUP, outcomes)
+        cluster.check_invariants_all(outcomes, cluster.finalize_all())

@@ -224,7 +224,7 @@ class TestEnqueueApi:
         # Not the read-only shortcut: the send occupies a log position.
         log = cluster.finalize("group-0")
         assert len(log) == 1
-        cluster.check_invariants_all([outcome])
+        cluster.check_invariants_all([outcome], cluster.finalize_all())
 
 
 class TestPump:
@@ -245,8 +245,8 @@ class TestPump:
         applies = [e for e in logs["group-1"].values() if e.kind == "queue_apply"]
         assert len(applies) >= 3  # redelivery may add shadows, never drop
         assert len(first_applies(logs["group-1"])) == 3
-        cluster.check_invariants_all([], logs=logs)
-        stats = cluster.queue_stats(logs)
+        decisions = cluster.check_invariants_all([], logs)
+        stats = cluster.queue_stats(logs, decisions)
         assert stats.applied_online == 3
         assert stats.drained_offline == 0
         # Delivered in sender order: the last apply wins the final state.
@@ -297,15 +297,16 @@ class TestPump:
 
         run(cluster, app())  # no pumps at all
         logs = cluster.finalize_all()
+        decisions = cluster.cross_group_decisions()
         # Before any drain: the send is committed but undelivered, which
         # must surface as a stall, not vanish from the accounting.
-        before = cluster.queue_stats(logs)
+        before = cluster.queue_stats(logs, decisions)
         assert (before.sends, before.applied_online, before.drained_offline,
                 before.undelivered, before.stalled) == (1, 0, 0, 1, 1)
-        assert cluster.drain_queues(logs) == 1
-        assert cluster.drain_queues(logs) == 0  # second drain finds nothing
+        assert cluster.drain_queues(logs, decisions) == 1
+        assert cluster.drain_queues(logs, decisions) == 0  # nothing left
         assert check_queue_delivery(logs) == []
-        after = cluster.queue_stats(logs)
+        after = cluster.queue_stats(logs, decisions)
         assert (after.applied_online, after.drained_offline) == (0, 1)
         assert after.stalled == 1  # drain completions are stalls by definition
         # The drained apply is readable through the ordinary service path.

@@ -115,3 +115,26 @@ def fig7_history_inputs(n_transactions: int, protocol: str = "paxos-cp", seed: i
     (group,) = cluster.groups
     log = effective_log(cluster.finalize(group), cluster.cross_group_decisions())
     return log, cluster.initial_image_for(group)
+
+
+def merged_history(cluster, logs, decisions):
+    """Every group's history of a finished run merged into one, committed 2PC
+    branches renamed to their gtid: the history the MVSG pass of
+    ``check_invariants_all`` tests when a branch links two groups, built
+    here for any run."""
+    from repro.serializability.checker import merge_group_histories
+    from repro.serializability.history import MVHistory
+    from repro.wal.invariants import effective_log
+
+    rename = {
+        entry.transactions[0].tid: entry.gtid
+        for log in logs.values() for entry in log.values()
+        if entry.kind == "prepare" and decisions.get(entry.gtid)
+    }
+    histories = (
+        (group, MVHistory.from_log(
+            effective_log(logs[group], decisions), cluster.initial_image_for(group)
+        ))
+        for group in sorted(logs)
+    )
+    return merge_group_histories(histories, rename)

@@ -21,6 +21,7 @@ from repro.serializability.checker import (
     classify_anomalies,
     equivalent_serial_order,
     is_one_copy_serializable,
+    merge_group_histories,
 )
 from repro.serializability.history import HistoryTxn, MVHistory, serial_reads_from
 from tests.serializability.explicit_mvsg import (
@@ -200,3 +201,60 @@ def test_chained_graph_agrees_with_explicit_graph(history):
 def test_classifier_reports_nothing_iff_chained_graph_is_acyclic(history):
     ok, _cycle = is_one_copy_serializable(history)
     assert classify_anomalies(history).serializable == ok
+
+
+# ----------------------------------------------------------------------
+# Group histories against their merge
+# ----------------------------------------------------------------------
+
+
+def in_group(history: MVHistory, group: str) -> MVHistory:
+    """*history* with every transaction id prefixed by *group*, so that
+    histories of different groups share no id until a rename merges some."""
+    def tid(writer):
+        return writer if writer is None else f"{group}:{writer}"
+
+    renamed = MVHistory()
+    for txn in history.transactions.values():
+        reads = tuple((item, tid(writer)) for item, writer in txn.reads)
+        renamed.add(HistoryTxn(tid(txn.tid), reads=reads, writes=txn.writes))
+    for item, writers in history.version_order.items():
+        renamed.version_order[item] = [tid(writer) for writer in writers]
+    return renamed
+
+
+@st.composite
+def linked_group_histories(draw):
+    """``(groups, rename)``: two to four group histories and a rename map
+    that sends at most one transaction of each group to each global id —
+    the shape a run's committed 2PC branches give the merge (one branch per
+    participant group, all renamed to their gtid)."""
+    groups = [
+        (f"group-{index}", in_group(draw(arbitrary_histories()), f"group-{index}"))
+        for index in range(draw(st.integers(min_value=2, max_value=4)))
+    ]
+    rename = {}
+    for _group, history in groups:
+        tids = draw(st.permutations(sorted(history.transactions)))
+        gtids = draw(st.lists(
+            st.sampled_from(["G0", "G1", "G2"]), unique=True, max_size=len(tids),
+        ))
+        rename.update(zip(tids, gtids))
+    return groups, rename
+
+
+@given(linked_group_histories())
+@settings(max_examples=100, deadline=None)
+def test_merged_history_keeps_every_group_cycle(groups_and_rename):
+    """A cycle in any one group's history is a cycle of the merged history,
+    however committed branches link the groups.  This is what lets the
+    offline pass run the one merged MVSG test in place of the per-group
+    ones; and with no branch linking them, the merge is the disjoint union
+    of the groups, so the verdicts agree both ways."""
+    groups, rename = groups_and_rename
+    group_ok = all(is_one_copy_serializable(history)[0] for _group, history in groups)
+    merged_ok, _cycle = is_one_copy_serializable(merge_group_histories(groups, rename))
+    if not group_ok:
+        assert not merged_ok
+    unlinked_ok, _cycle = is_one_copy_serializable(merge_group_histories(groups))
+    assert unlinked_ok == group_ok

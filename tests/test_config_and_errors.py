@@ -16,13 +16,9 @@ from repro.config import (
 )
 from repro.harness.experiment import ExperimentSpec
 from repro.errors import (
-    CheckFailed,
-    NotOneCopySerializable,
-    QuorumTimeout,
     ReproError,
     RowVersionError,
     StateHistoryError,
-    TransactionAborted,
 )
 
 
@@ -114,10 +110,6 @@ class TestErrors:
         for error in [
             RowVersionError("k", 1, 2),
             StateHistoryError("_paxos/g/1", 1, 2),
-            CheckFailed("k", "a", 1, 2),
-            TransactionAborted("t1", "lost_position"),
-            QuorumTimeout("prepare", 1, 2),
-            NotOneCopySerializable("cycle", ["t1", "t2"]),
         ]:
             assert isinstance(error, ReproError)
 
@@ -127,18 +119,3 @@ class TestErrors:
         assert error.timestamp == 3
         assert error.existing == 7
         assert "key" in str(error)
-
-    def test_transaction_aborted_context(self):
-        error = TransactionAborted("t9", "timeout")
-        assert error.tid == "t9"
-        assert error.reason == "timeout"
-
-    def test_quorum_timeout_context(self):
-        error = QuorumTimeout("accept", got=1, needed=2)
-        assert error.phase == "accept"
-        assert "1/2" in str(error)
-
-    def test_not_one_copy_serializable_carries_cycle(self):
-        error = NotOneCopySerializable("boom", ["a", "b"])
-        assert error.cycle == ["a", "b"]
-        assert NotOneCopySerializable("no cycle").cycle == []

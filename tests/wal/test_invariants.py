@@ -18,6 +18,10 @@ from repro.wal.log import LogReplica
 from tests.helpers import aborted, committed, entry, txn
 
 
+#: None of these logs holds a queue_apply entry, so none has a shadow.
+NO_SHADOWS: set[int] = set()
+
+
 def make_replicas(n=3):
     return [LogReplica(MultiVersionStore(f"s{i}"), "g") for i in range(n)]
 
@@ -50,25 +54,25 @@ class TestL1:
         replicas = make_replicas()
         t = txn("t1", writes={"a": 1})
         replicas[0].record_chosen(1, entry(t))
-        assert check_l1_only_committed(replicas, [committed(t, 1)]) == []
+        assert check_l1_only_committed(global_log(replicas), [committed(t, 1)]) == []
 
     def test_committed_but_missing_flagged(self):
         replicas = make_replicas()
         t = txn("t1", writes={"a": 1})
-        violations = check_l1_only_committed(replicas, [committed(t, 1)])
+        violations = check_l1_only_committed(global_log(replicas), [committed(t, 1)])
         assert any("absent from the log" in v for v in violations)
 
     def test_read_only_commit_never_logged_is_fine(self):
         replicas = make_replicas()
         t = txn("t1", reads={"a": 0})
-        assert check_l1_only_committed(replicas, [committed(t)]) == []
+        assert check_l1_only_committed(global_log(replicas), [committed(t)]) == []
 
     def test_aborted_but_logged_flagged(self):
         replicas = make_replicas()
         t = txn("t1", writes={"a": 1})
         replicas[0].record_chosen(1, entry(t))
         violations = check_l1_only_committed(
-            replicas, [aborted(t, AbortReason.LOST_POSITION)]
+            global_log(replicas), [aborted(t, AbortReason.LOST_POSITION)]
         )
         assert any("present in the log" in v for v in violations)
 
@@ -78,14 +82,14 @@ class TestL2:
         replicas = make_replicas()
         replicas[0].record_chosen(1, entry(txn("t1", writes={"a": 1})))
         replicas[0].record_chosen(2, entry(txn("t2", writes={"a": 2})))
-        assert check_l2_single_position(replicas) == []
+        assert check_l2_single_position(global_log(replicas), NO_SHADOWS) == []
 
     def test_same_transaction_twice_flagged(self):
         replicas = make_replicas()
         t = txn("t1", writes={"a": 1})
         replicas[0].record_chosen(1, entry(t))
         replicas[1].record_chosen(2, entry(t))
-        violations = check_l2_single_position(replicas)
+        violations = check_l2_single_position(global_log(replicas), NO_SHADOWS)
         assert any("(L2)" in v for v in violations)
 
 
@@ -97,7 +101,7 @@ class TestL3:
         replicas[0].record_chosen(1, entry(t1))
         replicas[0].record_chosen(2, entry(t2))
         violations = check_l3_prefix_serializable(
-            replicas, {("row0", "a"): "init"}
+            global_log(replicas), NO_SHADOWS, {("row0", "a"): "init"}
         )
         assert violations == []
 
@@ -109,21 +113,21 @@ class TestL3:
         replicas[0].record_chosen(1, entry(t1))
         replicas[0].record_chosen(2, entry(t2))
         violations = check_l3_prefix_serializable(
-            replicas, {("row0", "a"): "init"}
+            global_log(replicas), NO_SHADOWS, {("row0", "a"): "init"}
         )
         assert any("one-copy state" in v for v in violations)
 
     def test_gap_flagged(self):
         replicas = make_replicas()
         replicas[0].record_chosen(2, entry(txn("t2", writes={"a": 1})))
-        violations = check_l3_prefix_serializable(replicas, {})
+        violations = check_l3_prefix_serializable(global_log(replicas), NO_SHADOWS, {})
         assert any("gap" in v for v in violations)
 
     def test_read_position_at_or_after_commit_flagged(self):
         replicas = make_replicas()
         t = txn("t1", writes={"a": 1}, read_position=1)
         replicas[0].record_chosen(1, entry(t))
-        violations = check_l3_prefix_serializable(replicas, {})
+        violations = check_l3_prefix_serializable(global_log(replicas), NO_SHADOWS, {})
         assert any("read_position" in v for v in violations)
 
     def test_combined_entry_members_replay_in_order(self):
@@ -132,7 +136,8 @@ class TestL3:
         t2 = txn("t2", reads={"b": "init"}, writes={"b": "v2"}, read_position=0)
         replicas[0].record_chosen(1, entry(t1, t2))
         violations = check_l3_prefix_serializable(
-            replicas, {("row0", "a"): "init", ("row0", "b"): "init"}
+            global_log(replicas), NO_SHADOWS,
+            {("row0", "a"): "init", ("row0", "b"): "init"},
         )
         assert violations == []
 
@@ -144,7 +149,7 @@ class TestReadOnly:
         replicas[0].record_chosen(1, entry(t1))
         ro = txn("ro", reads={"a": "v1"}, read_position=1)
         violations = check_read_only_consistency(
-            replicas, [committed(ro)], {("row0", "a"): "init"}
+            global_log(replicas), NO_SHADOWS, [committed(ro)], {("row0", "a"): "init"}
         )
         assert violations == []
 
@@ -152,7 +157,7 @@ class TestReadOnly:
         replicas = make_replicas()
         ro = txn("ro", reads={"a": "init"}, read_position=0)
         violations = check_read_only_consistency(
-            replicas, [committed(ro)], {("row0", "a"): "init"}
+            global_log(replicas), NO_SHADOWS, [committed(ro)], {("row0", "a"): "init"}
         )
         assert violations == []
 
@@ -163,7 +168,7 @@ class TestReadOnly:
         # Claims read position 1 but saw a mix of old and new values.
         ro = txn("ro", reads={"a": "v1", "b": "init"}, read_position=1)
         violations = check_read_only_consistency(
-            replicas, [committed(ro)],
+            global_log(replicas), NO_SHADOWS, [committed(ro)],
             {("row0", "a"): "init", ("row0", "b"): "init"},
         )
         assert any("(RO)" in v for v in violations)
@@ -172,7 +177,7 @@ class TestReadOnly:
         replicas = make_replicas()
         ro = txn("ro", reads={"a": "init"}, read_position=5)
         violations = check_read_only_consistency(
-            replicas, [committed(ro)], {("row0", "a"): "init"}
+            global_log(replicas), NO_SHADOWS, [committed(ro)], {("row0", "a"): "init"}
         )
         assert any("beyond" in v for v in violations)
 
@@ -183,13 +188,16 @@ class TestRunAll:
         t = txn("t1", reads={"a": "init"}, writes={"a": "v1"})
         for replica in replicas:
             replica.record_chosen(1, entry(t))
-        run_all_checks(replicas, [committed(t, 1)], {("row0", "a"): "init"})
+        run_all_checks(
+            global_log(replicas), replicas, [committed(t, 1)],
+            {("row0", "a"): "init"}, {},
+        )
 
     def test_violation_raises_with_details(self):
         replicas = make_replicas()
         t = txn("t1", writes={"a": 1})
         with pytest.raises(InvariantViolation) as info:
-            run_all_checks(replicas, [committed(t, 1)], {})
+            run_all_checks(global_log(replicas), replicas, [committed(t, 1)], {}, {})
         assert "absent" in str(info.value)
 
     def test_global_log_merges_replicas(self):
