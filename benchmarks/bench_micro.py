@@ -142,7 +142,7 @@ class TestMessageRoundTrip:
         """Request → instant handler → reply over ``Node`` and ``Network``
         alone: two messages per round trip and nothing else, so this reads
         what one message costs — building it, sending it, delivering it and
-        gathering its reply."""
+        settling its reply slot."""
 
         def run_round_trips():
             env = Environment(seed=0)
@@ -154,8 +154,8 @@ class TestMessageRoundTrip:
 
             def requester():
                 for index in range(self.ROUND_TRIPS):
-                    responses = yield client.request("server", "echo", index)
-                    assert responses[0].payload == index
+                    reply = yield client.request("server", "echo", index)
+                    assert reply.payload == index
                 return env.now
 
             process = env.process(requester())
@@ -200,8 +200,8 @@ class TestHandlerRoundTrip:
 
             def requester():
                 for _ in range(self.ROUND_TRIPS):
-                    responses = yield client.request("server", "read")
-                    assert responses[0].payload == 1
+                    reply = yield client.request("server", "read")
+                    assert reply.payload == 1
                 return env.now
 
             process = env.process(requester())

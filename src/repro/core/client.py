@@ -349,14 +349,15 @@ class TransactionClient:
                     attempt - 1, begin_time, f"begin {group}"
                 )
             for svc in self.service_names(group):
-                gather = self.node.request(svc, BEGIN, request, timeout_ms=self.config.timeout_ms)
-                responses = yield gather
-                if responses:
-                    reply: BeginReply = responses[0].payload
+                reply = yield self.node.request(
+                    svc, BEGIN, request, timeout_ms=self.config.timeout_ms
+                )
+                if reply is not None:
+                    begun: BeginReply = reply.payload
                     return TransactionHandle(
                         group=group,
-                        read_position=reply.read_position,
-                        leader_dc=reply.leader_dc,
+                        read_position=begun.read_position,
+                        leader_dc=begun.leader_dc,
                         begin_time=begin_time,
                     )
         raise ServiceUnavailable("begin: no Transaction Service answered")
@@ -434,13 +435,13 @@ class TransactionClient:
                     attempt - 1, handle.begin_time, f"read {item}"
                 )
             for svc in services:
-                responses = yield request_from(svc, READ, request, timeout_ms)
-                if responses and responses[0].payload.ok:
-                    reply: ReadReply = responses[0].payload
-                    read_cache[item] = reply.value
+                reply = yield request_from(svc, READ, request, timeout_ms)
+                if reply is not None and reply.payload.ok:
+                    read: ReadReply = reply.payload
+                    read_cache[item] = read.value
                     handle.read_set.add(item)
-                    handle.read_snapshot.append((item, reply.value))
-                    return reply.value
+                    handle.read_snapshot.append((item, read.value))
+                    return read.value
         raise ServiceUnavailable(f"read: no Transaction Service could serve {item}")
 
     def write(self, handle: TransactionHandle | MultiGroupHandle,

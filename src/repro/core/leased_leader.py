@@ -413,15 +413,14 @@ class LeasedLeaderCommit:
         leader_service = self.client.service_in(
             context.home_dc, context.transaction.group
         )
-        gather = self.client.node.request(
+        response = yield self.client.node.request(
             leader_service, LEADER_COMMIT, LeaderCommitRequest(txn),
             timeout_ms=self.config.timeout_ms,
         )
-        responses = yield gather
-        if not responses:
+        if response is None:
             context.record_abort(AbortReason.TIMEOUT)
             return TransactionStatus.ABORTED
-        reply: LeaderCommitReply = responses[0].payload
+        reply: LeaderCommitReply = response.payload
         if reply.status is TransactionStatus.COMMITTED:
             context.record_commit(position=reply.position, entry=None)
             return TransactionStatus.COMMITTED

@@ -183,14 +183,13 @@ class PaxosCommitBase:
         if leader_service is None:
             return False
         payload = m.LeaderClaimPayload(group, position, claimant)
-        gather = self.client.node.request(
+        reply = yield self.client.node.request(
             leader_service, m.LEADER_CLAIM, payload,
             timeout_ms=self.config.timeout_ms,
         )
-        responses = yield gather
-        if not responses:
+        if reply is None:
             return False
-        return bool(responses[0].payload.granted)
+        return bool(reply.payload.granted)
 
     def decide_position(
         self,

@@ -365,6 +365,13 @@ class QueueDeliveryPump:
         self.max_depth = 0
         #: When each pending message was first observed (backlog tracking).
         self._observed_ms: dict[tuple[str, int], float] = {}
+        #: ``(acknowledged head, home-store erasures)`` at the end of the
+        #: last scan that delivered everything up to the head.  A poll that
+        #: sees the same pair has nothing to deliver and skips the progress
+        #: read.  The erase count is part of the key because the progress
+        #: row is volatile: a crash of the home replica erases it, and the
+        #: next poll must re-read it and redeliver.
+        self._idle_mark: tuple[int, int] | None = None
 
     def _replica(self, group: str) -> LogReplica:
         """This pump's view of *group*'s log in its home store."""
@@ -416,6 +423,9 @@ class QueueDeliveryPump:
         """
         replica = self._replica(self.sender_group)
         acknowledged = replica.read_position()
+        mark = (acknowledged, self.store.erasures)
+        if mark == self._idle_mark:
+            return 0
         position, counters = self.table.pump_progress(self.sender_group)
         counters = dict(counters)
         backlog = self._backlog_size(replica, position, acknowledged, counters)
@@ -455,6 +465,7 @@ class QueueDeliveryPump:
                     delivered += 1
             # The position's sends are all confirmed: durable progress.
             self.table.record_pump_progress(self.sender_group, position, counters)
+        self._idle_mark = mark
         return delivered
 
     def _send_disposition(self, entry: LogEntry) -> str:

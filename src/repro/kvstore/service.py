@@ -77,7 +77,7 @@ class _StoreOp(Event):
     __slots__ = ("_accessor", "_operation", "_args", "_epoch")
 
     def __init__(self, accessor: "StoreAccessor", operation, args: tuple) -> None:
-        env = self.env = accessor.env
+        self.env = accessor.env
         self.callbacks = []
         self._value = _PENDING
         self._ok = None
@@ -86,13 +86,11 @@ class _StoreOp(Event):
         self._operation = operation
         self._args = args
         self._epoch = accessor.epoch
-        latency = accessor.latency
-        high = latency.high_ms
-        if high == 0:
-            env.sim.schedule(self, 0.0)
+        span = accessor._span
+        if span is None:
+            accessor._schedule(self, 0.0)
         else:
-            low = latency.low_ms
-            env.sim.schedule(self, low + (high - low) * accessor._rng.random())
+            accessor._schedule(self, accessor._low + span * accessor._random())
 
     def _process(self) -> None:
         if self._value is not _PENDING:
@@ -130,6 +128,20 @@ class StoreAccessor:
         self.store = store
         self.latency = latency or StoreLatencyModel()
         self._rng = env.rng.stream(rng_stream or f"kvstore.{store.name}")
+        # What every ``_StoreOp`` reads, bound once: the store's methods, the
+        # latency bounds (``span`` is ``high - low``, or ``None`` for an
+        # instant store), the stream's draw and the kernel's ``schedule``.
+        self._read = store.read
+        self._write = store.write
+        self._check_and_write = store.check_and_write
+        self._read_attribute = store.read_attribute
+        latency = self.latency
+        self._low = latency.low_ms
+        self._span = (
+            None if latency.high_ms == 0 else latency.high_ms - latency.low_ms
+        )
+        self._random = self._rng.random
+        self._schedule = env.sim.schedule
         #: Crash fence.  A deferred operation captures the epoch at call
         #: time; :meth:`fence` bumps it, so operations issued by processes a
         #: crash killed become no-ops when their latency elapses —
@@ -149,12 +161,12 @@ class StoreAccessor:
 
     def read(self, key: str, timestamp: float | None = None) -> Event:
         """Deferred :meth:`MultiVersionStore.read`."""
-        return _StoreOp(self, self.store.read, (key, timestamp))
+        return _StoreOp(self, self._read, (key, timestamp))
 
     def write(self, key: str, attributes: Mapping[str, Any],
               timestamp: float | None = None) -> Event:
         """Deferred :meth:`MultiVersionStore.write`."""
-        return _StoreOp(self, self.store.write, (key, attributes, timestamp))
+        return _StoreOp(self, self._write, (key, attributes, timestamp))
 
     def check_and_write(
         self,
@@ -166,7 +178,7 @@ class StoreAccessor:
     ) -> Event:
         """Deferred :meth:`MultiVersionStore.check_and_write`."""
         return _StoreOp(
-            self, self.store.check_and_write,
+            self, self._check_and_write,
             (key, test_attribute, test_value, attributes, timestamp),
         )
 
@@ -174,5 +186,5 @@ class StoreAccessor:
                        timestamp: float | None = None, default: Any = None) -> Event:
         """Deferred :meth:`MultiVersionStore.read_attribute`."""
         return _StoreOp(
-            self, self.store.read_attribute, (key, attribute, timestamp, default)
+            self, self._read_attribute, (key, attribute, timestamp, default)
         )

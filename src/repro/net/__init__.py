@@ -13,13 +13,13 @@ simulation kernel:
 * :mod:`repro.net.network` — unicast delivery with Bernoulli loss, link and
   datacenter outages; no ordering guarantees (UDP semantics).
 * :mod:`repro.net.node` — endpoints with typed message handlers and the
-  request/response + quorum-gather machinery the commit protocols use.
+  request/reply slot and quorum-gather machinery the commit protocols use.
 """
 
 from repro.net.latency import ConstantLatency, LatencyModel, RttMatrixLatency
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.node import Gather, Node
+from repro.net.node import Gather, Node, Reply
 from repro.net.topology import Datacenter, Topology, cluster_preset
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "Message",
     "Network",
     "Node",
+    "Reply",
     "RttMatrixLatency",
     "Topology",
     "cluster_preset",

@@ -1,7 +1,8 @@
 """One-way message delay models.
 
-The network asks its latency model for a one-way delay for each message.
-Models are deliberately simple — the paper's effects depend on the *relative*
+The network asks its latency model once per route for the path between two
+datacenters (:meth:`LatencyModel.path`), then draws each message's one-way
+delay on it.  Models are deliberately simple — the paper's effects depend on the *relative*
 magnitude of intra-region vs. cross-country delays, not on precise tail
 shapes — but jitter is included because perfectly deterministic delays would
 hide races the protocols must survive.
@@ -11,8 +12,14 @@ from __future__ import annotations
 
 import random
 from math import cos, log, sin, sqrt, tau
+from typing import Any, Callable
 
 from repro.net.topology import INTRA_DC_RTT_MS, PAPER_RTT_MS, Topology
+
+
+#: ``draw(base, rng)``: one message's delay on a path whose fixed part is
+#: *base* (see :meth:`LatencyModel.path`).
+PathDraw = Callable[[Any, random.Random], float]
 
 
 class LatencyModel:
@@ -21,6 +28,16 @@ class LatencyModel:
     def one_way_delay(self, src_dc: str, dst_dc: str, rng: random.Random) -> float:
         """One-way delay in milliseconds for a message src → dst."""
         raise NotImplementedError
+
+    def path(self, src_dc: str, dst_dc: str) -> tuple[PathDraw, Any]:
+        """``(draw, base)`` for the path src → dst, resolved once.
+
+        ``draw(base, rng)`` is :meth:`one_way_delay` for this pair, the same
+        float from the same stream position.  The network resolves each
+        route once and calls ``draw`` per message, so a model can hoist
+        whatever depends only on the pair into *base*.
+        """
+        return (lambda _base, rng: self.one_way_delay(src_dc, dst_dc, rng)), None
 
 
 class ConstantLatency(LatencyModel):
@@ -60,10 +77,6 @@ class RttMatrixLatency(LatencyModel):
         self.intra_dc_rtt_ms = intra_dc_rtt_ms
         self.jitter = jitter
         self._jitter_floor = max(0.5, 1.0 - 2.0 * jitter)
-        # (src_dc, dst_dc) -> half-RTT.  The matrix is keyed by *region*
-        # pair behind two name lookups and a frozenset; the delay is drawn
-        # once per message, so this cache is squarely on the hot path.
-        self._half_rtt: dict[tuple[str, str], float] = {}
 
     def base_rtt(self, src_dc: str, dst_dc: str) -> float:
         """The jitter-free RTT between two datacenters."""
@@ -80,10 +93,14 @@ class RttMatrixLatency(LatencyModel):
             ) from None
 
     def one_way_delay(self, src_dc: str, dst_dc: str, rng: random.Random) -> float:
-        base = self._half_rtt.get((src_dc, dst_dc))
-        if base is None:
-            base = self.base_rtt(src_dc, dst_dc) / 2.0
-            self._half_rtt[(src_dc, dst_dc)] = base
+        return self.jittered(self.base_rtt(src_dc, dst_dc) / 2.0, rng)
+
+    def path(self, src_dc: str, dst_dc: str) -> tuple[PathDraw, float]:
+        """The jitter draw over the pair's half-RTT, looked up once."""
+        return self.jittered, self.base_rtt(src_dc, dst_dc) / 2.0
+
+    def jittered(self, base: float, rng: random.Random) -> float:
+        """*base* (a half-RTT) times one jitter factor drawn from *rng*."""
         jitter = self.jitter
         if jitter == 0:
             return base

@@ -87,7 +87,11 @@ class Message(Notification):
                        self.request_id, True)
 
     def _process(self) -> None:
-        """Arrive at the stamped destination (the kernel pops this)."""
+        """Arrive at the stamped destination (the kernel pops this).
+
+        A response settles its pending request here; only a request goes on
+        to :meth:`Node.deliver` and its handler.
+        """
         node: "Node" = self._node
         network = node.network
         # Re-check outage state at delivery time: a datacenter that went down
@@ -96,6 +100,14 @@ class Message(Notification):
             network.stats.dropped_outage += 1
             return
         network.stats.delivered += 1
+        if self.is_response:
+            # Settle the request it answers.  A response whose request is no
+            # longer pending (settled, timed out, or lost with a crashed
+            # requester's table) is dropped.
+            slot = node._pending.get(self.request_id)
+            if slot is not None:
+                slot.add(self)
+            return
         node.deliver(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

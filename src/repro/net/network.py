@@ -101,6 +101,13 @@ class Network:
         #: Single-lane deployments take a branch-free send path with none
         #: of the per-lane indexing (send is the network's hottest method).
         self._single_lane = n_lanes == 1
+        #: ``src name -> dst name -> route``, each built on first use by
+        #: :meth:`_route`.  A route is a plain tuple (it is unpacked on every
+        #: send): ``(destination node, src datacenter, dst datacenter, the
+        #: link's severable key, src lane or None, dst lane, draw, base)``.
+        #: It holds only what membership and the latency model fix; fault
+        #: state is read per send, never cached here.
+        self._routes: dict[str, dict[str, tuple]] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -117,6 +124,8 @@ class Network:
                 f"environment has {self.env.lane_count} lane(s)"
             )
         self._nodes[node.name] = node
+        # A route from a bare datacenter name may now name this node.
+        self._routes.clear()
 
     def node(self, name: str) -> "Node":
         try:
@@ -175,6 +184,27 @@ class Network:
     # Delivery
     # ------------------------------------------------------------------
 
+    def _route(self, src: str, dst: str) -> tuple:
+        """Resolve and remember the route for the name pair (src, dst).
+
+        A *src* that names no node is a datacenter name: the message leaves
+        from that datacenter, in the lane of the event sending it.
+        """
+        dst_node = self._nodes.get(dst)
+        if dst_node is None:
+            raise UnknownDatacenter(f"message to unknown node {dst!r}")
+        src_node = self._nodes.get(src)
+        if src_node is None:
+            src_dc, src_lane = src, None
+        else:
+            src_dc, src_lane = src_node.datacenter, src_node.lane
+        dst_dc = dst_node.datacenter
+        draw, base = self.latency.path(src_dc, dst_dc)
+        route = (dst_node, src_dc, dst_dc, frozenset({src_dc, dst_dc}),
+                 src_lane, dst_node.lane, draw, base)
+        self._routes.setdefault(src, {})[dst] = route
+        return route
+
     def send(self, msg: Message) -> None:
         """Submit *msg* for (unreliable) delivery.
 
@@ -188,24 +218,20 @@ class Network:
         by_type = stats.by_type
         msg_type = msg.type
         by_type[msg_type] = by_type.get(msg_type, 0) + 1
-        dst = self._nodes.get(msg.dst)
-        if dst is None:
-            raise UnknownDatacenter(f"message to unknown node {msg.dst!r}")
+        try:
+            route = self._routes[msg.src][msg.dst]
+        except KeyError:
+            route = self._route(msg.src, msg.dst)
+        dst, src_dc, dst_dc, link, src_lane, dst_lane, draw, base = route
         msg._node = dst
-        src = self._nodes.get(msg.src)
-        src_dc = src.datacenter if src is not None else msg.src
-        dst_dc = dst.datacenter
         if self._single_lane:
             # The pre-lane hot path, byte for byte: one outage set, one
             # severed set, one RNG stream, scalar loss/duplication.
-            if self._down_datacenters and (
-                src_dc in self._down_datacenters
-                or dst_dc in self._down_datacenters
-            ):
+            down = self._down_datacenters
+            if down and (src_dc in down or dst_dc in down):
                 stats.dropped_outage += 1
                 return
-            if self._severed_links and \
-                    frozenset({src_dc, dst_dc}) in self._severed_links:
+            if self._severed_links and link in self._severed_links:
                 stats.dropped_partition += 1
                 return
             rng = self._rng
@@ -214,22 +240,21 @@ class Network:
                 return
             duplicated = self.duplicate_probability and \
                 rng.random() < self.duplicate_probability
-            one_way_delay = self.latency.one_way_delay
             sim_schedule = self.env.sim.schedule
-            sim_schedule(msg, one_way_delay(src_dc, dst_dc, rng))
+            sim_schedule(msg, draw(base, rng))
             if duplicated:
                 # UDP may duplicate: the same message is scheduled again, on
                 # a re-drawn path delay.
                 stats.duplicated += 1
-                sim_schedule(msg, one_way_delay(src_dc, dst_dc, rng))
+                sim_schedule(msg, draw(base, rng))
             return
-        lane = src.lane if src is not None else self.env.sim.current_lane
+        lane = src_lane if src_lane is not None else self.env.sim.current_lane
         down = self._down_views[lane]
         if down and (src_dc in down or dst_dc in down):
             stats.dropped_outage += 1
             return
         severed = self._severed_views[lane]
-        if severed and frozenset({src_dc, dst_dc}) in severed:
+        if severed and link in severed:
             stats.dropped_partition += 1
             return
         rng = self._rngs[lane]
@@ -246,15 +271,11 @@ class Network:
             copies = 2
             stats.duplicated += 1
         sim = self.env.sim
-        one_way_delay = self.latency.one_way_delay
-        dst_lane = dst.lane
         if dst_lane == lane:
             sim_schedule = sim.schedule
             for _copy in range(copies):
-                delay = one_way_delay(src_dc, dst_dc, rng)
-                sim_schedule(msg, delay)
+                sim_schedule(msg, draw(base, rng))
             return
         # Cross-lane: the kernel checks the channel and routes the delivery.
         for _copy in range(copies):
-            delay = one_way_delay(src_dc, dst_dc, rng)
-            sim.schedule_in_lane(msg, delay, dst_lane)
+            sim.schedule_in_lane(msg, draw(base, rng), dst_lane)

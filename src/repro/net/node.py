@@ -6,15 +6,27 @@ registered per message type; handlers may be plain functions (instantaneous)
 or generators (simulation processes, e.g. a service that must touch its
 key-value store before answering).
 
-Outgoing requests use :class:`Gather`, which implements the vote-collection
-discipline of Algorithm 2: broadcast to all datacenters, then wait until
+A request to one destination (:meth:`Node.request`: a client's begin and
+reads, the fast-path claim, the leased-leader commit) waits in a
+:class:`Reply` slot: the first reply settles it, or the loss-detection
+timeout (2 s in the paper) settles it with ``None``.  A broadcast
+(:meth:`Node.request_many`) uses :class:`Gather`, which implements the
+vote-collection discipline of Algorithm 2: broadcast to all datacenters,
+then wait until
 
 * every destination answered, or
 * a caller-supplied quorum predicate holds **and** a short *grace* window has
   passed (the paper notes that "in practice, when a Transaction Client sends
   a prepare message, it will receive responses from more than a simple
   majority" — the grace window is how the simulation reproduces that), or
-* the loss-detection timeout (2 s in the paper) expires.
+* the loss-detection timeout expires.
+
+Either way the request sits in its node's pending table under its request
+id until it settles, and a delivered response settles it straight from
+:meth:`Message._process <repro.net.message.Message._process>`; only
+requests reach :meth:`Node.deliver` and a handler.  The network resolves
+each (src, dst) name pair to a route once (:meth:`Network._route
+<repro.net.network.Network._route>`), so a send looks up no node.
 """
 
 from __future__ import annotations
@@ -67,20 +79,21 @@ class _DeadlineFifo(Notification):
     When it pops, it drops that entry and every settled one behind it,
     re-arms at the next entry's reserved key — even one due at this very
     instant: events keyed between the two must run first — and last, in
-    tail position (:meth:`Gather._finish` hands off), fires the gather it
-    was armed for unless that settled meanwhile.  A live deadline thus
-    fires at exactly the ``(time, seq)`` a heap entry of its own would
-    have; a dead one costs a ``popleft`` instead of a pop.
+    tail position (``_finish`` hands off), fires the request it was armed
+    for (a :class:`Reply` or a :class:`Gather`) unless that settled
+    meanwhile.  A live deadline thus fires at exactly the ``(time, seq)`` a
+    heap entry of its own would have; a dead one costs a ``popleft``
+    instead of a pop.
     """
 
     __slots__ = ("_sim", "_waiting")
 
     def __init__(self, sim) -> None:
         self._sim = sim
-        #: ``(reserved heap key, gather)``; the head is the one in the heap.
-        self._waiting: deque[tuple[tuple, Gather]] = deque()
+        #: ``(reserved heap key, request)``; the head is the one in the heap.
+        self._waiting: deque[tuple[tuple, Reply | Gather]] = deque()
 
-    def add(self, gather: "Gather", timeout_ms: float) -> None:
+    def add(self, request: "Reply | Gather", timeout_ms: float) -> None:
         key = self._sim.reserve(timeout_ms)
         waiting = self._waiting
         if not waiting:
@@ -89,18 +102,18 @@ class _DeadlineFifo(Notification):
             # One node's requests are all stamped by its own lane; a caller
             # outside it (setup code on a laned kernel) would break the order.
             raise RuntimeError("deadline reserved out of order")
-        waiting.append((key, gather))
+        waiting.append((key, request))
 
     def _process(self) -> None:
         waiting = self._waiting
-        _key, gather = waiting.popleft()
+        _key, request = waiting.popleft()
         while waiting:
             key, behind = waiting[0]
             if not behind._done:
                 self._sim.push_reserved(key, self)
                 break
             waiting.popleft()
-        gather._finish()
+        request._finish()
 
 
 class Gather(Event):
@@ -114,13 +127,13 @@ class Gather(Event):
     ``timeout_ms``.  The grace window, armed once ``enough`` holds, is a
     plain :class:`_Deadline` on the heap.
 
-    A gather completes in tail position — :meth:`add` is the last thing
-    :meth:`Node.deliver` does with a response, and a deadline does nothing
-    after firing — so its waiters are handed the result in place
+    A gather completes in tail position — :meth:`add` is the last thing a
+    response's delivery (``Message._process``) does, and a deadline does
+    nothing after firing — so its waiters are handed the result in place
     (:meth:`~repro.sim.events.Event.hand_off`) instead of through a
     same-instant queue entry.
 
-    There is one per request, so the constructor is flat, as
+    There is one per broadcast, so the constructor is flat, as
     :class:`_HandlerProcess`'s is: it writes :class:`Event`'s slots itself
     (``tests/sim/test_slot_drift.py`` fails if a slot is left unset).
     """
@@ -153,8 +166,8 @@ class Gather(Event):
         self._done = False
         self._answered: set[str] = set()
         #: The requester's correlation table and this gather's key in it
-        #: (:meth:`Node.request` / :meth:`Node.request_many`); the gather
-        #: enters it here and leaves it on finish.
+        #: (:meth:`Node.request_many`); the gather enters it here and leaves
+        #: it on finish.
         self._pending = pending
         self._request_id = request_id
         fifo = deadlines.get(timeout_ms)
@@ -200,6 +213,56 @@ class Gather(Event):
         self.hand_off(list(self.responses))
 
 
+class Reply(Event):
+    """The reply slot of a single-destination request (:meth:`Node.request`).
+
+    The event's value is the reply :class:`Message`, or ``None`` when the
+    loss-detection deadline fired first.  The first copy of the reply
+    settles the slot and takes it out of the requester's correlation table,
+    so a duplicated or late copy finds no slot and is dropped; a crash that
+    clears the table leaves the deadline to settle it with ``None``.  Like
+    :class:`Gather` it waits in its node's :class:`_DeadlineFifo` and
+    settles in tail position (by hand-off), but it keeps no answered-set
+    and no list: one destination answers at most once.
+
+    There is one per request, so the constructor is flat
+    (``tests/sim/test_slot_drift.py`` fails if a slot is left unset).
+    """
+
+    __slots__ = ("_done", "_pending", "_request_id")
+
+    def __init__(self, env: "Environment", timeout_ms: float,
+                 deadlines: "dict[float, _DeadlineFifo]",
+                 pending: "dict[int, Any]", request_id: int) -> None:
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._late_relay = None
+        self._done = False
+        self._pending = pending
+        self._request_id = request_id
+        fifo = deadlines.get(timeout_ms)
+        if fifo is None:
+            fifo = deadlines[timeout_ms] = _DeadlineFifo(env.sim)
+        fifo.add(self, timeout_ms)
+        pending[request_id] = self
+
+    def add(self, response: Message) -> None:
+        """Settle with *response*; only reached through the pending table."""
+        self._done = True
+        del self._pending[self._request_id]
+        self.hand_off(response)
+
+    def _finish(self) -> None:
+        """The deadline: settle with ``None`` unless a reply came first."""
+        if self._done:
+            return
+        self._done = True
+        self._pending.pop(self._request_id, None)
+        self.hand_off(None)
+
+
 #: What a handler's first step is resumed with: nothing, successfully.
 _FIRST_STEP = Event(None)  # type: ignore[arg-type]
 _FIRST_STEP._ok = True
@@ -221,7 +284,7 @@ class _HandlerProcess(Process):
     There is one per handled request, so the constructor is flat: it writes
     the slots of :class:`Event` and :class:`Process` itself instead of
     chaining through the two ``__init__`` methods, and arranges no first step —
-    ``deliver`` registers its callbacks, then calls :meth:`start`.  Its lane
+    ``deliver`` registers its callbacks, then takes it.  Its lane
     is its node's: a message is delivered in its destination's lane.
     (``tests/sim/test_slot_drift.py`` fails if a slot is left unset.)
     """
@@ -241,19 +304,6 @@ class _HandlerProcess(Process):
         self._waiting_on = None
         self._resume_cb = self._resume
         self._request = request
-
-    def start(self) -> None:
-        """Take the first step now if the queue would, else queue it.
-
-        The same clear-instant guard as :meth:`Event.hand_off`, without an
-        event to hand off: on a tie the usual bootstrap entry is queued.
-        """
-        sim = self.env.sim
-        queue = sim._queue
-        if queue and queue[0][0] <= sim._now:
-            Process._bootstrap(self, None)
-        else:
-            self._resume(_FIRST_STEP)
 
     @property
     def name(self) -> str:
@@ -284,7 +334,8 @@ class Node:
         self.lane = lane
         self.down = False
         self._handlers: dict[str, Handler] = {}
-        self._pending: dict[int, Gather] = {}
+        #: Open requests by id: a :class:`Reply` or a :class:`Gather`.
+        self._pending: dict[int, Reply | Gather] = {}
         #: Loss-detection deadlines in flight, one FIFO per timeout length.
         self._deadlines: dict[float, _DeadlineFifo] = {}
         self._request_ids = count(1)
@@ -382,29 +433,27 @@ class Node:
         return gather
 
     def request(self, dst: str, msg_type: str, payload: Any = None,
-                timeout_ms: float = 2000.0) -> Gather:
-        """Single-destination request; the gather completes on first reply.
+                timeout_ms: float = 2000.0) -> Reply:
+        """Single-destination request: a :class:`Reply` slot for the answer.
 
-        :meth:`request_many` for one destination, no quorum rule and no
-        grace window, built directly.
+        Its value is the reply :class:`Message`, or ``None`` on timeout.
         """
         request_id = next(self._request_ids)
-        gather = Gather(self.env, 1, None, timeout_ms, 0.0, self._deadlines,
-                        self._pending, request_id)
+        reply = Reply(self.env, timeout_ms, self._deadlines, self._pending,
+                      request_id)
         self.network.send(Message(self.name, dst, msg_type, payload, request_id))
-        return gather
+        return reply
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
 
     def deliver(self, msg: Message) -> None:
-        """Entry point called by the network.  Not for direct use."""
-        if msg.is_response:
-            gather = self._pending.get(msg.request_id)
-            if gather is not None:
-                gather.add(msg)
-            return
+        """Dispatch a delivered request to its handler.
+
+        Called by :meth:`Message._process`, which settles responses in the
+        pending table itself.  Not for direct use.
+        """
         handler = self._handlers.get(msg.type)
         if handler is None:
             return  # unknown messages are dropped, as UDP would
@@ -415,7 +464,15 @@ class Node:
                 self.adopt(process)
             if msg.request_id is not None:
                 process.callbacks.append(self._on_handler_done)
-            process.start()
+            # The first step, taken now if the queue would take it next: the
+            # clear-instant guard of :meth:`Event.hand_off`, without an event
+            # to hand off.  On a tie the usual bootstrap entry is queued.
+            sim = self.env.sim
+            queue = sim._queue
+            if queue and queue[0][0] <= sim._now:
+                Process._bootstrap(process, None)
+            else:
+                process._resume(_FIRST_STEP)
         elif msg.request_id is not None:
             self._reply(msg, result)
 

@@ -321,6 +321,16 @@ def plain_entry(group: str, position: int) -> LogEntry:
     ))
 
 
+def home_pump(cluster: Cluster) -> QueueDeliveryPump:
+    """A ``group-0`` pump in V1, driven by hand (no poll loop)."""
+    return QueueDeliveryPump(
+        cluster.env, cluster.network, "V1", "pump:test", "group-0",
+        cluster.stores["V1"],
+        ordered_service_names(list(cluster.topology.names), "V1"),
+        cluster.config.protocol,
+    )
+
+
 def pump_over_logs(lengths: dict[str, int]) -> tuple[Cluster, QueueDeliveryPump]:
     """A ``group-0`` pump in V1 over pre-chosen logs of the given lengths
     (the same entries recorded at every replica, as APPLY would)."""
@@ -330,13 +340,7 @@ def pump_over_logs(lengths: dict[str, int]) -> tuple[Cluster, QueueDeliveryPump]
             log = LogReplica(store, group)
             for position in range(1, length + 1):
                 log.record_chosen(position, plain_entry(group, position))
-    pump = QueueDeliveryPump(
-        cluster.env, cluster.network, "V1", "pump:test", "group-0",
-        cluster.stores["V1"],
-        ordered_service_names(list(cluster.topology.names), "V1"),
-        cluster.config.protocol,
-    )
-    return cluster, pump
+    return cluster, home_pump(cluster)
 
 
 def reads_during(cluster: Cluster, generator) -> int:
@@ -365,8 +369,9 @@ class TestPumpLogHeads:
         log = LogReplica(cluster.stores["V1"], "group-0")
         for position in (501, 502, 503):
             log.record_chosen(position, plain_entry("group-0", position))
-        # One probe per new entry on top of the idle scan's reads.
-        assert reads_during(cluster, pump.deliver_pending()) == idle + 3 <= 11
+        # On top of the idle scan's reads: the progress read an idle poll
+        # skips, and one probe per new entry.
+        assert reads_during(cluster, pump.deliver_pending()) == idle + 1 + 3 <= 11
         assert pump.table.pump_progress("group-0")[0] == 503
 
     def test_receiver_head_lookup_is_constant_after_the_first_append(self):
@@ -391,6 +396,59 @@ class TestPumpLogHeads:
         replica = LogReplica(cluster.stores["V1"], "group-0")
         with pytest.raises(InvariantViolation, match="position 2"):
             pump._acknowledged_entry(replica, 2)
+
+
+class TestPumpIdleMark:
+    """A poll that finds the acknowledged head where the last complete scan
+    left it has nothing to deliver, and skips the progress read — unless
+    the home store was erased since: the progress row is volatile."""
+
+    def pump_after_one_send(self) -> tuple[Cluster, QueueDeliveryPump]:
+        cluster = sharded_cluster(2, seed=19)
+        client = cluster.add_client("V1")
+
+        def app():
+            handle = yield from client.begin(key="row0")
+            client.enqueue(handle, "row1", "a0", "once")
+            yield from client.commit(handle)
+
+        run(cluster, app())
+        pump = home_pump(cluster)
+        assert run(cluster, pump.deliver_pending()) == 1
+        return cluster, pump
+
+    def test_idle_poll_reads_only_the_head_probe(self):
+        cluster, pump = self.pump_after_one_send()
+        # The acknowledged head is part of the mark, so an idle poll still
+        # probes the next log position — and reads nothing else.
+        assert reads_during(cluster, pump.deliver_pending()) == 1
+        assert run(cluster, pump.deliver_pending()) == 0
+        pump._idle_mark = None  # without the mark: the progress read too
+        assert reads_during(cluster, pump.deliver_pending()) == 2
+
+    def test_poll_after_an_erase_rereads_progress_and_redelivers(self):
+        cluster, pump = self.pump_after_one_send()
+        acknowledged = pump.table.pump_progress("group-0")[0]
+        assert run(cluster, pump.deliver_pending()) == 0
+        # The head has not moved, but the crash-time erase took the
+        # progress row: the next poll must read it (gone), redeliver, and
+        # record progress again.  A mark on the head alone would skip it.
+        cluster.stores["V1"].erase_volatile()
+        assert pump.table.pump_progress("group-0") == (0, {})
+        assert run(cluster, pump.deliver_pending()) == 1
+        assert pump.table.pump_progress("group-0") == (
+            acknowledged, {"group-1": 1},
+        )
+        assert run(cluster, pump.deliver_pending()) == 0
+        # Receiver dedup absorbs the redelivery: the apply is in the log
+        # twice, and only its first occurrence takes effect.
+        logs = cluster.finalize_all()
+        twins = [entry for entry in logs["group-1"].values()
+                 if entry.queue_key == ("group-0", 1)]
+        assert len(twins) == 2
+        assert list(first_applies(logs["group-1"])) == [("group-0", 1)]
+        assert check_queue_delivery(logs) == []
+        assert read_remote(cluster, "row1", "a0") == "once"
 
 
 def read_remote(cluster: Cluster, row: str, attribute: str):

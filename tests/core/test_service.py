@@ -21,9 +21,9 @@ def ask(cluster, dc, msg_type, payload, src_dc="V1"):
                   f"probe:{cluster.env.rng.stream('probe').random()}", src_dc)
 
     def proc():
-        responses = yield client.request(service_name(dc), msg_type, payload,
-                                         timeout_ms=10_000)
-        return responses[0].payload if responses else None
+        reply = yield client.request(service_name(dc), msg_type, payload,
+                                     timeout_ms=10_000)
+        return reply.payload if reply is not None else None
 
     process = cluster.env.process(proc())
     cluster.run()
@@ -98,15 +98,15 @@ class TestReadHandler:
         results = []
 
         def proc():
-            gathers = [
+            requests = [
                 probe.request(service_name("V2"), "txn.read",
                               ReadRequest(GROUP, "row0", "a", position=1),
                               timeout_ms=10_000)
                 for _ in range(4)
             ]
-            for gather in gathers:
-                responses = yield gather
-                results.append(responses[0].payload.value)
+            for request in requests:
+                reply = yield request
+                results.append(reply.payload.value)
 
         cluster.env.process(proc())
         cluster.run()

@@ -1,9 +1,9 @@
 """Differential: the kernel's two shortcuts against what they replaced.
 
-``Event.hand_off`` runs a finished gather's, store operation's or message
+``Event.hand_off`` runs a settled request's, store operation's or message
 handler's waiters in the caller's frame when no other entry is due at that
-instant (and ``_HandlerProcess.start`` takes a handler's first step the
-same way), and claims this *is* the queue order.  The check: the same cell
+instant (and ``Node.deliver`` takes a handler's first step the same way),
+and claims this *is* the queue order.  The check: the same cell
 with both replaced by "always queue" — which is what every one of those
 sites did before — must decide, send and store exactly the same things.
 
@@ -36,7 +36,7 @@ from repro.config import (
 )
 from repro.harness.experiment import ExperimentSpec, finish_run, prepare_run
 from repro.harness.parallel import metrics_digest
-from repro.net.node import _Deadline, _DeadlineFifo, _HandlerProcess
+from repro.net.node import _FIRST_STEP, _Deadline, _DeadlineFifo, _HandlerProcess
 from repro.sim.events import Event
 from repro.sim.process import Process
 from tests.helpers import xgroup_mix_spec
@@ -67,15 +67,18 @@ def always_queued(event: Event, value=None, ok: bool = True) -> None:
         event.fail(value)
 
 
-def queued_start(process: _HandlerProcess) -> None:
+def queued_first_step(process: _HandlerProcess, event: Event) -> None:
     """A handler's first step as the bootstrap entry every process gets."""
-    Process._bootstrap(process, None)
+    if event is _FIRST_STEP:  # ``Node.deliver`` taking it in its own frame
+        Process._bootstrap(process, None)
+    else:
+        Process._resume(process, event)
 
 
 def relaying(patch: pytest.MonkeyPatch) -> None:
     """Every same-instant wake-up rides the queue again."""
     patch.setattr(Event, "hand_off", always_queued)
-    patch.setattr(_HandlerProcess, "start", queued_start)
+    patch.setattr(_HandlerProcess, "_resume", queued_first_step)
 
 
 def deadline_on_the_heap(fifo: _DeadlineFifo, gather, timeout_ms: float) -> None:

@@ -49,8 +49,8 @@ class TestRequestResponse:
         server.on("double", lambda msg: msg.payload * 2)
 
         def proc():
-            responses = yield client.request("server", "double", 21)
-            return responses[0].payload
+            reply = yield client.request("server", "double", 21)
+            return reply.payload
 
         process = env.process(proc())
         env.run()
@@ -68,8 +68,8 @@ class TestRequestResponse:
         server.on("inc", handler)
 
         def proc():
-            responses = yield client.request("server", "inc", 1)
-            return (responses[0].payload, env.now)
+            reply = yield client.request("server", "inc", 1)
+            return (reply.payload, env.now)
 
         process = env.process(proc())
         env.run()
@@ -115,36 +115,36 @@ class TestRequestResponse:
         server.on("q", handler)
 
         def proc():
-            responses = yield client.request("server", "q", None, timeout_ms=100)
-            return responses
+            reply = yield client.request("server", "q", None, timeout_ms=100)
+            return reply
 
         process = env.process(proc())
         env.run()
-        assert process.value == []
+        assert process.value is None
 
 
 class TestHandlerHandOff:
     """A handler's process is started and finished by hand-off: the request
     costs the kernel its two deliveries, the handler's own delays and the
-    requester's deadline — no bootstrap, completion or gather relay."""
+    requester's deadline — no bootstrap, completion or reply relay."""
 
     def round_trip(self, env, handler):
         network = build(env)
         server = Node(env, network, "server", "V1")
         client = Node(env, network, "client", "V2")
         server.on("q", handler)
-        gather = client.request("server", "q", 20, timeout_ms=100)
+        reply = client.request("server", "q", 20, timeout_ms=100)
         env.run(until=50.0)
-        return gather, env.sim.processed_events
+        return reply, env.sim.processed_events
 
     def test_request_is_two_deliveries_plus_the_handlers_delays(self, env):
         def handler(msg):
             yield env.timeout(5.0)
             return msg.payload + 1
 
-        gather, events = self.round_trip(env, handler)
-        assert [r.payload for r in gather.value] == [21]
-        assert gather.processed  # its waiters ran with the reply's delivery
+        reply, events = self.round_trip(env, handler)
+        assert reply.value.payload == 21
+        assert reply.processed  # its waiters ran with the reply's delivery
         assert events == 3  # delivery, the handler's timeout, delivery
         env.run()
         assert env.sim.processed_events == 4  # + the (dead) deadline
@@ -154,8 +154,8 @@ class TestHandlerHandOff:
             return msg.payload * 2
             yield  # pragma: no cover - makes this a generator function
 
-        gather, events = self.round_trip(env, handler)
-        assert [r.payload for r in gather.value] == [40]
+        reply, events = self.round_trip(env, handler)
+        assert reply.value.payload == 40
         assert events == 2
 
     def test_reply_waits_for_what_the_last_step_queued(self, env):
@@ -187,8 +187,8 @@ class TestHandlerHandOff:
         client.on("note", lambda msg: arrivals.append("note"))
 
         def requester():
-            responses = yield client.request("server", "hold")
-            arrivals.append(responses[0].payload)
+            reply = yield client.request("server", "hold")
+            arrivals.append(reply.payload)
 
         env.process(requester())
         # Arrives while the first handler holds the lock.
@@ -211,7 +211,7 @@ class TestHandlerHandOff:
                 return "last words"
 
         server.on("q", handler)
-        gather = client.request("server", "q", timeout_ms=100)
+        reply = client.request("server", "q", timeout_ms=100)
         sent_inside_kill = []
 
         def crash(_event):
@@ -222,7 +222,7 @@ class TestHandlerHandOff:
         env.timeout(3.0).add_callback(crash)
         env.run()
         assert sent_inside_kill == [0]
-        assert [r.payload for r in gather.value] == ["last words"]
+        assert reply.value.payload == "last words"
 
     def test_generator_lookalike_is_a_plain_reply_value(self, env):
         # Only a real generator is a process; anything else a handler
@@ -238,8 +238,8 @@ class TestHandlerHandOff:
         lookalike = Lookalike()
         with pytest.raises(TypeError):
             Process(env, lookalike)
-        gather, _events = self.round_trip(env, lambda msg: lookalike)
-        assert [r.payload for r in gather.value] == [lookalike]
+        reply, _events = self.round_trip(env, lambda msg: lookalike)
+        assert reply.value.payload is lookalike
 
 
 class TestDeadlineFifo:
@@ -262,8 +262,8 @@ class TestDeadlineFifo:
 
         def requester():
             for _ in range(n):
-                responses = yield client.request("server", "q", timeout_ms=timeout_ms)
-                assert len(responses) == 1
+                reply = yield client.request("server", "q", timeout_ms=timeout_ms)
+                assert reply is not None
             finished.append(env.now)
 
         env.process(requester())
@@ -282,12 +282,12 @@ class TestDeadlineFifo:
 
         def requester():
             yield env.timeout(7.5)
-            responses = yield client.request("server", "q", timeout_ms=100.0)
-            return responses, env.now
+            reply = yield client.request("server", "q", timeout_ms=100.0)
+            return reply, env.now
 
         process = env.process(requester())
         env.run()
-        assert process.value == ([], 7.5 + 100.0)
+        assert process.value == (None, 7.5 + 100.0)
 
     def test_same_instant_deadlines_keep_their_own_queue_positions(self, env):
         # A, a plain timeout, B: three entries due at one instant, keyed in
@@ -303,19 +303,19 @@ class TestDeadlineFifo:
         a.add_callback(lambda e: trace.append("A"))
         b.add_callback(lambda e: trace.append("B"))
         env.run()
-        # Neither instant is clear, so both gathers wake their waiters
+        # Neither instant is clear, so both requests wake their waiters
         # through the queue, in the order their deadlines popped.
         assert trace == [("timeout", True, False), "A", "B"]
         assert env.now == 50.0
-        assert a.value == [] and b.value == []
+        assert a.value is None and b.value is None
 
     def test_two_timeout_lengths_each_keep_their_own_order(self, env):
         _server, client = self.pair(env, answer=False)
         fired = []
 
         def ask(tag, timeout_ms):
-            gather = client.request("server", "q", timeout_ms=timeout_ms)
-            gather.add_callback(lambda e: fired.append((tag, env.now)))
+            reply = client.request("server", "q", timeout_ms=timeout_ms)
+            reply.add_callback(lambda e: fired.append((tag, env.now)))
 
         def requester():
             ask("long-1", 100.0)
@@ -344,13 +344,13 @@ class TestDeadlineFifo:
             lost = client.request("silent", "q", timeout_ms=40.0)
             yield env.timeout(0.5)  # keeps the two replies off one instant
             also_settled = client.request("server", "q", timeout_ms=40.0)
-            responses = yield lost
+            reply = yield lost
             assert settled.processed and also_settled.processed
-            return len(first), responses, env.now
+            return first.payload, reply, env.now
 
         process = env.process(requester())
         env.run()
-        assert process.value == (1, [], 45.0)
+        assert process.value == ("ok", None, 45.0)
         # 7 deliveries (the silent node drops its one), two think times, the
         # requester's two — and two head pops: the dead first deadline,
         # which re-arms past a settled entry for the live one, and that one;
@@ -362,32 +362,32 @@ class TestDeadlineFifo:
     def test_down_requester_times_out_as_before(self, env):
         _server, client = self.pair(env)
         client.down = True  # the reply is dropped at delivery
-        gather = client.request("server", "q", timeout_ms=60.0)
+        reply = client.request("server", "q", timeout_ms=60.0)
         env.run()
-        assert gather.value == [] and env.now == 60.0
+        assert reply.value is None and env.now == 60.0
 
     def test_killed_requester_is_not_resumed_by_its_deadline(self, env):
         _server, client = self.pair(env, answer=False)
-        gathers = []
+        replies = []
 
         def requester():
-            gathers.append(client.request("server", "q", timeout_ms=60.0))
-            yield gathers[0]
+            replies.append(client.request("server", "q", timeout_ms=60.0))
+            yield replies[0]
             raise AssertionError("resumed after the kill")  # pragma: no cover
 
         process = env.process(requester())
         env.timeout(3.0).add_callback(lambda e: process.kill("crash"))
         env.run()
         assert isinstance(process.value, ProcessKilled)
-        assert gathers[0].value == [] and env.now == 60.0
+        assert replies[0].value is None and env.now == 60.0
         assert not client._pending
 
     def test_finished_gather_leaves_the_correlation_table_at_once(self, env):
         _server, client = self.pair(env)
-        gather = client.request("server", "q", timeout_ms=60.0)
-        assert list(client._pending.values()) == [gather]
+        reply = client.request("server", "q", timeout_ms=60.0)
+        assert list(client._pending.values()) == [reply]
         env.run(until=2.0)
-        assert gather.processed and not client._pending
+        assert reply.processed and not client._pending
 
     def test_reservation_from_outside_the_nodes_lane_is_refused(self):
         # A node's deadlines are ordered because its own lane stamps them

@@ -1,7 +1,8 @@
 """The inlined draws are the standard library's, bit for bit.
 
 A store operation's latency (``_StoreOp``) and a message's jitter factor
-(``RttMatrixLatency.one_way_delay``) are drawn once each per operation and
+(``RttMatrixLatency.jittered``, which ``one_way_delay`` and every route
+``Network.send`` caches draw through) are drawn once each per operation and
 per message, so both inline what ``random.Random.uniform`` and
 ``random.Random.gauss`` compute instead of calling them.  Every simulated
 number depends on those floats and on the stream position after each draw,
@@ -27,6 +28,9 @@ from repro.config import WorkloadConfig
 from repro.kvstore.service import StoreAccessor, StoreLatencyModel
 from repro.kvstore.store import MultiVersionStore
 from repro.net.latency import RttMatrixLatency
+from repro.net.message import Message
+from repro.net.network import Network
+from repro.net.node import Node
 from repro.net.topology import cluster_preset
 from repro.sim.env import Environment
 from repro.sim.rng import derive_seed
@@ -78,6 +82,44 @@ def test_jitter_factor_is_gauss_bit_for_bit(seed, jitter):
             assert stream.random() == twin.random()
         factor = twin.gauss(1.0, jitter)
         assert model.one_way_delay("C", "V1", stream) == base * max(factor, floor)
+    assert stream.getstate() == twin.getstate()
+    assert stream.gauss_next == twin.gauss_next
+
+
+@pytest.mark.parametrize("lanes", (1, 3), ids=("single-lane", "laned"))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_delays_drawn_through_the_route_are_one_way_delay(seed, lanes):
+    # ``Network.send`` draws a message's delay on its cached route
+    # (``RttMatrixLatency.path``'s half-RTT), after the loss and duplication
+    # coins; the delays it schedules must be ``one_way_delay``'s on a twin
+    # stream, coins included, on both of its paths.
+    env = Environment(seed=seed, lanes=lanes)
+    topology = cluster_preset("COV")
+    model = RttMatrixLatency(topology)
+    loss, duplicate = 0.2, 0.3
+    network = Network(env, topology, model, loss_probability=loss,
+                      duplicate_probability=duplicate)
+    lane = lanes - 1
+    Node(env, network, "src", "C", lane=lane)
+    Node(env, network, "dst", "V1", lane=lane)
+    stream = env.rng.stream("net" if lane == 0 else f"net.l{lane}")
+    twin = random.Random(derive_seed(seed, "net" if lane == 0 else f"net.l{lane}"))
+    expected = []
+    for _index in range(DRAWS):
+        network.send(Message("src", "dst", "note"))
+        if twin.random() < loss:
+            continue
+        copies = 2 if twin.random() < duplicate else 1
+        for _copy in range(copies):
+            expected.append(model.one_way_delay("C", "V1", twin))
+    # Nothing has run: each heap key is 0.0 + the drawn delay, and the
+    # sequence number (index 1 of a single-lane heap entry, 2 of a laned
+    # one) is the order the deliveries were scheduled in.
+    seq = 1 if lanes == 1 else 2
+    queued = sorted(env.sim._queue, key=lambda entry: entry[seq])
+    assert [entry[0] for entry in queued] == expected
+    messages = {id(entry[-1]) for entry in queued}
+    assert network.stats.dropped_loss + len(messages) == DRAWS
     assert stream.getstate() == twin.getstate()
     assert stream.gauss_next == twin.gauss_next
 

@@ -1,9 +1,10 @@
 """The hand-written constructors set every slot, to what ``__init__`` would.
 
-``Timeout``, ``_StoreOp``, ``_HandlerProcess`` and ``Gather`` are allocated
-once per think time, store operation, handled request and request, so each
-writes :class:`Event`'s slots itself instead of chaining to
-``Event.__init__`` (and ``_HandlerProcess`` writes :class:`Process`'s too).
+``Timeout``, ``_StoreOp``, ``_HandlerProcess``, ``Reply`` and ``Gather`` are
+allocated once per think time, store operation, handled request,
+one-destination request and broadcast, so each writes :class:`Event`'s
+slots itself instead of chaining to ``Event.__init__`` (and
+``_HandlerProcess`` writes :class:`Process`'s too).
 That puts the slot list in several places; this test is what keeps them in
 step.  A slot added to ``Event`` or ``Process`` that one of the copies
 forgets is unset on the object, and reading it here raises.
@@ -16,7 +17,7 @@ import pytest
 from repro.kvstore.service import StoreAccessor, _StoreOp
 from repro.kvstore.store import MultiVersionStore
 from repro.net.message import Message
-from repro.net.node import Gather, _HandlerProcess
+from repro.net.node import Gather, Reply, _HandlerProcess
 from repro.sim.env import Environment
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
@@ -42,6 +43,8 @@ def built(kind: str, env: Environment):
     if kind == "_StoreOp":
         accessor = StoreAccessor(env, MultiVersionStore("drift"))
         return _StoreOp(accessor, accessor.store.read, ("row", None))
+    if kind == "Reply":
+        return Reply(env, 2000.0, {}, {}, 1)
     if kind == "Gather":
         return Gather(env, 1, None, 2000.0, 0.0, {}, {}, 1)
     request = Message(src="client", dst="server", type="read", request_id=1)
@@ -53,7 +56,7 @@ BORN_WITH = {"Timeout": {"_value": "value", "_ok": True}}
 
 
 @pytest.mark.parametrize("kind", ("Timeout", "_StoreOp", "_HandlerProcess",
-                                  "Gather"))
+                                  "Reply", "Gather"))
 def test_every_event_slot_is_set_as_event_init_sets_it(kind):
     env = Environment(seed=0)
     plain = Event(env)
