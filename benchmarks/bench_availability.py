@@ -165,7 +165,6 @@ def brownout_spec(fault: tuple[float, float],
         ),
         protocol="paxos-cp",
         check_invariants=False,
-        retain_outcomes=False,
     )
 
 

@@ -3,10 +3,9 @@
 The closed-loop figure benchmarks can never overload the system — each
 thread waits for its own previous transaction.  This sweep drives the
 open-loop engine (``repro.workload.openloop``) instead: a one-million-user
-logical population arrives over a 64-client pool at a ramp of offered
-loads, with per-client admission control (bounded pending queues) and
-streaming histogram metrics (``retain_outcomes=False`` — no outcome lists
-exist at any point of the hot path).
+logical population arrives (Poisson) over a 64-client pool at a ramp of
+offered loads, with per-client admission control (bounded pending queues).
+Every latency percentile is exact, folded from the kept outcomes.
 
 Reported per offered-load point: arrivals, admitted, dropped (admission
 control), commits, goodput (commits per offered second), response-time
@@ -17,18 +16,13 @@ sheds the excess) rather than collapse.
 
 Acceptance (asserted, ``--smoke`` included):
 
-* the run completes with outcome retention off, and the per-client
-  streaming state is O(histogram buckets) — bucket counts are checked
-  against a fixed bound, not the transaction count;
+* every admitted arrival ran to a decision, and each kept one outcome;
 * the top of the ramp is past saturation: drops observed, goodput below
   ``KNEE_FRACTION`` of offered;
 * goodput plateaus: the top point's goodput is at least half the best
   point's (shedding, not collapsing);
-* on a lightly-loaded *reference cell* run twice — once retained, once
-  streaming — the histogram p99 is within one log-bucket width
-  (``LatencyHistogram.bucket_ratio()``) of the exact sample p99;
 * the whole sweep is metrics-digest-identical between ``--jobs 1`` and
-  ``--jobs 2`` (workers ship histograms, not outcome lists).
+  ``--jobs 2``.
 
 Also runnable as a script (CI uses ``--smoke``):
 
@@ -53,14 +47,7 @@ from benchmarks.common import (
     run_benchmark_main,
 )
 from repro.config import ClusterConfig, PlacementConfig, WorkloadConfig
-from repro.harness.experiment import (
-    ExperimentResult,
-    ExperimentSpec,
-    finish_run,
-    prepare_run,
-    run_once,
-)
-from repro.harness.metrics import LatencyHistogram, _percentile
+from repro.harness.experiment import ExperimentResult, ExperimentSpec
 from repro.harness.parallel import metrics_digest, run_cells
 from repro.harness.report import format_open_loop
 
@@ -77,20 +64,16 @@ SMOKE_DURATION_MS = 2_000.0
 
 #: A point is past the saturation knee once goodput < this × offered.
 KNEE_FRACTION = 0.9
-#: The streaming state bound: a latency spread of 2^50 would still fit.
-MAX_HISTOGRAM_BUCKETS = 400
 
 
-def open_loop_spec(offered: float, duration_ms: float,
-                   arrival: str = "poisson") -> ExperimentSpec:
+def open_loop_spec(offered: float, duration_ms: float) -> ExperimentSpec:
     return ExperimentSpec(
-        name=f"open/{arrival}/{offered:g}ps",
+        name=f"open/poisson/{offered:g}ps",
         cluster=ClusterConfig(
             placement=PlacementConfig.ranged(N_GROUPS, key_universe=N_ROWS),
         ),
         workload=WorkloadConfig(
             open_loop=True,
-            arrival=arrival,  # type: ignore[arg-type]
             n_users=N_USERS,
             offered_load=offered,
             pool_size=POOL_SIZE,
@@ -100,7 +83,6 @@ def open_loop_spec(offered: float, duration_ms: float,
         ),
         protocol=PROTOCOL,
         check_invariants=False,
-        retain_outcomes=False,
     )
 
 
@@ -111,23 +93,6 @@ def saturation_knee(results: list[ExperimentResult]) -> float | None:
         if result.metrics.goodput_per_s < KNEE_FRACTION * stats.offered_rate:
             return stats.offered_rate
     return None
-
-
-def check_streaming_state(spec: ExperimentSpec, seed: int = 0) -> ExperimentResult:
-    """Run one cell inline and verify its retained state is O(buckets)."""
-    cluster, drivers = prepare_run(spec, seed)
-    cluster.run()
-    aggregate = drivers[0].aggregate()
-    for name in ("commit_latency", "all_latency"):
-        histogram = getattr(aggregate, name)
-        buckets = len(histogram.counts)
-        assert buckets <= MAX_HISTOGRAM_BUCKETS, (
-            f"{name}: {buckets} buckets for {histogram.n} samples — the "
-            f"streaming state is supposed to be O(buckets), not O(n)"
-        )
-    result = finish_run(spec, cluster, drivers)
-    assert result.outcomes == [], "retention off, yet outcomes were retained"
-    return result
 
 
 def check_sweep(results: list[ExperimentResult]) -> None:
@@ -141,7 +106,9 @@ def check_sweep(results: list[ExperimentResult]) -> None:
         assert stats.completed == stats.admitted, (
             "the drain tail must run every admitted arrival to a decision"
         )
-        assert result.outcomes == [], "streaming cells must retain nothing"
+        assert len(result.outcomes) == stats.completed, (
+            "every decided arrival keeps its outcome"
+        )
     top = results[-1]
     top_stats = top.metrics.open_loop
     assert top_stats.dropped > 0, (
@@ -155,39 +122,6 @@ def check_sweep(results: list[ExperimentResult]) -> None:
     assert top.metrics.goodput_per_s >= 0.5 * best, (
         f"goodput collapsed past saturation: top {top.metrics.goodput_per_s:.1f}/s "
         f"vs best {best:.1f}/s — admission control should shed, not thrash"
-    )
-
-
-def check_reference_cell(duration_ms: float, seed: int = 0) -> None:
-    """Histogram p99 vs exact p99 on a lightly-loaded retained cell.
-
-    The same cell runs twice — retained (exact percentiles available from
-    the outcome list) and streaming — and the streaming p99 must be within
-    one log-bucket width of the exact sample p99.
-    """
-    from dataclasses import replace
-
-    streaming = open_loop_spec(OFFERED_RAMP[0], duration_ms)
-    retained = replace(streaming, retain_outcomes=True, check_invariants=True)
-    run_streaming = run_once(streaming, seed=seed)
-    run_retained = run_once(retained, seed=seed)
-    exact = sorted(
-        outcome.latency_ms for outcome in run_retained.outcomes
-        if outcome.committed
-    )
-    assert exact, "reference cell committed nothing"
-    exact_p99 = _percentile(exact, 0.99)
-    hist_p99 = run_streaming.metrics.commit_latency.p99_ms
-    ratio = LatencyHistogram.bucket_ratio()
-    assert exact_p99 / ratio <= hist_p99 <= exact_p99 * ratio, (
-        f"histogram p99 {hist_p99:.2f}ms is more than one bucket width "
-        f"({ratio:.4f}x) from the exact p99 {exact_p99:.2f}ms"
-    )
-    # Same seed, same arrivals: both retention modes must agree exactly on
-    # everything count-shaped (the invariant suite ran on the retained one).
-    assert (run_retained.metrics.commits == run_streaming.metrics.commits
-            and run_retained.metrics.open_loop == run_streaming.metrics.open_loop), (
-        "retained and streaming runs of the same seed disagree"
     )
 
 
@@ -216,8 +150,6 @@ def run_and_check(ramp, duration_ms: float, trials: int,
                   jobs: int | None = 1) -> str:
     results = run_ramp(ramp, duration_ms, trials, jobs=jobs)
     check_sweep(results)
-    check_streaming_state(open_loop_spec(ramp[-1], duration_ms))
-    check_reference_cell(duration_ms)
     # Digest determinism: the exact sweep again, serial and two workers.
     serial_digest = metrics_digest(run_ramp(ramp, duration_ms, trials, jobs=1))
     parallel_digest = metrics_digest(run_ramp(ramp, duration_ms, trials, jobs=2))

@@ -127,9 +127,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
                         help="open-loop traffic: logical users arrive on "
                              "their own schedule over a bounded client pool "
                              "(replaces --transactions/--threads/--rate)")
-    parser.add_argument("--arrival", default="poisson",
-                        choices=["poisson", "diurnal", "flash"],
-                        help="open-loop arrival process (default poisson)")
     parser.add_argument("--users", type=int, default=1_000_000,
                         help="logical-user population (sampled, not "
                              "instantiated; default 1M)")
@@ -142,12 +139,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
                              "it are dropped (default 4)")
     parser.add_argument("--duration-ms", type=float, default=10_000.0,
                         help="open-loop admission horizon in sim ms")
-    parser.add_argument("--hot-shift-ms", type=float, default=0.0,
-                        help="migrate the zipfian hot spot every N sim ms "
-                             "(0 = static hot spot)")
-    parser.add_argument("--aggregate-only", action="store_true",
-                        help="retain no per-transaction outcomes: streaming "
-                             "histograms only (disables invariant checking)")
     parser.add_argument("--retry-attempts", type=int, default=3,
                         help="client-side retries after a failed service "
                              "sweep (default 3)")
@@ -298,7 +289,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         if n_groups > 1:
             name += f"/{n_groups}g"
         if args.open_loop:
-            name += f"/open-{args.arrival}"
+            name += "/open-poisson"
         name += faults.cell_suffix()
         return ExperimentSpec(
             name=name,
@@ -335,19 +326,14 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
                 cross_group_span=args.cross_group_span,
                 queue_fraction=args.queue_fraction,
                 open_loop=args.open_loop,
-                arrival=args.arrival,
                 n_users=args.users,
                 offered_load=args.offered_load,
                 pool_size=args.pool,
                 max_pending=args.max_pending,
                 open_duration_ms=args.duration_ms,
-                hot_shift_period_ms=args.hot_shift_ms,
             ),
             protocol=args.protocol,
             per_datacenter_instances=args.per_dc,
-            retain_outcomes=not args.aggregate_only,
-            # The check subcommand exists to run the invariant suite.
-            check_invariants=args.command == "check" or not args.aggregate_only,
         )
     except ValueError as error:  # InvalidExperimentSpec is one too
         raise SystemExit(f"error: {error}") from None

@@ -1089,11 +1089,6 @@ class Cluster:
                     [f"MVSG test failed: cycle {cycle} in the observed history"]
                 )
 
-    @property
-    def anomalies(self) -> "list[Anomaly]":
-        """Classified anomalies of the last invariant pass (SI runs)."""
-        return list(self._anomalies)
-
     def anomaly_counts(self) -> dict[str, int]:
         """``{anomaly kind: count}`` of the last invariant pass, sorted by
         kind — the shape :class:`repro.harness.metrics.RunMetrics` carries."""

@@ -181,12 +181,13 @@ class FaultScheduleError(ReproError):
 
 class InvalidExperimentSpec(ReproError, ValueError):
     """An :class:`~repro.harness.experiment.ExperimentSpec` combines options
-    that cannot run together (e.g. aggregate-only mode with invariant
-    checking, or the open-loop engine on a sharded deployment).
+    that cannot run together (e.g. the open-loop engine on a sharded
+    deployment), or names a protocol that does not exist.
 
     Raised by :func:`repro.config.check_combination`, with the reason of the
-    compatibility-table row that refuses the combination, at spec
-    *construction* — misconfigured sweeps die before any cluster is built.
+    compatibility-table row that refuses the combination, and by
+    :func:`repro.config.check_choices`, at spec *construction* —
+    misconfigured sweeps die before any cluster is built.
     Also a :class:`ValueError`, for callers that guard with the generic type.
     """
 

@@ -20,10 +20,11 @@ from repro.config import (
     Combination,
     ProtocolName,
     WorkloadConfig,
+    check_choices,
     check_combination,
 )
+from repro.errors import InvalidExperimentSpec
 from repro.harness.metrics import (
-    OutcomeAggregate,
     RunMetrics,
     aggregate_metrics,
     availability_report,
@@ -52,18 +53,12 @@ class ExperimentSpec:
     protocol: ProtocolName = "paxos"
     per_datacenter_instances: bool = False
     check_invariants: bool = True
-    #: ``False`` switches the drivers to aggregate-only mode: no
-    #: per-transaction outcome lists, metrics built from streaming
-    #: histograms (O(buckets) memory).  Incompatible with
-    #: ``check_invariants`` — the invariant suite reads the outcomes.
-    retain_outcomes: bool = True
 
     def __post_init__(self) -> None:
+        check_choices(self, InvalidExperimentSpec)
         check_combination(Combination.of(
             self.cluster, self.workload, self.protocol,
             per_datacenter=self.per_datacenter_instances,
-            retain_outcomes=self.retain_outcomes,
-            check_invariants=self.check_invariants,
         ))
 
     def scaled(self, n_transactions: int) -> "ExperimentSpec":
@@ -105,7 +100,6 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
 
         drivers = [OpenLoopDriver(
             cluster, spec.workload, spec.protocol, datacenter=datacenter,
-            retain_outcomes=spec.retain_outcomes,
         )]
     elif spec.per_datacenter_instances:
         # On a sharded placement the per-DC instances fan out over the
@@ -114,12 +108,10 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
         drivers = WorkloadDriver.per_datacenter(
             cluster, spec.workload, spec.protocol,
             shared_group=cluster.placement.n_groups == 1,
-            retain_outcomes=spec.retain_outcomes,
         )
     else:
         drivers = [WorkloadDriver(cluster, spec.workload, spec.protocol,
-                                  datacenter=datacenter,
-                                  retain_outcomes=spec.retain_outcomes)]
+                                  datacenter=datacenter)]
     drivers[0].install_data()
     for driver in drivers:
         driver.start()
@@ -185,25 +177,16 @@ def _finish_run(
         for group, group_log in group_logs.items()
         for position, entry in group_log.items()
     }
-    # One fold either way: a retained run folds its outcome lists (exact
-    # latency statistics), a streaming run merges the drivers' aggregates
-    # (bucketed ones).
-    if spec.retain_outcomes:
-        build, whole = RunMetrics.from_outcomes, outcomes
-        parts = [result.outcomes for result in results]
-    else:
-        build, whole = RunMetrics.from_aggregate, OutcomeAggregate()
-        parts = [driver.aggregate() for driver in drivers]
-        for part in parts:
-            whole.merge(part)
     loops = [driver for driver in drivers if hasattr(driver, "open_loop_stats")]
-    metrics = build(
-        whole, protocol=spec.protocol, log=log, queue=queue,
+    metrics = RunMetrics.from_outcomes(
+        outcomes, protocol=spec.protocol, log=log, queue=queue,
         open_loop=loops[0].open_loop_stats() if loops else None,
     )
     per_instance = {
-        driver.datacenter: build(part, protocol=spec.protocol)
-        for driver, part in zip(drivers, parts)
+        driver.datacenter: RunMetrics.from_outcomes(
+            result.outcomes, protocol=spec.protocol,
+        )
+        for driver, result in zip(drivers, results)
     }
     # Under snapshot isolation check_invariants_all classified the MVSG
     # cycles; surface the per-kind counts on the run's metrics (empty dict

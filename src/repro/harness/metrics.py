@@ -12,15 +12,14 @@ cross-group, queue-send) flows through one summary helper,
 :class:`LatencySummary`, which also carries the production-facing tails
 (p50/p95/p99/p999).
 
-Every run reaches :class:`RunMetrics` through one fold,
-:class:`OutcomeAggregate`, for the closed-loop and the open-loop driver
-alike.  ``retain_outcomes`` decides only how its latencies are kept: a
-retained run folds its outcome list after the run and reports every
-latency statistic *exactly*; a streaming run folds each outcome as it
-happens into a :class:`LatencyHistogram` — the fixed-memory log-bucketed
-accumulator — and reports percentiles to within one bucket.
-:func:`aggregate_metrics` then combines trials field by field, by each
-field's declared type and one table of exceptions.
+Every run keeps its outcomes and reaches :class:`RunMetrics` through one
+fold, :class:`OutcomeAggregate` inside :meth:`RunMetrics.from_outcomes`,
+for the closed-loop and the open-loop driver alike; every latency
+statistic it reports is exact.  :class:`LatencyHistogram`, the
+fixed-memory log-bucketed accumulator, serves the availability timeline's
+windows and the open-loop queue waits.  :func:`aggregate_metrics` then
+combines trials field by field, by each field's declared type and one
+table of exceptions.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ _BUCKET_RATIO = 2.0 ** (1.0 / _SUBBUCKETS)
 
 
 class LatencyHistogram:
-    """Fixed-memory streaming latency histogram with log-spaced buckets.
+    """Fixed-memory latency histogram with log-spaced buckets.
 
     HDR-style: a positive value ``v`` lands in bucket
     ``floor(log2(v) * 8)``, so bucket ``i`` covers ``[2**(i/8),
@@ -86,8 +85,7 @@ class LatencyHistogram:
 
     State is O(buckets) — eight buckets per factor of two of dynamic
     range, a few hundred ints for any realistic latency spread — which is
-    what lets a million-user open-loop run carry full latency tails, and
-    worker processes ship histograms home instead of outcome lists.
+    what lets every availability window carry its own latency tail.
 
     :meth:`absorb` adds per-bucket counts, so merging histograms yields
     *exactly* the histogram of the concatenated samples: associative and
@@ -135,16 +133,8 @@ class LatencyHistogram:
         if other.max_value > self.max_value:
             self.max_value = other.max_value
 
-    def copy(self) -> "LatencyHistogram":
-        fresh = LatencyHistogram()
-        fresh.absorb(self)
-        return fresh
-
     @property
     def count(self) -> int:
-        return self.n
-
-    def __len__(self) -> int:
         return self.n
 
     @property
@@ -153,9 +143,6 @@ class LatencyHistogram:
         if self.n == 0:
             return float("nan")
         return self.total / self.n
-
-    def summary(self) -> "LatencySummary":
-        return LatencySummary.from_histogram(self)
 
     def percentile(self, fraction: float) -> float:
         """The *fraction* percentile, to within one bucket width.
@@ -219,12 +206,12 @@ class AvailabilityTimeline:
     ``window_ms``-wide windows, keeping per-window commit counts, abort
     counts by reason, and a commit-latency histogram.  State is O(windows
     × abort reasons) — a few ints per half-second of simulated time —
-    so open-loop million-transaction runs carry a full availability
-    timeline at no meaningful cost.
+    so a long run carries a full availability timeline at no meaningful
+    cost.
 
-    :meth:`absorb` adds per-window counts, so merging per-thread timelines
-    in thread order reproduces the serial fold exactly — the property that
-    keeps ``--jobs`` metrics digests identical under fault schedules.
+    :meth:`absorb` adds per-window counts, so pooling the trials' timelines
+    in trial order is exact — the property that keeps ``--jobs`` metrics
+    digests identical under fault schedules.
     """
 
     def __init__(self, window_ms: float = _WINDOW_MS) -> None:
@@ -259,11 +246,6 @@ class AvailabilityTimeline:
                 mine[reason] = mine.get(reason, 0) + count
         for index, histogram in other.latency.items():
             self.latency.setdefault(index, LatencyHistogram()).absorb(histogram)
-
-    def copy(self) -> "AvailabilityTimeline":
-        fresh = AvailabilityTimeline(self.window_ms)
-        fresh.absorb(self)
-        return fresh
 
     def is_empty(self) -> bool:
         return not self.commits and not self.aborts
@@ -379,9 +361,9 @@ class LatencySummary:
     The single helper every latency column goes through — commit,
     all-transaction, cross-group (2PC), and queue-send commit latencies
     all report the same statistics now, instead of the historical mix of
-    mean-only and median/p95.  Built exactly (:meth:`exact`) when the run
-    retained its outcomes, or from a streaming histogram
-    (:meth:`from_histogram`) when it did not.
+    mean-only and median/p95.  Built exactly (:meth:`exact`) from a run's
+    outcomes, or from a histogram (:meth:`from_histogram`) for the
+    open-loop queue waits.
     """
 
     count: int = 0
@@ -452,45 +434,22 @@ class OpenLoopStats:
         return self.dropped / self.offered
 
 
-class _Samples(list):
-    """The latency recorder of a retained run: every sample, kept in order.
-
-    Records like :class:`LatencyHistogram` but summarizes exactly, so one
-    :class:`OutcomeAggregate` fold serves both retention modes.
-    """
-
-    record = list.append
-    absorb = list.extend
-
-    @property
-    def mean(self) -> float:
-        return fmean(self)
-
-    def summary(self) -> LatencySummary:
-        return LatencySummary.exact(self)
-
-
 class OutcomeAggregate:
     """The one fold from transaction outcomes to :class:`RunMetrics`.
 
-    Streaming runs (``retain_outcomes=False``) fold every outcome into one
-    of these as it happens — O(histogram buckets) state — instead of
-    appending to per-thread outcome lists; :meth:`RunMetrics.from_outcomes`
-    folds a retained list through an ``exact`` one, whose latency
-    recorders keep their samples.  Counts and sums merge exactly; merging
-    per-thread aggregates in thread order reproduces the serial fold bit
-    for bit, which is what keeps ``--jobs`` digests identical.
+    :meth:`RunMetrics.from_outcomes` absorbs a run's outcome list, in
+    order, into one of these.  Each latency family keeps its samples, so
+    every statistic derived from it is exact.
     """
 
-    def __init__(self, exact: bool = False) -> None:
-        self._recorder = _Samples if exact else LatencyHistogram
+    def __init__(self) -> None:
         self.aborts_by_reason: dict[str, int] = {}
         #: Commit latency per promotion round; its counts are the commits.
-        self.round_latency: dict[int, LatencyHistogram | _Samples] = {}
-        self.commit_latency = self._recorder()
-        self.all_latency = self._recorder()
-        self.cross_latency = self._recorder()
-        self.queue_latency = self._recorder()
+        self.round_latency: dict[int, list[float]] = {}
+        self.commit_latency: list[float] = []
+        self.all_latency: list[float] = []
+        self.cross_latency: list[float] = []
+        self.queue_latency: list[float] = []
         self.cross_group_transactions = 0
         self.queue_send_transactions = 0
         self.queue_sends = 0
@@ -498,18 +457,10 @@ class OutcomeAggregate:
         self.duration_ms = 0.0
         self.timeline = AvailabilityTimeline()
 
-    @property
-    def n(self) -> int:
-        return len(self.all_latency)
-
-    @property
-    def commits(self) -> int:
-        return len(self.commit_latency)
-
     def absorb(self, outcome: TransactionOutcome) -> None:
         """Fold one outcome in."""
         latency = outcome.latency_ms
-        self.all_latency.record(latency)
+        self.all_latency.append(latency)
         if outcome.promotions > self.max_promotions:
             self.max_promotions = outcome.promotions
         # Only transactions that named participant groups count as 2PC
@@ -518,18 +469,15 @@ class OutcomeAggregate:
         if outcome.transaction.is_cross_group and outcome.transaction.groups:
             self.cross_group_transactions += 1
             if outcome.committed:
-                self.cross_latency.record(latency)
+                self.cross_latency.append(latency)
         if outcome.transaction.sends:
             self.queue_send_transactions += 1
             if outcome.committed:
                 self.queue_sends += len(outcome.transaction.sends)
-                self.queue_latency.record(latency)
+                self.queue_latency.append(latency)
         if outcome.committed:
-            self.commit_latency.record(latency)
-            per_round = self.round_latency.get(outcome.promotions)
-            if per_round is None:
-                per_round = self.round_latency[outcome.promotions] = self._recorder()
-            per_round.record(latency)
+            self.commit_latency.append(latency)
+            self.round_latency.setdefault(outcome.promotions, []).append(latency)
             self.timeline.record(outcome.end_time, True, latency_ms=latency)
         else:
             reason = str(outcome.abort_reason or AbortReason.TIMEOUT)
@@ -539,34 +487,6 @@ class OutcomeAggregate:
             self.timeline.record(outcome.end_time, False, reason=reason)
         if outcome.end_time > self.duration_ms:
             self.duration_ms = outcome.end_time
-
-    # List-compatible alias: the drivers' client loops append outcomes to
-    # their sink without caring whether it is a list or an aggregate.
-    append = absorb
-
-    def merge(self, other: "OutcomeAggregate") -> None:
-        """Fold another aggregate in (exact; order fixes float sums)."""
-        for reason, count in other.aborts_by_reason.items():
-            self.aborts_by_reason[reason] = (
-                self.aborts_by_reason.get(reason, 0) + count
-            )
-        for round_, latency in other.round_latency.items():
-            mine = self.round_latency.get(round_)
-            if mine is None:
-                mine = self.round_latency[round_] = self._recorder()
-            mine.absorb(latency)
-        self.commit_latency.absorb(other.commit_latency)
-        self.all_latency.absorb(other.all_latency)
-        self.cross_latency.absorb(other.cross_latency)
-        self.queue_latency.absorb(other.queue_latency)
-        self.cross_group_transactions += other.cross_group_transactions
-        self.queue_send_transactions += other.queue_send_transactions
-        self.queue_sends += other.queue_sends
-        if other.max_promotions > self.max_promotions:
-            self.max_promotions = other.max_promotions
-        if other.duration_ms > self.duration_ms:
-            self.duration_ms = other.duration_ms
-        self.timeline.absorb(other.timeline)
 
 
 @dataclass
@@ -704,53 +624,22 @@ class RunMetrics:
         queue: QueueStats | None = None,
         open_loop: OpenLoopStats | None = None,
     ) -> "RunMetrics":
-        """Metrics from a retained outcome list: exact latency statistics."""
-        aggregate = OutcomeAggregate(exact=True)
+        """Metrics from an outcome list: exact latency statistics."""
+        aggregate = OutcomeAggregate()
         for outcome in outcomes:
             aggregate.absorb(outcome)
-        return cls._from_fold(aggregate, protocol, log, queue, open_loop)
-
-    @classmethod
-    def from_aggregate(
-        cls,
-        aggregate: OutcomeAggregate,
-        protocol: str = "",
-        log: Mapping[Hashable, LogEntry] | None = None,
-        queue: QueueStats | None = None,
-        open_loop: OpenLoopStats | None = None,
-    ) -> "RunMetrics":
-        """Metrics from a streaming aggregate (no outcome list retained).
-
-        Field-for-field the derivation of :meth:`from_outcomes`, except
-        every percentile comes from the log-bucketed histograms — within
-        one bucket width of the exact value by construction.
-        """
-        return cls._from_fold(aggregate, protocol, log, queue, open_loop)
-
-    @classmethod
-    def _from_fold(
-        cls,
-        aggregate: OutcomeAggregate,
-        protocol: str,
-        log: Mapping[Hashable, LogEntry] | None,
-        queue: QueueStats | None,
-        open_loop: OpenLoopStats | None,
-    ) -> "RunMetrics":
-        # The two public constructors share this body and never call each
-        # other: the ledger adds their cumulative times, so nesting them
-        # would count the fold twice.
         rounds = sorted(aggregate.round_latency.items())
         return cls(
             protocol=protocol,
-            n_transactions=aggregate.n,
-            commits=aggregate.commits,
+            n_transactions=len(aggregate.all_latency),
+            commits=len(aggregate.commit_latency),
             aborts_by_reason=dict(sorted(aggregate.aborts_by_reason.items())),
             commits_by_round={round_: len(latency) for round_, latency in rounds},
-            latency_by_round={round_: latency.mean for round_, latency in rounds},
-            commit_latency=aggregate.commit_latency.summary(),
-            all_latency=aggregate.all_latency.summary(),
-            cross_commit_latency=aggregate.cross_latency.summary(),
-            queue_commit_latency=aggregate.queue_latency.summary(),
+            latency_by_round={round_: fmean(latency) for round_, latency in rounds},
+            commit_latency=LatencySummary.exact(aggregate.commit_latency),
+            all_latency=LatencySummary.exact(aggregate.all_latency),
+            cross_commit_latency=LatencySummary.exact(aggregate.cross_latency),
+            queue_commit_latency=LatencySummary.exact(aggregate.queue_latency),
             max_promotions=aggregate.max_promotions,
             duration_ms=aggregate.duration_ms,
             log=LogStats.from_log(log or {}),
@@ -761,7 +650,7 @@ class RunMetrics:
             queue_sends=aggregate.queue_sends,
             queue=queue or QueueStats(),
             open_loop=open_loop,
-            timeline=aggregate.timeline.copy(),
+            timeline=aggregate.timeline,
         )
 
 

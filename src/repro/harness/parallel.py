@@ -23,12 +23,6 @@ Guarantees:
 * **Invariant checking still bites.**  Workers run the full §3 invariant
   suite inside ``run_once`` exactly as the serial path does; a violation
   raises in the worker and the pool re-raises it in the parent.
-* **Small payloads on aggregate-only runs.**  With
-  ``spec.retain_outcomes=False`` a trial's result carries streaming
-  :class:`~repro.harness.metrics.LatencySummary` statistics built from
-  O(bucket) histograms and an empty outcome list, so shipping a
-  million-transaction open-loop trial home costs the same as a
-  500-transaction one.
 """
 
 from __future__ import annotations

@@ -15,8 +15,6 @@ to log catch-up.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.kvstore.store import MultiVersionStore
 from repro.model import TransactionStatusRecord
 
@@ -84,10 +82,3 @@ class TxnStatusTable:
             ATTR_STATUS: "committed" if record.committed else "aborted",
             ATTR_PARTICIPANTS: tuple(record.participants),
         })
-
-    def __iter__(self) -> Iterator[TransactionStatusRecord]:
-        """Every resolved transaction known locally."""
-        for key in self.store.keys(_STATUS_PREFIX):
-            record = self.get(key[len(_STATUS_PREFIX):])
-            if record is not None:
-                yield record

@@ -168,17 +168,6 @@ class QueueSend:
     target_group: str
     writes: tuple[tuple[Item, Any], ...]
 
-    @property
-    def write_set(self) -> frozenset[Item]:
-        return frozenset(item for item, _value in self.writes)
-
-    def write_image(self) -> dict[str, dict[str, Any]]:
-        """Writes grouped by row: ``{row_key: {attribute: value}}``."""
-        image: dict[str, dict[str, Any]] = {}
-        for (row, attribute), value in self.writes:
-            image.setdefault(row, {})[attribute] = value
-        return image
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -283,13 +272,6 @@ class TransactionStatusRecord:
     gtid: str
     committed: bool
     participants: tuple[str, ...] = ()
-
-    @property
-    def status(self) -> TransactionStatus:
-        return (
-            TransactionStatus.COMMITTED if self.committed
-            else TransactionStatus.ABORTED
-        )
 
 
 def is_serializable_sequence(transactions: Iterable[Transaction]) -> bool:

@@ -90,9 +90,6 @@ class Topology:
         """Region of the named datacenter."""
         return self.get(name).region
 
-    def __iter__(self):
-        return iter(self.datacenters)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Topology({self.names})"
 

@@ -61,11 +61,6 @@ class ShardMap:
             for index, group in enumerate(groups):
                 self._lanes[group] = 1 + (index * self.shards) // len(groups)
 
-    @classmethod
-    def single(cls) -> "ShardMap":
-        """The degenerate one-lane map (every pre-shard deployment)."""
-        return cls((), 1)
-
     def lane_of(self, group: str) -> int:
         """The event lane of *group* (shared lane for unknown groups)."""
         return self._lanes.get(group, SHARED_LANE)

@@ -12,27 +12,22 @@ with staggered starts and a per-thread target rate.
   writer).
 * :mod:`repro.workload.driver` — closed-loop rate-capped client threads,
   single- and per-datacenter instances, outcome collection.
-* :mod:`repro.workload.openloop` — open-loop arrival processes (Poisson,
-  diurnal, flash-crowd), a million-user logical-user model with a moving
-  zipfian hot spot, and a pooled-client driver with admission control.
+* :mod:`repro.workload.openloop` — open-loop Poisson arrivals, a sampled
+  logical-user population with a zipfian hot spot, and a pooled-client
+  driver with admission control.
 """
 
 from repro.workload.driver import InstanceResult, WorkloadDriver, execute_plan
 from repro.workload.openloop import (
     ArrivalProcess,
-    DiurnalArrivals,
-    FlashCrowdArrivals,
     LogicalUserModel,
     OpenLoopDriver,
     PoissonArrivals,
-    make_arrival_process,
 )
 from repro.workload.ycsb import Operation, YcsbWorkload, ZipfianGenerator
 
 __all__ = [
     "ArrivalProcess",
-    "DiurnalArrivals",
-    "FlashCrowdArrivals",
     "InstanceResult",
     "LogicalUserModel",
     "OpenLoopDriver",
@@ -42,5 +37,4 @@ __all__ = [
     "YcsbWorkload",
     "ZipfianGenerator",
     "execute_plan",
-    "make_arrival_process",
 ]

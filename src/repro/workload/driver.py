@@ -39,7 +39,6 @@ from repro.workload.ycsb import TransactionPlan, YcsbWorkload
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster
     from repro.core.client import TransactionClient
-    from repro.harness.metrics import OutcomeAggregate
 
 
 def execute_plan(
@@ -175,16 +174,10 @@ class WorkloadDriver:
         datacenter: str | None = None,
         instance_id: str = "ycsb0",
         multi_group: bool | None = None,
-        retain_outcomes: bool = True,
     ) -> None:
         self.cluster = cluster
         self.workload = workload
         self.protocol = protocol
-        #: ``False`` folds every outcome into a streaming
-        #: :class:`OutcomeAggregate` instead of per-thread lists — O(histogram
-        #: buckets) memory for aggregate-only runs (benchmarks, open-loop).
-        #: Invariant-checking runs keep the default, which retains the lists.
-        self.retain_outcomes = retain_outcomes
         self.datacenter = datacenter or cluster.topology.names[0]
         self.instance_id = instance_id
         if multi_group is None:
@@ -210,10 +203,6 @@ class WorkloadDriver:
         #: aggregate order (and its floating-point sums) would depend on
         #: lane scheduling.  Merged in thread order by :attr:`result`.
         self._thread_outcomes: dict[int, list[TransactionOutcome]] = {}
-        #: Streaming sinks (``retain_outcomes=False``): per-thread in pinned
-        #: mode (same lane-isolation argument as the lists), one shared
-        #: aggregate keyed 0 otherwise.
-        self._thread_aggregates: dict[int, OutcomeAggregate] = {}
         self._generator = YcsbWorkload(
             workload,
             cluster.env.rng.stream(f"workload.{instance_id}"),
@@ -243,34 +232,12 @@ class WorkloadDriver:
 
     @property
     def result(self) -> InstanceResult:
-        """This instance's outcomes (merged in thread order when pinned).
-
-        Empty in streaming mode — aggregate-only runs have no outcome
-        lists; use :meth:`aggregate` instead.
-        """
-        if not self.retain_outcomes:
-            return InstanceResult(datacenter=self.datacenter)
+        """This instance's outcomes (merged in thread order when pinned)."""
         if not self.pinned:
             return self._result
         merged = InstanceResult(datacenter=self.datacenter)
         for index in sorted(self._thread_outcomes):
             merged.outcomes.extend(self._thread_outcomes[index])
-        return merged
-
-    def aggregate(self) -> OutcomeAggregate | None:
-        """This instance's streaming aggregate, merged in thread order.
-
-        ``None`` on retained runs (build metrics from :attr:`result`).
-        Merging in sorted thread order keeps the floating-point sums
-        independent of the order in which lanes ran.
-        """
-        if self.retain_outcomes:
-            return None
-        from repro.harness.metrics import OutcomeAggregate
-
-        merged = OutcomeAggregate()
-        for index in sorted(self._thread_aggregates):
-            merged.merge(self._thread_aggregates[index])
         return merged
 
     def thread_group(self, index: int) -> str:
@@ -361,14 +328,7 @@ class WorkloadDriver:
                 generator: YcsbWorkload | None = None) -> Generator:
         env = self.cluster.env
         generator = generator if generator is not None else self._generator
-        if not self.retain_outcomes:
-            # OutcomeAggregate.append folds the outcome into O(buckets)
-            # state, so the loop below is sink-agnostic.
-            from repro.harness.metrics import OutcomeAggregate
-
-            key = index if self.pinned else 0
-            sink = self._thread_aggregates.setdefault(key, OutcomeAggregate())
-        elif self.pinned:
+        if self.pinned:
             sink = self._thread_outcomes[index]
         else:
             sink = self._result.outcomes
@@ -405,7 +365,6 @@ class WorkloadDriver:
         protocol: ProtocolName,
         *,
         shared_group: bool = True,
-        retain_outcomes: bool = True,
     ) -> list["WorkloadDriver"]:
         """One workload instance in every datacenter.
 
@@ -425,6 +384,5 @@ class WorkloadDriver:
                 cluster, workload, protocol,
                 datacenter=dc, instance_id=f"ycsb{index}",
                 multi_group=not shared_group,
-                retain_outcomes=retain_outcomes,
             ))
         return drivers

@@ -44,7 +44,8 @@ class TestTimeline:
         for t, committed in [(20.0, True), (650.0, True)]:
             b.record(t, committed, latency_ms=6.0)
             merged.record(t, committed, latency_ms=6.0)
-        combined = a.copy()
+        combined = AvailabilityTimeline()
+        combined.absorb(a)
         combined.absorb(b)
         assert combined == merged
         assert repr(combined) == repr(merged)

@@ -5,7 +5,7 @@ The product protocol × isolation × traffic mix × open/closed loop × shards
 things: raise :class:`~repro.errors.InvalidExperimentSpec` while the spec
 is *built*, with the reason of a :data:`repro.config.COMBINATION_RULES`
 row, or run through :func:`run_once` without an exception — invariants
-checked whenever outcomes are retained.  A refusal from ``prepare_run`` or
+checked in every cell.  A refusal from ``prepare_run`` or
 a driver constructor, or any other exception, fails the cell.
 """
 
@@ -70,8 +70,6 @@ def build_spec(protocol, isolation, mix, loop, shards, fault) -> ExperimentSpec:
         ),
         workload=workload,
         protocol=protocol,
-        retain_outcomes=not open_loop,
-        check_invariants=not open_loop,
     )
 
 

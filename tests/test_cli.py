@@ -110,6 +110,45 @@ class TestFaultFlags:
         )
 
 
+#: ``repro run`` flags and where each lands: ``spec.…`` in the spec
+#: ``_spec_from_args`` builds, ``args.…`` where ``cmd_run`` reads the parsed
+#: value itself.  Every value differs from the flag's default.
+FLAG_FIELDS = [
+    ("--read-fraction", "0.25", "spec.workload.read_fraction", 0.25),
+    ("--group-distribution", "zipfian", "spec.workload.group_distribution",
+     "zipfian"),
+    ("--engine", "sharded", "spec.cluster.engine", "sharded"),
+    ("--cross-group-span", "3", "spec.workload.cross_group_span", 3),
+    ("--users", "5000", "spec.workload.n_users", 5000),
+    ("--offered-load", "12.5", "spec.workload.offered_load", 12.5),
+    ("--pool", "3", "spec.workload.pool_size", 3),
+    ("--max-pending", "7", "spec.workload.max_pending", 7),
+    ("--duration-ms", "2500", "spec.workload.open_duration_ms", 2500.0),
+    ("--retry-attempts", "5", "spec.cluster.protocol.retry_attempts", 5),
+    ("--retry-backoff-cap-ms", "160", "spec.cluster.protocol.retry_backoff_cap_ms",
+     160.0),
+    ("--deadline-ms", "900", "spec.cluster.protocol.deadline_ms", 900.0),
+    ("--trials", "4", "args.trials", 4),
+]
+
+
+def landed(argv: list[str], path: str) -> object:
+    """The value at *path* after parsing ``repro run`` *argv*."""
+    args = build_parser().parse_args(["run", *argv])
+    root, *names = path.split(".")
+    target = args if root == "args" else _spec_from_args(args)
+    for name in names:
+        target = getattr(target, name)
+    return target
+
+
+@pytest.mark.parametrize("flag, value, path, expected", FLAG_FIELDS,
+                         ids=[flag for flag, *_ in FLAG_FIELDS])
+def test_run_flag_reaches_its_field(flag, value, path, expected):
+    assert landed([], path) != expected
+    assert landed([flag, value], path) == expected
+
+
 class TestRunCommand:
     def test_prints_metrics_table(self, capsys):
         code = main([
@@ -212,6 +251,10 @@ class TestIsolationFlag:
 
 
 class TestOpenLoopGuards:
+    def test_cell_name_keeps_the_poisson_suffix(self):
+        args = build_parser().parse_args(["run", "--open-loop"])
+        assert _spec_from_args(args).name == "VVV/paxos-cp/open-poisson"
+
     def test_open_loop_shards_guard_quotes_shared_message(self, capsys):
         with pytest.raises(SystemExit, match="single-lane"):
             main(["run", "--open-loop", "--shards", "2", "--groups", "2",

@@ -16,6 +16,7 @@ from repro.config import (
 )
 from repro.harness.experiment import ExperimentSpec
 from repro.errors import (
+    InvalidExperimentSpec,
     ReproError,
     RowVersionError,
     StateHistoryError,
@@ -67,6 +68,25 @@ class TestWorkloadConfig:
         assert workload.n_attributes == 100
         assert workload.n_threads == 4
         assert workload.target_rate_per_thread == 1.0
+
+
+@pytest.mark.parametrize("build, name, error", [
+    (lambda: WorkloadConfig(distribution="zipf"), "distribution", ValueError),
+    (lambda: WorkloadConfig(group_distribution="pined"), "group_distribution",
+     ValueError),
+    (lambda: WorkloadConfig(arrival="diurnal"), "arrival", ValueError),
+    (lambda: PlacementConfig(n_groups=2, assignment="rnage", key_universe=16),
+     "assignment", ValueError),
+    (lambda: ClusterConfig(isolation="SI"), "isolation", ValueError),
+    (lambda: ExperimentSpec("typo", protocol="paxos-CP"), "protocol",
+     InvalidExperimentSpec),
+], ids=["distribution", "group_distribution", "arrival", "assignment",
+        "isolation", "protocol"])
+def test_mistyped_choice_fails_at_construction(build, name, error):
+    """A ``Literal``-typed field refuses a value outside its type when the
+    config is built, instead of silently running some default."""
+    with pytest.raises(error, match=f"^{name} must be one of "):
+        build()
 
 
 REPO = Path(__file__).resolve().parent.parent
