@@ -34,7 +34,6 @@ from repro.config import (
     OutageWindow,
     PlacementConfig,
     ProtocolConfig,
-    PumpCrash,
     PartitionWindow,
     StoreConfig,
     WorkloadConfig,
@@ -164,16 +163,11 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
                              "window (repeatable)")
     parser.add_argument("--crash", action="append", default=[],
                         metavar="DC:START:DOWN",
-                        help="crash a datacenter's service replicas at START "
-                             "ms — in-flight work dies, volatile state is "
-                             "erased — and restart them DOWN ms later to "
-                             "recover from durable state (repeatable)")
-    parser.add_argument("--pump-crash", action="append", default=[],
-                        metavar="GROUP:KILL[:RESTART[:POLL]]",
-                        help="kill a group's queue delivery pump at KILL ms, "
-                             "optionally restarting it at RESTART ms with "
-                             "poll interval POLL (repeatable; needs "
-                             "--queue-fraction > 0)")
+                        help="crash a datacenter's service replicas and "
+                             "the queue pumps homed there at START ms — "
+                             "in-flight work dies, volatile state is erased "
+                             "— and restart them DOWN ms later to recover "
+                             "from durable state (repeatable)")
     parser.add_argument("--fault-profile", default=None,
                         metavar="MTTF:MTTR:HORIZON",
                         help="seed-derived random outage schedule: "
@@ -191,13 +185,11 @@ def _parse_faults(args: argparse.Namespace) -> FaultScheduleConfig:
     (unknown datacenter) surface later as
     :class:`~repro.errors.FaultScheduleError` once the deployment exists.
     """
-    def fields(flag: str, value: str, minimum: int, maximum: int) -> list[str]:
+    def fields(flag: str, value: str, count: int) -> list[str]:
         parts = value.split(":")
-        if not minimum <= len(parts) <= maximum:
-            expected = (str(minimum) if minimum == maximum
-                        else f"{minimum}-{maximum}")
+        if len(parts) != count:
             raise SystemExit(
-                f"error: {flag} expects {expected} colon-separated fields, "
+                f"error: {flag} expects {count} colon-separated fields, "
                 f"got {value!r}"
             )
         return parts
@@ -213,7 +205,7 @@ def _parse_faults(args: argparse.Namespace) -> FaultScheduleConfig:
     outages = tuple(
         OutageWindow(dc, number("--outage", start), number("--outage", dur))
         for dc, start, dur in (
-            fields("--outage", value, 3, 3) for value in args.outage
+            fields("--outage", value, 3) for value in args.outage
         )
     )
     partitions = tuple(
@@ -222,7 +214,7 @@ def _parse_faults(args: argparse.Namespace) -> FaultScheduleConfig:
             number("--partition", start), number("--partition", dur),
         )
         for dc_a, dc_b, start, dur in (
-            fields("--partition", value, 4, 4) for value in args.partition
+            fields("--partition", value, 4) for value in args.partition
         )
     )
     losses = tuple(
@@ -232,34 +224,21 @@ def _parse_faults(args: argparse.Namespace) -> FaultScheduleConfig:
             number("--loss-episode", dur),
         )
         for p, start, dur in (
-            fields("--loss-episode", value, 3, 3)
+            fields("--loss-episode", value, 3)
             for value in args.loss_episode
         )
     )
-    node_crashes = tuple(
+    crashes = tuple(
         CrashWindow(
             dc, number("--crash", start), number("--crash", down),
         )
         for dc, start, down in (
-            fields("--crash", value, 3, 3) for value in args.crash
+            fields("--crash", value, 3) for value in args.crash
         )
     )
-    crashes = []
-    for value in args.pump_crash:
-        parts = fields("--pump-crash", value, 2, 4)
-        crashes.append(PumpCrash(
-            group=parts[0],
-            kill_ms=number("--pump-crash", parts[1]),
-            restart_ms=(number("--pump-crash", parts[2])
-                        if len(parts) > 2 else None),
-            restart_poll_ms=(number("--pump-crash", parts[3])
-                             if len(parts) > 3 else None),
-        ))
     profile = None
     if args.fault_profile is not None:
-        mttf, mttr, horizon = fields(
-            "--fault-profile", args.fault_profile, 3, 3
-        )
+        mttf, mttr, horizon = fields("--fault-profile", args.fault_profile, 3)
         profile = FaultProfile(
             mttf_ms=number("--fault-profile", mttf),
             mttr_ms=number("--fault-profile", mttr),
@@ -267,7 +246,7 @@ def _parse_faults(args: argparse.Namespace) -> FaultScheduleConfig:
         )
     return FaultScheduleConfig(
         outages=outages, partitions=partitions, loss_windows=losses,
-        crashes=node_crashes, pump_crashes=tuple(crashes), profile=profile,
+        crashes=crashes, profile=profile,
     )
 
 

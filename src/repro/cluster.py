@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from repro.config import ClusterConfig, Combination, ProtocolName, check_combination
 from repro.core.client import TransactionClient
@@ -81,6 +81,21 @@ from repro.wal.log import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serializability.checker import Anomaly
+    from repro.sim.process import Process
+
+
+def _store_writes(store: MultiVersionStore) -> int:
+    return store.op_counts["write"] + store.op_counts["check_and_write"]
+
+
+class PumpRun(NamedTuple):
+    """One delivery pump incarnation and the arguments that started it."""
+
+    group: str
+    pump: QueueDeliveryPump
+    process: "Process"
+    poll_ms: float
+    idle_stop_after: int
 
 
 @dataclass
@@ -101,6 +116,11 @@ class CrashRecord:
     #: row (``_queue/``, ``_txnstatus/``) once, since it keeps one version.
     erased_versions: int = 0
     killed_processes: int = 0
+    #: The live delivery pumps homed on the replica, killed with it; the
+    #: restart starts one fresh pump for each.
+    killed_pumps: tuple[PumpRun, ...] = ()
+    #: The store's write count at the kill; the restart finds it unmoved.
+    writes_at_crash: int = 0
     #: ``{paxos row key: (next_bal, ballot, chosen, vote_key, seq)}``.
     durable_image: dict[str, tuple] = field(default_factory=dict, repr=False)
     #: ``{_meta/ row key: latest attributes}`` (lease epochs, head intents).
@@ -144,7 +164,7 @@ class Cluster:
         self._initial_images: dict[str, dict[Item, Any]] = {}
         self._groups: set[str] = set()
         #: Every delivery pump ever started (restarts append, never replace).
-        self._pumps: list[tuple[str, QueueDeliveryPump]] = []
+        self._pumps: list[PumpRun] = []
         self._pump_counter = 0
         self._queue_drained = 0
         #: Classified MVSG anomalies of the last :meth:`check_invariants_all`
@@ -338,13 +358,13 @@ class Cluster:
         """Crash one service replica: kill its processes, lose its RAM.
 
         The replica's node goes down (the network drops its traffic), every
-        tracked handler process dies mid-yield, in-flight store operations
-        are fenced (their mutations never land, like writes that missed the
-        disk), volatile store versions are erased, and the service's
-        in-memory state — replica caches, apply locks, leader claims, the
-        leased-leader host — is dropped wholesale.  What remains is exactly
-        the durable contract: ``_paxos/`` rows, ``_meta/`` intents, and the
-        preloaded base image.
+        tracked handler process and every live delivery pump homed on it
+        dies mid-yield, in-flight store operations are fenced (their
+        mutations never land, like writes that missed the disk), volatile
+        store versions are erased, and the service's in-memory state —
+        replica caches, apply locks, leader claims, the leased-leader host —
+        is dropped wholesale.  What remains is exactly the durable contract:
+        ``_paxos/`` rows, ``_meta/`` intents, and the preloaded base image.
         """
         service = self.lane_services[(datacenter, lane)]
         store = self.lane_stores[(datacenter, lane)]
@@ -363,10 +383,18 @@ class Cluster:
             datacenter=datacenter, lane=lane, crash_ms=self.env.now,
             durable_image=self._durable_acceptor_image(store),
             meta_image=self._meta_image(store),
+            writes_at_crash=_store_writes(store),
         )
         service.accessor.fence()
         node.down = True
         record.killed_processes = node.kill_tracked("injected crash")
+        record.killed_pumps = tuple(
+            run for run in self._pumps
+            if run.process.is_alive and run.pump.node.datacenter == datacenter
+            and run.pump.node.lane == lane
+        )
+        for run in record.killed_pumps:
+            run.process.kill("injected crash")
         node._pending.clear()
         record.erased_versions = store.erase_volatile()
         service.crash_reset()
@@ -376,13 +404,15 @@ class Cluster:
     def restart_service(self, datacenter: str, lane: int = 0) -> CrashRecord:
         """Restart a crashed replica; recover purely from durable state.
 
-        First re-checks the durable image against the crash-time snapshot —
-        a down replica accepts no traffic and runs no processes, so *any*
-        difference is an amnesia-detector violation.  Then the node comes
+        First re-checks the store's write count and durable image against
+        the crash-time snapshot — a down replica accepts no traffic and runs
+        no processes, so *any* write or difference is an amnesia-detector
+        violation.  Then the node comes
         back up, the leased-leader host bumps its incarnation and starts
-        its lease wait-out, and one recovery process per durable group
-        replays the WAL (Paxos catch-up filling gaps) to rebuild the
-        volatile projections.
+        its lease wait-out, one recovery process per durable group replays
+        the WAL (Paxos catch-up filling gaps) to rebuild the volatile
+        projections, and each pump the crash killed is replaced by a fresh
+        one with the same poll interval and idle stop.
         """
         service = self.lane_services[(datacenter, lane)]
         store = self.lane_stores[(datacenter, lane)]
@@ -411,13 +441,22 @@ class Cluster:
         if service.lease_host is not None:
             service.lease_host.on_restart(self.env.now)
         record.recovery_groups = tuple(sorted(service.spawn_recovery()))
+        for run in record.killed_pumps:
+            self.start_queue_pump(run.group, run.poll_ms, run.idle_stop_after)
         return record
 
     def _image_drift(self, record: CrashRecord,
                      store: MultiVersionStore) -> list[str]:
-        """Durable-state changes between a crash and its restart (must be
-        none: the replica was down, so nothing may have written its store)."""
+        """Store writes and durable-state changes between a crash and its
+        restart (must be none: the replica was down, so nothing may have
+        written its store)."""
         violations: list[str] = []
+        written = _store_writes(store) - record.writes_at_crash
+        if written:
+            violations.append(
+                f"(amnesia) {store.name}: {written} store writes while the "
+                f"replica was down ({record.crash_ms:.0f}..{self.env.now:.0f}ms)"
+            )
         for label, snapshot, current in (
             ("acceptor", record.durable_image, self._durable_acceptor_image(store)),
             ("meta", record.meta_image, self._meta_image(store)),
@@ -683,13 +722,14 @@ class Cluster:
     ):
         """Spawn a delivery pump for *group*'s outgoing queue messages.
 
-        The pump runs in the group's home datacenter (durable progress in
-        that store) and terminates once the log stays quiet for
+        The pump runs in the group's home datacenter (progress in that
+        store) and terminates once the log stays quiet for
         ``idle_stop_after`` polls, so :meth:`run` still drains.  Returns the
-        pump's simulation :class:`~repro.sim.process.Process` — the fault
-        injector can kill it mid-flight, and calling this method again
-        starts a fresh pump that resumes from the durable watermark.
-        ``poll_ms`` defaults to :attr:`ProtocolConfig.queue_poll_ms`.
+        pump's simulation :class:`~repro.sim.process.Process`.  A crash of
+        the home replica (:meth:`crash_service`) kills the pump with it, and
+        the restart starts a fresh pump, which resumes from what the crash
+        left of its progress row.  ``poll_ms`` defaults to
+        :attr:`ProtocolConfig.queue_poll_ms`.
         """
         if poll_ms is None:
             poll_ms = self.config.protocol.queue_poll_ms
@@ -706,12 +746,13 @@ class Cluster:
             shard_map=self.shard_map if not self.shard_map.single_lane else None,
             datacenters=list(self.topology.names),
         )
-        self._pumps.append((group, pump))
-        return self.env.process(
+        process = self.env.process(
             pump.run(poll_ms=poll_ms, idle_stop_after=idle_stop_after),
             name=pump.node.name,
             lane=lane,
         )
+        self._pumps.append(PumpRun(group, pump, process, poll_ms, idle_stop_after))
+        return process
 
     def start_queue_pumps(
         self, poll_ms: float | None = None, idle_stop_after: int = 200
@@ -805,9 +846,9 @@ class Cluster:
         # pump re-confirms its predecessor's unrecorded tail, so dedupe the
         # records per stream slot, keeping the earliest confirmation.
         confirmed: dict[tuple[str, str, int], Any] = {}
-        for _group, pump in self._pumps:
-            stats.max_depth = max(stats.max_depth, pump.max_depth)
-            for record in pump.delivered:
+        for run in self._pumps:
+            stats.max_depth = max(stats.max_depth, run.pump.max_depth)
+            for record in run.pump.delivered:
                 key = (record.sender_group, record.receiver_group, record.seqno)
                 kept = confirmed.get(key)
                 if kept is None or record.applied_ms < kept.applied_ms:

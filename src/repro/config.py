@@ -291,29 +291,6 @@ class LossWindow:
 
 
 @dataclass(frozen=True)
-class PumpCrash:
-    """Kill *group*'s queue delivery pump at ``kill_ms``; optionally restart
-    a fresh pump at ``restart_ms`` (polling at ``restart_poll_ms``, default
-    the protocol's ``queue_poll_ms``).  The restarted pump resumes from the
-    durable watermark and must deduplicate redelivery — the scenario the
-    queue layer exists to survive."""
-
-    group: str
-    kill_ms: float
-    restart_ms: float | None = None
-    restart_poll_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kill_ms < 0:
-            raise ValueError(f"kill_ms must be >= 0, got {self.kill_ms}")
-        if self.restart_ms is not None and self.restart_ms < self.kill_ms:
-            raise ValueError(
-                f"restart_ms ({self.restart_ms}) must not precede kill_ms "
-                f"({self.kill_ms})"
-            )
-
-
-@dataclass(frozen=True)
 class CrashWindow:
     """One service-replica crash-restart cycle: kill every process of
     *datacenter*'s service nodes at ``start_ms``, erase their **volatile**
@@ -382,22 +359,23 @@ class FaultScheduleConfig:
     Part of :class:`ClusterConfig`, so it rides the experiment spec into
     :func:`repro.harness.experiment.prepare_run` — which installs it through
     the :class:`~repro.failures.injector.FailureInjector`.  Fixed windows
-    and a random :class:`FaultProfile` compose; datacenter and group names
-    are validated against the actual deployment at install time (the config
-    layer has no topology to check against).
+    and a random :class:`FaultProfile` compose; datacenter names are
+    validated against the actual deployment at install time (the config
+    layer has no topology to check against).  A :class:`CrashWindow` is
+    the one crash: it takes down the datacenter's service replicas and
+    every queue delivery pump homed there, and restarts them together.
     """
 
     outages: tuple[OutageWindow, ...] = ()
     partitions: tuple[PartitionWindow, ...] = ()
     loss_windows: tuple[LossWindow, ...] = ()
-    pump_crashes: tuple[PumpCrash, ...] = ()
     crashes: tuple[CrashWindow, ...] = ()
     profile: FaultProfile | None = None
 
     def is_empty(self) -> bool:
         return not (
             self.outages or self.partitions or self.loss_windows
-            or self.pump_crashes or self.crashes or self.profile is not None
+            or self.crashes or self.profile is not None
         )
 
     def cell_suffix(self) -> str:
@@ -412,8 +390,6 @@ class FaultScheduleConfig:
             parts += f"{len(self.partitions)}p"
         if self.loss_windows:
             parts += f"{len(self.loss_windows)}l"
-        if self.pump_crashes:
-            parts += f"{len(self.pump_crashes)}k"
         if self.crashes:
             parts += f"{len(self.crashes)}c"
         if self.profile is not None:
@@ -626,7 +602,6 @@ class Combination:
     #: ``queue_fraction > 0``: queue sends, and the pumps that deliver them.
     queues: bool = False
     pinned: bool = False
-    pump_crashes: bool = False
     per_datacenter: bool = False
 
     @classmethod
@@ -640,7 +615,6 @@ class Combination:
             "isolation": cluster.isolation,
             "groups": cluster.placement.n_groups,
             "shards": cluster.shards,
-            "pump_crashes": bool(cluster.faults.pump_crashes),
             "open_loop": workload.open_loop,
             "two_pc": workload.cross_group_fraction > 0,
             "queues": workload.queue_fraction > 0,
@@ -731,12 +705,6 @@ COMBINATION_RULES: tuple[CombinationRule, ...] = (
         lambda c: c.pinned and c.groups < 2,
         "group_distribution 'pinned' needs a multi-group workload (a "
         "cluster placement with more than one group to pin threads to)",
-    ),
-    CombinationRule(
-        ("pump crashes", "no queue traffic"),
-        lambda c: c.pump_crashes and not c.queues,
-        "pump_crashes need running delivery pumps (a workload with "
-        "queue_fraction > 0 starts them)",
     ),
 )
 

@@ -18,10 +18,11 @@ the fault-injection campaign exercises):
   entry is eventually applied at its receiver (the offline
   :meth:`repro.cluster.Cluster.drain_queues` completes whatever the pump
   had not finished when the run ended);
-* **exactly-once apply** — redelivery after a pump crash may append the
-  same message at several log positions, but only the *first* occurrence in
-  receiver log order takes effect; the runtime apply path deduplicates via
-  a durable per-stream delivery record in the key-value store;
+* **exactly-once apply** — redelivery after a crash of the pump's home
+  replica may append the same message at several log positions, but only
+  the *first* occurrence in receiver log order takes effect; the runtime
+  apply path deduplicates via a per-stream delivery record in the
+  key-value store, which log replay rebuilds after a crash;
 * **sender order** — messages of one ``sender_group → receiver_group``
   stream take effect in the order the sender log committed them (their
   ``seqno`` is their 1-based index in that enumeration, which is derived
@@ -29,9 +30,9 @@ the fault-injection campaign exercises):
 
 The pump itself is deliberately client-like: its own network node, plain
 Synod proposals for the receiver positions (the same machinery 2PC decision
-markers use), and *durable* progress in its home datacenter's store — a
-crash between appending a message and recording progress is exactly the
-redelivery the dedup layer exists for.
+markers use), and progress in its home datacenter's store — a crash
+between appending a message and recording progress, or one that erases the
+progress row, is exactly the redelivery the dedup layer exists for.
 """
 
 from __future__ import annotations
@@ -309,10 +310,13 @@ class QueueDeliveryPump:
     *chosen* at the receiver; on failure the pump stalls that scan and
     retries next poll, so first occurrences always land in sender order.
 
-    Crash model: the pump is an ordinary simulation process, killable by
-    the fault injector at any yield.  All progress it must not lose is in
-    the durable tables; a restarted pump re-reads them and redelivers at
-    most the tail the crash cut off.
+    Crash model: the pump is a process of its home replica.  A crash of
+    that replica (:meth:`repro.cluster.Cluster.crash_service`) kills it at
+    whatever yield it is in, and the restart starts a fresh pump.  Nothing
+    it must not lose lives in the pump: the sender log is durable, and the
+    progress row is a hint the crash erases, so the fresh pump re-reads it
+    and redelivers whatever it no longer records, which receiver dedup
+    absorbs.
     """
 
     #: Synod walk budget per message append.
@@ -345,10 +349,10 @@ class QueueDeliveryPump:
         self.status = TxnStatusTable(store)
         #: One log view per group this pump reads (its sender group and each
         #: receiver it appends to), kept for the incarnation's lifetime so a
-        #: poll advances the known head instead of re-walking the log — see
-        #: the reuse contract on :class:`LogReplica` for why no fault ever
-        #: invalidates it.  Only the chosen-entry index is used, never
-        #: ``applied_through``.
+        #: poll advances the known head instead of re-walking the log.  The
+        #: incarnation dies with its home replica, so no crash erases the
+        #: store under these views.  Only the chosen-entry index is used,
+        #: never ``applied_through``.
         self._replicas: dict[str, LogReplica] = {}
         self.services = list(service_names)
         self.shard_map = shard_map
@@ -365,13 +369,12 @@ class QueueDeliveryPump:
         self.max_depth = 0
         #: When each pending message was first observed (backlog tracking).
         self._observed_ms: dict[tuple[str, int], float] = {}
-        #: ``(acknowledged head, home-store erasures)`` at the end of the
-        #: last scan that delivered everything up to the head.  A poll that
-        #: sees the same pair has nothing to deliver and skips the progress
-        #: read.  The erase count is part of the key because the progress
-        #: row is volatile: a crash of the home replica erases it, and the
-        #: next poll must re-read it and redeliver.
-        self._idle_mark: tuple[int, int] | None = None
+        #: The acknowledged head at the end of the last scan that delivered
+        #: everything up to it.  A poll that sees the same head has nothing
+        #: to deliver and skips the progress read.  The head alone is
+        #: enough because the pump dies with its home replica: no
+        #: incarnation outlives the crash that erases its progress row.
+        self._idle_mark: int | None = None
 
     def _replica(self, group: str) -> LogReplica:
         """This pump's view of *group*'s log in its home store."""
@@ -423,8 +426,7 @@ class QueueDeliveryPump:
         """
         replica = self._replica(self.sender_group)
         acknowledged = replica.read_position()
-        mark = (acknowledged, self.store.erasures)
-        if mark == self._idle_mark:
+        if acknowledged == self._idle_mark:
             return 0
         position, counters = self.table.pump_progress(self.sender_group)
         counters = dict(counters)
@@ -465,7 +467,7 @@ class QueueDeliveryPump:
                     delivered += 1
             # The position's sends are all confirmed: durable progress.
             self.table.record_pump_progress(self.sender_group, position, counters)
-        self._idle_mark = mark
+        self._idle_mark = acknowledged
         return delivered
 
     def _send_disposition(self, entry: LogEntry) -> str:

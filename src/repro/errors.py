@@ -171,8 +171,9 @@ class FaultScheduleError(ReproError):
     """A declarative fault schedule cannot be installed on this deployment.
 
     Raised by :func:`repro.failures.schedule.install_fault_schedule` for
-    schedules naming unknown datacenters or groups, pump crashes without a
-    running pump, and by :meth:`repro.failures.injector.FailureInjector.kill_process_at`
+    schedules naming unknown datacenters, by
+    :meth:`repro.cluster.Cluster.restart_service` for a restart without a
+    matching crash, and by :meth:`repro.failures.injector.FailureInjector.kill_process_at`
     for cross-lane kills requested *mid-run* on a lane-partitioned kernel
     (the cross-lane coupling lane independence forbids) — a typed error at
     the declaration site instead of a lane-kernel crash deep in the run.

@@ -42,13 +42,12 @@ class FailureInjector:
     * A zero-duration window is a no-op with a visible trace: start and end
       fire at the same timestamp in declaration order, so the network state
       is identical before and after, but both events appear in :attr:`log`.
-    * Overlapping outage windows on one datacenter are *refcounted*: the
-      datacenter comes back up only when the **last** open window ends.
-      (Without the count, the first window's end would revive a datacenter
-      a second window still holds down.)  Partitions are set-based — two
-      overlapping windows on the same link collapse to one membership, so
-      the earliest ``heal`` restores the link; refcounting covers the
-      outage case the declarative schedules actually generate.
+    * Overlapping windows compose: each lane counts the windows open on a
+      datacenter (outages), a link (partitions) or its traffic (loss), and
+      only the **last** one to close lifts the fault.  A datacenter comes
+      back up, or a link heals, when its last window ends; while loss
+      windows overlap the rate is the highest open probability, and the
+      rate from before the first of them returns when the last one ends.
     """
 
     def __init__(self, cluster: "Cluster") -> None:
@@ -56,10 +55,27 @@ class FailureInjector:
         self.env = cluster.env
         self.network = cluster.network
         self.log: list[tuple[float, str]] = []
-        #: Open outage windows per (datacenter, lane) — the overlap
-        #: refcount.  Mutated only by the scheduled callbacks, i.e. in the
-        #: key's own lane, so lanes never share a counter.
-        self._outage_depth: dict[tuple[str, int], int] = {}
+        #: Open windows per fault key — ``("outage", datacenter, lane)`` or
+        #: ``("partition", link, lane)``.  Mutated only by the scheduled
+        #: callbacks, i.e. in the key's own lane, so lanes never share a
+        #: counter.
+        self._depth: dict[tuple, int] = {}
+        #: Probabilities of the loss windows open in each lane, and the
+        #: lane's rate from before the first of them opened.
+        self._open_losses: dict[int, list[float]] = {}
+        self._loss_before: dict[int, float] = {}
+
+    def _open(self, key: tuple) -> bool:
+        """Count one more window open on *key*; True for the first."""
+        depth = self._depth.get(key, 0)
+        self._depth[key] = depth + 1
+        return depth == 0
+
+    def _close(self, key: tuple) -> bool:
+        """Count one window on *key* closed; True when none is left open."""
+        depth = self._depth.get(key, 1) - 1
+        self._depth[key] = depth
+        return depth <= 0
 
     def _at(self, when_ms: float, action: Callable[[], None],
             description: str, lane: int | None = None) -> None:
@@ -108,17 +124,11 @@ class FailureInjector:
         comes back only when the last open window closes.
         """
         def down(lane: int) -> None:
-            key = (datacenter, lane)
-            depth = self._outage_depth.get(key, 0)
-            self._outage_depth[key] = depth + 1
-            if depth == 0:
+            if self._open(("outage", datacenter, lane)):
                 self.network.take_down(datacenter, lane=lane)
 
         def up(lane: int) -> None:
-            key = (datacenter, lane)
-            depth = self._outage_depth.get(key, 1) - 1
-            self._outage_depth[key] = depth
-            if depth <= 0:
+            if self._close(("outage", datacenter, lane)):
                 self.network.bring_up(datacenter, lane=lane)
 
         self._at_every_lane(start_ms, down, f"outage start {datacenter}")
@@ -129,95 +139,69 @@ class FailureInjector:
     # ------------------------------------------------------------------
 
     def loss_episode(self, probability: float, start_ms: float, duration_ms: float) -> None:
-        """Raise the Bernoulli loss rate during a window, then restore it."""
-        if self.env.lane_count == 1:
-            previous = self.network.loss_probability
+        """Raise the Bernoulli loss rate during a window, then restore it.
 
-            def raise_loss() -> None:
-                self.network.loss_probability = probability
+        While windows overlap, a lane loses at the highest open
+        probability; the last window to close restores the rate the lane
+        had before the first one opened.
+        """
+        network = self.network
 
-            def restore() -> None:
-                self.network.loss_probability = previous
+        def open_(lane: int) -> None:
+            rates = self._open_losses.setdefault(lane, [])
+            if not rates:
+                self._loss_before[lane] = network._lane_loss.get(
+                    lane, network.loss_probability
+                )
+            rates.append(probability)
+            network.set_loss(max(rates), lane=lane)
 
-            self._at(start_ms, raise_loss, f"loss {probability} start")
-            self._at(start_ms + duration_ms, restore, "loss end")
-            return
-        # Per-lane overrides; the pre-episode value is captured at
-        # declaration time, exactly as the single-lane closure does.
-        previous_by_lane = {
-            lane: self.network._lane_loss.get(
-                lane, self.network.loss_probability
+        def close(lane: int) -> None:
+            rates = self._open_losses[lane]
+            rates.remove(probability)
+            network.set_loss(
+                max(rates) if rates else self._loss_before[lane], lane=lane
             )
-            for lane in range(self.env.lane_count)
-        }
-        self._at_every_lane(
-            start_ms,
-            lambda lane: self.network.set_loss(probability, lane=lane),
-            f"loss {probability} start",
-        )
-        self._at_every_lane(
-            start_ms + duration_ms,
-            lambda lane: self.network.set_loss(previous_by_lane[lane], lane=lane),
-            "loss end",
-        )
+
+        self._at_every_lane(start_ms, open_, f"loss {probability} start")
+        self._at_every_lane(start_ms + duration_ms, close, "loss end")
 
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------
 
     def partition(self, dc_a: str, dc_b: str, start_ms: float, duration_ms: float) -> None:
-        """Sever one inter-datacenter link for a window."""
+        """Sever one inter-datacenter link for a window; the link heals
+        when the last window open on it (either direction) ends."""
+        link = frozenset((dc_a, dc_b))
+
+        def sever(lane: int) -> None:
+            if self._open(("partition", link, lane)):
+                self.network.sever(dc_a, dc_b, lane=lane)
+
+        def heal(lane: int) -> None:
+            if self._close(("partition", link, lane)):
+                self.network.heal(dc_a, dc_b, lane=lane)
+
+        self._at_every_lane(start_ms, sever, f"partition {dc_a}|{dc_b} start")
         self._at_every_lane(
-            start_ms,
-            lambda lane: self.network.sever(dc_a, dc_b, lane=lane),
-            f"partition {dc_a}|{dc_b} start",
-        )
-        self._at_every_lane(
-            start_ms + duration_ms,
-            lambda lane: self.network.heal(dc_a, dc_b, lane=lane),
-            f"partition {dc_a}|{dc_b} end",
+            start_ms + duration_ms, heal, f"partition {dc_a}|{dc_b} end"
         )
 
     # ------------------------------------------------------------------
     # Crash-restart (processes die, volatile state is lost)
     # ------------------------------------------------------------------
 
-    def crash_restart(
-        self,
-        what: str,
-        kill_ms: float,
-        kill: Callable[[], None],
-        restart_ms: float | None = None,
-        restart: Callable[[], None] | None = None,
-        lane: int | None = None,
-    ) -> None:
-        """The generic kill/restart pair: *kill* fires at ``kill_ms`` and
-        *restart* (when given) at ``restart_ms``, both in *lane*.
-
-        Queue-pump crashes use it (its one caller is
-        ``repro.failures.schedule._install_pump_crash``: kill the pump
-        process, start a fresh pump).  Service-replica crashes do not:
-        :meth:`crash` schedules them on every lane through
-        :meth:`_at_every_lane`.
-        """
-        self._at(kill_ms, kill, f"crash {what}", lane=lane)
-        if restart is not None:
-            if restart_ms is None:
-                raise FaultScheduleError(
-                    f"crash_restart({what!r}) has a restart action but no "
-                    f"restart_ms"
-                )
-            self._at(restart_ms, restart, f"restart {what}", lane=lane)
-
     def crash(self, datacenter: str, start_ms: float,
               restart_after_ms: float) -> None:
         """Crash-restart *datacenter*'s service replicas (every lane).
 
         At ``start_ms`` each lane's service node is killed — in-flight
-        handler processes die, volatile state (learner caches, apply
-        projections, leases) is erased — and at ``start_ms +
-        restart_after_ms`` it restarts, recovering purely from durable
-        state (the WAL + acceptor table).  Each lane's replica is a
+        handler processes and the queue delivery pumps homed there die,
+        volatile state (learner caches, apply projections, leases) is
+        erased — and at ``start_ms + restart_after_ms`` it restarts,
+        recovering purely from durable state (the WAL + acceptor table),
+        with a fresh pump for each one killed.  Each lane's replica is a
         distinct node, so the kill/restart actions are lane-local; like
         the network faults, one log line per declared crash.
         """

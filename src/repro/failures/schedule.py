@@ -19,19 +19,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.config import (
-    Combination,
     CrashWindow,
     FaultScheduleConfig,
     LossWindow,
     OutageWindow,
-    check_combination,
 )
 from repro.errors import FaultScheduleError
 from repro.failures.injector import FailureInjector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster
-    from repro.sim.process import Process
 
 #: RNG stream a :class:`~repro.config.FaultProfile` expands from.
 PROFILE_STREAM = "faults.profile"
@@ -87,8 +84,7 @@ def materialize(
     )
 
 
-def _validate(schedule: FaultScheduleConfig, cluster: "Cluster",
-              pumps: "dict[str, Process] | None") -> None:
+def _validate(schedule: FaultScheduleConfig, cluster: "Cluster") -> None:
     """Typed errors for schedules this deployment cannot host."""
     datacenters = set(cluster.topology.names)
     for outage in schedule.outages:
@@ -110,28 +106,13 @@ def _validate(schedule: FaultScheduleConfig, cluster: "Cluster",
                 f"crash names unknown datacenter {crash.datacenter!r}; "
                 f"this deployment has {sorted(datacenters)}"
             )
-    check_combination(
-        Combination(
-            pump_crashes=bool(schedule.pump_crashes), queues=bool(pumps),
-            groups=cluster.placement.n_groups,
-        ),
-        FaultScheduleError,
-    )
-    for crash in schedule.pump_crashes:
-        if pumps is not None and crash.group not in pumps:
-            raise FaultScheduleError(
-                f"pump crash names group {crash.group!r} without a running "
-                f"pump; pumps exist for {sorted(pumps)}"
-            )
 
 
 def fault_span(schedule: FaultScheduleConfig) -> list[tuple[float, float]]:
     """The availability-relevant fault windows of a (materialized)
     schedule, as ``(start_ms, end_ms)`` pairs — what the availability
-    report aligns its timeline against.  Service-replica crash windows
-    count (a dead replica costs quorum latency and recovery time); pump
-    crashes are excluded — they degrade delivery lag, not commit
-    availability."""
+    report aligns its timeline against.  Crash windows count: a dead
+    replica costs quorum latency and recovery time."""
     windows = [
         (w.start_ms, w.start_ms + w.duration_ms)
         for w in (*schedule.outages, *schedule.partitions, *schedule.loss_windows)
@@ -144,22 +125,22 @@ def fault_span(schedule: FaultScheduleConfig) -> list[tuple[float, float]]:
 
 
 def install_fault_schedule(
-    cluster: "Cluster",
-    schedule: FaultScheduleConfig,
-    pumps: "dict[str, Process] | None" = None,
+    cluster: "Cluster", schedule: FaultScheduleConfig,
 ) -> list[str]:
     """Materialize and install *schedule*; returns a description log.
 
-    Validates datacenter and group names against the live deployment
-    (typed :class:`~repro.errors.FaultScheduleError`), schedules every
-    window through a :class:`FailureInjector` (replicated per lane on a
-    sharded deployment), arms pump restarts in the victim pump's own lane,
-    and records the network-fault windows on ``cluster.fault_windows`` so
-    :func:`repro.harness.experiment.finish_run` can align the availability
-    timeline with them.
+    Validates datacenter names against the live deployment (typed
+    :class:`~repro.errors.FaultScheduleError`), schedules every window
+    through a :class:`FailureInjector` (replicated per lane on a sharded
+    deployment), and records the fault windows on ``cluster.fault_windows``
+    so :func:`repro.harness.experiment.finish_run` can align the
+    availability timeline with them.  A crash window takes down the
+    datacenter's replicas with every live queue delivery pump homed there
+    (:meth:`~repro.cluster.Cluster.crash_service`), so no pump needs a
+    schedule entry of its own.
     """
     schedule = materialize(schedule, cluster)
-    _validate(schedule, cluster, pumps)
+    _validate(schedule, cluster)
     injector = FailureInjector(cluster)
     installed: list[str] = []
     for outage in schedule.outages:
@@ -183,14 +164,6 @@ def install_fault_schedule(
             f"loss {loss.probability:.2f} "
             f"@{loss.start_ms:.0f}+{loss.duration_ms:.0f}"
         )
-    for crash in schedule.pump_crashes:
-        process = pumps[crash.group]  # _validate guaranteed membership
-        _install_pump_crash(cluster, injector, crash, process)
-        installed.append(f"pump-crash {crash.group} @{crash.kill_ms:.0f}")
-        if crash.restart_ms is not None:
-            installed.append(
-                f"pump-restart {crash.group} @{crash.restart_ms:.0f}"
-            )
     for crash in schedule.crashes:
         injector.crash(crash.datacenter, crash.start_ms,
                        crash.restart_after_ms)
@@ -201,35 +174,3 @@ def install_fault_schedule(
     cluster.fault_windows.extend(fault_span(schedule))
     cluster.fault_windows.sort()
     return installed
-
-
-def _install_pump_crash(
-    cluster: "Cluster", injector: FailureInjector, crash, process,
-) -> None:
-    """One pump crash-restart pair through the generic crash machinery.
-
-    Both effects fire in the victim pump's own lane (a pump is lane-local;
-    mid-run cross-lane scheduling is the coupling lane independence
-    forbids).
-    """
-    if cluster.env.lane_count > 1:
-        executing = cluster.env.sim.executing_lane
-        if executing is not None and executing != process.lane:
-            raise FaultScheduleError(
-                f"pump crash for {crash.group!r} declared mid-run from "
-                f"lane {executing} against lane {process.lane} on a "
-                f"sharded kernel; declare crashes before the run"
-            )
-    poll_ms = crash.restart_poll_ms
-    restart = None
-    if crash.restart_ms is not None:
-        def restart() -> None:
-            cluster.start_queue_pump(crash.group, poll_ms=poll_ms)
-    injector.crash_restart(
-        f"pump {crash.group}",
-        crash.kill_ms,
-        lambda: process.kill("injected crash"),
-        restart_ms=crash.restart_ms,
-        restart=restart,
-        lane=process.lane,
-    )

@@ -115,13 +115,12 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
     drivers[0].install_data()
     for driver in drivers:
         driver.start()
-    pumps = None
     if spec.workload.queue_fraction > 0:
-        pumps = cluster.start_queue_pumps()
+        cluster.start_queue_pumps()
     if not spec.cluster.faults.is_empty():
         from repro.failures.schedule import install_fault_schedule
 
-        install_fault_schedule(cluster, spec.cluster.faults, pumps=pumps)
+        install_fault_schedule(cluster, spec.cluster.faults)
     if not cluster.shard_map.single_lane:
         # The union of every actor's possible cross-lane traffic.  Group-
         # pinned threads without 2PC contribute nothing, which is what lets

@@ -61,9 +61,6 @@ class MultiVersionStore:
         #: dropped whenever a key is created or erased.
         self._sorted_keys: list[str] | None = None
         self.op_counts: dict[str, int] = {"read": 0, "write": 0, "check_and_write": 0}
-        #: How many times :meth:`erase_volatile` ran: a reader that caches a
-        #: conclusion drawn from volatile rows keys it on this count.
-        self.erasures = 0
 
     # ------------------------------------------------------------------
     # The paper's API (§2.2)
@@ -211,7 +208,6 @@ class MultiVersionStore:
             self.DURABLE_PREFIXES if durable_prefixes is None
             else durable_prefixes
         )
-        self.erasures += 1
         erased = 0
         for key in list(self._rows):
             if key.startswith(prefixes):

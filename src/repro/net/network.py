@@ -173,8 +173,9 @@ class Network:
             self._severed_views[view].discard(frozenset({dc_a, dc_b}))
 
     def set_loss(self, probability: float, lane: int | None = None) -> None:
-        """Set the Bernoulli loss rate (optionally for one lane's traffic)."""
-        if lane is None:
+        """Set the Bernoulli loss rate (optionally for one lane's traffic;
+        a single-lane network has only the one rate)."""
+        if lane is None or self._single_lane:
             self.loss_probability = probability
             self._lane_loss.clear()
         else:

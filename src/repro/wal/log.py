@@ -53,8 +53,8 @@ class LogReplica:
     survive :meth:`MultiVersionStore.erase_volatile`) and immutable (R1).
     The one volatile field is the ``applied_through`` watermark — an owner
     whose data rows can be erased under it must drop the instance on crash
-    (:meth:`TransactionService.crash_reset` does); callers that only query
-    chosen entries (the queue pumps) never need to.
+    (:meth:`TransactionService.crash_reset` does).  A queue pump's
+    instances go with the pump, which dies with its home replica.
     """
 
     def __init__(self, store: MultiVersionStore, group: str) -> None:

@@ -400,8 +400,9 @@ class TestPumpLogHeads:
 
 class TestPumpIdleMark:
     """A poll that finds the acknowledged head where the last complete scan
-    left it has nothing to deliver, and skips the progress read — unless
-    the home store was erased since: the progress row is volatile."""
+    left it has nothing to deliver, and skips the progress read.  No pump
+    outlives an erase of its progress row: a crash of its home replica
+    kills it, and the fresh pump the restart starts reads the row again."""
 
     def pump_after_one_send(self) -> tuple[Cluster, QueueDeliveryPump]:
         cluster = sharded_cluster(2, seed=19)
@@ -419,27 +420,42 @@ class TestPumpIdleMark:
 
     def test_idle_poll_reads_only_the_head_probe(self):
         cluster, pump = self.pump_after_one_send()
-        # The acknowledged head is part of the mark, so an idle poll still
-        # probes the next log position — and reads nothing else.
+        # The acknowledged head is the mark, so an idle poll still probes
+        # the next log position — and reads nothing else.
         assert reads_during(cluster, pump.deliver_pending()) == 1
         assert run(cluster, pump.deliver_pending()) == 0
         pump._idle_mark = None  # without the mark: the progress read too
         assert reads_during(cluster, pump.deliver_pending()) == 2
 
-    def test_poll_after_an_erase_rereads_progress_and_redelivers(self):
-        cluster, pump = self.pump_after_one_send()
-        acknowledged = pump.table.pump_progress("group-0")[0]
-        assert run(cluster, pump.deliver_pending()) == 0
-        # The head has not moved, but the crash-time erase took the
-        # progress row: the next poll must read it (gone), redeliver, and
-        # record progress again.  A mark on the head alone would skip it.
-        cluster.stores["V1"].erase_volatile()
-        assert pump.table.pump_progress("group-0") == (0, {})
-        assert run(cluster, pump.deliver_pending()) == 1
-        assert pump.table.pump_progress("group-0") == (
+    def test_a_fresh_pump_after_a_home_crash_rereads_progress_and_redelivers(self):
+        cluster = sharded_cluster(2, seed=19)
+        client = cluster.add_client("V1")
+
+        def app():
+            handle = yield from client.begin(key="row0")
+            client.enqueue(handle, "row1", "a0", "once")
+            yield from client.commit(handle)
+
+        cluster.env.process(app())
+        first = cluster.start_queue_pump("group-0", poll_ms=10, idle_stop_after=100)
+        cluster.env.run(until=500.0)
+        [before] = cluster._pumps
+        assert first.is_alive and len(before.pump.delivered) == 1
+        acknowledged = before.pump.table.pump_progress("group-0")[0]
+        # The crash kills the pump and erases its progress row; the restart
+        # starts a fresh pump, which must read the row (gone), redeliver,
+        # and record progress again.
+        record = cluster.crash_service("V1")
+        assert record.killed_pumps == (before,) and not first.is_alive
+        assert before.pump.table.pump_progress("group-0") == (0, {})
+        cluster.restart_service("V1")
+        cluster.run()
+        [_, fresh] = cluster._pumps
+        assert (fresh.poll_ms, fresh.idle_stop_after) == (10, 100)
+        assert len(fresh.pump.delivered) == 1
+        assert fresh.pump.table.pump_progress("group-0") == (
             acknowledged, {"group-1": 1},
         )
-        assert run(cluster, pump.deliver_pending()) == 0
         # Receiver dedup absorbs the redelivery: the apply is in the log
         # twice, and only its first occurrence takes effect.
         logs = cluster.finalize_all()

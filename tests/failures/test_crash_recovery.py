@@ -23,7 +23,7 @@ from repro.config import (
     CrashWindow,
     FaultProfile,
     FaultScheduleConfig,
-    PumpCrash,
+    PlacementConfig,
     WorkloadConfig,
 )
 from repro.core.queues import QueueDeliveryPump
@@ -240,6 +240,29 @@ class TestCrashRestart:
         assert record.restart_ms == pytest.approx(210.0)
         assert cluster.check_crash_amnesia() == []
 
+    def test_a_crash_takes_only_its_own_lanes_pumps(self):
+        cluster = Cluster(ClusterConfig(
+            cluster_code="VVV", seed=0,
+            placement=PlacementConfig(
+                n_groups=2, assignment="range", key_universe=2,
+            ),
+            shards=2,
+        ))
+        pumps = cluster.start_queue_pumps(poll_ms=10.0)
+        lane = cluster.shard_map.lane_of("group-0")
+        assert cluster.shard_map.lane_of("group-1") != lane
+        cluster.env.run(until=50.0)
+        record = cluster.crash_service("V1", lane)
+        assert [run.group for run in record.killed_pumps] == ["group-0"]
+        assert not pumps["group-0"].is_alive and pumps["group-1"].is_alive
+        cluster.restart_service("V1", lane)
+        fresh = cluster._pumps[-1]
+        assert len(cluster._pumps) == 3
+        assert (fresh.group, fresh.process.lane, fresh.poll_ms) == (
+            "group-0", lane, 10.0,
+        )
+        assert fresh.process.is_alive and pumps["group-1"].is_alive
+
     def test_restart_without_crash_rejected(self):
         cluster = preloaded()
         with pytest.raises(FaultScheduleError, match="without a matching"):
@@ -256,6 +279,15 @@ class TestAmnesiaDetector:
             "_meta/lease_epoch/evil", {"incarnation": 1}, timestamp=1.0
         )
         with pytest.raises(InvariantViolation, match="amnesia"):
+            cluster.restart_service("V2")
+
+    def test_any_write_while_down_is_caught_at_restart(self):
+        # A volatile row is erased at the crash and never compared, so the
+        # durable images cannot see this write; the store's write count can.
+        cluster = preloaded()
+        cluster.crash_service("V2")
+        cluster.stores["V2"].write("_queue/pump/g", {"position": 1}, timestamp=1.0)
+        with pytest.raises(InvariantViolation, match="1 store writes while"):
             cluster.restart_service("V2")
 
     def test_vanished_durable_row_flagged_at_end_of_run(self):
@@ -356,50 +388,80 @@ class TestRecoveryIdempotence:
 
 class TestPumpLogHeadsUnderFaults:
     """The queue pumps keep one :class:`LogReplica` per group for their
-    whole incarnation, so its chosen-entry cache outlives replica crashes
-    in the pump's home datacenter.  That is safe only because the cache
-    holds durable, immutable facts — so a run with warm caches must be
+    whole incarnation.  A crash of their home replica kills them with it,
+    and the restart starts fresh pumps with fresh views, so no cache ever
+    sees its store erased.  A run with warm caches must still be
     indistinguishable (every metric, not just the invariants) from the
     same schedule with pumps that re-walk the log from position 0 on every
     lookup, which is what the code did before the caches existed.
     """
 
     #: schedule -> (commits, sends, applied online, drained offline,
-    #: messages sent), pinned on the re-walking code (commit cf3b10e) at
-    #: seed 0.  Integers only: the full digest folds in float means whose
-    #: last bit depends on the interpreter's ``sum``.
+    #: messages sent) at seed 0.  Integers only: the full digest folds in
+    #: float means whose last bit depends on the interpreter's ``sum``.
     SCHEDULES = {
-        "home-replica-crash-under-live-pumps": (
+        "home-replica-crash": (
             FaultScheduleConfig(crashes=(CrashWindow("V1", 2000.0, 800.0),)),
-            (173, 54, 42, 12, 14938),
+            (181, 58, 49, 9, 14121),
         ),
-        "pump-crash-restart": (
-            FaultScheduleConfig(pump_crashes=(
-                PumpCrash("group-0", kill_ms=1500.0, restart_ms=2200.0),
-                PumpCrash("group-3", kill_ms=2500.0, restart_ms=2600.0),
+        "home-replica-crashes-nested": (
+            FaultScheduleConfig(crashes=(
+                CrashWindow("V1", 1500.0, 1000.0),
+                CrashWindow("V1", 2000.0, 300.0),
             )),
-            (214, 66, 66, 0, 12890),
+            (188, 59, 52, 7, 15153),
         ),
     }
 
     @staticmethod
     def run_schedule(faults):
+        """Run *faults* over the ``xgroup_mix`` shape at seed 0.
+
+        Returns the cluster, the result, and what happened while V1's
+        replica was down: how often its store was written and a pump
+        scanned, and when each fresh pump started.
+        """
         spec = xgroup_mix_spec(300, faults)
         cluster, drivers = prepare_run(spec, seed=0)
+        store, node = cluster.stores["V1"], cluster.services["V1"].node
+        seen = {"writes": 0, "scans": 0, "starts": []}
+
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                seen[name] += node.down
+                return method(*args, **kwargs)
+            return wrapper
+
+        def count_scans(run) -> None:
+            run.pump.deliver_pending = counting("scans", run.pump.deliver_pending)
+
+        store.write = counting("writes", store.write)
+        store.check_and_write = counting("writes", store.check_and_write)
+        for run in cluster._pumps:
+            count_scans(run)
+        start = cluster.start_queue_pump
+
+        def restart(*args, **kwargs):
+            process = start(*args, **kwargs)
+            count_scans(cluster._pumps[-1])
+            seen["starts"].append(cluster.env.now)
+            return process
+
+        cluster.start_queue_pump = restart
         cluster.run()
         # Raises on any invariant violation: the per-group suites, queue
         # exactly-once delivery (after the offline drain) and crash amnesia.
-        return cluster, finish_run(spec, cluster, drivers)
+        return cluster, finish_run(spec, cluster, drivers), seen
 
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_warm_heads_change_nothing_but_the_read_count(self, name, monkeypatch):
         faults, pinned = self.SCHEDULES[name]
-        warm_cluster, warm = self.run_schedule(faults)
+        warm_cluster, warm, seen = self.run_schedule(faults)
         monkeypatch.setattr(
             QueueDeliveryPump, "_replica",
             lambda pump, group: LogReplica(pump.store, group),
         )
-        cold_cluster, cold = self.run_schedule(faults)
+        cold_cluster, cold, _seen = self.run_schedule(faults)
 
         assert metrics_digest([warm]) == metrics_digest([cold])
         queue = warm.metrics.queue
@@ -420,8 +482,20 @@ class TestPumpLogHeadsUnderFaults:
             warm_cluster.stores["V1"].op_counts["read"]
             < cold_cluster.stores["V1"].op_counts["read"] / 3
         )
-        # The schedule really happened: volatile rows died under the warm
-        # caches / every killed pump was replaced by a fresh incarnation.
-        assert len(warm_cluster.crash_records) == len(faults.crashes)
-        assert all(r.erased_versions > 0 for r in warm_cluster.crash_records)
-        assert len(warm_cluster._pumps) == 8 + len(faults.pump_crashes)
+
+        # Nothing wrote the down replica's store or scanned it.
+        assert (seen["writes"], seen["scans"]) == (0, 0)
+        # Overlapping windows merge into one crash: the first kill takes
+        # all eight pumps once, and only the last restart replaces each,
+        # once, with the poll interval and idle stop it had.
+        first = min(crash.start_ms for crash in faults.crashes)
+        last = max(crash.start_ms + crash.restart_after_ms
+                   for crash in faults.crashes)
+        [record] = warm_cluster.crash_records
+        assert (record.crash_ms, record.restart_ms) == (first, last)
+        assert record.erased_versions > 0
+        originals, fresh = warm_cluster._pumps[:8], warm_cluster._pumps[8:]
+        assert record.killed_pumps == tuple(originals)
+        assert seen["starts"] == [last] * 8
+        assert [run.group for run in fresh] == [run.group for run in originals]
+        assert {(run.poll_ms, run.idle_stop_after) for run in fresh} == {(50.0, 200)}

@@ -1,7 +1,10 @@
 """Tests for fault injection and the availability story (§1, §4.1)."""
 
+import pytest
+
+from repro.cluster import Cluster
+from repro.config import ClusterConfig, PlacementConfig
 from repro.failures import FailureInjector
-from repro.model import TransactionStatus
 from tests.conftest import make_cluster, run_txn
 
 GROUP = "g"
@@ -147,6 +150,63 @@ class TestPartition:
         by_origin = {o.transaction.origin_dc: o for o in outcomes}
         assert not by_origin["V1"].committed
         assert by_origin["V2"].committed
+
+
+#: Two overlapping windows of one kind -> the fault's state at probe times.
+#: The fault lasts until the *last* window ends; overlapping loss windows
+#: lose at the highest open probability.
+OVERLAPS = {
+    "loss-rising": (
+        lambda injector: (injector.loss_episode(0.2, 100.0, 200.0),
+                          injector.loss_episode(0.3, 200.0, 200.0)),
+        lambda network, lane: network._lane_loss.get(
+            lane, network.loss_probability
+        ),
+        {150.0: 0.2, 250.0: 0.3, 350.0: 0.3, 450.0: 0.0},
+    ),
+    "loss-falling": (
+        lambda injector: (injector.loss_episode(0.3, 100.0, 200.0),
+                          injector.loss_episode(0.2, 200.0, 200.0)),
+        lambda network, lane: network._lane_loss.get(
+            lane, network.loss_probability
+        ),
+        {150.0: 0.3, 250.0: 0.3, 350.0: 0.2, 450.0: 0.0},
+    ),
+    "partition-nested": (
+        lambda injector: (injector.partition("V1", "V2", 100.0, 300.0),
+                          injector.partition("V1", "V2", 200.0, 100.0)),
+        lambda network, lane: frozenset({"V1", "V2"})
+        in network._severed_views[lane],
+        {150.0: True, 250.0: True, 350.0: True, 450.0: False},
+    ),
+    "partition-reversed": (
+        lambda injector: (injector.partition("V1", "V2", 100.0, 200.0),
+                          injector.partition("V2", "V1", 200.0, 200.0)),
+        lambda network, lane: frozenset({"V1", "V2"})
+        in network._severed_views[lane],
+        {150.0: True, 250.0: True, 350.0: True, 450.0: False},
+    ),
+}
+
+
+class TestOverlappingWindows:
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("name", sorted(OVERLAPS))
+    def test_the_fault_lasts_until_the_last_window_ends(self, name, shards):
+        declare, probe, expected = OVERLAPS[name]
+        cluster = Cluster(ClusterConfig(
+            cluster_code="VVV", seed=0,
+            placement=PlacementConfig(
+                n_groups=2, assignment="range", key_universe=2,
+            ),
+            shards=shards,
+        ))
+        declare(FailureInjector(cluster))
+        lanes = range(cluster.env.lane_count)
+        for when, state in expected.items():
+            cluster.env.run(until=when)
+            assert [probe(cluster.network, lane) for lane in lanes] == \
+                [state] * len(lanes), when
 
 
 class TestClientCrash:

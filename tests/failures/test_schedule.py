@@ -10,12 +10,11 @@ from repro.config import (
     OutageWindow,
     PartitionWindow,
     PlacementConfig,
-    PumpCrash,
 )
 from repro.cluster import Cluster
 from repro.errors import FaultScheduleError
 from repro.failures.injector import FailureInjector
-from repro.failures.schedule import fault_span, install_fault_schedule, materialize
+from repro.failures.schedule import install_fault_schedule, materialize
 from tests.conftest import make_cluster
 
 
@@ -33,10 +32,6 @@ class TestConfigValidation:
     def test_loss_probability_range(self):
         with pytest.raises(ValueError):
             LossWindow(1.5, 0.0, 100.0)
-
-    def test_pump_restart_before_kill_rejected(self):
-        with pytest.raises(ValueError):
-            PumpCrash("g0", kill_ms=100.0, restart_ms=50.0)
 
     def test_cell_suffix(self):
         assert FaultScheduleConfig().cell_suffix() == ""
@@ -98,14 +93,6 @@ class TestInstallValidation:
         with pytest.raises(FaultScheduleError, match="unknown datacenter"):
             install_fault_schedule(cluster, schedule)
 
-    def test_pump_crash_without_pumps_rejected(self):
-        cluster = make_cluster()
-        schedule = FaultScheduleConfig(
-            pump_crashes=(PumpCrash("g0", kill_ms=50.0),)
-        )
-        with pytest.raises(FaultScheduleError, match="running delivery pumps"):
-            install_fault_schedule(cluster, schedule)
-
     def test_records_fault_windows(self):
         cluster = make_cluster()
         schedule = FaultScheduleConfig(
@@ -115,13 +102,6 @@ class TestInstallValidation:
         installed = install_fault_schedule(cluster, schedule)
         assert cluster.fault_windows == [(100.0, 150.0), (300.0, 400.0)]
         assert len(installed) == 2
-
-    def test_fault_span_excludes_pump_crashes(self):
-        schedule = FaultScheduleConfig(
-            outages=(OutageWindow("V2", 300.0, 100.0),),
-            pump_crashes=(PumpCrash("g0", kill_ms=50.0),),
-        )
-        assert fault_span(schedule) == [(300.0, 400.0)]
 
 
 class TestInjectorEdgeCases:

@@ -2,9 +2,9 @@
 
 Each seed deterministically derives a scenario — commit protocol, workload
 mix (single-group, 2PC cross-group, asynchronous queue sends), and a fault
-schedule (datacenter outages, partitions, loss episodes, and delivery-pump
-crashes with later restarts) — runs it to quiescence, and then holds the
-whole system to its obligations at once:
+schedule (datacenter outages, partitions, loss episodes, and crash windows,
+one of them on the delivery pumps' home datacenter) — runs it to
+quiescence, and then holds the whole system to its obligations at once:
 
 * the §3 per-group suite — (R1), (L1)–(L3), read-only consistency — and
   the MVSG oracle, via ``check_invariants_all``;
@@ -12,13 +12,13 @@ whole system to its obligations at once:
   the merged history (re-checked here for runs whose MVSG pass tested each
   group on its own);
 * the queue-delivery invariant: every committed send applied exactly once
-  at its receiver, in sender order — crashing the pump mid-flight (and
-  letting a restarted pump redeliver from the durable watermark) must never
-  drop or double-apply a message.
+  at its receiver, in sender order — crashing the pumps with their home
+  replica mid-flight (and letting the fresh pumps the restart starts
+  redeliver) must never drop or double-apply a message.
 
 The schedules bias toward the scenario the queue layer exists to survive:
-whenever the mix enqueues sends, at least one pump is killed mid-run and
-restarted.  Leased-leader seeds run the pure single-group workload (that
+whenever the mix enqueues sends, the pumps' home datacenter crashes
+mid-run and restarts, so at least one pump is killed and replaced.  Leased-leader seeds run the pure single-group workload (that
 protocol owns its group's log positions, so neither 2PC prepares nor pump
 appends may compete with it) under majority-preserving faults — its design
 explicitly scopes out lease takeover, so only the Paxos protocols face the
@@ -43,7 +43,6 @@ from repro.config import (
     OutageWindow,
     PartitionWindow,
     PlacementConfig,
-    PumpCrash,
     WorkloadConfig,
 )
 from repro.failures.schedule import install_fault_schedule
@@ -99,16 +98,15 @@ def draw_fault_schedule(rng, cluster, pumps, protocol,
     outages, partitions, losses, crashes = [], [], [], []
 
     if queue_fraction > 0:
-        # The headline fault: crash a delivery pump mid-flight and restart
-        # it later — the restarted pump must resume from the durable
-        # watermark, and redelivery must deduplicate.
+        # The headline fault: crash a delivery pump's home datacenter
+        # mid-flight, which kills the pump with its replica, and restart it
+        # later — the fresh pump must resume from what the crash left of
+        # its progress, and redelivery must deduplicate.
         victim = rng.choice(sorted(pumps))
         kill_ms = rng.uniform(80.0, 500.0)
-        restart_ms = kill_ms + rng.uniform(40.0, 300.0)
-        crashes.append(PumpCrash(
-            group=victim, kill_ms=kill_ms, restart_ms=restart_ms,
-            restart_poll_ms=15.0,
-        ))
+        down_ms = rng.uniform(40.0, 300.0)
+        home = cluster.placement.home_of(victim, cluster.home_dc)
+        crashes.append(CrashWindow(home, kill_ms, down_ms))
 
     # The leased leader's fault scope is narrower by design (lease takeover
     # is out of scope, §7): it keeps committing through any fault that
@@ -139,16 +137,14 @@ def draw_fault_schedule(rng, cluster, pumps, protocol,
     # plus the acceptor table).  The amnesia detector inside
     # ``check_invariants_all`` holds every restart to that: durable
     # promises may never regress and chosen values may never change.
-    node_crashes = []
     for _crash in range(rng.randint(1, 2)):
         victim_dc = rng.choice(datacenters)
         start = rng.uniform(50.0, 600.0)
         down = rng.uniform(80.0, 350.0)
-        node_crashes.append(CrashWindow(victim_dc, start, down))
+        crashes.append(CrashWindow(victim_dc, start, down))
     return FaultScheduleConfig(
         outages=tuple(outages), partitions=tuple(partitions),
-        loss_windows=tuple(losses), crashes=tuple(node_crashes),
-        pump_crashes=tuple(crashes),
+        loss_windows=tuple(losses), crashes=tuple(crashes),
     )
 
 
@@ -160,7 +156,7 @@ def test_fault_schedule_preserves_every_invariant(seed):
     if queue_fraction > 0:
         pumps = cluster.start_queue_pumps(poll_ms=15.0)
     config = draw_fault_schedule(rng, cluster, pumps, protocol, queue_fraction)
-    schedule = install_fault_schedule(cluster, config, pumps=pumps)
+    schedule = install_fault_schedule(cluster, config)
     driver.start()
     cluster.run()
 
@@ -190,3 +186,8 @@ def test_fault_schedule_preserves_every_invariant(seed):
         # and the two delivery buckets must account for every send.
         assert stats.undelivered == 0, schedule
         assert stats.applied_online + stats.drained_offline == stats.sends, schedule
+        # The home crash really killed pumps, and each was replaced once.
+        killed = [run for record in cluster.crash_records
+                  for run in record.killed_pumps]
+        assert killed, schedule
+        assert len(cluster._pumps) == len(pumps) + len(killed), schedule

@@ -14,7 +14,6 @@ from repro.config import (
     LossWindow,
     OutageWindow,
     PartitionWindow,
-    PumpCrash,
 )
 
 
@@ -38,8 +37,6 @@ def faults_of(*argv: str) -> FaultScheduleConfig:
 
 
 class TestFaultFlags:
-    QUEUES = ("--groups", "2", "--queue-fraction", "0.2")
-
     def test_no_flags_no_faults(self):
         assert faults_of() == FaultScheduleConfig()
 
@@ -68,17 +65,6 @@ class TestFaultFlags:
             "--outage", "V2:5:1", "--outage", "V1:1:2",
         ).outages == (OutageWindow("V2", 5.0, 1.0), OutageWindow("V1", 1.0, 2.0))
 
-    @pytest.mark.parametrize("value, crash", [
-        ("g1:300", PumpCrash("g1", 300.0)),
-        ("g1:300:900", PumpCrash("g1", 300.0, restart_ms=900.0)),
-        ("g1:300:900:25", PumpCrash("g1", 300.0, restart_ms=900.0,
-                                    restart_poll_ms=25.0)),
-    ])
-    def test_pump_crash_fields(self, value, crash):
-        assert faults_of(*self.QUEUES, "--pump-crash", value) == (
-            FaultScheduleConfig(pump_crashes=(crash,))
-        )
-
     def test_fault_profile(self):
         assert faults_of("--fault-profile", "1000:200:5000") == FaultScheduleConfig(
             profile=FaultProfile(mttf_ms=1000.0, mttr_ms=200.0, horizon_ms=5000.0)
@@ -90,21 +76,17 @@ class TestFaultFlags:
         ("--loss-episode", "0.3:5:6:7",
          "--loss-episode expects 3 colon-separated fields"),
         ("--crash", "V1:100:400:1", "--crash expects 3 colon-separated fields"),
-        ("--pump-crash", "g1", "--pump-crash expects 2-4 colon-separated fields"),
-        ("--pump-crash", "g1:1:2:3:4",
-         "--pump-crash expects 2-4 colon-separated fields"),
         ("--fault-profile", "1000:200",
          "--fault-profile expects 3 colon-separated fields"),
         ("--outage", "V1:soon:50", "--outage: 'soon' is not a number"),
         ("--partition", "V1:V2:10:long", "--partition: 'long' is not a number"),
         ("--loss-episode", "half:5:6", "--loss-episode: 'half' is not a number"),
         ("--crash", "V1:100:never", "--crash: 'never' is not a number"),
-        ("--pump-crash", "g1:300:later", "--pump-crash: 'later' is not a number"),
         ("--fault-profile", "1000:x:5000", "--fault-profile: 'x' is not a number"),
     ])
     def test_malformed_value_exits_with_the_parser_message(self, flag, value, message):
         with pytest.raises(SystemExit) as exit_info:
-            faults_of(*self.QUEUES, flag, value)
+            faults_of(flag, value)
         assert exit_info.value.code == f"error: {message}" + (
             f", got {value!r}" if "fields" in message else ""
         )
