@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple
 
 from repro.config import ClusterConfig, Combination, ProtocolName, check_combination
 from repro.core.client import TransactionClient
@@ -56,6 +56,8 @@ from repro.model import (
 )
 from repro.net.latency import RttMatrixLatency
 from repro.paxos.acceptor import AcceptorState
+from repro.paxos.messages import LearnReply
+from repro.paxos.proposer import decided_vote, highest_vote
 from repro.net.network import Network
 from repro.net.topology import Topology, cluster_preset
 from repro.sim.shard import ShardMap
@@ -70,9 +72,6 @@ from repro.sim.env import Environment
 from repro.wal.entry import LogEntry
 from repro.wal.invariants import InvariantViolation, effective_log, run_all_checks
 from repro.wal.log import (
-    ATTR_BALLOT,
-    ATTR_CHOSEN,
-    ATTR_VALUE,
     LogReplica,
     data_row_key,
     paxos_group_prefix,
@@ -580,7 +579,10 @@ class Cluster:
                 positions.add(int(key[len(prefix):]))
         lane = self.shard_map.lane_of(group)
         for position in sorted(positions):
-            entry = self._decided_value(paxos_row_key(group, position), lane)
+            entry = decided_vote(
+                self._learn_replies(paxos_row_key(group, position), lane),
+                self.topology.majority,
+            )
             if entry is not None:
                 decided[position] = entry
         for position, entry in decided.items():
@@ -588,59 +590,13 @@ class Cluster:
                 replica.record_chosen(position, entry)
         return {pos: entry for pos, entry in sorted(decided.items())}
 
-    def _lane_store_grid(self, lane: int) -> list[MultiVersionStore]:
-        """One lane's store partition in every datacenter."""
-        return [self.lane_stores[(dc, lane)] for dc in self.topology.names]
-
-    def _decided_value(self, row_key: str, lane: int = 0) -> LogEntry | None:
-        """The provably decided value of one Paxos instance, by inspection.
-
-        A value is decided iff some replica recorded it as chosen, or a
-        majority of replicas hold it accepted at one ballot — the criterion
-        :meth:`finalize` and :meth:`cross_group_decisions` share.  The
-        instance's rows live in *lane*'s store partitions.
-        """
-        votes: Counter = Counter()
-        candidates: dict[tuple, LogEntry] = {}
-        for store in self._lane_store_grid(lane):
-            version = store.read(row_key)
-            if version is None:
-                continue
-            if version.get(ATTR_CHOSEN):
-                return version.get(ATTR_VALUE)
-            value = version.get(ATTR_VALUE)
-            ballot = version.get(ATTR_BALLOT)
-            if value is not None and ballot is not None:
-                key = (ballot, value.vote_key)
-                votes[key] += 1
-                candidates[key] = value
-        for key, count in votes.items():
-            if count >= self.topology.majority:
-                return candidates[key]
-        return None
-
-    def _highest_vote(self, row_key: str, lane: int = 0) -> LogEntry | None:
-        """The highest-ballot accepted value of one Paxos instance, if any.
-
-        The standard recovery proposal: with *every* replica visible, any
-        already-chosen value necessarily equals the overall highest-ballot
-        vote (a higher-ballot acceptance can only carry a chosen value
-        forward), so completing the instance with this value never changes
-        a decided outcome.
-        """
-        best_ballot = None
-        best_value: LogEntry | None = None
-        for store in self._lane_store_grid(lane):
-            version = store.read(row_key)
-            if version is None:
-                continue
-            value = version.get(ATTR_VALUE)
-            ballot = version.get(ATTR_BALLOT)
-            if value is None or ballot is None:
-                continue
-            if best_ballot is None or ballot > best_ballot:
-                best_ballot, best_value = ballot, value
-        return best_value
+    def _learn_replies(self, row_key: str, lane: int = 0) -> Iterator[LearnReply]:
+        """Each datacenter's LEARN answer for one Paxos instance, read
+        lazily from *lane*'s store partitions: a consumer that stops early
+        reads no further store."""
+        for dc in self.topology.names:
+            version = self.lane_stores[(dc, lane)].read(row_key)
+            yield AcceptorState.from_version(version).learn_reply()
 
     def finalize_all(self) -> dict[str, dict[int, LogEntry]]:
         """:meth:`finalize` every group; returns ``{group: global log}``."""
@@ -655,9 +611,9 @@ class Cluster:
 
         A decision is durable iff its single-slot Paxos instance is decided:
         chosen at some replica, or accepted at one ballot by a majority —
-        the same criterion :meth:`finalize` applies to log positions
-        (:meth:`_decided_value`).  Undecided transactions are simply absent
-        (see :meth:`recover_cross_group`).
+        :func:`~repro.paxos.proposer.decided_vote`, as :meth:`finalize`
+        applies it to log positions.  Undecided transactions are simply
+        absent (see :meth:`recover_cross_group`).
         """
         prefix = paxos_group_prefix(DECISION_GROUP_ROOT)
         decisions: dict[str, bool] = {}
@@ -666,7 +622,10 @@ class Cluster:
             for key in store.keys(prefix):
                 gtids.add(key[len(prefix):].rsplit("/", 1)[0])
         for gtid in sorted(gtids):
-            entry = self._decided_value(paxos_row_key(decision_group(gtid), 1))
+            entry = decided_vote(
+                self._learn_replies(paxos_row_key(decision_group(gtid), 1)),
+                self.topology.majority,
+            )
             if entry is not None:
                 decisions[gtid] = entry.kind == "commit"
         return decisions
@@ -682,7 +641,8 @@ class Cluster:
         any replica holds an accepted value, that value (at the highest
         ballot) is adopted — a COMMIT the coordinator drove to an accept
         quorum but never saw acknowledged survives, never flips to abort
-        (see :meth:`_highest_vote` for why this preserves any chosen value).
+        (:func:`~repro.paxos.proposer.highest_vote`: with every replica
+        visible, any chosen value is the overall highest-ballot vote).
         Only an instance no acceptor ever voted in is presumed ABORT — no
         client can have been told COMMIT, and with the run over nobody else
         can propose it.  All participant groups then follow the one
@@ -695,7 +655,9 @@ class Cluster:
                 if entry.kind == "prepare" and entry.gtid not in decisions:
                     orphans[entry.gtid or ""] = entry.participants
         for gtid, participants in sorted(orphans.items()):
-            resolution = self._highest_vote(paxos_row_key(decision_group(gtid), 1))
+            resolution = highest_vote(
+                self._learn_replies(paxos_row_key(decision_group(gtid), 1))
+            )
             if resolution is None:
                 resolution = LogEntry.marker(False, gtid, participants)
             committed = resolution.kind == "commit"

@@ -235,18 +235,12 @@ class TwoPhaseCommit:
         )
         ballot = Ballot(1, f"2pc:{gtid}:{self.client.node.name}")
         for attempt in range(self.MAX_DECIDE_ATTEMPTS):
-            prepare = yield from proposer.prepare(ballot)
-            if prepare.chosen is not None:
-                return prepare.chosen
-            if prepare.successes >= proposer.majority:
-                value = find_winning_val(prepare, proposal)
-                accept = yield from proposer.accept(ballot, value)
-                if accept.successes >= proposer.majority:
-                    proposer.apply(ballot, value)
-                    return value
-                ballot = ballot.next_round(ballot.proposer, accept.max_promised)
-            else:
-                ballot = ballot.next_round(ballot.proposer, prepare.max_promised)
+            outcome = yield from proposer.round(
+                ballot, lambda prepare: find_winning_val(prepare, proposal)
+            )
+            if outcome.kind in ("chosen", "decided"):
+                return outcome.value
+            ballot = ballot.next_round(ballot.proposer, outcome.max_promised)
             # Capped-exponential backoff between ballot rounds (flat at the
             # default cap — see repro.core.retry).
             yield self.client.env.timeout(
@@ -275,24 +269,20 @@ class TwoPhaseCommit:
                 self.client.node, group, position,
                 self.client.service_names(group), self.config,
             )
-            ballot = Ballot(1, identity)
-            prepare = yield from proposer.prepare(ballot)
-            if prepare.chosen is not None:
-                if prepare.chosen.vote_key == marker.vote_key:
-                    return position
-                position += 1
-                continue
-            if prepare.successes < proposer.majority:
+            outcome = yield from proposer.round(
+                Ballot(1, identity),
+                lambda prepare: find_winning_val(prepare, marker),
+            )
+            if outcome.kind == "no_promise":
                 yield self.client.env.timeout(
                     backoff_delay_ms(self._rng, self.config, attempt)
                 )
                 continue
-            value = find_winning_val(prepare, marker)
-            accept = yield from proposer.accept(ballot, value)
-            if accept.successes >= proposer.majority:
-                proposer.apply(ballot, value)
-                if value.vote_key == marker.vote_key:
-                    return position
+            if (
+                outcome.kind != "no_accept"
+                and outcome.value.vote_key == marker.vote_key
+            ):
+                return position
             position += 1
         return None
 

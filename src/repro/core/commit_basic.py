@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from repro.config import IsolationLevel
 from repro.core.protocol import PaxosCommitBase, ValueDecision
-from repro.paxos.ballot import NULL_BALLOT
-from repro.paxos.proposer import PhaseOutcome
+from repro.paxos.proposer import PhaseOutcome, highest_vote
 from repro.wal.entry import LogEntry
 
 
@@ -29,17 +28,8 @@ def find_winning_val(prepare: PhaseOutcome, own_entry: LogEntry) -> LogEntry:
     the highest ballot; "only if all responses have null values can the
     client select its own value".
     """
-    max_ballot = NULL_BALLOT
-    winning: LogEntry | None = None
-    for _src, reply in prepare.replies:
-        if not reply.success:
-            continue
-        if reply.last_value is not None and reply.last_ballot > max_ballot:
-            max_ballot = reply.last_ballot
-            winning = reply.last_value
-    if winning is None:
-        return own_entry
-    return winning
+    winning = highest_vote(reply for _src, reply in prepare.replies if reply.success)
+    return own_entry if winning is None else winning
 
 
 class BasicPaxosCommit(PaxosCommitBase):

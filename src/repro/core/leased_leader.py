@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.model import AbortReason, Item, Transaction, TransactionStatus
 from repro.paxos.ballot import Ballot
-from repro.paxos.proposer import PhaseOutcome, SynodProposer
+from repro.paxos.proposer import PhaseOutcome, SynodProposer, highest_vote
 from repro.sim.events import Event
 from repro.sim.sync import Lock
 from repro.wal.entry import LogEntry
@@ -230,39 +230,13 @@ class LeasedLeaderHost:
                 service.node, group, slot,
                 service._peers or [service.node.name], service.config,
             )
-            prepare = yield from proposer.prepare(ballot)
-            if prepare.chosen is not None:
-                replica.record_chosen(slot, prepare.chosen)
-                continue
-            if prepare.successes < proposer.majority:
+            outcome = yield from proposer.round(ballot, adopt_or_fill)
+            if outcome.kind not in ("chosen", "decided"):
                 return False
-            value = self._highest_prepare_vote(prepare)
-            if value is None:
-                # No acceptor in the fenced quorum ever voted here: the old
-                # incarnation's value can no longer decide, so fill the slot
-                # with the classic multi-Paxos no-op to keep the log
-                # contiguous (L3) without applying anything.
-                value = LogEntry.noop()
-            accept = yield from proposer.accept(ballot, value)
-            if accept.successes < proposer.majority:
-                return False
-            proposer.apply(ballot, value)
-            replica.record_chosen(slot, value)
+            replica.record_chosen(slot, outcome.value)
         state.next_position = max(head, replica.read_position()) + 1
         state.recovered = True
         return True
-
-    @staticmethod
-    def _highest_prepare_vote(prepare: PhaseOutcome) -> "LogEntry | None":
-        """The highest-ballot last vote among the prepare replies."""
-        best_ballot = None
-        best_value: "LogEntry | None" = None
-        for _src, reply in prepare.replies:
-            if reply.last_value is None:
-                continue
-            if best_ballot is None or reply.last_ballot > best_ballot:
-                best_ballot, best_value = reply.last_ballot, reply.last_value
-        return best_value
 
     # ------------------------------------------------------------------
     # The commit handler
@@ -389,6 +363,17 @@ class LeasedLeaderHost:
                 proposer.apply(ballot, entry)
                 replica.record_chosen(position, entry)
                 return
+
+
+def adopt_or_fill(prepare: PhaseOutcome) -> LogEntry:
+    """The recovery walk's value: the highest-ballot LAST VOTE, else a no-op.
+
+    Where no acceptor in the fenced quorum voted, the old incarnation's
+    value can no longer decide, so the classic multi-Paxos no-op keeps the
+    log contiguous (L3) without applying anything.
+    """
+    vote = highest_vote(reply for _src, reply in prepare.replies)
+    return LogEntry.noop() if vote is None else vote
 
 
 def install_leased_leader(service: "TransactionService") -> LeasedLeaderHost:

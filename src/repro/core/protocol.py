@@ -213,7 +213,6 @@ class PaxosCommitBase:
             self.client.node, group, position,
             self.client.service_names(group), self.config,
         )
-        majority = proposer.majority
         identity = txn.tid
         attempts = 0
 
@@ -226,7 +225,7 @@ class PaxosCommitBase:
                 ballot = fast_path_ballot(identity)
                 accept = yield from proposer.accept(ballot, own_entry)
                 attempts += 1
-                if accept.successes >= majority:
+                if accept.successes >= proposer.majority:
                     proposer.apply(ballot, own_entry)
                     return PositionResult(
                         "committed", own_entry, fast_path=True, attempts=attempts
@@ -234,26 +233,27 @@ class PaxosCommitBase:
                 # Contention appeared: fall through to the full protocol.
 
         # --- Full protocol (Algorithm 2) ------------------------------------
+        promoted: LogEntry | None = None
+
+        def choose(prepare: PhaseOutcome) -> LogEntry | None:
+            # Promotion declines the round: stop before sending accepts.
+            nonlocal promoted
+            decision = self.choose_value(prepare, own_entry, txn, len(proposer.services))
+            if decision.kind == "promote":
+                promoted = decision.winner
+                return None
+            return decision.value
+
         ballot = Ballot(1, identity)
         while attempts < self.config.max_commit_attempts:
             attempts += 1
-            prepare = yield from proposer.prepare(ballot)
-            if prepare.chosen is not None:
-                return self._from_decided(prepare.chosen, txn, attempts)
-            if prepare.successes < majority:
-                yield from self._backoff()
-                ballot = ballot.next_round(identity, prepare.max_promised)
-                continue
-            decision = self.choose_value(prepare, own_entry, txn, len(proposer.services))
-            if decision.kind == "promote":
-                return PositionResult("lost", decision.winner, attempts=attempts)
-            value = decision.value
-            accept = yield from proposer.accept(ballot, value)
-            if accept.successes >= majority:
-                proposer.apply(ballot, value)
-                return self._from_decided(value, txn, attempts)
+            outcome = yield from proposer.round(ballot, choose)
+            if outcome.kind in ("chosen", "decided"):
+                return self._from_decided(outcome.value, txn, attempts)
+            if outcome.kind == "declined":
+                return PositionResult("lost", promoted, attempts=attempts)
             yield from self._backoff()
-            ballot = ballot.next_round(identity, accept.max_promised)
+            ballot = ballot.next_round(identity, outcome.max_promised)
         return PositionResult("timeout", None, attempts=attempts)
 
     @staticmethod

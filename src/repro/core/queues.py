@@ -561,36 +561,26 @@ class QueueDeliveryPump:
             proposer = SynodProposer(
                 self.node, receiver, position, services, self.config
             )
-            ballot = Ballot(1, identity)
-            prepare = yield from proposer.prepare(ballot)
-            if prepare.chosen is not None:
+            outcome = yield from proposer.round(
+                Ballot(1, identity),
+                lambda prepare: find_winning_val(prepare, value),
+            )
+            # A position found already chosen costs no attempt.
+            if outcome.kind != "chosen":
+                attempts += 1
+            if outcome.kind in ("chosen", "decided"):
                 # Remember every position observed occupied, not just the
                 # one our entry finally lands in: a busy receiver log would
                 # otherwise be re-walked from the same stale head on every
                 # poll (and each re-walked position would burn an attempt),
                 # which is a prepare-storm that can starve delivery outright.
                 self._receiver_heads[receiver] = position
-                if prepare.chosen.queue_key == value.queue_key:
+                if outcome.value.queue_key == value.queue_key:
                     return True
                 position += 1
                 continue
-            attempts += 1
             # Failed rounds back off with the shared capped-exponential
             # policy (flat at the default cap — see repro.core.retry).
-            if prepare.successes < proposer.majority:
-                yield self.env.timeout(
-                    backoff_delay_ms(self._rng, self.config, attempts - 1)
-                )
-                continue
-            winner = find_winning_val(prepare, value)
-            accept = yield from proposer.accept(ballot, winner)
-            if accept.successes >= proposer.majority:
-                proposer.apply(ballot, winner)
-                self._receiver_heads[receiver] = position
-                if winner.queue_key == value.queue_key:
-                    return True
-                position += 1
-                continue
             yield self.env.timeout(
                 backoff_delay_ms(self._rng, self.config, attempts - 1)
             )

@@ -48,6 +48,8 @@ class FailureInjector:
       back up, or a link heals, when its last window ends; while loss
       windows overlap the rate is the highest open probability, and the
       rate from before the first of them returns when the last one ends.
+      The counts live on the :class:`~repro.net.network.Network`, so
+      windows declared through different injectors compose too.
     """
 
     def __init__(self, cluster: "Cluster") -> None:
@@ -55,27 +57,6 @@ class FailureInjector:
         self.env = cluster.env
         self.network = cluster.network
         self.log: list[tuple[float, str]] = []
-        #: Open windows per fault key — ``("outage", datacenter, lane)`` or
-        #: ``("partition", link, lane)``.  Mutated only by the scheduled
-        #: callbacks, i.e. in the key's own lane, so lanes never share a
-        #: counter.
-        self._depth: dict[tuple, int] = {}
-        #: Probabilities of the loss windows open in each lane, and the
-        #: lane's rate from before the first of them opened.
-        self._open_losses: dict[int, list[float]] = {}
-        self._loss_before: dict[int, float] = {}
-
-    def _open(self, key: tuple) -> bool:
-        """Count one more window open on *key*; True for the first."""
-        depth = self._depth.get(key, 0)
-        self._depth[key] = depth + 1
-        return depth == 0
-
-    def _close(self, key: tuple) -> bool:
-        """Count one window on *key* closed; True when none is left open."""
-        depth = self._depth.get(key, 1) - 1
-        self._depth[key] = depth
-        return depth <= 0
 
     def _at(self, when_ms: float, action: Callable[[], None],
             description: str, lane: int | None = None) -> None:
@@ -124,11 +105,11 @@ class FailureInjector:
         comes back only when the last open window closes.
         """
         def down(lane: int) -> None:
-            if self._open(("outage", datacenter, lane)):
+            if self.network.open_window(("outage", datacenter, lane)):
                 self.network.take_down(datacenter, lane=lane)
 
         def up(lane: int) -> None:
-            if self._close(("outage", datacenter, lane)):
+            if self.network.close_window(("outage", datacenter, lane)):
                 self.network.bring_up(datacenter, lane=lane)
 
         self._at_every_lane(start_ms, down, f"outage start {datacenter}")
@@ -146,25 +127,14 @@ class FailureInjector:
         had before the first one opened.
         """
         network = self.network
-
-        def open_(lane: int) -> None:
-            rates = self._open_losses.setdefault(lane, [])
-            if not rates:
-                self._loss_before[lane] = network._lane_loss.get(
-                    lane, network.loss_probability
-                )
-            rates.append(probability)
-            network.set_loss(max(rates), lane=lane)
-
-        def close(lane: int) -> None:
-            rates = self._open_losses[lane]
-            rates.remove(probability)
-            network.set_loss(
-                max(rates) if rates else self._loss_before[lane], lane=lane
-            )
-
-        self._at_every_lane(start_ms, open_, f"loss {probability} start")
-        self._at_every_lane(start_ms + duration_ms, close, "loss end")
+        self._at_every_lane(
+            start_ms, lambda lane: network.open_loss(probability, lane),
+            f"loss {probability} start",
+        )
+        self._at_every_lane(
+            start_ms + duration_ms,
+            lambda lane: network.close_loss(probability, lane), "loss end",
+        )
 
     # ------------------------------------------------------------------
     # Partitions
@@ -176,11 +146,11 @@ class FailureInjector:
         link = frozenset((dc_a, dc_b))
 
         def sever(lane: int) -> None:
-            if self._open(("partition", link, lane)):
+            if self.network.open_window(("partition", link, lane)):
                 self.network.sever(dc_a, dc_b, lane=lane)
 
         def heal(lane: int) -> None:
-            if self._close(("partition", link, lane)):
+            if self.network.close_window(("partition", link, lane)):
                 self.network.heal(dc_a, dc_b, lane=lane)
 
         self._at_every_lane(start_ms, sever, f"partition {dc_a}|{dc_b} start")

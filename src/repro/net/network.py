@@ -91,6 +91,14 @@ class Network:
         #: set these; absent lanes fall back to the scalar attribute above).
         #: Duplication has no per-lane episode, so it stays a plain scalar.
         self._lane_loss: dict[int, float] = {}
+        #: Overlapping fault windows, shared by every injector of this
+        #: network: open windows per key — ``("outage", datacenter, lane)``
+        #: or ``("partition", link, lane)`` — and per lane the rates of the
+        #: open loss windows with the rate from before the first of them.
+        #: Each entry is one lane's, mutated only from that lane's timeline.
+        self._open_windows: dict[tuple, int] = {}
+        self._open_losses: dict[int, list[float]] = {}
+        self._loss_before: dict[int, float] = {}
         #: Per-lane jitter/loss RNG streams.  Lane 0 keeps the historic
         #: ``"net"`` name so single-lane runs reproduce existing streams.
         self._rngs = [
@@ -180,6 +188,35 @@ class Network:
             self._lane_loss.clear()
         else:
             self._lane_loss[lane] = probability
+
+    def open_window(self, key: tuple) -> bool:
+        """Count one more fault window open on *key*; True for the first."""
+        depth = self._open_windows.get(key, 0)
+        self._open_windows[key] = depth + 1
+        return depth == 0
+
+    def close_window(self, key: tuple) -> bool:
+        """Count one window on *key* closed; True when none is left open."""
+        depth = self._open_windows.get(key, 1) - 1
+        self._open_windows[key] = depth
+        return depth <= 0
+
+    def open_loss(self, probability: float, lane: int) -> None:
+        """Open a loss window in *lane*: it loses at the highest open rate."""
+        rates = self._open_losses.setdefault(lane, [])
+        if not rates:
+            self._loss_before[lane] = self._lane_loss.get(
+                lane, self.loss_probability
+            )
+        rates.append(probability)
+        self.set_loss(max(rates), lane=lane)
+
+    def close_loss(self, probability: float, lane: int) -> None:
+        """Close a loss window; the last one restores the rate from before
+        the first."""
+        rates = self._open_losses[lane]
+        rates.remove(probability)
+        self.set_loss(max(rates) if rates else self._loss_before[lane], lane=lane)
 
     # ------------------------------------------------------------------
     # Delivery

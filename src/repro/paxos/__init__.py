@@ -7,11 +7,14 @@ roles:
 * :mod:`repro.paxos.acceptor` — the Transaction Service side (Algorithm 1).
   All acceptor state lives in the datacenter's key-value store and every
   transition goes through ``checkAndWrite``, exactly as the paper specifies.
-* :mod:`repro.paxos.proposer` — the Transaction Client side phase drivers
-  (prepare / accept / apply with quorum gathering and retry backoff).  The
-  *policy* deciding what value to propose (``findWinningVal`` vs.
-  ``enhancedFindWinningVal``) lives with the commit protocols in
-  :mod:`repro.core`.
+* :mod:`repro.paxos.proposer` — the Transaction Client side:
+  ``SynodProposer.round`` runs one instance (prepare / accept / apply with
+  quorum gathering) for every caller, and the two vote rules
+  ``highest_vote`` (what to re-propose) and ``decided_vote`` (what is
+  provably decided) are shared by recovery, catch-up and the offline
+  checks.  The *policy* deciding what value to propose
+  (``findWinningVal`` vs. ``enhancedFindWinningVal``) lives with the
+  commit protocols in :mod:`repro.core`.
 * :mod:`repro.paxos.learner` — catch-up for services that missed decisions
   (§4.1 "Fault Tolerance and Recovery").
 
@@ -30,7 +33,13 @@ from repro.paxos.messages import (
     PrepareReply,
 )
 from repro.paxos.acceptor import Acceptor, AcceptorState
-from repro.paxos.proposer import PhaseOutcome, SynodProposer
+from repro.paxos.proposer import (
+    PhaseOutcome,
+    Round,
+    SynodProposer,
+    decided_vote,
+    highest_vote,
+)
 from repro.paxos.learner import Learner
 
 __all__ = [
@@ -48,5 +57,8 @@ __all__ = [
     "PhaseOutcome",
     "PreparePayload",
     "PrepareReply",
+    "Round",
     "SynodProposer",
+    "decided_vote",
+    "highest_vote",
 ]

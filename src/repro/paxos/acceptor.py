@@ -89,6 +89,11 @@ class AcceptorState(NamedTuple):
     def next_seq(self) -> int:
         return 1 if self.seq is None else self.seq + 1
 
+    def learn_reply(self) -> LearnReply:
+        """What this row tells a learner: the decided value, else its vote."""
+        return LearnReply(self.value if self.chosen else None,
+                          self.ballot, self.value)
+
 
 #: The state of a row no handler has written yet: ⟨NULL, NULL, ⊥⟩.
 _NULL_STATE = AcceptorState(NULL_BALLOT, NULL_BALLOT, None, False, None)
@@ -203,9 +208,5 @@ class Acceptor:
     def on_learn(self, payload: LearnPayload) -> Generator:
         """Report what this replica knows about a position (read-only)."""
         key = paxos_row_key(payload.group, payload.position)
-        state = AcceptorState.from_version((yield self.accessor.read(key)))
-        return LearnReply(
-            chosen=state.value if state.chosen else None,
-            last_ballot=state.ballot,
-            last_value=state.value,
-        )
+        version = yield self.accessor.read(key)
+        return AcceptorState.from_version(version).learn_reply()

@@ -10,14 +10,16 @@ during its outage."
 
 :class:`Learner` implements that, cheapest path first:
 
-1. **LEARN round** — ask all replicas what they know.  Any replica that has
-   the decided value answers with it; failing that, a value accepted at the
+1. **LEARN round** — ask all replicas what they know and apply
+   :func:`~repro.paxos.proposer.decided_vote`: a replica that has the
+   decided value answers with it; failing that, a value accepted at the
    same ballot by a majority is provably decided.
-2. **Full synod** — run prepare at a fresh ballot and, if any vote carries a
-   value, drive that value through accept/apply (re-proposing the
-   highest-ballot value is the standard Paxos recovery move and never
-   changes a decided outcome).  If every vote is null the position is
-   undecided and the learner reports ``None`` — there is nothing to recover.
+2. **Full synod** — a :meth:`~repro.paxos.proposer.SynodProposer.round` at
+   a fresh ballot that re-proposes the
+   :func:`~repro.paxos.proposer.highest_vote` (the standard Paxos recovery
+   move; it never changes a decided outcome).  If every vote is null the
+   round declines: the position is undecided and the learner reports
+   ``None`` — there is nothing to recover.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import TYPE_CHECKING, Generator
 from repro.config import ProtocolConfig
 from repro.net.node import Node
 from repro.paxos import messages as m
-from repro.paxos.ballot import NULL_BALLOT, Ballot
-from repro.paxos.proposer import SynodProposer
+from repro.paxos.ballot import Ballot
+from repro.paxos.proposer import SynodProposer, decided_vote, highest_vote
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wal.entry import LogEntry
@@ -83,20 +85,7 @@ class Learner:
             grace_ms=0.0,
         )
         responses = yield gather
-        votes: dict[tuple[Ballot, tuple], int] = {}
-        candidates: dict[tuple[Ballot, tuple], "LogEntry"] = {}
-        for envelope in responses:
-            reply: m.LearnReply = envelope.payload
-            if reply.chosen is not None:
-                return reply.chosen
-            if reply.last_value is not None and reply.last_ballot != NULL_BALLOT:
-                key = (reply.last_ballot, reply.last_value.vote_key)
-                votes[key] = votes.get(key, 0) + 1
-                candidates[key] = reply.last_value
-        for key, count in votes.items():
-            if count >= self.majority:
-                return candidates[key]
-        return None
+        return decided_vote((r.payload for r in responses), self.majority)
 
     # ------------------------------------------------------------------
     # Step 2: active recovery
@@ -118,24 +107,16 @@ class Learner:
         ballot = self._fresh_ballot()
         rng = self.node.env.rng.stream(f"learner.{self.node.name}")
         for _attempt in range(max_attempts):
-            outcome = yield from proposer.prepare(ballot)
-            if outcome.chosen is not None:
-                return outcome.chosen
-            if outcome.successes < self.majority:
-                yield self.node.env.timeout(rng.uniform(0, self.config.retry_backoff_ms))
-                ballot = self._fresh_ballot(outcome.max_promised)
-                continue
-            # Highest-ballot vote among the LAST VOTEs, if any.
-            best_ballot, best_value = NULL_BALLOT, None
-            for _src, reply in outcome.replies:
-                if reply.last_value is not None and reply.last_ballot > best_ballot:
-                    best_ballot, best_value = reply.last_ballot, reply.last_value
-            if best_value is None:
+            outcome = yield from proposer.round(ballot, _adopt_highest_vote)
+            if outcome.kind in ("chosen", "decided"):
+                return outcome.value
+            if outcome.kind == "declined":
                 return None  # provably undecided; nothing to recover
-            accept = yield from proposer.accept(ballot, best_value)
-            if accept.successes >= self.majority:
-                proposer.apply(ballot, best_value)
-                return best_value
             yield self.node.env.timeout(rng.uniform(0, self.config.retry_backoff_ms))
-            ballot = self._fresh_ballot(accept.max_promised)
+            ballot = self._fresh_ballot(outcome.max_promised)
         return None
+
+
+def _adopt_highest_vote(prepare) -> "LogEntry | None":
+    """Re-propose the highest-ballot LAST VOTE; decline when none voted."""
+    return highest_vote(reply for _src, reply in prepare.replies)

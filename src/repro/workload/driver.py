@@ -338,20 +338,13 @@ class WorkloadDriver:
         for _k in range(budget):
             slot_start = env.now
             plan = generator.next_transaction_plan()
-            outcome = yield from self._run_transaction(client, plan)
+            outcome = yield from execute_plan(self.cluster, client, plan)
             sink.append(outcome)
             # Rate cap: next arrival one (jittered) period after this slot
             # began; skip the wait entirely if we are already late.
             next_slot = slot_start + rng.uniform(0.8 * period, 1.2 * period)
             if env.now < next_slot:
                 yield env.timeout(next_slot - env.now)
-
-    def _run_transaction(
-        self, client: "TransactionClient", plan: TransactionPlan,
-    ) -> Generator:
-        """Execute one transaction end to end (see :func:`execute_plan`)."""
-        outcome = yield from execute_plan(self.cluster, client, plan)
-        return outcome
 
     # ------------------------------------------------------------------
     # Multi-instance construction (Figure 8)

@@ -5,12 +5,20 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.leased_leader import LEASE_ROUND, LeasedLeaderHost, lease_epoch_key
+from repro.core.leased_leader import (
+    LEASE_ROUND,
+    LeasedLeaderHost,
+    lease_epoch_key,
+    lease_head_key,
+)
 from repro.failures import FailureInjector
 from repro.harness.experiment import finish_run, prepare_run
 from repro.model import AbortReason
+from repro.paxos.ballot import Ballot
+from repro.wal.entry import LogEntry
+from repro.wal.log import ATTR_BALLOT, ATTR_NEXT_BAL, ATTR_VALUE, paxos_row_key
 from tests.conftest import make_cluster, run_txn
-from tests.helpers import fig7_spec
+from tests.helpers import fig7_spec, txn
 
 GROUP = "g"
 
@@ -234,4 +242,46 @@ class TestCrashRestartFailover:
         # The term is what the restarted leader waits out: attempts inside
         # it are refused, and the ones after it commit.
         assert {outcome.committed for outcome in outcomes} == {True, False}
+        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+
+
+class TestRecoveryWalk:
+    """The restarted leader completes every slot up to its durable head."""
+
+    def test_adopts_the_vote_fills_the_gap_then_serves_after_them(self):
+        cluster = preloaded(retry_attempts=0)
+        leader = cluster.services[cluster.home_dc]
+        lease_ms = leader.config.lease_ms
+        start = leader.replica(GROUP).read_position()
+        voted, empty = start + 1, start + 2
+        # The previous incarnation assigned two slots past the read
+        # position and got one acceptor, its own, to vote in the first.
+        leader.store.write(lease_head_key(GROUP), {"head": empty})
+        old_ballot = Ballot(LEASE_ROUND, leader.node.name)
+        orphan = LogEntry.single(txn("orphan", writes={"a9": "old"}))
+        leader.store.write(paxos_row_key(GROUP, voted), {
+            ATTR_NEXT_BAL: old_ballot, ATTR_BALLOT: old_ballot,
+            ATTR_VALUE: orphan, "seq": 1,
+        })
+        FailureInjector(cluster).crash(cluster.home_dc, start_ms=10.0,
+                                       restart_after_ms=10.0)
+        outcomes = []
+        client = cluster.add_client("V2", protocol="leased-leader")
+
+        def run():
+            yield cluster.env.timeout(20.0 + lease_ms + 50.0)
+            handle = yield from client.begin(GROUP)
+            client.write(handle, "row0", "a0", "new")
+            outcomes.append((yield from client.commit(handle)))
+
+        cluster.env.process(run())
+        cluster.run()
+
+        (outcome,) = outcomes
+        assert outcome.committed
+        assert outcome.commit_position == empty + 1
+        for dc in cluster.topology.names:
+            replica = cluster.services[dc].replica(GROUP)
+            assert replica.chosen_entry(voted) == orphan
+            assert replica.chosen_entry(empty).kind == "noop"
         cluster.check_invariants_all(outcomes, cluster.finalize_all())

@@ -209,6 +209,33 @@ class TestOverlappingWindows:
                 [state] * len(lanes), when
 
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_windows_declared_through_two_injectors_compose(self, shards):
+        cluster = Cluster(ClusterConfig(
+            cluster_code="VVV", seed=0,
+            placement=PlacementConfig(
+                n_groups=2, assignment="range", key_universe=2,
+            ),
+            shards=shards,
+        ))
+        first, second = FailureInjector(cluster), FailureInjector(cluster)
+        first.outage("V2", 100.0, 200.0)
+        second.outage("V2", 200.0, 400.0)
+        first.partition("V1", "V3", 100.0, 200.0)
+        second.partition("V3", "V1", 200.0, 400.0)
+        first.loss_episode(0.2, 100.0, 200.0)
+        second.loss_episode(0.3, 200.0, 400.0)
+        network = cluster.network
+        for when, faulty in {450.0: True, 650.0: False}.items():
+            cluster.env.run(until=when)
+            for lane in range(cluster.env.lane_count):
+                assert network.is_down("V2", lane) is faulty, when
+                assert (frozenset({"V1", "V3"})
+                        in network._severed_views[lane]) is faulty, when
+                loss = network._lane_loss.get(lane, network.loss_probability)
+                assert loss == (0.3 if faulty else 0.0), when
+
+
 class TestClientCrash:
     def test_crash_between_accept_and_apply_still_recoverable(self):
         """§4.1: 'If a Transaction Client fails in the middle of the commit
