@@ -36,7 +36,7 @@ from repro.core.queues import (
     enumerate_sends,
     first_applies,
 )
-from repro.core.service import TransactionService, ordered_service_names
+from repro.core.service import TransactionService
 from repro.errors import FaultScheduleError
 from repro.kvstore.service import StoreAccessor, StoreLatencyModel
 from repro.kvstore.store import MultiVersionStore
@@ -276,7 +276,7 @@ class Cluster:
             # single-group API admits arbitrary group names ("accounts"),
             # which a 1-group placement would spuriously reject.
             placement=self.placement if self.placement.n_groups > 1 else None,
-            shard_map=self.shard_map if not self.shard_map.single_lane else None,
+            shard_map=self.shard_map,
             lane=lane,
             isolation=self.config.isolation,
             items=self._items,
@@ -310,23 +310,6 @@ class Cluster:
     def run(self, until: float | None = None) -> None:
         """Advance the simulation (drains the queue when *until* is None)."""
         self.env.run(until)
-
-    def restrict_lane_channels(
-        self, channels: "set[tuple[int, int]]"
-    ) -> None:
-        """Install the run's cross-lane communication graph.
-
-        A message crossing an undeclared lane pair raises instead of
-        silently miscomputing, so the graph must be a *superset* of the
-        traffic the run can generate — the workload driver and the queue
-        pumps know theirs (see
-        :meth:`repro.sim.shard.ShardMap.channels_for_client` /
-        ``channels_for_pump``); until one is installed the kernel assumes
-        the always-sound complete graph.  An empty graph declares the lanes
-        fully independent, which lets ``engine="sharded"`` drain them one
-        after another.
-        """
-        self.env.sim.restrict_channels(channels)
 
     # ------------------------------------------------------------------
     # Service crash-restart (the durable/volatile split, enforced)
@@ -684,13 +667,13 @@ class Cluster:
     ):
         """Spawn a delivery pump for *group*'s outgoing queue messages.
 
-        The pump runs in the group's home datacenter (progress in that
-        store) and terminates once the log stays quiet for
+        The pump runs in the group's home datacenter (reading the sender
+        log from that store) and terminates once the log stays quiet for
         ``idle_stop_after`` polls, so :meth:`run` still drains.  Returns the
         pump's simulation :class:`~repro.sim.process.Process`.  A crash of
         the home replica (:meth:`crash_service`) kills the pump with it, and
-        the restart starts a fresh pump, which resumes from what the crash
-        left of its progress row.  ``poll_ms`` defaults to
+        the restart starts a fresh pump, which scans the sender log from
+        position 1 again.  ``poll_ms`` defaults to
         :attr:`ProtocolConfig.queue_poll_ms`.
         """
         if poll_ms is None:
@@ -703,9 +686,8 @@ class Cluster:
             name=f"pump:{group}:{self._pump_counter}",
             sender_group=group,
             store=self.lane_stores[(home, lane)],
-            service_names=ordered_service_names(list(self.topology.names), home),
             config=self.config.protocol,
-            shard_map=self.shard_map if not self.shard_map.single_lane else None,
+            shard_map=self.shard_map,
             datacenters=list(self.topology.names),
         )
         process = self.env.process(

@@ -400,8 +400,8 @@ class FaultScheduleConfig:
 #: How a lane-partitioned deployment's kernel drains its lanes.  ``"global"``
 #: always merges them through one heap in canonical ``(time, lane, seq)``
 #: order — the reference; ``"sharded"`` drains them one after another
-#: whenever the run's declared channel graph has no cross-lane edge, and is
-#: the single heap otherwise.  Results are field-identical either way, and a
+#: whenever the run's lanes are independent (group-pinned threads, no 2PC,
+#: no queues), and is the single heap otherwise.  Results are field-identical either way, and a
 #: single-lane deployment runs the plain kernel under both.
 EngineName = Literal["global", "sharded"]
 

@@ -62,8 +62,6 @@ from repro.core.service import (
     BeginRequest,
     ReadReply,
     ReadRequest,
-    ordered_service_names,
-    service_name,
 )
 from repro.net.node import Node
 from repro.wal.entry import LogEntry
@@ -165,10 +163,10 @@ class TransactionClient:
         name: str,
         datacenters: list[str],
         config: ProtocolConfig,
+        shard_map: "ShardMap",
         protocol: ProtocolName = "paxos",
         home_dc: str | None = None,
         placement: Placement | None = None,
-        shard_map: "ShardMap | None" = None,
         lane: int = 0,
         isolation: IsolationLevel = "1sr",
         items: dict[Item, Item] | None = None,
@@ -185,8 +183,8 @@ class TransactionClient:
         self.isolation = isolation
         self.protocol = self._make_protocol(protocol)
         self.placement = placement
-        #: Group → event-lane routing on sharded deployments; ``None`` keeps
-        #: the historic single-service-per-datacenter addressing.
+        #: Group → event-lane routing and service naming (a one-lane map
+        #: gives every group the historic ``svc:{datacenter}`` services).
         self.shard_map = shard_map
         #: ``service_names`` by service lane: every request asks, and the
         #: answer is fixed once ``datacenters``, ``datacenter`` and
@@ -227,34 +225,27 @@ class TransactionClient:
     # Topology helpers used by the protocols
     # ------------------------------------------------------------------
 
-    def service_names(self, group: str | None = None) -> tuple[str, ...]:
+    def service_names(self, group: str) -> tuple[str, ...]:
         """All of *group*'s Transaction Service names, local datacenter first.
 
-        On a sharded deployment the group picks the service lane; without a
-        shard map (or a group) the historic one-service-per-datacenter names
-        are returned.
+        The group's lane picks the services (on a one-lane deployment every
+        group shares the one service per datacenter).
         """
-        shard_map = self.shard_map
-        sharded = shard_map is not None and group is not None
-        lane = shard_map.lane_of(group) if sharded else 0
+        lane = self.shard_map.lane_of(group)
         names = self._service_names.get(lane)
         if names is None:
-            if sharded:
-                ordered = shard_map.ordered_service_names(
+            names = self._service_names[lane] = tuple(
+                self.shard_map.ordered_service_names(
                     self.datacenters, self.datacenter, group
                 )
-            else:
-                ordered = ordered_service_names(self.datacenters, self.datacenter)
-            names = self._service_names[lane] = tuple(ordered)
+            )
         return names
 
-    def service_in(self, datacenter: str, group: str | None = None) -> str | None:
+    def service_in(self, datacenter: str, group: str) -> str | None:
         """Service node name in *datacenter*, if it is part of the deployment."""
         if datacenter not in self.datacenters:
             return None
-        if self.shard_map is not None and group is not None:
-            return self.shard_map.service_name(datacenter, group)
-        return service_name(datacenter)
+        return self.shard_map.service_name(datacenter, group)
 
     # ------------------------------------------------------------------
     # Group routing

@@ -30,9 +30,10 @@ the fault-injection campaign exercises):
 
 The pump itself is deliberately client-like: its own network node, plain
 Synod proposals for the receiver positions (the same machinery 2PC decision
-markers use), and progress in its home datacenter's store — a crash
-between appending a message and recording progress, or one that erases the
-progress row, is exactly the redelivery the dedup layer exists for.
+markers use), and its delivery progress in its own memory — a crash of its
+home replica kills it mid-delivery, and the fresh pump the restart starts
+rescans the sender log from position 1: exactly the redelivery the dedup
+layer exists for.
 """
 
 from __future__ import annotations
@@ -58,18 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.env import Environment
     from repro.sim.shard import ShardMap
 
-#: Store-key prefixes of the two durable queue tables.
-PUMP_PREFIX = "_queue/pump/"
+#: Store-key prefix of the receiver-side delivery records.
 RECV_PREFIX = "_queue/recv/"
 
 #: ``Transaction.origin`` of applies installed by the offline drain — how
 #: the statistics tell pump deliveries from drain completions in a log.
 DRAIN_ORIGIN = "drain"
-
-
-def pump_row_key(sender_group: str) -> str:
-    """Key of the pump-progress row for *sender_group*'s outgoing streams."""
-    return f"{PUMP_PREFIX}{sender_group}"
 
 
 def recv_row_key(receiver_group: str, sender_group: str) -> str:
@@ -184,19 +179,13 @@ def first_applies(
 
 
 class DeliveryTable:
-    """Durable queue-delivery state in one datacenter's key-value store.
+    """Queue-delivery state in one datacenter's key-value store.
 
-    Two tables, mirroring the txn-status design (projection rows a local
-    reader can consult without messaging):
-
-    * the **receiver record** (``_queue/recv/{receiver}/{sender}``) marks
-      every seqno this datacenter's apply path has taken effect for — the
-      authoritative dedup for redeliveries;
-    * the **pump progress** row (``_queue/pump/{sender}``) remembers how
-      far the sender-side pump has scanned its log and how many messages
-      each stream has confirmed, so a restarted pump resumes instead of
-      rescanning from position 1.  Progress is a *hint*: losing it only
-      causes redelivery, which the receiver record absorbs.
+    The **receiver record** (``_queue/recv/{receiver}/{sender}``) marks
+    every seqno this datacenter's apply path has taken effect for — the
+    authoritative dedup for redeliveries.  Like the txn-status table it is
+    a projection row a local reader can consult without messaging, which
+    log replay rebuilds after a crash.
     """
 
     def __init__(self, store: "MultiVersionStore") -> None:
@@ -230,28 +219,6 @@ class DeliveryTable:
             key[len(prefix):]: self.applied_seqnos(receiver, key[len(prefix):])
             for key in self.store.keys(prefix)
         }
-
-    # -- pump progress ---------------------------------------------------
-
-    def pump_progress(self, sender: str) -> tuple[int, dict[str, int]]:
-        """``(last fully-delivered sender position, sent count per stream)``."""
-        version = self.store.read(pump_row_key(sender))
-        if version is None:
-            return 0, {}
-        counters = {
-            name[len("sent/"):]: int(value)
-            for name, value in version.attributes.items()
-            if name.startswith("sent/")
-        }
-        return int(version.get("position") or 0), counters
-
-    def record_pump_progress(
-        self, sender: str, position: int, counters: Mapping[str, int]
-    ) -> None:
-        attributes: dict[str, Any] = {"position": position}
-        for receiver, count in counters.items():
-            attributes[f"sent/{receiver}"] = count
-        self.store.write(pump_row_key(sender), attributes)
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +273,7 @@ class QueueDeliveryPump:
     of the sender log for acknowledged (contiguously chosen) entries that
     carry sends, and appending the corresponding ``queue_apply`` entries to
     each receiver's log with plain Synod proposals.  A message is confirmed
-    — and the stream's durable counter advanced — only once its entry is
+    — and the stream's counter advanced — only once its entry is
     *chosen* at the receiver; on failure the pump stalls that scan and
     retries next poll, so first occurrences always land in sender order.
 
@@ -314,9 +281,9 @@ class QueueDeliveryPump:
     that replica (:meth:`repro.cluster.Cluster.crash_service`) kills it at
     whatever yield it is in, and the restart starts a fresh pump.  Nothing
     it must not lose lives in the pump: the sender log is durable, and the
-    progress row is a hint the crash erases, so the fresh pump re-reads it
-    and redelivers whatever it no longer records, which receiver dedup
-    absorbs.
+    delivery progress is pump memory that dies with it, so the fresh pump
+    rescans the sender log from position 1 and redelivers, which receiver
+    dedup absorbs.
     """
 
     #: Synod walk budget per message append.
@@ -330,10 +297,9 @@ class QueueDeliveryPump:
         name: str,
         sender_group: str,
         store: "MultiVersionStore",
-        service_names: list[str],
         config: ProtocolConfig,
-        shard_map: "ShardMap | None" = None,
-        datacenters: list[str] | None = None,
+        shard_map: "ShardMap",
+        datacenters: list[str],
     ) -> None:
         self.env = env
         self.sender_group = sender_group
@@ -342,10 +308,9 @@ class QueueDeliveryPump:
         #: lane — it polls that group's durable log and status tables, which
         #: only exist in that lane's store partition.  (Receiver-group state
         #: is reached by messaging, never by store reads.)
-        lane = shard_map.lane_of(sender_group) if shard_map is not None else 0
+        lane = shard_map.lane_of(sender_group)
         self.node = Node(env, network, name, datacenter, lane=lane)
         self.store = store
-        self.table = DeliveryTable(store)
         self.status = TxnStatusTable(store)
         #: One log view per group this pump reads (its sender group and each
         #: receiver it appends to), kept for the incarnation's lifetime so a
@@ -354,9 +319,8 @@ class QueueDeliveryPump:
         #: store under these views.  Only the chosen-entry index is used,
         #: never ``applied_through``.
         self._replicas: dict[str, LogReplica] = {}
-        self.services = list(service_names)
         self.shard_map = shard_map
-        self.datacenters = list(datacenters or [])
+        self.datacenters = list(datacenters)
         #: Last receiver position this incarnation confirmed, per receiver.
         #: A multi-lane pump cannot see receiver logs in its local store
         #: partition (they belong to other lanes), so without this hint
@@ -369,12 +333,10 @@ class QueueDeliveryPump:
         self.max_depth = 0
         #: When each pending message was first observed (backlog tracking).
         self._observed_ms: dict[tuple[str, int], float] = {}
-        #: The acknowledged head at the end of the last scan that delivered
-        #: everything up to it.  A poll that sees the same head has nothing
-        #: to deliver and skips the progress read.  The head alone is
-        #: enough because the pump dies with its home replica: no
-        #: incarnation outlives the crash that erases its progress row.
-        self._idle_mark: int | None = None
+        #: ``(last fully-delivered sender position, confirmed count per
+        #: stream)``.  A scan that finds the acknowledged head at that
+        #: position has nothing to deliver; a stall leaves it behind.
+        self.progress: tuple[int, dict[str, int]] = (0, {})
 
     def _replica(self, group: str) -> LogReplica:
         """This pump's view of *group*'s log in its home store."""
@@ -426,9 +388,9 @@ class QueueDeliveryPump:
         """
         replica = self._replica(self.sender_group)
         acknowledged = replica.read_position()
-        if acknowledged == self._idle_mark:
+        position, counters = self.progress
+        if acknowledged == position:
             return 0
-        position, counters = self.table.pump_progress(self.sender_group)
         counters = dict(counters)
         backlog = self._backlog_size(replica, position, acknowledged, counters)
         self.max_depth = max(self.max_depth, backlog)
@@ -442,9 +404,7 @@ class QueueDeliveryPump:
                 # whether its sends committed; retry next poll.
                 return delivered
             if disposition == "skip":
-                self.table.record_pump_progress(
-                    self.sender_group, position, counters
-                )
+                self.progress = (position, dict(counters))
                 continue
             for txn in entry.transactions:
                 for send in txn.sends:
@@ -465,9 +425,8 @@ class QueueDeliveryPump:
                         applied_ms=self.env.now,
                     ))
                     delivered += 1
-            # The position's sends are all confirmed: durable progress.
-            self.table.record_pump_progress(self.sender_group, position, counters)
-        self._idle_mark = acknowledged
+            # The position's sends are all confirmed: record progress.
+            self.progress = (position, dict(counters))
         return delivered
 
     def _send_disposition(self, entry: LogEntry) -> str:
@@ -519,15 +478,6 @@ class QueueDeliveryPump:
                 depth += 1
         return depth
 
-    def _services_for(self, receiver: str) -> list[str]:
-        """Service names owning *receiver*'s log (its lane on a sharded
-        deployment; the fixed per-datacenter services otherwise)."""
-        if self.shard_map is None or not self.datacenters:
-            return self.services
-        return self.shard_map.ordered_service_names(
-            self.datacenters, self.node.datacenter, receiver
-        )
-
     # ------------------------------------------------------------------
     # Appending one message at the receiver
     # ------------------------------------------------------------------
@@ -552,9 +502,11 @@ class QueueDeliveryPump:
             origin=f"pump:{self.sender_group}", origin_dc=self.node.datacenter,
         )
         position = self._replica(receiver).read_position() + 1
-        if self.shard_map is not None and not self.shard_map.single_lane:
+        if not self.shard_map.single_lane:
             position = max(position, self._receiver_heads.get(receiver, 0) + 1)
-        services = self._services_for(receiver)
+        services = self.shard_map.ordered_service_names(
+            self.datacenters, self.node.datacenter, receiver
+        )
         identity = f"{queue_apply_tid(self.sender_group, receiver, seqno)}:{self.node.name}"
         attempts = 0
         while attempts < self.MAX_APPEND_ATTEMPTS:

@@ -88,26 +88,6 @@ class BeginRequest(NamedTuple):
     group: str
 
 
-def service_name(datacenter: str, lane: int = 0) -> str:
-    """Canonical node name of the Transaction Service in *datacenter*.
-
-    Lane 0 keeps the historic single-service name; a sharded deployment
-    runs one service per (datacenter, lane) — see
-    :func:`repro.sim.shard.service_node_name`, which owns the scheme.
-    """
-    return service_node_name(datacenter, lane)
-
-
-def ordered_service_names(datacenters: list[str], local: str) -> list[str]:
-    """All Transaction Service names, *local*'s own service first.
-
-    The canonical failover/proposal order every client-like actor
-    (Transaction Clients, queue delivery pumps) uses.
-    """
-    ordered = [local] + [dc for dc in datacenters if dc != local]
-    return [service_name(dc) for dc in ordered]
-
-
 class TransactionService:
     """One datacenter's transaction tier endpoint."""
 
@@ -131,7 +111,7 @@ class TransactionService:
         self.store = store
         self.accessor = store_accessor or StoreAccessor(env, store)
         self.lane = lane
-        self.node = Node(env, network, service_name(datacenter, lane),
+        self.node = Node(env, network, service_node_name(datacenter, lane),
                          datacenter, lane=lane)
         self.acceptor = Acceptor(self.accessor)
         self.txn_status = TxnStatusTable(store)

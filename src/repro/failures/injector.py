@@ -6,8 +6,8 @@ be called before a run or between ``run()`` segments.  On a single-lane
 cluster faults may also be scheduled from *inside* a running process; on a
 lane-partitioned one declare them while the simulation is paused (a process
 in one lane scheduling into another lane's timeline is exactly the
-cross-lane coupling the declared channel graph forbids, and the kernel
-raises on it).
+cross-lane coupling independent lanes forbid, and the kernel raises on
+it).
 
 **Sharded deployments.**  On a lane-partitioned cluster each fault is
 *replicated*: the same effect is scheduled once per event lane, each firing

@@ -121,17 +121,16 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
         from repro.failures.schedule import install_fault_schedule
 
         install_fault_schedule(cluster, spec.cluster.faults)
-    if not cluster.shard_map.single_lane:
-        # The union of every actor's possible cross-lane traffic.  Group-
-        # pinned threads without 2PC contribute nothing, which is what lets
+    workload = spec.workload
+    if (not cluster.shard_map.single_lane
+            and workload.group_distribution == "pinned"
+            and workload.cross_group_fraction == 0
+            and workload.queue_fraction == 0):
+        # Group-pinned threads without 2PC or queue traffic never leave
+        # their group's lane, and groups that share no transaction never
+        # interact: the lanes are independent, which is what lets
         # ``engine="sharded"`` drain big scaling runs lane by lane.
-        channels: set[tuple[int, int]] = set()
-        for driver in drivers:
-            channels |= driver.lane_channels()
-        if spec.workload.queue_fraction > 0:
-            for group in cluster.placement.groups:
-                channels |= cluster.shard_map.channels_for_pump(group)
-        cluster.restrict_lane_channels(channels)
+        cluster.env.sim.independent_lanes = True
     return cluster, drivers
 
 

@@ -12,8 +12,8 @@ network itself only consults it.
 **Lane affinity.**  On a lane-partitioned deployment every node carries a
 lane (its entity-group shard, or the shared lane), and the network is the
 *only* cross-lane channel: a delivery whose destination sits in another lane
-is scheduled through the kernel's cross-lane path, which checks it against
-the declared channel graph.  Everything lane-scoped — the jitter/loss RNG
+is scheduled through the kernel's cross-lane path, which raises when the
+run marked its lanes independent.  Everything lane-scoped — the jitter/loss RNG
 stream, the outage and partition views, the loss-probability overrides — is
 kept per lane, so a lane's behaviour is a function of its own history only;
 that independence is what lets the kernel drain independent lanes one after
@@ -314,6 +314,6 @@ class Network:
             for _copy in range(copies):
                 sim_schedule(msg, draw(base, rng))
             return
-        # Cross-lane: the kernel checks the channel and routes the delivery.
+        # Cross-lane: the kernel checks independence and routes the delivery.
         for _copy in range(copies):
             sim.schedule_in_lane(msg, draw(base, rng), dst_lane)

@@ -203,22 +203,22 @@ class LanedSimulator(Simulator):
     interleave.
 
     Lanes may only interact through :meth:`schedule_in_lane` (the network's
-    cross-lane deliveries), and only over the channel graph the harness
-    declared with :meth:`restrict_channels`; a send over an undeclared
-    channel raises.  When that graph has no edge at all, no lane can ever
-    observe another, so the order in which *different* lanes' events run is
-    semantically irrelevant — each entity group has its own log, and groups
-    that share no transaction never interact.  With :attr:`lane_by_lane`
-    set, :meth:`run` exploits exactly that case: it splits the heap by
-    target lane and drains each lane to completion in lane order.  Every
-    event keeps its canonical key and every lane fires its events in the
-    same order as on the single heap, so the execution is identical by
-    construction; the small per-lane heaps are simply cheaper to drain than
-    one big one.
+    cross-lane deliveries); on the single heap such a send is correct by
+    construction, since every event keeps its canonical key.  When the
+    harness marks the lanes :attr:`independent_lanes` — each entity group
+    has its own log, and groups that share no transaction never interact —
+    no lane can ever observe another, so the order in which *different*
+    lanes' events run is semantically irrelevant, and a cross-lane send
+    raises.  With :attr:`lane_by_lane` also set, :meth:`run` exploits
+    exactly that case: it splits the heap by target lane and drains each
+    lane to completion in lane order.  Every event keeps its canonical key
+    and every lane fires its events in the same order as on the single
+    heap, so the execution is identical by construction; the small per-lane
+    heaps are simply cheaper to drain than one big one.
     """
 
-    __slots__ = ("_seqs", "_lane", "n_lanes", "_channels", "lane_by_lane",
-                 "lane_events")
+    __slots__ = ("_seqs", "_lane", "n_lanes", "independent_lanes",
+                 "lane_by_lane", "lane_events")
 
     def __init__(self, n_lanes: int) -> None:
         super().__init__()
@@ -229,10 +229,10 @@ class LanedSimulator(Simulator):
         #: Lane of the event being processed; ``None`` outside the run loop
         #: (setup code then schedules into the *target* lane's sequence).
         self._lane: int | None = None
-        #: Declared ``(src, dst)`` lane pairs messages may cross; ``None``
-        #: until :meth:`restrict_channels` is the always-sound complete graph.
-        self._channels: set[tuple[int, int]] | None = None
-        #: Drain lane by lane whenever the declared graph is empty
+        #: No event of one lane may schedule into another: set by the
+        #: harness for runs whose actors never leave their group's lane.
+        self.independent_lanes = False
+        #: Drain lane by lane whenever the lanes are independent
         #: (``engine="sharded"``); ``False`` keeps the single heap always.
         self.lane_by_lane = False
         #: Events processed per lane by the lane-by-lane drain; ``None``
@@ -252,21 +252,6 @@ class LanedSimulator(Simulator):
         cross-lane declaration from an (illegal) mid-run one.
         """
         return self._lane
-
-    def restrict_channels(self, channels: "set[tuple[int, int]]") -> None:
-        """Declare the only (src, dst) lane pairs messages may cross.
-
-        Must describe a superset of the traffic the run will generate; a
-        send outside it raises.  An empty graph makes every lane fully
-        independent, which is what licenses the lane-by-lane drain.
-        """
-        declared = set()
-        for src, dst in channels:
-            if not (0 <= src < self.n_lanes and 0 <= dst < self.n_lanes):
-                raise ValueError(f"channel ({src}, {dst}) names unknown lanes")
-            if src != dst:
-                declared.add((src, dst))
-        self._channels = declared
 
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0:
@@ -297,11 +282,10 @@ class LanedSimulator(Simulator):
         if not 0 <= lane < self.n_lanes:
             raise ValueError(f"no lane {lane} (have {self.n_lanes})")
         klane = lane if self._lane is None else self._lane
-        if klane != lane and self._channels is not None \
-                and (klane, lane) not in self._channels:
+        if klane != lane and self.independent_lanes:
             raise RuntimeError(
                 f"lane isolation violated: lane {klane} sent into lane "
-                f"{lane} but the channel is not declared"
+                f"{lane} but the lanes are independent"
             )
         self._seqs[klane] = seq = self._seqs[klane] + 1
         heappush(self._queue, (self._now + delay, klane, seq, lane, event))
@@ -321,7 +305,7 @@ class LanedSimulator(Simulator):
     def run(self, until: float | None = None) -> None:
         if until is not None and until < self._now:
             raise ValueError(f"cannot run backwards: until={until} < now={self._now}")
-        if self.lane_by_lane and self._channels == set():
+        if self.lane_by_lane and self.independent_lanes:
             self._run_lane_by_lane(until)
             return
         queue = self._queue

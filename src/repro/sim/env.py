@@ -9,7 +9,8 @@ Single-lane environments (the default) run on the classic
 :class:`~repro.sim.core.Simulator`.  Lane-partitioned deployments pass
 ``lanes > 1`` and get a :class:`~repro.sim.core.LanedSimulator`;
 ``engine="sharded"`` additionally lets it drain lane by lane whenever the
-declared channel graph is empty, ``engine="global"`` keeps the single heap.
+harness marked the lanes independent, ``engine="global"`` keeps the single
+heap.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ with staggered starts and a per-thread target rate.
 
 from repro.workload.driver import InstanceResult, WorkloadDriver, execute_plan
 from repro.workload.openloop import (
-    ArrivalProcess,
     LogicalUserModel,
     OpenLoopDriver,
     PoissonArrivals,
@@ -27,7 +26,6 @@ from repro.workload.openloop import (
 from repro.workload.ycsb import Operation, YcsbWorkload, ZipfianGenerator
 
 __all__ = [
-    "ArrivalProcess",
     "InstanceResult",
     "LogicalUserModel",
     "OpenLoopDriver",

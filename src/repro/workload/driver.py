@@ -245,31 +245,6 @@ class WorkloadDriver:
         groups = self.cluster.placement.groups
         return groups[index % len(groups)]
 
-    def lane_channels(self) -> "set[tuple[int, int]]":
-        """Cross-lane channels this driver's clients can exercise.
-
-        The channel declaration for the laned kernel: a superset of the
-        lane pairs this instance's traffic can cross.  Pinned threads
-        without a 2PC slice reach only their own lane, so the set is empty
-        and the kernel may drain the lanes one after another.
-        """
-        shard_map = self.cluster.shard_map
-        if shard_map.single_lane:
-            return set()
-        cross = self.workload.cross_group_fraction > 0
-        channels: set[tuple[int, int]] = set()
-        if self.pinned and not cross:
-            return channels
-        if self.pinned:
-            for index in range(self.workload.n_threads):
-                lane = shard_map.lane_of(self.thread_group(index))
-                channels |= shard_map.channels_for_client(
-                    lane, self.groups, cross_group=True
-                )
-            return channels
-        reachable = self.groups if self.multi_group else (self.workload.group,)
-        return shard_map.channels_for_client(0, reachable, cross_group=cross)
-
     @property
     def groups(self) -> tuple[str, ...]:
         """Every entity group this driver generates transactions for."""

@@ -56,26 +56,19 @@ USER_ZIPFIAN_THETA = 0.99
 
 
 # ----------------------------------------------------------------------
-# Arrival processes
+# Arrivals
 # ----------------------------------------------------------------------
 
 
-class ArrivalProcess:
-    """Generates interarrival gaps; stateless beyond the caller's RNG.
+class PoissonArrivals:
+    """Homogeneous Poisson process: exponential interarrival gaps.
 
     ``next_interarrival(rng, now)`` returns the gap from *now* (the
-    previous arrival time) to the next arrival.  Implementations draw only
-    from *rng*, so the arrival sequence is a pure function of the stream's
-    seed — the determinism the lazy-replay scheduler and the serial-vs-jobs
-    digest equality both rest on.
+    previous arrival time) to the next arrival.  It draws only from *rng*,
+    so the arrival sequence is a pure function of the stream's seed — the
+    determinism the lazy-replay scheduler and the serial-vs-jobs digest
+    equality both rest on.
     """
-
-    def next_interarrival(self, rng: Random, now: float) -> float:
-        raise NotImplementedError
-
-
-class PoissonArrivals(ArrivalProcess):
-    """Homogeneous Poisson process: exponential interarrival gaps."""
 
     def __init__(self, rate_per_ms: float) -> None:
         if rate_per_ms <= 0:
@@ -170,7 +163,7 @@ class OpenLoopDriver:
 
     Duck-type compatible with :class:`~repro.workload.driver.WorkloadDriver`
     where the harness touches it (``install_data`` / ``start`` /
-    ``result`` / ``lane_channels``), so
+    ``result``), so
     :func:`repro.harness.experiment.prepare_run` swaps it in when
     ``workload.open_loop`` is set.
 
@@ -218,9 +211,6 @@ class OpenLoopDriver:
     def install_data(self) -> None:
         for group, rows in self._seed_workload.initial_images().items():
             self.cluster.preload(group, rows)
-
-    def lane_channels(self) -> "set[tuple[int, int]]":
-        return set()
 
     # -- results --------------------------------------------------------
 
@@ -307,7 +297,7 @@ class OpenLoopDriver:
             load.peak_pending = len(pending)
 
     def _client_loop(self, client: "TransactionClient", index: int,
-                     arrivals: ArrivalProcess,
+                     arrivals: PoissonArrivals,
                      generator: YcsbWorkload) -> Generator:
         env = self.cluster.env
         load = self._loads[index]

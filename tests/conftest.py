@@ -29,7 +29,7 @@ def kernel_env(request):
     if request.param == "laned":
         return Environment(seed=42, lanes=3, engine="global")
     env = Environment(seed=42, lanes=3, engine="sharded")
-    env.sim.restrict_channels(set())  # independent lanes: drained one by one
+    env.sim.independent_lanes = True  # drained one by one
     return env
 
 

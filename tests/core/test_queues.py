@@ -14,7 +14,6 @@ from repro.core.queues import (
     first_applies,
     queue_apply_tid,
 )
-from repro.core.service import ordered_service_names
 from repro.errors import TransactionStateError
 from repro.model import QueueSend, Transaction
 from repro.serializability.checker import check_queue_delivery
@@ -266,8 +265,8 @@ class TestPump:
                 yield from client.commit(handle)
 
         # Kill the sender pump mid-run, then restart it a beat later: the
-        # fresh pump resumes from the durable watermark and redelivers at
-        # most the unconfirmed tail.
+        # fresh pump rescans the sender log from position 1 and redelivers,
+        # and receiver dedup absorbs every twin.
         kill_at = cluster.env.timeout(160.0)
         kill_at.add_callback(
             lambda _e: processes["group-0"].kill("injected pump crash")
@@ -325,9 +324,8 @@ def home_pump(cluster: Cluster) -> QueueDeliveryPump:
     """A ``group-0`` pump in V1, driven by hand (no poll loop)."""
     return QueueDeliveryPump(
         cluster.env, cluster.network, "V1", "pump:test", "group-0",
-        cluster.stores["V1"],
-        ordered_service_names(list(cluster.topology.names), "V1"),
-        cluster.config.protocol,
+        cluster.stores["V1"], cluster.config.protocol, cluster.shard_map,
+        list(cluster.topology.names),
     )
 
 
@@ -369,10 +367,9 @@ class TestPumpLogHeads:
         log = LogReplica(cluster.stores["V1"], "group-0")
         for position in (501, 502, 503):
             log.record_chosen(position, plain_entry("group-0", position))
-        # On top of the idle scan's reads: the progress read an idle poll
-        # skips, and one probe per new entry.
-        assert reads_during(cluster, pump.deliver_pending()) == idle + 1 + 3 <= 11
-        assert pump.table.pump_progress("group-0")[0] == 503
+        # On top of the idle scan's reads: one probe per new entry.
+        assert reads_during(cluster, pump.deliver_pending()) == idle + 3 <= 10
+        assert pump.progress == (503, {})
 
     def test_receiver_head_lookup_is_constant_after_the_first_append(self):
         send = QueueSend("group-1", ((("remote", "a"), "v"),))
@@ -399,10 +396,10 @@ class TestPumpLogHeads:
 
 
 class TestPumpIdleMark:
-    """A poll that finds the acknowledged head where the last complete scan
-    left it has nothing to deliver, and skips the progress read.  No pump
-    outlives an erase of its progress row: a crash of its home replica
-    kills it, and the fresh pump the restart starts reads the row again."""
+    """A poll that finds the acknowledged head where the pump's progress
+    stands has nothing to deliver.  Progress is pump memory: a crash of its
+    home replica kills the pump, and the fresh pump the restart starts
+    scans the sender log from position 1 again."""
 
     def pump_after_one_send(self) -> tuple[Cluster, QueueDeliveryPump]:
         cluster = sharded_cluster(2, seed=19)
@@ -420,14 +417,18 @@ class TestPumpIdleMark:
 
     def test_idle_poll_reads_only_the_head_probe(self):
         cluster, pump = self.pump_after_one_send()
-        # The acknowledged head is the mark, so an idle poll still probes
-        # the next log position — and reads nothing else.
+        # Progress stands at the acknowledged head, so an idle poll still
+        # probes the next log position — and reads nothing else.
         assert reads_during(cluster, pump.deliver_pending()) == 1
         assert run(cluster, pump.deliver_pending()) == 0
-        pump._idle_mark = None  # without the mark: the progress read too
-        assert reads_during(cluster, pump.deliver_pending()) == 2
+        position, counters = pump.progress
+        assert counters == {"group-1": 1}
+        # Progress behind the head (a stall, a fresh pump): the poll scans.
+        pump.progress = (position - 1, {})
+        assert run(cluster, pump.deliver_pending()) == 1
+        assert pump.progress == (position, counters)
 
-    def test_a_fresh_pump_after_a_home_crash_rereads_progress_and_redelivers(self):
+    def test_a_fresh_pump_after_a_home_crash_rescans_and_redelivers(self):
         cluster = sharded_cluster(2, seed=19)
         client = cluster.add_client("V1")
 
@@ -441,21 +442,18 @@ class TestPumpIdleMark:
         cluster.env.run(until=500.0)
         [before] = cluster._pumps
         assert first.is_alive and len(before.pump.delivered) == 1
-        acknowledged = before.pump.table.pump_progress("group-0")[0]
-        # The crash kills the pump and erases its progress row; the restart
-        # starts a fresh pump, which must read the row (gone), redeliver,
+        acknowledged = before.pump.progress[0]
+        # The crash kills the pump and its progress with it; the restart
+        # starts a fresh pump, which must scan from position 1, redeliver,
         # and record progress again.
         record = cluster.crash_service("V1")
         assert record.killed_pumps == (before,) and not first.is_alive
-        assert before.pump.table.pump_progress("group-0") == (0, {})
         cluster.restart_service("V1")
         cluster.run()
         [_, fresh] = cluster._pumps
         assert (fresh.poll_ms, fresh.idle_stop_after) == (10, 100)
         assert len(fresh.pump.delivered) == 1
-        assert fresh.pump.table.pump_progress("group-0") == (
-            acknowledged, {"group-1": 1},
-        )
+        assert fresh.pump.progress == (acknowledged, {"group-1": 1})
         # Receiver dedup absorbs the redelivery: the apply is in the log
         # twice, and only its first occurrence takes effect.
         logs = cluster.finalize_all()
@@ -479,7 +477,7 @@ def read_remote(cluster: Cluster, row: str, attribute: str):
 
 
 class TestDeliveryTable:
-    def test_marks_and_progress_round_trip(self):
+    def test_marks_round_trip(self):
         from repro.kvstore.store import MultiVersionStore
 
         table = DeliveryTable(MultiVersionStore())
@@ -491,7 +489,3 @@ class TestDeliveryTable:
         assert not table.is_applied("g1", "g0", 2)
         assert table.applied_seqnos("g1", "g0") == {1, 3}
         assert table.streams_into("g1") == {"g0": {1, 3}}
-
-        assert table.pump_progress("g0") == (0, {})
-        table.record_pump_progress("g0", 5, {"g1": 2, "g2": 1})
-        assert table.pump_progress("g0") == (5, {"g1": 2, "g2": 1})

@@ -1,7 +1,7 @@
 """Tests for the Transaction Service: reads, application, catch-up, leaders."""
 
-from repro.core.service import BeginRequest, ReadRequest, service_name
-from repro.net.message import Message
+from repro.core.service import BeginRequest, ReadRequest
+from repro.sim.shard import service_node_name
 from tests.conftest import make_cluster, run_txn
 
 GROUP = "g"
@@ -21,7 +21,7 @@ def ask(cluster, dc, msg_type, payload, src_dc="V1"):
                   f"probe:{cluster.env.rng.stream('probe').random()}", src_dc)
 
     def proc():
-        reply = yield client.request(service_name(dc), msg_type, payload,
+        reply = yield client.request(service_node_name(dc), msg_type, payload,
                                      timeout_ms=10_000)
         return reply.payload if reply is not None else None
 
@@ -99,7 +99,7 @@ class TestReadHandler:
 
         def proc():
             requests = [
-                probe.request(service_name("V2"), "txn.read",
+                probe.request(service_node_name("V2"), "txn.read",
                               ReadRequest(GROUP, "row0", "a", position=1),
                               timeout_ms=10_000)
                 for _ in range(4)

@@ -34,14 +34,40 @@ from repro.harness.experiment import finish_run, prepare_run
 from repro.harness.parallel import metrics_digest
 from repro.kvstore.service import StoreAccessor
 from repro.kvstore.store import MultiVersionStore
+from repro.paxos.ballot import Ballot
+from repro.paxos.proposer import SynodProposer
 from repro.sim.env import Environment
 from repro.wal.invariants import InvariantViolation
-from repro.wal.log import LogReplica
+from repro.wal.log import LogReplica, paxos_row_key
 from repro.workload.driver import WorkloadDriver
 from tests.conftest import make_cluster, run_txn
 from tests.helpers import xgroup_mix_spec
 
 GROUP = "g"
+
+
+#: One forged crash-time snapshot per end-of-run amnesia message, built
+#: from the final state of a chosen row and of a promised-only row.
+AMNESIA_FORGERIES = {
+    "vanished": lambda chosen, promised: {
+        paxos_row_key(GROUP, 3): chosen,
+    },
+    "promise regressed": lambda chosen, promised: {
+        paxos_row_key(GROUP, 1): (
+            Ballot(chosen[0].round + 1, chosen[0].proposer), *chosen[1:],
+        ),
+    },
+    "seq regressed": lambda chosen, promised: {
+        paxos_row_key(GROUP, 1): (*chosen[:4], (chosen[4] or 0) + 1),
+    },
+    "chosen value forgotten": lambda chosen, promised: {
+        paxos_row_key(GROUP, 2): (*promised[:2], True, chosen[3], promised[4]),
+    },
+    "chosen value changed": lambda chosen, promised: {
+        paxos_row_key(GROUP, 1): (*chosen[:3], ("data", None, ("other",)),
+                                  chosen[4]),
+    },
+}
 
 
 def preloaded(**kwargs):
@@ -290,7 +316,8 @@ class TestAmnesiaDetector:
         with pytest.raises(InvariantViolation, match="1 store writes while"):
             cluster.restart_service("V2")
 
-    def test_vanished_durable_row_flagged_at_end_of_run(self):
+    @pytest.mark.parametrize("message", AMNESIA_FORGERIES)
+    def test_forged_crash_snapshot_flagged_at_end_of_run(self, message):
         cluster = preloaded()
         client = cluster.add_client("V1", protocol="paxos")
         outcome = run_txn(cluster, client, GROUP, writes=[("row0", "a0", "v")])
@@ -299,12 +326,24 @@ class TestAmnesiaDetector:
         assert record.durable_image  # the acceptor voted, so rows exist
         cluster.restart_service("V2")
         cluster.run()
-        # Forge the failure mode the detector exists for: a durable
-        # acceptor row the crashed replica had promised in is simply gone.
-        key = sorted(record.durable_image)[0]
-        del cluster.stores["V2"]._rows[key]
-        violations = cluster.check_crash_amnesia()
-        assert any("vanished" in v for v in violations)
+        # A promise without a vote at position 2: a row chosen nowhere.
+        proposer = SynodProposer(client.node, GROUP, 2,
+                                 list(client.service_names(GROUP)),
+                                 client.config)
+        probe = cluster.env.process(proposer.prepare(Ballot(1, "probe")))
+        cluster.run()
+        assert probe.value.successes == 3
+        assert cluster.check_crash_amnesia() == []
+        # Forge the failure mode the detector exists for: the crashed
+        # replica held durable state at its crash that the final store
+        # does not honour.
+        final = cluster._durable_acceptor_image(cluster.stores["V2"])
+        chosen = final[paxos_row_key(GROUP, 1)]
+        promised = final[paxos_row_key(GROUP, 2)]
+        assert chosen[2] and not promised[2]
+        record.durable_image = AMNESIA_FORGERIES[message](chosen, promised)
+        [violation] = cluster.check_crash_amnesia()
+        assert message in violation
 
     def test_crash_without_restart_flagged(self):
         # Recovery must be finite: a replica that never comes back is a

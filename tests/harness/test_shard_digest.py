@@ -2,8 +2,8 @@
 
 For a fixed deployment layout (``shards``) both ``engine`` values must
 produce field-identical metrics, logs, and outcomes.  They only take
-different paths when the run's declared channel graph is empty — group-
-pinned threads, no 2PC or queue traffic — so that is the regime swept here:
+different paths when the run's lanes are independent — group-pinned
+threads, no 2PC or queue traffic — so that is the regime swept here:
 seeds × protocols (basic Paxos, Paxos-CP, leased leader) × shard counts
 (1, 4, n_groups) × faults (none; two overlapping crash windows overlapped
 by an outage, then a partition and a loss episode).  The cross-traffic
@@ -19,6 +19,7 @@ the two drains' digests at 64 groups).
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -34,8 +35,9 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.cluster import Cluster
+from repro.errors import InvalidExperimentSpec
 from repro.failures.schedule import install_fault_schedule
-from repro.harness.experiment import ExperimentSpec, run_once
+from repro.harness.experiment import ExperimentSpec, prepare_run, run_once
 from repro.harness.metrics import RunMetrics
 from repro.harness.parallel import metrics_digest
 from repro.workload.driver import WorkloadDriver
@@ -98,8 +100,8 @@ def run_world(engine: str, shards: int, seed: int, protocol: str,
     drained it lane by lane.
 
     Mirrors ``prepare_run``: threads are pinned to their groups unless the
-    cell carries cross-group traffic, and the workload's channel graph is
-    declared to the kernel before the run.
+    cell carries cross-group traffic, and a pinned cell on a multi-lane
+    deployment marks its lanes independent before the run.
     """
     cluster = Cluster(ClusterConfig(
         placement=PlacementConfig.ranged(N_GROUPS),
@@ -125,12 +127,8 @@ def run_world(engine: str, shards: int, seed: int, protocol: str,
         cluster.start_queue_pumps()
     if faults:
         install_fault_schedule(cluster, FAULTS)
-    if not cluster.shard_map.single_lane:
-        channels = set(driver.lane_channels())
-        if queue > 0:
-            for group in cluster.placement.groups:
-                channels |= cluster.shard_map.channels_for_pump(group)
-        cluster.restrict_lane_channels(channels)
+    if not (cross or queue or cluster.shard_map.single_lane):
+        cluster.env.sim.independent_lanes = True
     cluster.run()
     return fingerprint(cluster, driver), cluster.lane_profile() is not None
 
@@ -199,3 +197,46 @@ class TestRunOnceEngines:
         assert [count > 0 for count in profile["events"]] == \
             [False, True, True, True, True, False, False]
         assert sum(profile["utilization"]) == pytest.approx(1.0)
+
+
+class TestIndependentLanes:
+    """``prepare_run`` marks the lanes independent exactly on multi-lane,
+    group-pinned cells without 2PC or queue traffic — the only cells whose
+    actors never leave their group's lane — so ``engine="sharded"`` drains
+    those lane by lane and every other cell through the single heap.  A
+    wrongly marked cell would raise "lane isolation violated" here."""
+
+    @pytest.mark.parametrize("protocol", ("paxos", "paxos-cp", "leased-leader"))
+    @pytest.mark.parametrize("shards", (1, 4, N_GROUPS))
+    def test_lane_by_lane_exactly_on_pinned_cells_without_cross_traffic(
+        self, shards, protocol,
+    ):
+        ran = 0
+        for dist in ("uniform", "pinned"):
+            for cross in (0.0, 0.2):
+                for queue in (0.0, 0.2):
+                    for per_dc in (False, True):
+                        cell = (dist, cross, queue, per_dc)
+                        try:
+                            spec = replace(
+                                base_spec("sharded", shards,
+                                          n_transactions=6, n_threads=2,
+                                          group_distribution=dist,
+                                          cross_group_fraction=cross,
+                                          queue_fraction=queue),
+                                protocol=protocol,
+                                per_datacenter_instances=per_dc,
+                                check_invariants=False,
+                            )
+                        except InvalidExperimentSpec:
+                            assert protocol == "leased-leader", cell
+                            continue
+                        cluster, drivers = prepare_run(spec, seed=3)
+                        cluster.run()
+                        independent = (shards > 1 and dist == "pinned"
+                                       and not cross and not queue)
+                        assert (cluster.env.sim.lane_events is not None) \
+                            == independent, cell
+                        assert all(driver.result.outcomes for driver in drivers)
+                        ran += 1
+        assert ran == (4 if protocol == "leased-leader" else 16)

@@ -53,10 +53,6 @@ class TestPinnedDriver:
             assert client.lane == cluster.shard_map.lane_of(
                 driver.thread_group(index))
 
-    def test_pinned_channels_empty_without_cross_traffic(self):
-        _cluster, driver = self.make()
-        assert driver.lane_channels() == set()
-
     def test_outcomes_merge_in_thread_order(self):
         cluster, driver = self.make(threads=3)
         driver.install_data()

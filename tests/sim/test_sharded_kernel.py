@@ -56,25 +56,13 @@ class TestShardMap:
         )
         assert names == ["svc:V2:2", "svc:V1:2", "svc:V3:2"]
 
-    def test_channels_for_pinned_client_are_empty(self):
-        groups = tuple(f"group-{i}" for i in range(4))
-        shard_map = ShardMap(groups, 4)
-        lane = shard_map.lane_of("group-2")
-        assert shard_map.channels_for_client(lane, ["group-2"]) == set()
-
-    def test_channels_for_roaming_client(self):
-        groups = tuple(f"group-{i}" for i in range(2))
-        shard_map = ShardMap(groups, 2)
-        channels = shard_map.channels_for_client(0, groups)
-        assert channels == {(0, 1), (1, 0), (0, 2), (2, 0)}
-
-    def test_cross_group_adds_shared_lane_learn_channels(self):
-        groups = tuple(f"group-{i}" for i in range(2))
-        shard_map = ShardMap(groups, 2)
-        channels = shard_map.channels_for_client(0, groups, cross_group=True)
-        # Group-lane services may LEARN decisions from the shared lane.
-        assert (1, 0) in channels and (0, 1) in channels
-        assert (2, 0) in channels and (0, 2) in channels
+    def test_one_lane_map_gives_the_historic_names(self):
+        shard_map = ShardMap(("group-0", "group-1"), 1)
+        for group in ("group-1", "_txn/whatever"):
+            assert shard_map.ordered_service_names(
+                ["V1", "V2", "V3"], "V2", group
+            ) == ["svc:V2", "svc:V1", "svc:V3"]
+            assert shard_map.service_name("V3", group) == "svc:V3"
 
 
 class TestLanedSimulator:
@@ -122,7 +110,7 @@ def busy_lanes(engine: str, lanes: int = 4):
     lane is stamped from.
     """
     env = Environment(seed=1, lanes=lanes, engine=engine)
-    env.sim.restrict_channels(set())
+    env.sim.independent_lanes = True
     trace: list[tuple] = []
 
     def note(tag):
@@ -198,7 +186,7 @@ class TestLaneByLane:
 
     def test_run_until_advances_the_clock_when_idle(self):
         env = Environment(seed=1, lanes=2, engine="sharded")
-        env.sim.restrict_channels(set())
+        env.sim.independent_lanes = True
         fired = []
         env.timeout(4.0, lane=1).add_callback(lambda e: fired.append(env.now))
         env.run(until=2.0)
@@ -208,13 +196,13 @@ class TestLaneByLane:
         with pytest.raises(ValueError, match="backwards"):
             env.run(until=5.0)
 
-    def test_declared_traffic_keeps_the_single_heap(self):
-        """A non-empty graph under "sharded" is the reference drain: the
-        merged firing order, not just each lane's, matches "global"."""
+    def test_dependent_lanes_keep_the_single_heap(self):
+        """Lanes not marked independent under "sharded" are the reference
+        drain: the merged firing order, not just each lane's, matches
+        "global"."""
 
         def run(engine):
             env = Environment(seed=1, lanes=2, engine=engine)
-            env.sim.restrict_channels({(0, 1)})
             trace: list[tuple] = []
 
             class Poke(Notification):
@@ -250,22 +238,9 @@ class TestLaneByLane:
 
 class TestLaneIsolation:
     @pytest.mark.parametrize("engine", ("global", "sharded"))
-    def test_undeclared_channel_raises(self, engine):
-        env = Environment(seed=1, lanes=3, engine=engine)
-        env.sim.restrict_channels({(1, 2)})
-
-        def offender(env):
-            yield env.timeout(1.0)
-            env.sim.schedule_in_lane(env.event().succeed(), 0.0, 1)
-
-        env.process(offender(env), lane=0)
-        with pytest.raises(RuntimeError, match="lane isolation violated"):
-            env.run()
-
-    @pytest.mark.parametrize("engine", ("global", "sharded"))
-    def test_empty_graph_forbids_every_cross_lane_send(self, engine):
+    def test_independent_lanes_forbid_every_cross_lane_send(self, engine):
         env = Environment(seed=1, lanes=2, engine=engine)
-        env.sim.restrict_channels(set())
+        env.sim.independent_lanes = True
 
         def offender(env):
             yield env.timeout(1.0)
@@ -277,7 +252,7 @@ class TestLaneIsolation:
         # The failed drain put every pending event back on the one heap.
         assert env.sim.executing_lane is None
 
-    def test_undeclared_graph_is_the_complete_graph(self):
+    def test_dependent_lanes_admit_cross_lane_sends(self):
         env = laned_env(2)
         fired = []
 
@@ -290,8 +265,3 @@ class TestLaneIsolation:
         env.process(sender(env), lane=0)
         env.run()
         assert fired == [(1, 3.0)]
-
-    def test_channels_must_name_known_lanes(self):
-        env = laned_env(2)
-        with pytest.raises(ValueError, match="unknown lanes"):
-            env.sim.restrict_channels({(0, 2)})
