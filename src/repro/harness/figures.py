@@ -13,7 +13,7 @@ starts, with a target of one transaction per second".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.config import ClusterConfig, ProtocolName, WorkloadConfig
 from repro.harness.experiment import ExperimentSpec

@@ -18,8 +18,7 @@ Guarantees:
   specs are frozen dataclasses, results are plain dataclasses.  The pool
   uses the ``spawn`` start method everywhere (the only method available on
   every platform, and the one that catches hidden global state by
-  construction); pass ``mp_context="fork"`` to trade that safety for faster
-  worker start-up on POSIX.
+  construction).
 * **Invariant checking still bites.**  Workers run the full §3 invariant
   suite inside ``run_once`` exactly as the serial path does; a violation
   raises in the worker and the pool re-raises it in the parent.
@@ -78,7 +77,6 @@ def run_cells(
     trials: int = 3,
     base_seed: int = 0,
     jobs: int | None = 1,
-    mp_context: str = "spawn",
 ) -> list[ExperimentResult]:
     """Run every cell for every trial seed, optionally across processes.
 
@@ -108,7 +106,7 @@ def run_cells(
     else:
         from multiprocessing import get_context
 
-        ctx = get_context(mp_context)
+        ctx = get_context("spawn")
         with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
             # chunksize=1 keeps long and short cells from queueing behind
             # each other; results carry their grid position, so completion

@@ -5,7 +5,7 @@ without data conflicts — concurrency *prevention*.
 """
 
 from repro.core.commit_basic import find_winning_val
-from repro.model import AbortReason, TransactionStatus
+from repro.model import AbortReason
 from repro.paxos.ballot import NULL_BALLOT, Ballot
 from repro.paxos.messages import PrepareReply
 from repro.paxos.proposer import PhaseOutcome

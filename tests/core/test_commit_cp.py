@@ -2,7 +2,7 @@
 
 from repro.config import ProtocolConfig
 from repro.core.commit_cp import enhanced_find_winning_val
-from repro.model import AbortReason, TransactionStatus
+from repro.model import AbortReason
 from repro.paxos.ballot import NULL_BALLOT, Ballot
 from repro.paxos.messages import PrepareReply
 from repro.paxos.proposer import PhaseOutcome
@@ -217,7 +217,9 @@ class TestPromotionEndToEnd:
         assert lost[0].abort_reason is AbortReason.PROMOTION_CONFLICT
         cluster.check_invariants_all(outcomes, cluster.finalize_all())
 
-    def test_promotion_cap_zero_behaves_like_basic(self):
+    def test_promotion_cap_zero_aborts_the_loser_with_promotion_cap(self):
+        # Cap 0 is not basic Paxos: enhancedFindWinningVal still picks the
+        # value (fig7_spec(300), seed 0: 87 commits at cap 0, 83 under basic).
         cluster, first, second = self.run_pair(
             second_reads=["a5"], second_writes=["a6"],
             max_promotions=0,

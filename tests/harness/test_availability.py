@@ -3,7 +3,7 @@
 import math
 
 from repro.config import ClusterConfig, FaultScheduleConfig, OutageWindow
-from repro.harness.experiment import ExperimentSpec, run_cell, run_once
+from repro.harness.experiment import ExperimentSpec, run_once
 from repro.harness.metrics import (
     AvailabilityReport,
     AvailabilityTimeline,
@@ -140,32 +140,28 @@ def run_result(spec, metrics):
     return ExperimentResult(spec=spec, metrics=metrics)
 
 
+def faulted_spec() -> ExperimentSpec:
+    """A small cell with one minority outage window (its serial-vs-jobs
+    row is in test_equivalences.py)."""
+    return ExperimentSpec(
+        name="VVV/paxos-cp/faults-1o",
+        cluster=ClusterConfig(
+            cluster_code="VVV",
+            faults=FaultScheduleConfig(
+                outages=(OutageWindow("V3", 400.0, 600.0),),
+            ),
+        ),
+        workload=WorkloadConfig(
+            n_transactions=18, ops_per_transaction=3, n_attributes=8,
+            n_threads=3, target_rate_per_thread=20.0,
+        ),
+        protocol="paxos-cp",
+    )
+
+
 class TestDigests:
-    def faulted_spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            name="VVV/paxos-cp/faults-1o",
-            cluster=ClusterConfig(
-                cluster_code="VVV",
-                faults=FaultScheduleConfig(
-                    outages=(OutageWindow("V3", 400.0, 600.0),),
-                ),
-            ),
-            workload=WorkloadConfig(
-                n_transactions=18, ops_per_transaction=3, n_attributes=8,
-                n_threads=3, target_rate_per_thread=20.0,
-            ),
-            protocol="paxos-cp",
-        )
-
-    def test_fault_scheduled_cell_serial_vs_jobs_digest_identical(self):
-        spec = self.faulted_spec()
-        serial = run_cell(spec, trials=2, base_seed=0, jobs=1)
-        parallel = run_cell(spec, trials=2, base_seed=0, jobs=2)
-        assert metrics_digest([serial]) == metrics_digest([parallel])
-        assert serial.metrics.availability is not None
-
     def test_timeline_participates_in_digest(self):
-        spec = self.faulted_spec()
+        spec = faulted_spec()
         result = run_once(spec, seed=0)
         digest_before = metrics_digest([run_result(spec, result.metrics)])
         result.metrics.timeline.record(99_999.0, True, latency_ms=1.0)

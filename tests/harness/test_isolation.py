@@ -12,7 +12,6 @@ from repro.config import ClusterConfig, PlacementConfig, WorkloadConfig
 from repro.errors import InvalidExperimentSpec
 from repro.harness.experiment import ExperimentSpec, run_once
 from repro.harness.metrics import RunMetrics, aggregate_metrics
-from repro.harness.parallel import metrics_digest, run_cells
 
 
 def contended_spec(isolation, protocol="paxos", transactions=120, seed_name=""):
@@ -133,13 +132,3 @@ class TestMetricsPlumbing:
         merged = aggregate_metrics([a, b])
         # Means round up: one anomalous trial must never average to zero.
         assert merged.anomalies == {"other": 1, "write_skew": 3}
-
-    def test_parallel_digest_matches_serial(self):
-        specs = [contended_spec(level, transactions=60)
-                 for level in ("1sr", "si")]
-        serial = run_cells(specs, trials=2, base_seed=0, jobs=1)
-        parallel = run_cells(specs, trials=2, base_seed=0, jobs=2)
-        assert metrics_digest(serial) == metrics_digest(parallel)
-        by_name = {r.spec.name: r for r in serial}
-        assert sum(by_name["iso/si"].metrics.anomalies.values()) >= 1
-        assert by_name["iso/1sr"].metrics.anomalies == {}

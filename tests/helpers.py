@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from repro.model import Transaction, TransactionOutcome, TransactionStatus
@@ -104,9 +105,11 @@ def fig7_spec(n_transactions: int, protocol: str = "paxos-cp"):
     )
 
 
+@functools.cache
 def fig7_history_inputs(n_transactions: int, protocol: str = "paxos-cp", seed: int = 0):
     """``(effective log, initial image)`` of one finished :func:`fig7_spec`
-    cell: what :meth:`MVHistory.from_log` reads to check it."""
+    cell: what :meth:`MVHistory.from_log` reads to check it.  Simulated
+    once per process; callers only read it."""
     from repro.harness.experiment import prepare_run
     from repro.wal.invariants import effective_log
 

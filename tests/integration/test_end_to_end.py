@@ -7,9 +7,8 @@ serializability oracle (``Cluster.check_invariants_all``).
 import pytest
 
 from repro.config import WorkloadConfig
-from repro.model import TransactionStatus
 from repro.workload.driver import WorkloadDriver
-from tests.conftest import make_cluster, run_txn
+from tests.conftest import make_cluster
 
 GROUP = "group-0"
 

@@ -13,6 +13,7 @@ histories.)
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from repro.serializability.checker import (
     merge_group_histories,
 )
 from repro.serializability.history import HistoryTxn, MVHistory, serial_reads_from
+from tests.helpers import fig7_history_inputs
 from tests.serializability.explicit_mvsg import (
     INITIAL_NODE,
     assert_classifier_matches_reference,
@@ -163,13 +165,11 @@ def arbitrary_histories(draw):
     return history
 
 
-@given(arbitrary_histories())
-@settings(max_examples=600, deadline=None)
-def test_chained_graph_agrees_with_explicit_graph(history):
-    """Same verdict as ``find_cycle(build_mvsg(h))`` on every history, and
-    both witnesses — the cycle and the serial order — hold in the explicit
-    graph.  The anomaly classifier, which runs on the chained graph, agrees
-    with its explicit-graph reference."""
+def assert_chained_graph_agrees_with_explicit_graph(history: MVHistory) -> None:
+    """Same verdict as ``find_cycle(build_mvsg(h))``, and both witnesses —
+    the cycle and the serial order — hold in the explicit graph.  The
+    anomaly classifier, which runs on the chained graph, agrees with its
+    explicit-graph reference."""
     labels: dict = {}
     explicit = build_mvsg(history, labels=labels)
     assert_classifier_matches_reference(history, explicit, labels)
@@ -197,10 +197,25 @@ def test_chained_graph_agrees_with_explicit_graph(history):
 
 
 @given(arbitrary_histories())
+@settings(max_examples=600, deadline=None)
+def test_chained_graph_agrees_with_explicit_graph(history):
+    assert_chained_graph_agrees_with_explicit_graph(history)
+
+
+@given(arbitrary_histories())
 @settings(max_examples=200, deadline=None)
 def test_classifier_reports_nothing_iff_chained_graph_is_acyclic(history):
     ok, _cycle = is_one_copy_serializable(history)
     assert classify_anomalies(history).serializable == ok
+
+
+@pytest.mark.parametrize("n_transactions", [300, 1200])
+def test_chained_graph_agrees_with_explicit_graph_on_fig7_cells(n_transactions):
+    """The contended Figure 7 cell: hot items with hundreds of versions and
+    readers, the shape the chains exist for."""
+    assert_chained_graph_agrees_with_explicit_graph(
+        MVHistory.from_log(*fig7_history_inputs(n_transactions))
+    )
 
 
 # ----------------------------------------------------------------------

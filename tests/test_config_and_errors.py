@@ -1,6 +1,7 @@
 """Tests for configuration dataclasses and the exception hierarchy."""
 
 import ast
+import functools
 from dataclasses import fields
 from pathlib import Path
 
@@ -95,10 +96,11 @@ REPO = Path(__file__).resolve().parent.parent
 SETTERS = ("tests", "benchmarks", "examples", "src/repro/cli.py", "src/repro/harness")
 
 
-def names_ever_set() -> set[str]:
+@functools.cache
+def names_ever_set() -> frozenset[str]:
     """Every keyword-argument name and every string dict key in SETTERS: a
     field is set by keyword, by ``replace(..., field=...)``, or through a
-    ``**`` dict of overrides."""
+    ``**`` dict of overrides.  Parsed once for every config checked."""
     names: set[str] = set()
     for setter in SETTERS:
         root = REPO / setter
@@ -111,7 +113,7 @@ def names_ever_set() -> set[str]:
                         key.value for key in node.keys
                         if isinstance(key, ast.Constant) and isinstance(key.value, str)
                     )
-    return names
+    return frozenset(names)
 
 
 @pytest.mark.parametrize("config", [

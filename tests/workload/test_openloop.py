@@ -9,7 +9,6 @@ import pytest
 
 from repro.config import ClusterConfig, PlacementConfig, WorkloadConfig
 from repro.harness.experiment import ExperimentSpec, run_once
-from repro.harness.parallel import metrics_digest, run_cells
 from repro.workload.openloop import LogicalUserModel, PoissonArrivals
 
 
@@ -119,25 +118,6 @@ def test_open_loop_overload_drops():
     stats = result.metrics.open_loop
     assert stats.dropped > 0, "10x overload must trip the admission control"
     assert stats.peak_pending == 3
-
-
-def test_checked_run_matches_unchecked_run():
-    unchecked = open_spec()
-    checked = replace(unchecked, check_invariants=True)
-    a = run_once(unchecked, seed=5)
-    b = run_once(checked, seed=5)
-    assert len(b.outcomes) == b.metrics.n_transactions > 0
-    # The invariant suite only reads the run: same metrics either way.
-    assert repr(a.metrics) == repr(b.metrics)
-    # Outcomes are re-anchored at the arrival: latency == response.
-    assert all(o.latency_ms >= 0 for o in b.outcomes)
-
-
-def test_serial_and_parallel_digests_match():
-    specs = [open_spec(), open_spec(workload={"offered_load": 600.0})]
-    serial = run_cells(specs, trials=2, base_seed=11, jobs=1)
-    parallel = run_cells(specs, trials=2, base_seed=11, jobs=2)
-    assert metrics_digest(serial) == metrics_digest(parallel)
 
 
 # ----------------------------------------------------------------------
