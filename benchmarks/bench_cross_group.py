@@ -8,11 +8,12 @@ The workload is the groups-scaling setup (range-sharded single-row groups,
 through prepare entries, a durable decision instance, and decision markers.
 
 Correctness rides along at every sweep point: each cell runs the full
-invariant suite (``run_once`` → ``check_invariants_all``), which includes
-2PC recovery, per-group §3 checks with decisions applied, all-or-nothing
-atomicity, the no-orphaned-prepare invariant, and the MVSG test, over the
-merged history once a cross-group transaction commits — a sweep point that
-violated any of them would raise before the assertions here run.
+invariant suite (``run_once`` → ``check_invariants_all``) over the run that
+``Cluster.settle`` left after 2PC recovery: per-group §3 checks with
+decisions applied, all-or-nothing atomicity, the no-orphaned-prepare
+invariant, and the MVSG test, over the merged history once a cross-group
+transaction commits — a sweep point that violated any of them would raise
+before the assertions here run.
 
 Also runnable as a script (CI uses ``--smoke`` for a two-cell quick pass;
 ``--jobs N`` fans the sweep over N worker processes, bit-identically):

@@ -13,8 +13,8 @@ one-per-group by range assignment, reproducing the paper's "single entity
 group consisting of a single row" N times over, and each transaction picks
 its group uniformly at random.
 
-Every cell runs the full §3 invariant suite over *every* group
-(``Cluster.check_invariants_all`` inside ``run_once``), so a scaling win
+Every cell runs the full §3 invariant suite over *every* group of the
+settled run (``Cluster.check_invariants_all`` inside ``run_once``), so a scaling win
 that broke per-group serializability would fail before any assertion here.
 
 Also runnable as a script; ``--jobs N`` fans the (cell × trial) grid over N

@@ -15,9 +15,10 @@ Acceptance (asserted per sweep point):
 
 * queue-send commit latency within 10% of the same cell's plain
   single-group commit latency (median, to shrug off small-sample tails);
-* every send delivered — the invariant suite (``run_once`` →
-  ``check_invariants_all``) drains the queues and verifies exactly-once
-  delivery in sender order before the assertions here even run.
+* every send delivered — ``run_once`` settles the run (``Cluster.settle``
+  drains the queues), and the invariant suite (``check_invariants_all``)
+  verifies exactly-once delivery in sender order over the settled run
+  before the assertions here even run.
 
 Also runnable as a script (CI uses ``--smoke`` for a quick pass; ``--jobs
 N`` fans the sweep over N worker processes, bit-identically):
@@ -113,7 +114,7 @@ def check_cell(result: ExperimentResult, fraction: float) -> None:
         return
     assert metrics.queue_send_commits > 0, metrics
     # Exactly-once held (check_invariants_all), and everything arrived:
-    # no committed send is missing from the receiver logs.
+    # no committed send is missing from the settled receiver logs.
     queue = metrics.queue
     assert queue.undelivered == 0, queue
     assert queue.applied_online + queue.drained_offline == queue.sends, queue

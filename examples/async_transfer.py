@@ -73,12 +73,12 @@ def main() -> None:
     # The full obligation, raising InvariantViolation on any failure:
     # per-group §3 invariants, the queue-delivery invariant — every
     # committed send applied exactly once at group-1, in send order (the
-    # drain inside completes anything the pump had not delivered when the
+    # settle's drain completed anything the pump had not delivered when the
     # run ended) — and each group's MVSG test: queue applies are
     # transactions of their receiver alone, so the groups share none.
-    logs = cluster.finalize_all()
-    decisions = cluster.check_invariants_all(outcomes, logs)
-    stats = cluster.queue_stats(logs, decisions)
+    run = cluster.settle()
+    cluster.check_invariants_all(outcomes, run)
+    stats = cluster.queue_stats(run)
     assert stats.applied_online + stats.drained_offline == stats.sends == len(commits)
     print(f"queue: {stats.applied_online} applied online, "
           f"{stats.drained_offline} by the offline drain, "

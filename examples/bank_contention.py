@@ -55,8 +55,8 @@ def run_protocol(protocol: str) -> int:
     promoted = [o for o in commits if o.promotions > 0]
 
     # Recompute balances from the committed log — the ground truth.
-    logs = cluster.finalize_all()
-    log = logs["bank"]
+    run = cluster.settle()
+    log = run.logs["bank"]
     balances = {name: INITIAL_BALANCE for name in accounts}
     for position in sorted(log):
         for txn in log[position].transactions:
@@ -65,7 +65,7 @@ def run_protocol(protocol: str) -> int:
     total = sum(balances.values())
 
     # Raises InvariantViolation unless the run is one-copy serializable.
-    cluster.check_invariants_all(outcomes, logs)
+    cluster.check_invariants_all(outcomes, run)
 
     print(f"{protocol:>9}: {len(commits)}/{N_TRANSFERS} committed "
           f"({len(promoted)} via promotion), "

@@ -62,19 +62,20 @@ def main() -> None:
           f"(the rest lost a prepare position and aborted cleanly)")
 
     # Ground truth from the logs: replay each group's committed entries.
-    logs = cluster.finalize_all()
+    # Settling resolves in-doubt 2PC transactions.
+    run = cluster.settle()
     # The full obligation, raising InvariantViolation on any failure:
-    # in-doubt 2PC transactions resolved, per-group §3 invariants with the
-    # decisions applied, all-or-nothing atomicity, no orphaned prepares, and
-    # — once a transfer commits, linking the two groups — one MVSG test over
-    # the merged two-group history.
-    decisions = cluster.check_invariants_all(outcomes, logs)
+    # per-group §3 invariants with the decisions applied, all-or-nothing
+    # atomicity, no orphaned prepares, and — once a transfer commits,
+    # linking the two groups — one MVSG test over the merged two-group
+    # history.
+    cluster.check_invariants_all(outcomes, run)
     balances = {"acct0": INITIAL_BALANCE, "acct1": INITIAL_BALANCE}
-    for group, log in sorted(logs.items()):
+    for group, log in sorted(run.logs.items()):
         kinds = [entry.kind for _pos, entry in sorted(log.items())]
         print(f"{group} log: {' '.join(kinds)}")
         for _position, entry in sorted(log.items()):
-            if entry.kind == "prepare" and not decisions.get(entry.gtid):
+            if entry.kind == "prepare" and not run.decisions.get(entry.gtid):
                 continue  # aborted branch: applied nowhere
             for txn in entry.transactions:
                 for (row, _attr), value in txn.writes:
@@ -83,7 +84,7 @@ def main() -> None:
     total = balances["acct0"] + balances["acct1"]
     print(f"balances: {balances}  (total {total}, expected {2 * INITIAL_BALANCE})")
     assert total == 2 * INITIAL_BALANCE, "money leaked across groups!"
-    assert commits and all(decisions[o.transaction.tid] for o in commits)
+    assert commits and all(run.decisions[o.transaction.tid] for o in commits)
     print("per-group invariants, 2PC atomicity, and global 1SR: OK")
 
 

@@ -68,15 +68,15 @@ def main() -> None:
 
     # V2 is back: its replica catches up on demand and serves reads.
     assert committed_in_outage > 0
-    logs = cluster.finalize_all()
-    log = logs[GROUP]
+    run = cluster.settle()
+    log = run.logs[GROUP]
     v2 = cluster.services["V2"].replica(GROUP)
     print(f"\nlog positions decided: {len(log)}; "
           f"V2 now knows {len(v2.entries())} of them after catch-up")
     assert len(v2.entries()) == len(log)
 
     # Raises InvariantViolation on any failure.
-    cluster.check_invariants_all([o for _w, _d, o in outcomes], logs)
+    cluster.check_invariants_all([o for _w, _d, o in outcomes], run)
     print("invariants (L1)-(L3), (R1), read-only consistency, 1SR: OK")
 
     final_stock = 1000 - total_committed

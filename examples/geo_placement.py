@@ -34,7 +34,7 @@ def run_cell(code: str, protocol: str):
     cluster.run()
     outcomes = driver.result.outcomes
     # Raises InvariantViolation unless every §3 obligation holds.
-    cluster.check_invariants_all(outcomes, cluster.finalize_all())
+    cluster.check_invariants_all(outcomes, cluster.settle())
     commits = [o for o in outcomes if o.committed]
     mean_latency = (sum(o.latency_ms for o in commits) / len(commits)) if commits else float("nan")
     return len(commits), len(outcomes), mean_latency

@@ -36,7 +36,7 @@ def run_layout(n_groups: int) -> float:
 
     outcomes = driver.result.outcomes
     # Raises InvariantViolation unless every group's log passes the checks.
-    cluster.check_invariants_all(outcomes, cluster.finalize_all())
+    cluster.check_invariants_all(outcomes, cluster.settle())
 
     commits = sum(1 for outcome in outcomes if outcome.committed)
     duration_s = max(outcome.end_time for outcome in outcomes) / 1000.0

@@ -49,7 +49,7 @@ def race(protocol: str):
     participant("conflicted", "V3", 10.0, reads=["a1"], writes=["a4"])
     cluster.run()
     # Raises InvariantViolation unless the race stayed one-copy serializable.
-    cluster.check_invariants_all(list(results.values()), cluster.finalize_all())
+    cluster.check_invariants_all(list(results.values()), cluster.settle())
     return results
 
 

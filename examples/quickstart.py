@@ -45,16 +45,16 @@ def main() -> None:
 
     # The same log entry is now at every datacenter (replication R1).
     print("\nwrite-ahead log per datacenter:")
-    logs = cluster.finalize_all()
+    run = cluster.settle()
     for dc in cluster.topology.names:
         replica = cluster.services[dc].replica("accounts")
         entries = {pos: str(entry) for pos, entry in replica.entries().items()}
-        assert entries == {pos: str(entry) for pos, entry in logs["accounts"].items()}
+        assert entries == {pos: str(entry) for pos, entry in run.logs["accounts"].items()}
         print(f"  {dc}: {entries}")
 
     # And the run provably satisfied one-copy serializability (the check
     # raises InvariantViolation on any failure).
-    cluster.check_invariants_all([outcome], logs)
+    cluster.check_invariants_all([outcome], run)
     print("\ninvariants (L1)-(L3), (R1), 1SR: OK")
 
 

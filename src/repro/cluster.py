@@ -9,13 +9,13 @@ is the entry point examples, tests, and the benchmark harness all use::
     cluster.preload("group-0", {"row0": {"a0": "init"}})
     client = cluster.add_client("V1", protocol="paxos-cp")
 
-It also hosts the *offline verification* pass: after a run,
-:meth:`finalize_all` completes the replicas' knowledge of every decided
-position by direct store inspection (the runtime equivalent is the
-protocol-level catch-up in :class:`repro.paxos.learner.Learner`; the offline
-form exists so invariant checks never block on simulated messaging), and
-:meth:`check_invariants_all` — the one check entry point — runs the
-(L1)–(L3)/(R1) checkers on those logs plus the MVSG serializability test.
+It also hosts the *offline pass*.  :meth:`settle` computes a finished run's
+end state once, by direct store inspection (never blocking on simulated
+messaging): every decided position at every replica, in-doubt 2PC resolved,
+undelivered queue sends drained.  Everything after the simulation only
+reads that :class:`SettledRun`: :meth:`check_invariants_all`, the one check
+entry point (the (L1)–(L3)/(R1) checkers plus the MVSG test), and the
+measurements :meth:`queue_stats` and :meth:`anomaly_counts`.
 """
 
 from __future__ import annotations
@@ -79,12 +79,24 @@ from repro.wal.log import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.serializability.checker import Anomaly
     from repro.sim.process import Process
+
+
+#: Queue lag past which a send counts as stalled (:meth:`Cluster.queue_stats`).
+STALL_THRESHOLD_MS = 1000.0
+#: Aborts whose client may have failed mid-protocol: either fate is legal (§4.1).
+_UNDETERMINED = (AbortReason.TIMEOUT, AbortReason.CLIENT_CRASH, AbortReason.SERVICE_UNAVAILABLE)
 
 
 def _store_writes(store: MultiVersionStore) -> int:
     return store.op_counts["write"] + store.op_counts["check_and_write"]
+
+
+def _queue_active(logs: Mapping[str, Mapping[int, LogEntry]]) -> bool:
+    return any(
+        entry.kind == "queue_apply" or entry.queue_sends
+        for log in logs.values() for entry in log.values()
+    )
 
 
 class PumpRun(NamedTuple):
@@ -95,6 +107,15 @@ class PumpRun(NamedTuple):
     process: "Process"
     poll_ms: float
     idle_stop_after: int
+
+
+class SettledRun(NamedTuple):
+    """A finished run's end state (:meth:`Cluster.settle`): ``{group:
+    finalized log}``, offline-drained queue applies included, and the
+    resolved 2PC decisions ``{gtid: committed}``.  Readers never mutate it."""
+
+    logs: dict[str, dict[int, LogEntry]]
+    decisions: dict[str, bool]
 
 
 @dataclass
@@ -165,11 +186,6 @@ class Cluster:
         #: Every delivery pump ever started (restarts append, never replace).
         self._pumps: list[PumpRun] = []
         self._pump_counter = 0
-        self._queue_drained = 0
-        #: Classified MVSG anomalies of the last :meth:`check_invariants_all`
-        #: pass (snapshot-isolation runs only; empty otherwise).  Sorted
-        #: deterministically so metrics digests agree serial vs parallel.
-        self._anomalies: "list[Anomaly]" = []
         #: Network-fault windows installed by a declarative schedule, as
         #: sorted ``(start_ms, end_ms)`` pairs; the availability report
         #: aligns its timeline against these.
@@ -585,6 +601,16 @@ class Cluster:
         """:meth:`finalize` every group; returns ``{group: global log}``."""
         return {group: self.finalize(group) for group in self.groups}
 
+    def settle(self) -> SettledRun:
+        """The finished run's end state, computed once for every run, checked
+        or not: :meth:`finalize_all`, :meth:`recover_cross_group`, and — when
+        the logs carry queue traffic — :meth:`drain_queues`."""
+        logs = self.finalize_all()
+        decisions = self.recover_cross_group(logs)
+        if _queue_active(logs):
+            self.drain_queues(logs, decisions)
+        return SettledRun(logs, decisions)
+
     # ------------------------------------------------------------------
     # Cross-group (2PC) status, recovery, and verification
     # ------------------------------------------------------------------
@@ -753,29 +779,24 @@ class Cluster:
                     logs[receiver][position] = entry
                     next_free[receiver] = position + 1
                     drained += 1
-        self._queue_drained += drained
         return drained
 
-    def queue_stats(
-        self,
-        logs: dict[str, dict[int, LogEntry]],
-        decisions: dict[str, bool],
-        stall_threshold_ms: float = 1000.0,
-    ) -> QueueStats:
-        """Aggregate queue-delivery statistics for the finished run.
+    def queue_stats(self, run: SettledRun) -> QueueStats:
+        """Aggregate queue-delivery statistics of the settled *run*.
 
-        The applied/drained split is derived from the *logs* (the drain's
+        The applied/drained split is derived from the logs (the drain's
         entries carry a sentinel origin), never from pump bookkeeping
         alone — a pump killed after its append was chosen but before it
         could confirm still counts as an online delivery.  A send counts
         as **stalled** when it was committed but not applied within
-        ``stall_threshold_ms`` of the pump first observing it — including
-        every send only the offline drain completed, and any send still
-        undelivered in the supplied logs (no drain ran).  Stalls are the
-        queue path's availability failure mode and the report surfaces
-        them as their own condition.
+        :data:`STALL_THRESHOLD_MS` of the pump first observing it —
+        including every send only the offline drain completed, and any
+        send the logs still lack.  Stalls are the queue path's
+        availability failure mode and the report surfaces them as their
+        own condition.
         """
-        stats = QueueStats(stall_threshold_ms=stall_threshold_ms)
+        logs, decisions = run
+        stats = QueueStats(stall_threshold_ms=STALL_THRESHOLD_MS)
         for sender in sorted(logs):
             for sends in enumerate_sends(sender, logs[sender], decisions).values():
                 stats.sends += len(sends)
@@ -808,7 +829,7 @@ class Cluster:
             0, stats.sends - stats.applied_online - stats.drained_offline
         )
         stats.stalled = stats.drained_offline + stats.undelivered + sum(
-            1 for lag in lags if lag > stall_threshold_ms
+            1 for lag in lags if lag > STALL_THRESHOLD_MS
         )
         return stats
 
@@ -925,47 +946,33 @@ class Cluster:
             raise InvariantViolation(violations)
 
     def check_invariants_all(
-        self,
-        outcomes: list[TransactionOutcome],
-        logs: dict[str, dict[int, LogEntry]],
-        strict_timeouts: bool = False,
-    ) -> dict[str, bool]:
-        """Run every correctness check of the run; raise on any violation.
+        self, outcomes: list[TransactionOutcome], run: SettledRun,
+    ) -> None:
+        """Run every correctness check over the settled *run*; raise on any
+        violation.
 
-        *logs* is :meth:`finalize_all`'s result, ``{group: finalized log}``;
-        every check reads these logs and none re-derives them.  Outcomes are
-        routed to their transaction's group.  The checks run, and raise, in
-        this order:
+        Every check only reads *run* (:meth:`settle`'s result) and the
+        finished cluster: none recovers, drains or re-derives a log.
+        Outcomes are routed to their transaction's group; one aborted with
+        TIMEOUT / CLIENT_CRASH / SERVICE_UNAVAILABLE is not held to the (L1)
+        "not in the log" side — the paper allows a transaction whose client
+        failed mid-protocol to be committed or aborted (§4.1), and a
+        timed-out client is indistinguishable from a failed one.  The
+        checks run, and raise, in this order:
 
-        1. in-doubt 2PC transactions are resolved (:meth:`recover_cross_group`)
-           and, in runs with queue traffic, undelivered sends are drained into
-           *logs* (:meth:`drain_queues` — eventual delivery is an obligation
-           *at quiescence*);
-        2. no transaction is logged in more than one group;
-        3. per group, in name order, (R1), (L1)-(L3) — (SI) in place of (L3)
+        1. no transaction is logged in more than one group;
+        2. per group, in name order, (R1), (L1)-(L3) — (SI) in place of (L3)
            under snapshot isolation — read-only consistency and no orphaned
            prepare (:func:`repro.wal.invariants.run_all_checks`);
-        4. the crash amnesia detector (:meth:`check_crash_amnesia`);
-        5. when the run holds cross-group or queue entries, the 2PC
+        3. the crash amnesia detector (:meth:`check_crash_amnesia`);
+        4. when the run holds cross-group or queue entries, the 2PC
            obligations (:meth:`check_cross_group_invariants`), then the
            delivery invariant: every committed send applied exactly once at
            its receiver, in sender order, redeliveries byte-identical shadows,
            no phantom durable delivery marks;
-        6. the MVSG pass (:meth:`_check_histories`).
-
-        ``strict_timeouts=False`` (default) excludes transactions aborted
-        with TIMEOUT / CLIENT_CRASH / SERVICE_UNAVAILABLE from the L1 "not
-        in the log" side: the paper explicitly allows a transaction whose
-        client failed mid-protocol to be committed or aborted (§4.1), and a
-        timed-out client is indistinguishable from a failed one.
-
-        Returns the resolved 2PC decision map, for :meth:`queue_stats`.
+        5. the MVSG pass (:meth:`_check_histories`).
         """
-        lenient = () if strict_timeouts else (
-            AbortReason.TIMEOUT,
-            AbortReason.CLIENT_CRASH,
-            AbortReason.SERVICE_UNAVAILABLE,
-        )
+        logs, decisions = run
         by_group: dict[str, list[TransactionOutcome]] = {group: [] for group in logs}
         cross_outcomes: list[TransactionOutcome] = []
         for outcome in outcomes:
@@ -973,16 +980,9 @@ class Cluster:
                 cross_outcomes.append(outcome)
             elif not (
                 outcome.status is TransactionStatus.ABORTED
-                and outcome.abort_reason in lenient
+                and outcome.abort_reason in _UNDETERMINED
             ):
                 by_group[outcome.transaction.group].append(outcome)
-        decisions = self.recover_cross_group(logs)
-        queue_active = any(
-            entry.kind == "queue_apply" or entry.queue_sends
-            for log in logs.values() for entry in log.values()
-        )
-        if queue_active:
-            self.drain_queues(logs, decisions)
         seen_tids: dict[str, str] = {}
         cross_group: list[str] = []
         for group, log in logs.items():
@@ -1009,25 +1009,26 @@ class Cluster:
             entry.kind != "data" for log in logs.values() for entry in log.values()
         ):
             self.check_cross_group_invariants(cross_outcomes, logs, decisions)
-        if queue_active:
+        if _queue_active(logs):
             violations = check_queue_delivery(logs, decisions)
             violations += self._check_delivery_records(logs, decisions)
             if violations:
                 raise InvariantViolation(violations)
-        self._check_histories(logs, decisions)
-        return decisions
+        self._check_histories(run)
 
-    def _check_histories(
-        self,
-        logs: dict[str, dict[int, LogEntry]],
-        decisions: dict[str, bool],
-    ) -> None:
+    def _history(self, run: SettledRun, group: str) -> MVHistory:
+        """*group*'s observed history in the settled *run*."""
+        return MVHistory.from_log(
+            effective_log(run.logs[group], run.decisions),
+            self._initial_images.get(group, {}),
+        )
+
+    def _check_histories(self, run: SettledRun) -> None:
         """The MVSG pass: each group's history is built once, used, and
         dropped before the next is built.
 
-        * Under snapshot isolation an acyclic MVSG is not owed: the cycles
-          are classified into :attr:`anomalies` instead of failing the run,
-          and no MVSG test runs.
+        * Under snapshot isolation an acyclic MVSG is not owed, and no MVSG
+          test runs: its cycles measure the run (:meth:`anomaly_counts`).
         * When a committed 2PC branch links two groups (the branch → gtid
           rename map is non-empty), one MVSG test runs over the merged
           history: branches collapse into their global transaction and items
@@ -1038,19 +1039,9 @@ class Cluster:
           the disjoint union of the group graphs, so one test per group
           gives the same verdict on smaller graphs.
         """
-        def history(group: str) -> MVHistory:
-            return MVHistory.from_log(
-                effective_log(logs[group], decisions),
-                self._initial_images.get(group, {}),
-            )
-
-        self._anomalies = []
         if self.config.isolation == "si":
-            from repro.serializability.checker import classify_anomalies
-
-            for group in sorted(logs):
-                self._anomalies.extend(classify_anomalies(history(group)).anomalies)
             return
+        logs, decisions = run
         rename = {
             entry.transactions[0].tid: entry.gtid or ""
             for log in logs.values() for entry in log.values()
@@ -1058,7 +1049,8 @@ class Cluster:
         }
         if rename:
             merged = merge_group_histories(
-                ((group, history(group)) for group in sorted(logs)), rename
+                ((group, self._history(run, group)) for group in sorted(logs)),
+                rename,
             )
             ok, cycle = is_one_copy_serializable(merged)
             if not ok:
@@ -1068,14 +1060,25 @@ class Cluster:
                 )
             return
         for group in sorted(logs):
-            ok, cycle = is_one_copy_serializable(history(group))
+            ok, cycle = is_one_copy_serializable(self._history(run, group))
             if not ok:
                 raise InvariantViolation(
                     [f"MVSG test failed: cycle {cycle} in the observed history"]
                 )
 
-    def anomaly_counts(self) -> dict[str, int]:
-        """``{anomaly kind: count}`` of the last invariant pass, sorted by
-        kind — the shape :class:`repro.harness.metrics.RunMetrics` carries."""
-        counts = Counter(anomaly.kind for anomaly in self._anomalies)
+    def anomaly_counts(self, run: SettledRun) -> dict[str, int]:
+        """``{anomaly kind: count}`` of the settled *run*'s classified MVSG
+        cycles, sorted by kind — the shape
+        :class:`repro.harness.metrics.RunMetrics` carries.  Empty unless the
+        run is under snapshot isolation, the one level where a cycle is a
+        statistic rather than a violation."""
+        if self.config.isolation != "si":
+            return {}
+        from repro.serializability.checker import classify_anomalies
+
+        counts = Counter(
+            anomaly.kind
+            for group in sorted(run.logs)
+            for anomaly in classify_anomalies(self._history(run, group)).anomalies
+        )
         return dict(sorted(counts.items()))

@@ -2,8 +2,8 @@
 
 A *cell* is (cluster config × workload config × protocol).  ``run_once``
 builds a fresh cluster, preloads the entity group, starts the workload
-instance(s), drains the simulation, finalizes the log, optionally runs the
-full §3 invariant suite, and returns metrics.  ``run_cell`` repeats with
+instance(s), drains the simulation, settles the run, optionally runs the
+full §3 invariant suite over it, and returns metrics.  ``run_cell`` repeats with
 distinct seeds and averages, which is what the paper does ("We have
 performed each experiment several times with similar results, and we
 present the average here").
@@ -137,7 +137,7 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
 def finish_run(
     spec: ExperimentSpec, cluster: Cluster, drivers: "list[WorkloadDriver]",
 ) -> ExperimentResult:
-    """Offline phase of one cell: finalize, verify invariants, aggregate.
+    """Offline phase of one cell: settle, verify invariants, aggregate.
 
     The cycle collector stays paused here for the reason it is paused in
     :meth:`Environment.run <repro.sim.env.Environment.run>`: finalizing,
@@ -152,27 +152,22 @@ def finish_run(
 def _finish_run(
     spec: ExperimentSpec, cluster: Cluster, drivers: "list[WorkloadDriver]",
 ) -> ExperimentResult:
-    # Merge every group's log for the aggregate statistics; group logs are
-    # independent position sequences, so the merged view keys by
-    # (group, position).
-    group_logs = cluster.finalize_all()
+    # One end state for every run, checked or not: the check only reads it.
+    run = cluster.settle()
     # Bind each driver's result once: on pinned drivers ``result`` is a
     # property that merges the per-thread outcome lists on every access.
     results = [driver.result for driver in drivers]
     outcomes = [outcome for result in results for outcome in result.outcomes]
     if spec.check_invariants:
-        # Also drains undelivered queue sends and verifies exactly-once
-        # delivery, mutating group_logs with the drained applies; returns
-        # the resolved 2PC decision map for reuse below.
-        decisions = cluster.check_invariants_all(outcomes, group_logs)
-    else:
-        decisions = cluster.cross_group_decisions()
+        cluster.check_invariants_all(outcomes, run)
     queue = None
     if spec.workload.queue_fraction > 0:
-        queue = cluster.queue_stats(group_logs, decisions)
+        queue = cluster.queue_stats(run)
+    # Group logs are independent position sequences, so the merged view
+    # the aggregate statistics read keys by (group, position).
     log = {
         (group, position): entry
-        for group, group_log in group_logs.items()
+        for group, group_log in run.logs.items()
         for position, entry in group_log.items()
     }
     loops = [driver for driver in drivers if hasattr(driver, "open_loop_stats")]
@@ -186,10 +181,7 @@ def _finish_run(
         )
         for driver, result in zip(drivers, results)
     }
-    # Under snapshot isolation check_invariants_all classified the MVSG
-    # cycles; surface the per-kind counts on the run's metrics (empty dict
-    # under 1sr, and when invariants are off).
-    metrics.anomalies = cluster.anomaly_counts()
+    metrics.anomalies = cluster.anomaly_counts(run)
     # Network drop counters by cause.
     net = cluster.network.stats
     metrics.dropped_messages = {

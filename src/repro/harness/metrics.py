@@ -539,9 +539,9 @@ class RunMetrics:
     #: Classified serializability anomalies the run admitted, ``{kind:
     #: count}`` sorted by kind (write_skew / read_only_anomaly / other).
     #: Non-empty only under ``isolation="si"`` — every other level treats a
-    #: cycle as an invariant violation, not a statistic.  Filled by the
-    #: harness (:func:`repro.harness.experiment.finish_run`) from the
-    #: cluster's classifier pass, not by the outcome folds below.
+    #: cycle as an invariant violation, not a statistic.  Measured on every
+    #: run, checked or not, by :meth:`repro.cluster.Cluster.anomaly_counts`
+    #: over the settled run, not by the outcome folds below.
     anomalies: dict[str, int] = field(default_factory=dict)
     commits_by_round: dict[int, int] = field(default_factory=dict)
     latency_by_round: dict[int, float] = field(default_factory=dict)

@@ -13,8 +13,9 @@ by a run: one group's finalized log (``{position: entry}``, what
 :class:`~repro.wal.log.LogReplica` views that only (R1) reads, and the
 :class:`~repro.model.TransactionOutcome` records collected by the harness.
 :meth:`repro.cluster.Cluster.check_invariants_all` runs :func:`run_all_checks`
-on every group; each checker takes its log (and the queue-shadow set) as an
-argument and never rebuilds it.
+on every group of a settled run (:meth:`repro.cluster.Cluster.settle`); each
+checker takes its log (and the queue-shadow set) as an argument, never
+rebuilds it and never changes it.
 
 The (L3) check is the strongest available: it *replays* the global log from
 the initial data image and verifies that every committed transaction observed

@@ -63,7 +63,7 @@ class TestCrossGroupCommit:
         assert outcome.transaction.group == CROSS_GROUP
         assert outcome.transaction.groups == ("group-0", "group-3")
         assert set(outcome.extra["prepare_positions"]) == {"group-0", "group-3"}
-        cluster.check_invariants_all([outcome], cluster.finalize_all())
+        cluster.check_invariants_all([outcome], cluster.settle())
         assert read_row(cluster, "row0") == "x0"
         assert read_row(cluster, "row3") == "x3"
 
@@ -118,7 +118,7 @@ class TestCrossGroupCommit:
         assert outcome.abort_reason is AbortReason.PREPARE_FAILED
         decisions = cluster.cross_group_decisions()
         assert decisions == {outcome.transaction.tid: False}
-        cluster.check_invariants_all([outcome], cluster.finalize_all())
+        cluster.check_invariants_all([outcome], cluster.settle())
         # Nothing leaked into group-2 even though its prepare was chosen.
         assert read_row(cluster, "row2") == "init2"
         assert read_row(cluster, "row0") == "sneak"
@@ -178,7 +178,7 @@ class TestCrossGroupCommit:
         logs = cluster.finalize_all()
         assert logs["group-0"][1].kind == "prepare"
         assert logs["group-1"][1].kind == "prepare"
-        cluster.check_invariants_all([outcome], cluster.finalize_all())
+        cluster.check_invariants_all([outcome], cluster.settle())
 
     def test_write_only_groups_pin_at_commit_time(self):
         cluster = sharded_cluster()
@@ -427,4 +427,4 @@ def test_concurrent_single_group_traffic_stays_serializable(protocol):
     assert len(outcomes) == 6
     # The MVSG test runs over the merged history once a cross-group
     # transaction commits: its branches link the two groups.
-    cluster.check_invariants_all(outcomes, cluster.finalize_all())
+    cluster.check_invariants_all(outcomes, cluster.settle())

@@ -148,7 +148,7 @@ class TestConcurrencyPrevention:
 
     def test_invariants_hold_after_contention(self):
         cluster, first, second = self.run_pair(disjoint=False)
-        cluster.check_invariants_all([first, second], cluster.finalize_all())
+        cluster.check_invariants_all([first, second], cluster.settle())
 
 
 class TestFastPath:

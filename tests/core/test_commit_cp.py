@@ -203,7 +203,7 @@ class TestPromotionEndToEnd:
         assert winners[0].commit_position + 1 == winners[1].commit_position
         promoted = max([first, second], key=lambda o: o.promotions)
         assert promoted.promotions == 1
-        cluster.check_invariants_all([first, second], cluster.finalize_all())
+        cluster.check_invariants_all([first, second], cluster.settle())
 
     def test_conflicting_loser_aborts_with_promotion_conflict(self):
         # Second reads a0, which the winner writes.
@@ -215,7 +215,7 @@ class TestPromotionEndToEnd:
         lost = [o for o in outcomes if not o.committed]
         assert len(committed) == 1 and len(lost) == 1
         assert lost[0].abort_reason is AbortReason.PROMOTION_CONFLICT
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
 
     def test_promotion_cap_zero_aborts_the_loser_with_promotion_cap(self):
         # Cap 0 is not basic Paxos: enhancedFindWinningVal still picks the
@@ -264,4 +264,4 @@ class TestPromotionEndToEnd:
         assert all(outcome.committed for outcome in outcomes), [
             (o.transaction.tid, str(o.abort_reason)) for o in outcomes
         ]
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())

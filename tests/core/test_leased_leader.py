@@ -117,7 +117,7 @@ class TestLeasedLeader:
         for index, dc in enumerate(["V1", "V2", "V3", "V1"]):
             make_proc(index, dc)
         cluster.run()
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
 
 
 class TestDuplicatedRequests:
@@ -203,7 +203,7 @@ class TestCrashRestartFailover:
         assert service.lease_host.ballot().round == LEASE_ROUND + 1
 
         # And the log the three clients saw is still gapless and 1SR.
-        cluster.check_invariants_all(list(outcomes.values()), cluster.finalize_all())
+        cluster.check_invariants_all(list(outcomes.values()), cluster.settle())
         assert cluster.check_crash_amnesia() == []
 
     def test_no_commit_lands_inside_the_wait_out_window(self):
@@ -242,7 +242,7 @@ class TestCrashRestartFailover:
         # The term is what the restarted leader waits out: attempts inside
         # it are refused, and the ones after it commit.
         assert {outcome.committed for outcome in outcomes} == {True, False}
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
 
 
 class TestRecoveryWalk:
@@ -284,4 +284,4 @@ class TestRecoveryWalk:
             replica = cluster.services[dc].replica(GROUP)
             assert replica.chosen_entry(voted) == orphan
             assert replica.chosen_entry(empty).kind == "noop"
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, SettledRun
 from repro.config import ClusterConfig, PlacementConfig, StoreConfig
 from repro.core.queues import (
     DeliveryTable,
@@ -223,7 +223,7 @@ class TestEnqueueApi:
         # Not the read-only shortcut: the send occupies a log position.
         log = cluster.finalize("group-0")
         assert len(log) == 1
-        cluster.check_invariants_all([outcome], cluster.finalize_all())
+        cluster.check_invariants_all([outcome], cluster.settle())
 
 
 class TestPump:
@@ -240,12 +240,13 @@ class TestPump:
                 yield from client.commit(handle)
 
         run(cluster, app())
-        logs = cluster.finalize_all()
-        applies = [e for e in logs["group-1"].values() if e.kind == "queue_apply"]
+        settled = cluster.settle()
+        log = settled.logs["group-1"]
+        applies = [e for e in log.values() if e.kind == "queue_apply"]
         assert len(applies) >= 3  # redelivery may add shadows, never drop
-        assert len(first_applies(logs["group-1"])) == 3
-        decisions = cluster.check_invariants_all([], logs)
-        stats = cluster.queue_stats(logs, decisions)
+        assert len(first_applies(log)) == 3
+        cluster.check_invariants_all([], settled)
+        stats = cluster.queue_stats(settled)
         assert stats.applied_online == 3
         assert stats.drained_offline == 0
         # Delivered in sender order: the last apply wins the final state.
@@ -279,10 +280,10 @@ class TestPump:
         )
         run(cluster, app())
 
-        logs = cluster.finalize_all()
+        settled = cluster.settle()
         # Exactly-once + order + no drops, and the §3 suite over both logs.
-        cluster.check_invariants_all([], logs=logs)
-        assert len(first_applies(logs["group-1"])) == 4
+        cluster.check_invariants_all([], settled)
+        assert len(first_applies(settled.logs["group-1"])) == 4
         assert read_remote(cluster, "row1", "a0") == "d3"
 
     def test_drain_is_idempotent_and_completes_without_pumps(self):
@@ -299,13 +300,13 @@ class TestPump:
         decisions = cluster.cross_group_decisions()
         # Before any drain: the send is committed but undelivered, which
         # must surface as a stall, not vanish from the accounting.
-        before = cluster.queue_stats(logs, decisions)
+        before = cluster.queue_stats(SettledRun(logs, decisions))
         assert (before.sends, before.applied_online, before.drained_offline,
                 before.undelivered, before.stalled) == (1, 0, 0, 1, 1)
         assert cluster.drain_queues(logs, decisions) == 1
         assert cluster.drain_queues(logs, decisions) == 0  # nothing left
         assert check_queue_delivery(logs) == []
-        after = cluster.queue_stats(logs, decisions)
+        after = cluster.queue_stats(SettledRun(logs, decisions))
         assert (after.applied_online, after.drained_offline) == (0, 1)
         assert after.stalled == 1  # drain completions are stalls by definition
         # The drained apply is readable through the ordinary service path.

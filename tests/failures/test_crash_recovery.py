@@ -402,8 +402,7 @@ class TestRecoveryIdempotence:
         assert len(records) == 2
         assert all(r.restart_ms is not None for r in records)
 
-        logs = cluster.finalize_all()
-        cluster.check_invariants_all(driver.result.outcomes, logs=logs)
+        cluster.check_invariants_all(driver.result.outcomes, cluster.settle())
 
         # Apply is lazy, so level the field by running the *same* recovery
         # replay on the never-crashed witness: if recovery is truly a pure

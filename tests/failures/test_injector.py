@@ -61,7 +61,7 @@ class TestOutage:
         # V3 had not learned position 1 when begin pinned the position, so
         # the transaction reads the initial snapshot — 1SR-consistent.
         assert value == "init"
-        cluster.check_invariants_all([outcome, ro_outcome], cluster.finalize_all())
+        cluster.check_invariants_all([outcome, ro_outcome], cluster.settle())
 
     def test_recovered_datacenter_catches_up_for_pinned_reads(self):
         """A read pinned to a position the replica missed forces catch-up.
@@ -121,7 +121,7 @@ class TestLossEpisode:
         # Retries are allowed to take a while, but the decision must be
         # clean and the invariants intact either way.
         cluster.network.loss_probability = 0.0
-        cluster.check_invariants_all([outcome], cluster.finalize_all())
+        cluster.check_invariants_all([outcome], cluster.settle())
 
 
 class TestPartition:
@@ -258,7 +258,7 @@ class TestClientCrash:
         assert not process.ok or process.value is not None
         # Regardless of the outcome, the invariants hold with the crashed
         # transaction treated as unknown (no outcome reported).
-        cluster.check_invariants_all([], cluster.finalize_all())
+        cluster.check_invariants_all([], cluster.settle())
         # And a follow-up transaction proceeds normally.
         follow_up = cluster.add_client("V2", protocol="paxos-cp")
         outcome = run_txn(cluster, follow_up, GROUP, writes=[("row0", "a", "next")])

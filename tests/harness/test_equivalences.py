@@ -19,13 +19,19 @@ from typing import Callable, Mapping
 
 import pytest
 
-from repro.config import ClusterConfig, PlacementConfig, WorkloadConfig
+from repro.config import (
+    ClusterConfig,
+    CrashWindow,
+    FaultScheduleConfig,
+    PlacementConfig,
+    WorkloadConfig,
+)
 from repro.harness.experiment import ExperimentResult, ExperimentSpec
 from repro.harness.parallel import run_cells
 from tests.harness.test_availability import faulted_spec
 from tests.harness.test_isolation import contended_spec
 from tests.harness.test_parallel import small_spec
-from tests.helpers import fig7_spec
+from tests.helpers import fig7_spec, xgroup_mix_spec
 from tests.workload.test_openloop import open_spec
 
 
@@ -106,11 +112,62 @@ def conflict_free(results: list[ExperimentResult]) -> None:
         assert result.metrics.max_promotions == 0
 
 
-def every_outcome_recorded(results: list[ExperimentResult]) -> None:
-    for result in results:
-        assert len(result.outcomes) == result.metrics.n_transactions > 0
-        # Outcomes are re-anchored at the arrival: latency == response.
-        assert all(outcome.latency_ms >= 0 for outcome in result.outcomes)
+def crashed(spec: ExperimentSpec, datacenter: str, start_ms: float,
+            restart_after_ms: float) -> ExperimentSpec:
+    """*spec* with one crash-restart cycle of *datacenter*'s replicas."""
+    window = CrashWindow(datacenter, start_ms, restart_after_ms)
+    return replace(
+        spec, name=f"{spec.name}/crash",
+        cluster=replace(spec.cluster, faults=FaultScheduleConfig(crashes=(window,))),
+    )
+
+
+def settled_cells() -> tuple[ExperimentSpec, ...]:
+    """Cells whose settled run differs from what the simulation left: a
+    crash of the pumps' home replica leaves sends for the offline drain,
+    and snapshot isolation admits write skew."""
+    return (
+        open_spec(),
+        crashed(xgroup_mix_spec(300), "V1", 2000, 800),
+        contended_spec("si", transactions=60),
+    )
+
+
+def settled_hold(results: list[ExperimentResult]) -> None:
+    opened, drained, skewed = results
+    assert len(opened.outcomes) == opened.metrics.n_transactions > 0
+    # Outcomes are re-anchored at the arrival: latency == response.
+    assert all(outcome.latency_ms >= 0 for outcome in opened.outcomes)
+    assert drained.metrics.queue.drained_offline > 0
+    assert sum(skewed.metrics.anomalies.values()) >= 1
+
+
+def without_queues() -> tuple[ExperimentSpec, ...]:
+    """The contended Figure 7 cell under basic Paxos, and the 2PC mix (under
+    Paxos-CP) with its queue share set to zero."""
+    mix = xgroup_mix_spec(200)
+    return (
+        fig7_spec(100, "paxos"),
+        replace(mix, workload=replace(mix.workload, queue_fraction=0.0)),
+    )
+
+
+def no_queue_traffic(results: list[ExperimentResult]) -> None:
+    assert all(result.metrics.queue_sends == 0 for result in results)
+    assert any(result.metrics.cross_group_transactions > 0 for result in results)
+
+
+def lease_cells() -> tuple[ExperimentSpec, ...]:
+    """The Figure 7 cell under basic Paxos, and under Paxos-CP with a
+    replica crash and restart."""
+    return (
+        fig7_spec(100, "paxos"),
+        crashed(fig7_spec(200, "paxos-cp"), "V1", 5000, 3000),
+    )
+
+
+def crash_happened(results: list[ExperimentResult]) -> None:
+    assert results[-1].metrics.node_crashes >= 1
 
 
 EQUIVALENCES: tuple[Equivalence, ...] = (
@@ -149,13 +206,33 @@ EQUIVALENCES: tuple[Equivalence, ...] = (
     ),
     Equivalence(
         "checked_vs_unchecked",
-        (open_spec(),),
+        settled_cells(),
         {"check_invariants": False},
         {"check_invariants": True},
-        "the invariant suite only reads the finished run, and with no queue "
-        "traffic it drains nothing into the logs",
-        every_outcome_recorded,
+        "every run settles once (2PC recovery, queue drain) and the metrics "
+        "read the settled run; the invariant suite only reads it too",
+        settled_hold,
         seeds=(5,),
+    ),
+    Equivalence(
+        "queue_poll_ms_without_queues",
+        without_queues(),
+        {"cluster.protocol.queue_poll_ms": 25.0},
+        {"cluster.protocol.queue_poll_ms": 100.0},
+        "only a delivery pump polls, and a cell without queue sends starts "
+        "none",
+        no_queue_traffic,
+        seeds=(0, 1),
+    ),
+    Equivalence(
+        "lease_ms_under_paxos",
+        lease_cells(),
+        {"cluster.protocol.lease_ms": 500.0},
+        {"cluster.protocol.lease_ms": 50.0},
+        "only the leased leader holds a lease or waits one out after a "
+        "restart; basic Paxos and Paxos-CP never read it",
+        crash_happened,
+        seeds=(0, 1),
     ),
 )
 

@@ -79,12 +79,12 @@ def base_spec(engine: str, shards: int, **workload) -> ExperimentSpec:
 def fingerprint(cluster: Cluster, driver: WorkloadDriver) -> str:
     """A stable digest of everything a run decided.
 
-    Outcomes (through ``RunMetrics``, every field), the finalized per-group
+    Outcomes (through ``RunMetrics``, every field), the settled per-group
     logs entry by entry, and the resolved 2PC decision map.
     """
     outcomes = driver.result.outcomes
-    logs = cluster.finalize_all()
-    decisions = cluster.check_invariants_all(outcomes, logs=logs)
+    logs, decisions = run = cluster.settle()
+    cluster.check_invariants_all(outcomes, run)
     metrics = RunMetrics.from_outcomes(outcomes, protocol="x")
     payload = [repr(metrics), repr(sorted(decisions.items()))]
     for group in sorted(logs):

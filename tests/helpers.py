@@ -120,15 +120,16 @@ def fig7_history_inputs(n_transactions: int, protocol: str = "paxos-cp", seed: i
     return log, cluster.initial_image_for(group)
 
 
-def merged_history(cluster, logs, decisions):
-    """Every group's history of a finished run merged into one, committed 2PC
-    branches renamed to their gtid: the history the MVSG pass of
+def merged_history(cluster, run):
+    """Every group's history of a settled *run* merged into one, committed
+    2PC branches renamed to their gtid: the history the MVSG pass of
     ``check_invariants_all`` tests when a branch links two groups, built
     here for any run."""
     from repro.serializability.checker import merge_group_histories
     from repro.serializability.history import MVHistory
     from repro.wal.invariants import effective_log
 
+    logs, decisions = run
     rename = {
         entry.transactions[0].tid: entry.gtid
         for log in logs.values() for entry in log.values()

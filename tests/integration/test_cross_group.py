@@ -61,7 +61,7 @@ class TestCrossGroupWorkloads:
                  if o.transaction.group == CROSS_GROUP]
         assert cross, "the mix produced no cross-group transactions"
         assert any(o.committed for o in cross)
-        cluster.check_invariants_all(driver.result.outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(driver.result.outcomes, cluster.settle())
 
     def test_zero_fraction_generates_the_exact_single_group_stream(self):
         # fraction 0 must not perturb the RNG stream: next_transaction_spec
@@ -141,10 +141,11 @@ def test_random_2pc_mixes_are_globally_one_copy_serializable(
     cluster = sharded_cluster(n_groups, seed=seed, instant=False)
     driver = run_mixed_workload(cluster, n_groups, protocol, 15, fraction)
     assert len(driver.result.outcomes) == 15
-    # check_invariants_all runs recovery, the per-group §3 suite with 2PC
-    # decisions applied, atomicity, no-orphaned-prepare, and the MVSG
-    # oracle (over the merged history once a 2PC transaction commits).
-    cluster.check_invariants_all(driver.result.outcomes, cluster.finalize_all())
+    # settle runs recovery; check_invariants_all then runs the per-group §3
+    # suite with 2PC decisions applied, atomicity, no-orphaned-prepare, and
+    # the MVSG oracle (over the merged history once a 2PC transaction
+    # commits).
+    cluster.check_invariants_all(driver.result.outcomes, cluster.settle())
 
 
 class TestRecoveryIdempotence:
@@ -259,12 +260,12 @@ def test_coordinator_crash_never_commits_a_proper_subset(seed, kill_after_ms):
     killer.add_callback(lambda _event: process.kill("coordinator crash"))
     cluster.run()
 
-    logs = cluster.finalize_all()
     # All-or-nothing: with a COMMIT decision every participant holds the
-    # prepare; any other state resolves to ABORT for every group.  The
-    # check recovers first, then runs the 2PC obligations and the MVSG
-    # pass.
-    decisions = cluster.check_invariants_all([], logs)
+    # prepare; any other state resolves to ABORT for every group.  The run
+    # settles (recovers) first, then the check runs the 2PC obligations
+    # and the MVSG pass.
+    logs, decisions = run = cluster.settle()
+    cluster.check_invariants_all([], run)
     prepares = {
         group: entry
         for group, log in logs.items()

@@ -32,28 +32,28 @@ class TestWorkloadsStaySerializable:
     def test_instant_store(self, protocol):
         cluster = make_cluster(seed=1)
         outcomes = run_workload(cluster, protocol)
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
         assert any(outcome.committed for outcome in outcomes)
 
     def test_calibrated_store_with_jitter(self, protocol):
         cluster = make_cluster(seed=2, instant_store=False, jitter=0.08)
         outcomes = run_workload(cluster, protocol)
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
 
     def test_mixed_region_cluster(self, protocol):
         cluster = make_cluster("COV", seed=3, instant_store=False)
         outcomes = run_workload(cluster, protocol, n_transactions=20)
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
 
     def test_two_replica_cluster(self, protocol):
         cluster = make_cluster("VV", seed=4)
         outcomes = run_workload(cluster, protocol, n_transactions=20)
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
 
     def test_five_replica_cluster(self, protocol):
         cluster = make_cluster("VVVOC", seed=5, instant_store=False)
         outcomes = run_workload(cluster, protocol, n_transactions=20)
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
 
 
 class TestCrossProtocolBehaviour:
@@ -67,7 +67,7 @@ class TestCrossProtocolBehaviour:
                 cluster, protocol,
                 n_transactions=60, target_rate_per_thread=4.0, n_attributes=100,
             )
-            cluster.check_invariants_all(outcomes, cluster.finalize_all())
+            cluster.check_invariants_all(outcomes, cluster.settle())
             results[protocol] = sum(1 for o in outcomes if o.committed)
         assert results["paxos-cp"] >= results["paxos"]
 
@@ -106,7 +106,7 @@ class TestCrossProtocolBehaviour:
         make_proc("beta", "V2")
         cluster.run()
         assert all(outcome.committed for outcome in outcomes)
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
 
 
 class TestBankInvariant:
@@ -143,7 +143,7 @@ class TestBankInvariant:
         for args in transfers:
             transfer(*args)
         cluster.run()
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
         # Replay the committed log to compute final balances.
         log = cluster.finalize("bank")
         balances = {name: 100 for name in accounts}

@@ -163,15 +163,15 @@ def test_fault_schedule_preserves_every_invariant(seed):
     outcomes = driver.result.outcomes
     assert len(outcomes) == driver.workload.n_transactions, schedule
 
-    # The whole obligation in one call: 2PC recovery, queue drain, the §3
-    # per-group suite, atomicity, exactly-once delivery in sender order,
-    # and global 1SR over the merged history.
-    logs = cluster.finalize_all()
-    decisions = cluster.check_invariants_all(outcomes, logs)
+    # Settle (2PC recovery, queue drain), then the whole obligation in one
+    # call: the §3 per-group suite, atomicity, exactly-once delivery in
+    # sender order, and global 1SR over the merged history.
+    settled = cluster.settle()
+    cluster.check_invariants_all(outcomes, settled)
 
     # The merged history is one-copy serializable whichever MVSG test the
     # pass ran (one per group when no committed 2PC branch links groups).
-    ok, cycle = is_one_copy_serializable(merged_history(cluster, logs, decisions))
+    ok, cycle = is_one_copy_serializable(merged_history(cluster, settled))
     assert ok, f"global MVSG cycle {cycle} under schedule {schedule}"
 
     if queue_fraction > 0:
@@ -179,10 +179,10 @@ def test_fault_schedule_preserves_every_invariant(seed):
             len(outcome.transaction.sends)
             for outcome in outcomes if outcome.committed
         )
-        stats = cluster.queue_stats(logs, decisions)
+        stats = cluster.queue_stats(settled)
         assert stats.sends == committed_sends, schedule
         # Exact accounting even across pump crash + restart: the drain ran
-        # inside check_invariants_all, so nothing may remain undelivered
+        # inside settle, so nothing may remain undelivered
         # and the two delivery buckets must account for every send.
         assert stats.undelivered == 0, schedule
         assert stats.applied_online + stats.drained_offline == stats.sends, schedule

@@ -64,7 +64,7 @@ class TestMultiGroupRuns:
     def test_every_group_history_is_one_copy_serializable(self):
         cluster = sharded_cluster(4)
         driver = run_workload(cluster, 4, n_transactions=40)
-        cluster.check_invariants_all(driver.result.outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(driver.result.outcomes, cluster.settle())
         # Belt and braces: run the MVSG oracle per group directly.
         for group in cluster.groups:
             history = MVHistory.from_log(
@@ -107,7 +107,7 @@ class TestMultiGroupRuns:
         cluster.run()
         outcomes = [o for d in drivers for o in d.result.outcomes]
         assert len(outcomes) == 12 * 3
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())
 
     def test_ghost_commit_on_a_mixed_run_is_named(self):
         """A planted committed-but-unlogged transaction on a 2PC + queue
@@ -132,7 +132,7 @@ class TestMultiGroupRuns:
         ghost = committed(txn("ghost", writes={"a": "v"}, group="group-1"), 1)
         with pytest.raises(InvariantViolation) as raised:
             cluster.check_invariants_all(
-                driver.result.outcomes + [ghost], cluster.finalize_all()
+                driver.result.outcomes + [ghost], cluster.settle()
             )
         assert any("ghost" in v for v in raised.value.violations)
 
@@ -173,4 +173,4 @@ def test_random_multi_group_workloads_stay_serializable(seed, n_groups, protocol
     cluster = sharded_cluster(n_groups, seed=seed, instant=False)
     driver = run_workload(cluster, n_groups, protocol=protocol, n_transactions=15)
     assert len(driver.result.outcomes) == 15
-    cluster.check_invariants_all(driver.result.outcomes, cluster.finalize_all())
+    cluster.check_invariants_all(driver.result.outcomes, cluster.settle())

@@ -60,7 +60,7 @@ def test_random_workloads_stay_one_copy_serializable(seed, protocol, code, param
     cluster = make_cluster(code, seed=seed, instant_store=False)
     outcomes = execute(cluster, protocol, params)
     assert len(outcomes) == params["n_transactions"]
-    cluster.check_invariants_all(outcomes, cluster.finalize_all())
+    cluster.check_invariants_all(outcomes, cluster.settle())
 
 
 @given(
@@ -73,7 +73,7 @@ def test_random_workloads_stay_one_copy_serializable(seed, protocol, code, param
 def test_serializable_under_message_loss(seed, protocol, loss, params):
     cluster = make_cluster("VVV", seed=seed, loss=loss, instant_store=False)
     outcomes = execute(cluster, protocol, params)
-    cluster.check_invariants_all(outcomes, cluster.finalize_all())
+    cluster.check_invariants_all(outcomes, cluster.settle())
 
 
 @given(
@@ -90,7 +90,7 @@ def test_serializable_under_minority_outage(seed, protocol, victim,
     injector = FailureInjector(cluster)
     injector.outage(victim, start_ms=outage_start, duration_ms=3_000.0)
     outcomes = execute(cluster, protocol, params)
-    cluster.check_invariants_all(outcomes, cluster.finalize_all())
+    cluster.check_invariants_all(outcomes, cluster.settle())
 
 
 @given(seed=st.integers(min_value=0, max_value=100_000), params=workloads)
@@ -98,4 +98,4 @@ def test_serializable_under_minority_outage(seed, protocol, victim,
 def test_leased_leader_serializable(seed, params):
     cluster = make_cluster("VVV", seed=seed, instant_store=False)
     outcomes = execute(cluster, "leased-leader", params)
-    cluster.check_invariants_all(outcomes, cluster.finalize_all())
+    cluster.check_invariants_all(outcomes, cluster.settle())

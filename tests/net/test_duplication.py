@@ -100,4 +100,4 @@ class TestPaxosUnderDuplication:
             )
             outcomes.append(outcome)
         assert all(o.committed for o in outcomes)
-        cluster.check_invariants_all(outcomes, cluster.finalize_all())
+        cluster.check_invariants_all(outcomes, cluster.settle())

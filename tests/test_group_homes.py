@@ -86,7 +86,7 @@ class TestClusterWiring:
         process = cluster.env.process(app())
         cluster.run()
         assert process.value.committed
-        cluster.check_invariants_all([process.value], cluster.finalize_all())
+        cluster.check_invariants_all([process.value], cluster.settle())
 
 
 def cluster_second_dc() -> str:

@@ -107,9 +107,9 @@ class TestDriverWiring:
         sends = [o for o in outcomes if o.transaction.sends]
         assert sends, "the mix produced no queue transactions"
         # Exactly-once delivery, sender order, §3 per group, global 1SR.
-        logs = cluster.finalize_all()
-        decisions = cluster.check_invariants_all(outcomes, logs)
-        stats = cluster.queue_stats(logs, decisions)
+        run = cluster.settle()
+        cluster.check_invariants_all(outcomes, run)
+        stats = cluster.queue_stats(run)
         committed_sends = sum(
             len(o.transaction.sends) for o in sends if o.committed
         )
